@@ -41,7 +41,6 @@ from .container import (
     write_tensor,
 )
 from .gemm import (
-    AccumulatorTile,
     GroupDotResult,
     combine,
     dequantized_gemm,
@@ -73,7 +72,7 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccumulatorTile", "ArrayConfig", "AttentionPolicies", "CalibrationConfig",
+    "ArrayConfig", "AttentionPolicies", "CalibrationConfig",
     "CandidateSet",
     "ContainerError", "CostModel", "DEFAULT_GROUP_SIZE", "DEFAULT_NF_EPSILON",
     "GroupDotResult", "GroupMeta", "INT4_COEFF", "INT8_COEFF", "KvCache",

@@ -17,10 +17,14 @@ import numpy as np
 from .codec import (
     DEFAULT_GROUP_SIZE,
     INT4_COEFF,
+    INT8_COEFF,
     MAGNITUDE_MASK,
     SIGN_BIT,
-    quantize_activation_group,
+    decode_groups,
+    encode_int8,
+    to_groups,
 )
+from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .kvcache import KvCache
 from .selection import CandidateSet, VarianceTable, build_variance_table
 
@@ -91,20 +95,15 @@ def calibration_tables(rng: np.random.Generator, heads: int, head_dim: int,
     """
     candidates = candidates or CandidateSet(include_int=False)
     _, k, v = synthesize_stream(rng, length, heads, head_dim, correlation)
-    k_groups = []
-    for t in range(length):
-        for h in range(heads):
-            for start in range(0, head_dim, group_size):
-                k_groups.append(k[t, h, start:start + group_size])
-    k_groups = [g for g in k_groups if g.size == group_size]
-    v_groups = []
-    for b in range(length // group_size):
-        rows = v[b * group_size:(b + 1) * group_size]
-        for h in range(heads):
-            for c in range(head_dim):
-                v_groups.append(rows[:, h, c])
-    k_table = build_variance_table(np.array(k_groups), candidates)
-    v_table = build_variance_table(np.array(v_groups), candidates)
+    # full key groups in (token, head, group) order; a tail group is left out
+    k_full = head_dim - head_dim % group_size
+    k_groups = k[:, :, :k_full].reshape(-1, group_size)
+    # value groups in (block, head, channel) order
+    blocks = length // group_size
+    v_groups = v[:blocks * group_size].reshape(blocks, group_size, heads, head_dim)
+    v_groups = v_groups.transpose(0, 2, 3, 1).reshape(-1, group_size)
+    k_table = build_variance_table(k_groups, candidates)
+    v_table = build_variance_table(v_groups, candidates)
     return k_table, v_table
 
 
@@ -124,29 +123,32 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exps / exps.sum()
 
 
-def _signed_tables(codes: np.ndarray):
-    """Linear and power-of-two decode planes of an array of nibble codes."""
+def _fused_dot(codes, coeffs, scales, x_codes, x_scale) -> np.ndarray:
+    """Fused products of 4-bit groups (rows, length) with one activation
+    group: the sign*m and sign*2**m lanes, folded with each row's
+    coefficient and both scales."""
     mags = (codes & MAGNITUDE_MASK).astype(np.float64)
     signs = np.where(codes & SIGN_BIT, -1.0, 1.0)
-    return signs * mags, signs * np.exp2(mags)
+    xg = x_codes.astype(np.float64)
+    psum1 = (signs * mags) @ xg
+    psum2 = (signs * np.exp2(mags)) @ xg
+    is_mant = coeffs != INT4_COEFF
+    a_eff = np.where(is_mant, coeffs.astype(np.float64), 1.0)
+    return (psum1 * a_eff + psum2 * is_mant) * (x_scale * scales)
 
 
-def _int8_groups(vector: np.ndarray, group_size: int):
-    """Group-wise INT8 codes and scales of a 1-D vector."""
-    codes = []
-    scales = []
-    for start in range(0, vector.size, group_size):
-        stop = min(start + group_size, vector.size)
-        group_codes, meta = quantize_activation_group(vector[start:stop])
-        codes.append(group_codes)
-        scales.append(meta.scale)
-    return codes, scales
+def _activation_groups(vectors: np.ndarray, group_size: int, quantize: bool = True):
+    """Group-wise INT8 codes ``(..., n_groups, G)`` and scales of the last
+    axis, or with ``quantize`` off the raw values and unit scales."""
+    groups = to_groups(vectors, group_size)
+    return encode_int8(groups) if quantize else (groups, np.ones(groups.shape[:-1]))
 
 
-def _int8_roundtrip(vector: np.ndarray, group_size: int) -> np.ndarray:
-    """Quantize a vector to group-wise INT8 and decode it back."""
-    codes, scales = _int8_groups(vector, group_size)
-    return np.concatenate([c.astype(np.float64) * s for c, s in zip(codes, scales)])
+def _int8_roundtrip(vectors: np.ndarray, group_size: int) -> np.ndarray:
+    """Quantize vectors to group-wise INT8 along the last axis and decode them."""
+    codes, scales = _activation_groups(vectors, group_size)
+    values = decode_groups(codes, INT8_COEFF, scales)
+    return values.reshape(values.shape[:-2] + (-1,))[..., :vectors.shape[-1]]
 
 
 def _scores_fused(q_codes, q_scales, cache: KvCache, head: int, upto: int) -> np.ndarray:
@@ -155,14 +157,8 @@ def _scores_fused(q_codes, q_scales, cache: KvCache, head: int, upto: int) -> np
     scores = np.zeros(upto)
     for g, (start, stop) in enumerate(cache.k_group_slices):
         length = stop - start
-        lin, pot = _signed_tables(k_codes[:upto, head, g, :length])
-        xg = q_codes[g][:length].astype(np.float64)
-        psum1 = lin @ xg
-        psum2 = pot @ xg
-        coeffs = k_coeffs[:upto, head, g]
-        is_mant = coeffs != INT4_COEFF
-        a_eff = np.where(is_mant, coeffs.astype(np.float64), 1.0)
-        scores += (psum1 * a_eff + psum2 * is_mant) * (q_scales[g] * k_scales[:upto, head, g])
+        scores += _fused_dot(k_codes[:upto, head, g, :length], k_coeffs[:upto, head, g],
+                             k_scales[:upto, head, g], q_codes[g][:length], q_scales[g])
     return scores
 
 
@@ -179,13 +175,8 @@ def _weighted_values_fused(p_codes, p_scales, cache: KvCache, head: int, upto: i
         if start >= upto:
             break
         length = min(block.length, upto - start)
-        lin, pot = _signed_tables(block.codes[:, :length])
-        xg = p_codes[b][:length].astype(np.float64)
-        psum1 = lin @ xg
-        psum2 = pot @ xg
-        is_mant = block.coeffs != INT4_COEFF
-        a_eff = np.where(is_mant, block.coeffs.astype(np.float64), 1.0)
-        out += (psum1 * a_eff + psum2 * is_mant) * (p_scales[b] * block.scales)
+        out += _fused_dot(block.codes[:, :length], block.coeffs, block.scales,
+                          p_codes[b][:length], p_scales[b])
     flushed = cache.flushed_tokens
     if cache.windows is not None and upto > flushed:
         window = cache.windows[head]
@@ -197,36 +188,27 @@ def _weighted_values_fused(p_codes, p_scales, cache: KvCache, head: int, upto: i
 
 
 def _attention_row(q_row, store, policies: AttentionPolicies, upto: int,
-                   heads: int, head_dim: int, scale: float) -> np.ndarray:
-    """One query's attention output over the first ``upto`` cached tokens."""
+                   heads: int, scale: float) -> np.ndarray:
+    """One query's attention output over the first ``upto`` cached tokens.
+
+    Queries and probabilities of all heads are quantized together; scores
+    and outputs are formed head by head.
+    """
     group_size = policies.group_size
-    out = np.zeros((heads, head_dim))
-    for h in range(heads):
-        q = q_row[h]
-        if policies.quantize_kv:
-            cache: KvCache = store
-            q_codes, q_scales = _int8_groups(q, group_size) \
-                if policies.quantize_activations else _raw_groups(q, group_size)
-            scores = _scores_fused(q_codes, q_scales, cache, h, upto) * scale
-            probs = _softmax(scores)
-            p_codes, p_scales = _int8_groups(probs, group_size) \
-                if policies.quantize_activations else _raw_groups(probs, group_size)
-            out[h] = _weighted_values_fused(p_codes, p_scales, cache, h, upto)
-        else:
-            k_raw, v_raw = store
-            q_hat = _int8_roundtrip(q, group_size) if policies.quantize_activations else q
-            scores = (k_raw[:upto, h, :] @ q_hat) * scale
-            probs = _softmax(scores)
-            p_hat = _int8_roundtrip(probs, group_size) \
-                if policies.quantize_activations else probs
-            out[h] = p_hat @ v_raw[:upto, h, :]
-    return out
-
-
-def _raw_groups(vector: np.ndarray, group_size: int):
-    """Unquantized group view (codes are the raw values, unit scales)."""
-    chunks = [vector[s:s + group_size] for s in range(0, vector.size, group_size)]
-    return chunks, [1.0] * len(chunks)
+    if policies.quantize_kv:
+        cache: KvCache = store
+        quantize = policies.quantize_activations
+        q_codes, q_scales = _activation_groups(q_row, group_size, quantize)
+        probs = np.array([_softmax(_scores_fused(q_codes[h], q_scales[h], cache, h, upto) * scale)
+                          for h in range(heads)])
+        p_codes, p_scales = _activation_groups(probs, group_size, quantize)
+        return np.array([_weighted_values_fused(p_codes[h], p_scales[h], cache, h, upto)
+                         for h in range(heads)])
+    k_raw, v_raw = store
+    q_hat = _int8_roundtrip(q_row, group_size) if policies.quantize_activations else q_row
+    probs = np.array([_softmax((k_raw[:upto, h, :] @ q_hat[h]) * scale) for h in range(heads)])
+    p_hat = _int8_roundtrip(probs, group_size) if policies.quantize_activations else probs
+    return np.array([p_hat[h] @ v_raw[:upto, h, :] for h in range(heads)])
 
 
 def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim: int,
@@ -274,10 +256,8 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
     prefill_out = np.zeros((prefill_len, heads, head_dim))
     ref_prefill = np.zeros((prefill_len, heads, head_dim))
     for i in range(prefill_len):
-        prefill_out[i] = _attention_row(q_pre[i], store, policies, i + 1,
-                                        heads, head_dim, scale)
-        ref_prefill[i] = _attention_row(q_pre[i], (ref_k, ref_v), ref_policies, i + 1,
-                                        heads, head_dim, scale)
+        prefill_out[i] = _attention_row(q_pre[i], store, policies, i + 1, heads, scale)
+        ref_prefill[i] = _attention_row(q_pre[i], (ref_k, ref_v), ref_policies, i + 1, heads, scale)
 
     step_out = np.zeros((decode_steps, heads, head_dim))
     ref_steps = np.zeros((decode_steps, heads, head_dim))
@@ -297,10 +277,8 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
         ref_v = np.concatenate([ref_v, v_dec[s][None]])
 
         seq = prefill_len + s + 1
-        step_out[s] = _attention_row(q_dec[s], store, policies, seq,
-                                     heads, head_dim, scale)
-        ref_steps[s] = _attention_row(q_dec[s], (ref_k, ref_v), ref_policies, seq,
-                                      heads, head_dim, scale)
+        step_out[s] = _attention_row(q_dec[s], store, policies, seq, heads, scale)
+        ref_steps[s] = _attention_row(q_dec[s], (ref_k, ref_v), ref_policies, seq, heads, scale)
         cosines[s] = _cosine(step_out[s], ref_steps[s])
         mses[s] = float(np.mean((step_out[s] - ref_steps[s]) ** 2))
 

@@ -24,8 +24,10 @@ from .codec import (
     DEFAULT_GROUP_SIZE,
     INT4_COEFF,
     KIND_MANT4,
+    group_lengths,
     quantize_activation_tensor,
     quantize_weight_tensor,
+    split_runs,
 )
 from .gemm import dequantized_gemm, gemm
 from .grid import CURVE_KINDS, DEFAULT_NF_EPSILON, build_grid, fit_coefficient, reference_curve
@@ -90,19 +92,12 @@ def cmd_fit_grid(args) -> int:
     return EXIT_OK
 
 
-def _select_group_coefficients(rows: np.ndarray, group_size: int, chooser) -> np.ndarray:
-    """Apply ``chooser(group_values, start, stop)`` to every group of every row."""
-    n_groups = -(-rows.shape[1] // group_size)
-    coeffs = np.zeros((rows.shape[0], n_groups), dtype=np.uint8)
-    for r in range(rows.shape[0]):
-        for g in range(n_groups):
-            start = g * group_size
-            stop = min(start + group_size, rows.shape[1])
-            coeffs[r, g] = chooser(rows[r, start:stop], start, stop)
-    return coeffs
-
-
-def _quantize_stats(values: np.ndarray, qt) -> dict:
+def _quantize_stats(values: np.ndarray, qt, scales: np.ndarray) -> dict:
+    """Errors of the file's tensor ``qt``; fp16 losses of the written ``scales``."""
+    underflow, overflow = container.half_losses(scales)
+    if underflow or overflow:
+        log.warning("%d group scales flushed to 0 and %d clamped to 65504 in IEEE half",
+                    underflow, overflow)
     decoded = qt.dequantize()
     err = decoded - values
     hist: dict[str, int] = {}
@@ -113,6 +108,8 @@ def _quantize_stats(values: np.ndarray, qt) -> dict:
         "mse": float(np.mean(err ** 2)),
         "max_abs_error": float(np.max(np.abs(err))),
         "coefficient_histogram": hist,
+        "scale_underflow": underflow,
+        "scale_overflow": overflow,
     }
 
 
@@ -126,6 +123,7 @@ def cmd_quantize(args) -> int:
     if not -values.ndim <= axis < values.ndim:
         raise ValueError(f"axis {axis} out of range for shape {values.shape}")
     axis %= values.ndim
+    rows = np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
 
     if args.role == "activation":
         qt = quantize_activation_tensor(values, axis, group_size)
@@ -139,11 +137,11 @@ def cmd_quantize(args) -> int:
         if x_calib.ndim != 2 or x_calib.shape[1] != values.shape[axis]:
             raise ValueError(f"calibration shape {x_calib.shape} does not cover axis length "
                              f"{values.shape[axis]}")
-        rows = np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
-        coeffs = _select_group_coefficients(
-            rows, group_size,
-            lambda group, start, stop: select_weight_coefficient(
-                group, x_calib[:, start:stop], candidates))
+        lengths = group_lengths(rows.shape[1], group_size)
+        coeffs = np.zeros((rows.shape[0], lengths.size), dtype=np.uint8)
+        for g, length in enumerate(lengths):
+            cols = slice(g * group_size, g * group_size + int(length))
+            coeffs[:, g] = select_weight_coefficient(rows[:, cols], x_calib[:, cols], candidates)
         qt = quantize_weight_tensor(values, coeffs, axis, group_size)
     else:  # kv
         if args.table:
@@ -160,22 +158,22 @@ def cmd_quantize(args) -> int:
                 candidates = CandidateSet(_parse_candidates(args.candidates).coefficients,
                                           include_int=False)
                 min_groups = None
-            rows = np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
-            full = rows[:, :rows.shape[1] - rows.shape[1] % group_size]
-            groups = full.reshape(-1, group_size) if full.size else rows
+            # the full groups, or the short rows when no group is full
+            first = split_runs(rows, group_size)[0]
+            groups = first.reshape(-1, first.shape[-1])
             if min_groups is None:
                 min_groups = min(32, groups.shape[0])
             table = build_variance_table(groups, candidates, min_groups=min_groups)
             log.info("calibrated variance table from %d groups", groups.shape[0])
-        rows = np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
-        coeffs = _select_group_coefficients(
-            rows, group_size,
-            lambda group, start, stop: select_by_variance(group, table))
+        # one lookup per run of equal-length groups keeps each variance
+        # summed over its group's true length
+        coeffs = np.concatenate([select_by_variance(run, table)
+                                 for run in split_runs(rows, group_size)], axis=1)
         qt = quantize_weight_tensor(values, coeffs, axis, group_size)
 
     container.save_quantized(args.out, qt)
     # stats reflect the file exactly (scales are half precision on disk)
-    stats = _quantize_stats(values, container.load_quantized(args.out))
+    stats = _quantize_stats(values, container.load_quantized(args.out), qt.scales)
     print(json.dumps(stats, indent=2))
     if args.stats:
         _write_json(args.stats, stats)

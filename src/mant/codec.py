@@ -5,6 +5,11 @@ adaptive grid (or, via a sentinel coefficient, to plain signed INT4);
 activation groups are encoded to symmetric INT8.  Every group carries a
 scaling factor and its coefficient as metadata.
 
+Three batched kernels do all the work on zero-padded groups ``(..., G)``
+with per-group metadata ``(...)``: :func:`encode_groups` (4-bit),
+:func:`encode_int8` and :func:`decode_groups`.  Tensor codecs call them
+once per tensor; the single-group functions are thin wrappers over them.
+
 Code layout: a 4-bit code is one byte holding ``sign << 3 | magnitude``
 (sign bit 1 means negative).  Two codes pack into one payload byte, low
 nibble first.
@@ -15,14 +20,15 @@ Scales are kept at full float64 precision in memory; the container layer
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import MAX_COEFFICIENT, build_grid
+from .grid import GRID_POINTS, MAX_COEFFICIENT, build_grid
 
 DEFAULT_GROUP_SIZE = 64
+MAX_GROUP_SIZE = 0xFFFF  # group lengths are stored as u16
 
 # Sentinel coefficients stored in group metadata for non-adaptive groups.
 INT4_COEFF = 128
@@ -33,6 +39,18 @@ MAGNITUDE_MASK = 0x7
 
 KIND_MANT4 = "mant4"
 KIND_INT8 = "int8"
+
+# Pre-scale magnitudes of every 4-bit coefficient: rows 0..127 are the
+# adaptive grids, row INT4_COEFF the plain INT4 ladder 0..7.
+_MAGNITUDES = np.array([build_grid(a).magnitudes for a in range(MAX_COEFFICIENT + 1)]
+                       + [tuple(range(GRID_POINTS))], dtype=np.float64)
+# Decoded pre-scale value of every (coefficient, nibble) pair.
+_CODE_VALUES = np.concatenate([_MAGNITUDES, -_MAGNITUDES], axis=1)
+_MAGNITUDES.setflags(write=False)
+_CODE_VALUES.setflags(write=False)
+
+# Values per encoder pass: its (groups, G, 8) distances stay near 1 MB.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,21 +93,24 @@ class GroupMeta:
     length: int = DEFAULT_GROUP_SIZE
 
 
-@lru_cache(maxsize=None)
-def _magnitude_table(a: int) -> np.ndarray:
-    if a == INT4_COEFF:
-        table = np.arange(8, dtype=np.float64)
-    else:
-        table = np.array(build_grid(a).magnitudes, dtype=np.float64)
-    table.setflags(write=False)  # cached and shared
-    return table
+def _mant4_coefficients(coefficients):
+    """Validated 4-bit coefficients (0..127 or INT4_COEFF) as table indices."""
+    if isinstance(coefficients, (int, np.integer)):
+        if not 0 <= coefficients <= INT4_COEFF:
+            raise ValueError(f"coefficient out of range: {coefficients}")
+        return np.intp(coefficients)
+    coeffs = np.asarray(coefficients)
+    bad = (coeffs < 0) | (coeffs > INT4_COEFF)
+    if bad.any():
+        raise ValueError(f"coefficient out of range: {coeffs[bad].flat[0]}")
+    return coeffs.astype(np.intp)
 
 
 def magnitude_values(a: int) -> np.ndarray:
     """Pre-scale magnitudes indexed by the 3-bit magnitude field."""
     if a == INT8_COEFF:
         raise ValueError("INT8 groups have no 4-bit magnitude table")
-    return _magnitude_table(int(a))
+    return _MAGNITUDES[_mant4_coefficients(int(a))]
 
 
 def grid_max(a: int) -> float:
@@ -101,118 +122,181 @@ def grid_max(a: int) -> float:
 
 def code_value_table(a: int) -> np.ndarray:
     """Pre-scale decoded values of all 16 nibbles (index = nibble pattern)."""
-    mags = magnitude_values(a)
-    return np.concatenate([mags, -mags])
+    return _CODE_VALUES[_mant4_coefficients(int(a))]
 
 
 def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("input contains non-finite values")
 
+
+# -- batched kernels: groups (..., G) with per-group metadata (...) ---------
+
+def encode_groups(groups, coefficients, scales=None):
+    """Encode zero-padded groups ``(..., G)`` to 4-bit codes and scales.
+
+    ``coefficients`` holds one coefficient for all groups or one per group
+    (INT4_COEFF: the plain INT4 grid).  The scale defaults to ``max|group| /
+    grid_max(a)``; ``scales`` fixes it instead.  Each element takes the
+    magnitude nearest to ``|value| / scale`` (the smaller one on ties) and
+    the sign bit when negative, except on an INT4 zero.  Padding encodes to
+    0, and a zero-scale group to all zeros.
+    """
+    groups = np.asarray(groups, dtype=np.float64)
+    _check_finite(groups)
+    lead = groups.shape[:-1]
+    coeffs = _mant4_coefficients(coefficients)
+    if coeffs.ndim and coeffs.shape != lead:
+        raise ValueError(f"coefficients shape {coeffs.shape} does not match groups {lead}")
+    if scales is None:
+        scales = np.abs(groups).max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
+    else:
+        scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), lead)
+        if (scales < 0.0).any():
+            raise ValueError("scales must be non-negative")
+    n = math.prod(lead)
+    if n > 1 and groups.size > _CHUNK_ELEMENTS:
+        step = max(1, _CHUNK_ELEMENTS // groups.shape[-1])
+        flat, flat_coeffs = groups.reshape(n, -1), np.broadcast_to(coeffs, lead).reshape(n)
+        codes = np.concatenate([encode_groups(flat[i:i + step], flat_coeffs[i:i + step],
+                                              scales.reshape(n)[i:i + step])[0]
+                                for i in range(0, n, step)])
+        return codes.reshape(groups.shape), scales
+    silent = scales == 0.0
+    normalized = np.abs(groups) / np.where(silent, 1.0, scales)[..., None]
+    dist = normalized[..., None] - _MAGNITUDES[coeffs][..., None, :]
+    codes = np.abs(dist, out=dist).argmin(axis=-1).astype(np.uint8)
+    # magnitude 0 of the INT4 grid decodes to exact zero; keep its sign canonical
+    negative = (groups < 0) & ((codes != 0) | (coeffs != INT4_COEFF)[..., None])
+    codes |= negative.view(np.uint8) << 3
+    codes[silent] = 0
+    return codes, scales
+
+
+def encode_int8(groups):
+    """Encode zero-padded groups ``(..., G)`` to symmetric INT8 codes and
+    scales: ``scale = max|group| / 127``, codes round half away from zero
+    and clamp to [-127, 127], so -128 is never emitted."""
+    groups = np.asarray(groups, dtype=np.float64)
+    _check_finite(groups)
+    scales = np.abs(groups).max(axis=-1, initial=0.0) / 127.0
+    scaled = groups / np.where(scales == 0.0, 1.0, scales)[..., None]
+    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return np.clip(codes, -127, 127).astype(np.int8), scales
+
+
+def decode_groups(codes, coefficients, scales) -> np.ndarray:
+    """Decode groups ``(..., G)`` back to reals; coefficients and scales hold
+    one value for all groups or one per group.
+
+    uint8 codes are 4-bit nibbles, ``sign * magnitude * scale`` on the grid
+    of the group's coefficient; int8 codes (coefficient INT8_COEFF) decode to
+    ``code * scale``.  Zero-scale groups decode to zeros.
+    """
+    codes = np.asarray(codes)
+    if codes.dtype == np.int8:
+        if not np.all(np.asarray(coefficients) == INT8_COEFF):
+            raise ValueError("int8 codes require the INT8 coefficient")
+        values = codes.astype(np.float64)
+    elif codes.dtype == np.uint8:
+        values = _CODE_VALUES[_mant4_coefficients(coefficients)[..., None], codes]
+    else:
+        raise ValueError(f"codes must be uint8 nibbles or int8, got {codes.dtype}")
+    scales = np.asarray(scales, dtype=np.float64)
+    values *= scales[..., None]
+    values[scales == 0.0] = 0.0
+    return values
+
+
+# -- single-group API ----------------------------------------------------------
 
 def quantize_weight_group(values, a: int, scale: float | None = None):
     """Encode one group of reals to 4-bit codes on the grid of ``a``.
 
-    Returns ``(codes, meta)`` where ``codes`` is a uint8 array of nibble
-    patterns.  The scale defaults to ``max|values| / grid_max(a)`` so the
-    largest element always lands on the top grid point; pass ``scale`` to
-    re-encode against a fixed factor.  Each element gets the code minimizing
-    the absolute pre-scale error, ties broken toward the smaller magnitude.
+    Returns ``(codes, meta)``; see :func:`encode_groups` for the scale and
+    the rounding.  Pass ``scale`` to re-encode against a fixed factor.
     """
     values = np.asarray(values, dtype=np.float64)
-    _check_finite(values)
-    if a != INT4_COEFF and not 0 <= a <= MAX_COEFFICIENT:
-        raise ValueError(f"coefficient out of range: {a}")
-
-    if scale is None:
-        absmax = float(np.max(np.abs(values))) if values.size else 0.0
-        scale = absmax / grid_max(a)
-    elif scale < 0.0:
-        raise ValueError(f"scale must be non-negative, got {scale}")
-    if scale == 0.0:
-        return np.zeros(values.shape, dtype=np.uint8), GroupMeta(0.0, a, values.size)
-
-    mags = magnitude_values(a)
-    normalized = np.abs(values) / scale
-    # argmin returns the first (smallest) magnitude on ties
-    idx = np.argmin(np.abs(normalized[:, None] - mags[None, :]), axis=1)
-    codes = idx.astype(np.uint8)
-    negative = values < 0
-    if a == INT4_COEFF:
-        # magnitude 0 decodes to exact zero; keep its sign canonical
-        negative &= idx != 0
-    codes[negative] |= SIGN_BIT
-    return codes, GroupMeta(float(scale), int(a), values.size)
+    codes, scales = encode_groups(values, a, scale)
+    return codes, GroupMeta(float(scales), int(a), values.size)
 
 
 def quantize_activation_group(values):
-    """Encode one group of reals to symmetric INT8.
-
-    ``scale = max|values| / 127``; codes round half away from zero and clamp
-    to [-127, 127], so -128 is never emitted.
-    """
+    """Encode one group of reals to symmetric INT8 (see :func:`encode_int8`)."""
     values = np.asarray(values, dtype=np.float64)
-    _check_finite(values)
-    absmax = float(np.max(np.abs(values))) if values.size else 0.0
-    scale = absmax / 127.0
-    if scale == 0.0:
-        return np.zeros(values.shape, dtype=np.int8), GroupMeta(0.0, INT8_COEFF, values.size)
-    scaled = values / scale
-    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    codes = np.clip(codes, -127, 127).astype(np.int8)
-    return codes, GroupMeta(scale, INT8_COEFF, values.size)
+    codes, scales = encode_int8(values)
+    return codes, GroupMeta(float(scales), INT8_COEFF, values.size)
 
 
 def dequantize_group(codes, meta: GroupMeta) -> np.ndarray:
     """Decode a group back to reals: ``sign * magnitude_value * scale``."""
-    codes = np.asarray(codes)
-    if meta.coefficient_a == INT8_COEFF:
-        if codes.dtype != np.int8:
-            raise ValueError(f"INT8 group requires int8 codes, got {codes.dtype}")
-        if meta.scale == 0.0:
-            return np.zeros(codes.shape, dtype=np.float64)
-        return codes.astype(np.float64) * meta.scale
-    if codes.dtype != np.uint8:
-        raise ValueError(f"4-bit group requires uint8 nibble codes, got {codes.dtype}")
-    if meta.scale == 0.0:
-        return np.zeros(codes.shape, dtype=np.float64)
-    return code_value_table(meta.coefficient_a)[codes] * meta.scale
+    return decode_groups(codes, meta.coefficient_a, meta.scale)
 
 
 def pack_codes(codes) -> bytes:
     """Pack 4-bit codes two per byte, low nibble first (odd tail pads 0)."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size == 0:
-        return b""
+    codes = np.asarray(codes, dtype=np.uint8).reshape(-1)
     if np.any(codes > 0xF):
         raise ValueError("codes exceed 4 bits")
-    padded = codes
     if codes.size % 2:
-        padded = np.concatenate([codes, np.zeros(1, dtype=np.uint8)])
-    return (padded[0::2] | (padded[1::2] << 4)).tobytes()
+        codes = np.append(codes, np.uint8(0))
+    return (codes[0::2] | (codes[1::2] << 4)).tobytes()
 
 
 def unpack_codes(payload: bytes, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes` for a group of ``count`` codes."""
-    expected = (count + 1) // 2
-    if len(payload) != expected:
-        raise ValueError(f"payload holds {len(payload)} bytes, expected {expected} for {count} codes")
-    if count == 0:
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    codes = np.empty(2 * raw.size, dtype=np.uint8)
-    codes[0::2] = raw & 0xF
-    codes[1::2] = raw >> 4
+    """Inverse of :func:`pack_codes` for ``count`` codes."""
+    if len(payload) != (count + 1) // 2:
+        raise ValueError(f"payload holds {len(payload)} bytes, expected {(count + 1) // 2} for {count} codes")
+    packed = np.frombuffer(payload, dtype=np.uint8)
+    codes = np.empty(2 * packed.size, dtype=np.uint8)
+    codes[0::2] = packed & 0xF
+    codes[1::2] = packed >> 4
     return codes[:count]
 
 
-def packed_group_bytes(kind: str, length: int) -> int:
-    """Payload bytes one group occupies in packed form."""
+def packed_group_bytes(kind: str, length):
+    """Payload bytes of a group of ``length`` elements (or of each length)."""
     if kind == KIND_MANT4:
         return (length + 1) // 2
     if kind == KIND_INT8:
         return length
     raise ValueError(f"unknown element kind {kind!r}")
+
+
+# -- grouping --------------------------------------------------------------------
+
+def group_lengths(axis_len: int, group_size: int) -> np.ndarray:
+    """True length of each group along an axis of ``axis_len`` elements."""
+    if not isinstance(group_size, (int, np.integer)) or not 1 <= group_size <= MAX_GROUP_SIZE:
+        raise ValueError(f"group size must be an integer in 1..{MAX_GROUP_SIZE}, got {group_size!r}")
+    n_groups = -(-axis_len // group_size)
+    lengths = np.full(n_groups, group_size, dtype=np.uint16)
+    lengths[n_groups - 1:] = axis_len - (n_groups - 1) * group_size
+    return lengths
+
+
+def split_runs(rows, group_size: int) -> list[np.ndarray]:
+    """The groups along the last axis of ``rows`` as contiguous runs of equal
+    length: the full groups ``(..., n_full, G)`` and the tail ``(..., 1,
+    length)``, if not empty.  Sums along a run's last axis add each group in
+    the order a sum over it alone does; zero padding would change that."""
+    rows = np.asarray(rows)
+    n_full = np.count_nonzero(group_lengths(rows.shape[-1], group_size) == group_size)
+    split = n_full * group_size
+    runs = (rows[..., :split].reshape(rows.shape[:-1] + (n_full, group_size)),
+            rows[..., split:][..., None, :])
+    return [np.ascontiguousarray(run) for run in runs if run.shape[-2] and run.shape[-1]]
+
+
+def to_groups(rows, group_size: int) -> np.ndarray:
+    """Zero-padded groups ``(..., n_groups, G)`` of the last axis of ``rows``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n_groups = group_lengths(rows.shape[-1], group_size).size
+    if n_groups * group_size != rows.shape[-1]:
+        padded = np.zeros(rows.shape[:-1] + (n_groups * group_size,))
+        padded[..., :rows.shape[-1]] = rows
+        rows = padded
+    return rows.reshape(rows.shape[:-1] + (n_groups, group_size))
 
 
 @dataclass
@@ -245,25 +329,14 @@ class QuantizedTensor:
 
     @property
     def n_rows(self) -> int:
-        total = 1
-        for d in self.shape:
-            total *= d
-        return total // self.axis_length
+        return math.prod(self.shape) // self.axis_length
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the full real-valued tensor."""
-        rows = np.zeros((self.n_rows, self.axis_length), dtype=np.float64)
-        for r in range(self.n_rows):
-            for g in range(self.n_groups):
-                length = int(self.group_lengths[r, g])
-                meta = GroupMeta(float(self.scales[r, g]), int(self.coefficients[r, g]), length)
-                start = g * self.group_size
-                rows[r, start:start + length] = dequantize_group(self.codes[r, g, :length], meta)
-        return _rows_to_tensor(rows, self.shape, self.group_axis)
-
-
-def _tensor_to_rows(values: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
+        groups = decode_groups(self.codes, self.coefficients, self.scales)
+        rows = groups.reshape(self.n_rows, self.n_groups * self.group_size)
+        return _rows_to_tensor(np.ascontiguousarray(rows[:, :self.axis_length]),
+                               self.shape, self.group_axis)
 
 
 def _rows_to_tensor(rows: np.ndarray, shape: tuple[int, ...], axis: int) -> np.ndarray:
@@ -271,61 +344,30 @@ def _rows_to_tensor(rows: np.ndarray, shape: tuple[int, ...], axis: int) -> np.n
     return np.moveaxis(rows.reshape(moved_shape), -1, axis)
 
 
-def _group_slices(axis_len: int, group_size: int):
-    for start in range(0, axis_len, group_size):
-        yield start // group_size, start, min(start + group_size, axis_len)
+def _tensor_groups(values, group_axis: int, group_size: int):
+    """Tensor values as zero-padded groups, with their lengths."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = np.moveaxis(values, group_axis, -1).reshape(-1, values.shape[group_axis])
+    groups = to_groups(rows, group_size)
+    lengths = np.broadcast_to(group_lengths(rows.shape[1], group_size), groups.shape[:2]).copy()
+    return values, groups, lengths
 
 
 def quantize_activation_tensor(values, group_axis: int, group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a tensor to group-wise INT8 along ``group_axis``."""
-    values = np.asarray(values, dtype=np.float64)
-    _check_finite(values)
-    rows = _tensor_to_rows(values, group_axis)
-    n_rows, axis_len = rows.shape
-    n_groups = -(-axis_len // group_size)
-
-    codes = np.zeros((n_rows, n_groups, group_size), dtype=np.int8)
-    scales = np.zeros((n_rows, n_groups))
-    coeffs = np.full((n_rows, n_groups), INT8_COEFF, dtype=np.uint8)
-    lengths = np.zeros((n_rows, n_groups), dtype=np.uint16)
-    for r in range(n_rows):
-        for g, start, stop in _group_slices(axis_len, group_size):
-            group_codes, meta = quantize_activation_group(rows[r, start:stop])
-            codes[r, g, :stop - start] = group_codes
-            scales[r, g] = meta.scale
-            lengths[r, g] = stop - start
+    values, groups, lengths = _tensor_groups(values, group_axis, group_size)
+    codes, scales = encode_int8(groups)
+    coeffs = np.full(scales.shape, INT8_COEFF, dtype=np.uint8)
     return QuantizedTensor(tuple(values.shape), KIND_INT8, group_axis, group_size,
                            codes, scales, coeffs, lengths)
 
 
 def quantize_weight_tensor(values, coefficients, group_axis: int = 0,
                            group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
-    """Quantize a tensor to group-wise 4-bit codes along ``group_axis``.
-
-    ``coefficients`` is either a single coefficient applied to every group or
-    an array of shape (rows, n_groups) assigning one per group (INT4_COEFF
-    entries select the plain INT4 grid).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    _check_finite(values)
-    rows = _tensor_to_rows(values, group_axis)
-    n_rows, axis_len = rows.shape
-    n_groups = -(-axis_len // group_size)
-
-    coeff_arr = np.asarray(coefficients)
-    if coeff_arr.ndim == 0:
-        coeff_arr = np.full((n_rows, n_groups), int(coeff_arr), dtype=np.uint8)
-    elif coeff_arr.shape != (n_rows, n_groups):
-        raise ValueError(f"coefficients shape {coeff_arr.shape} != {(n_rows, n_groups)}")
-
-    codes = np.zeros((n_rows, n_groups, group_size), dtype=np.uint8)
-    scales = np.zeros((n_rows, n_groups))
-    lengths = np.zeros((n_rows, n_groups), dtype=np.uint16)
-    for r in range(n_rows):
-        for g, start, stop in _group_slices(axis_len, group_size):
-            group_codes, meta = quantize_weight_group(rows[r, start:stop], int(coeff_arr[r, g]))
-            codes[r, g, :stop - start] = group_codes
-            scales[r, g] = meta.scale
-            lengths[r, g] = stop - start
+    """Quantize a tensor to group-wise 4-bit codes along ``group_axis``, with
+    one coefficient for all groups or a (rows, n_groups) array of them."""
+    values, groups, lengths = _tensor_groups(values, group_axis, group_size)
+    codes, scales = encode_groups(groups, coefficients)
+    coeffs = np.broadcast_to(coefficients, lengths.shape).astype(np.uint8)
     return QuantizedTensor(tuple(values.shape), KIND_MANT4, group_axis, group_size,
-                           codes, scales, coeff_arr.astype(np.uint8), lengths)
+                           codes, scales, coeffs, lengths)

@@ -24,6 +24,7 @@ Scales are rounded to IEEE half on write; files round-trip bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import BinaryIO
 
@@ -32,7 +33,9 @@ import numpy as np
 from .codec import (
     KIND_INT8,
     KIND_MANT4,
+    MAX_GROUP_SIZE,
     QuantizedTensor,
+    group_lengths,
     pack_codes,
     packed_group_bytes,
     unpack_codes,
@@ -57,36 +60,61 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     return data
 
 
-def half_bits(scale: float) -> int:
-    """IEEE binary16 bit pattern of a scale (round to nearest, clamp to finite)."""
-    h = np.float16(scale)
-    if np.isinf(h):
-        h = np.float16(np.sign(scale) * 65504.0)
-    return int(h.view(np.uint16))
+def half_bits(scales) -> np.ndarray:
+    """IEEE binary16 bit patterns of scales (round to nearest, clamp to finite)."""
+    with np.errstate(over="ignore"):
+        half = np.asarray(scales, dtype=np.float64).astype(np.float16)
+    return np.where(np.isinf(half), np.copysign(np.float16(65504.0), half), half).view(np.uint16)
+
+
+def half_losses(scales) -> tuple[int, int]:
+    """Counts of scales IEEE half cannot hold: nonzero scales that round to
+    0 (underflow) and scales that clamp to 65504 (overflow)."""
+    scales = np.asarray(scales, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        half = scales.astype(np.float16)
+    underflow = np.count_nonzero((half == 0) & (scales != 0.0))
+    return int(underflow), int(np.count_nonzero(np.isinf(half)))
+
+
+# One metadata record per group, packed: fp16 scale bits, coefficient, length.
+_RECORD = np.dtype([("scale", "<u2"), ("a", "u1"), ("length", "<u2")])
+
+
+def _payload_slots(kind: str, lengths: np.ndarray, group_size: int):
+    """Where each group's codes sit in a row's payload, counted in codes
+    (nibbles for 4-bit): the slot of every live (group, position), the
+    live mask over (group, position) and the slots a row spans."""
+    per_byte = 2 if kind == KIND_MANT4 else 1
+    group_bytes = packed_group_bytes(kind, lengths.astype(np.int64))
+    starts = per_byte * (np.cumsum(group_bytes) - group_bytes)
+    live = np.arange(group_size) < lengths[:, None]
+    return (starts[:, None] + np.arange(group_size))[live], live, per_byte * int(group_bytes.sum())
 
 
 def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> None:
     """Serialize a quantized tensor; scales are rounded to IEEE half."""
+    if not 1 <= qt.group_size <= MAX_GROUP_SIZE:
+        raise ContainerError(f"group size must be in 1..{MAX_GROUP_SIZE}, got {qt.group_size}")
+    records = np.empty(qt.scales.shape, dtype=_RECORD)
+    records["scale"] = half_bits(qt.scales)
+    records["a"] = qt.coefficients
+    records["length"] = qt.group_lengths
+    index, live, row_slots = _payload_slots(
+        qt.element_kind, group_lengths(qt.axis_length, qt.group_size), qt.group_size)
+    slots = np.zeros((qt.n_rows, row_slots), dtype=qt.codes.dtype)
+    slots[:, index] = qt.codes[:, live]
+    # every row holds an even number of nibbles, so packing the flat array
+    # packs each row on its own
+    payload = pack_codes(slots) if qt.element_kind == KIND_MANT4 else slots.tobytes()
+
     fh.write(QUANT_MAGIC)
     fh.write(struct.pack("<HBHB", FORMAT_VERSION, _KIND_CODES[qt.element_kind],
                          qt.group_size, len(qt.shape)))
     fh.write(struct.pack(f"<{len(qt.shape)}Q", *qt.shape))
     fh.write(struct.pack("<B", qt.group_axis))
-
-    payload = bytearray()
-    meta = bytearray()
-    for r in range(qt.n_rows):
-        for g in range(qt.n_groups):
-            length = int(qt.group_lengths[r, g])
-            meta += struct.pack("<HBH", half_bits(float(qt.scales[r, g])),
-                                int(qt.coefficients[r, g]), length)
-            group_codes = qt.codes[r, g, :length]
-            if qt.element_kind == KIND_MANT4:
-                payload += pack_codes(group_codes)
-            else:
-                payload += group_codes.astype(np.int8).tobytes()
-    fh.write(bytes(meta))
-    fh.write(bytes(payload))
+    fh.write(records.tobytes())
+    fh.write(payload)
 
 
 def read_quantized(fh: BinaryIO) -> QuantizedTensor:
@@ -109,41 +137,29 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
 
     axis_len = shape[group_axis]
     n_groups = -(-axis_len // group_size)
-    n_rows = 1
-    for i, d in enumerate(shape):
-        if i != group_axis:
-            n_rows *= d
+    n_rows = math.prod(d for i, d in enumerate(shape) if i != group_axis)
 
-    scales = np.zeros((n_rows, n_groups))
-    coeffs = np.zeros((n_rows, n_groups), dtype=np.uint8)
-    lengths = np.zeros((n_rows, n_groups), dtype=np.uint16)
-    meta_raw = _read_exact(fh, 5 * n_rows * n_groups)
-    for idx in range(n_rows * n_groups):
-        bits, a, length = struct.unpack_from("<HBH", meta_raw, 5 * idx)
-        r, g = divmod(idx, n_groups)
-        scales[r, g] = float(np.uint16(bits).view(np.float16))
-        coeffs[r, g] = a
-        lengths[r, g] = length
-        expected = axis_len - g * group_size if g == n_groups - 1 else group_size
-        if length != min(expected, group_size):
-            raise ContainerError(f"group ({r},{g}) length {length} inconsistent with dims")
+    records = np.frombuffer(_read_exact(fh, _RECORD.itemsize * n_rows * n_groups),
+                            dtype=_RECORD).reshape(n_rows, n_groups)
+    expected = group_lengths(axis_len, group_size)
+    wrong = np.argwhere(records["length"] != expected)
+    if wrong.size:
+        r, g = wrong[0]
+        raise ContainerError(f"group ({r},{g}) length {records['length'][r, g]} "
+                             "inconsistent with dims")
 
-    code_dtype = np.uint8 if kind == KIND_MANT4 else np.int8
-    codes = np.zeros((n_rows, n_groups, group_size), dtype=code_dtype)
-    for r in range(n_rows):
-        for g in range(n_groups):
-            length = int(lengths[r, g])
-            nbytes = packed_group_bytes(kind, length)
-            blob = _read_exact(fh, nbytes)
-            if kind == KIND_MANT4:
-                codes[r, g, :length] = unpack_codes(blob, length)
-            else:
-                codes[r, g, :length] = np.frombuffer(blob, dtype=np.int8)
-    trailing = fh.read(1)
-    if trailing:
+    index, live, row_slots = _payload_slots(kind, expected, group_size)
+    blob = _read_exact(fh, n_rows * packed_group_bytes(kind, row_slots))
+    slots = unpack_codes(blob, n_rows * row_slots) if kind == KIND_MANT4 \
+        else np.frombuffer(blob, dtype=np.uint8)
+    codes = np.zeros((n_rows, n_groups, group_size), dtype=np.uint8)
+    codes[:, live] = slots.reshape(n_rows, row_slots)[:, index]
+    if fh.read(1):
         raise ContainerError("trailing bytes after payload")
-    return QuantizedTensor(tuple(int(d) for d in shape), kind, int(group_axis),
-                           int(group_size), codes, scales, coeffs, lengths)
+    return QuantizedTensor(tuple(int(d) for d in shape), kind, int(group_axis), int(group_size),
+                           codes if kind == KIND_MANT4 else codes.view(np.int8),
+                           records["scale"].view(np.float16).astype(np.float64),
+                           records["a"].copy(), records["length"].copy())
 
 
 def write_tensor(fh: BinaryIO, values: np.ndarray) -> None:

@@ -19,7 +19,7 @@ from logical shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,27 +73,6 @@ def combine(res: GroupDotResult, a: int, s_x: float, s_w: float) -> float:
     return (res.psum1 * int(a) + res.psum2) * s_x * s_w
 
 
-@dataclass
-class AccumulatorTile:
-    """Real-valued partials of one (m x tile) output block.
-
-    Group contributions arrive as integer partial sums plus the two deferred
-    per-group scale products: ``linear_scale`` (the coefficient times both
-    scaling factors) multiplies psum1 and ``pot_scale`` (the scaling factors
-    alone, zeroed for plain-INT4 groups) multiplies psum2.
-    """
-
-    rows: int
-    cols: int
-    partials: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.partials = np.zeros((self.rows, self.cols), dtype=np.float64)
-
-    def add_group(self, psum1, psum2, linear_scale, pot_scale) -> None:
-        self.partials += psum1 * linear_scale + psum2 * pot_scale
-
-
 def _check_gemm_operands(x_q: QuantizedTensor, w_q: QuantizedTensor, w_kind: str) -> None:
     if x_q.element_kind != KIND_INT8:
         raise ValueError(f"left operand must be INT8, got {x_q.element_kind}")
@@ -132,7 +111,6 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     for col in range(0, n_dim, _TILE_COLS):
         width = min(_TILE_COLS, n_dim - col)
         cols = slice(col, col + width)
-        tile = AccumulatorTile(m_dim, width)
         for g in range(x_q.n_groups):
             length = int(x_q.group_lengths[0, g])
             if length != int(w_q.group_lengths[0, g]):
@@ -142,10 +120,11 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
             coeffs = w_q.coefficients[cols, g]
             is_mant = coeffs != INT4_COEFF
             a_eff = np.where(is_mant, coeffs, 1).astype(np.float64)
+            # psum1 takes the coefficient times both scales, psum2 the scales
+            # alone (zero for plain-INT4 groups); groups add in ascending order
             scale_prod = x_q.scales[:, g][:, None] * w_q.scales[cols, g][None, :]
-            tile.add_group(psum1, psum2, a_eff[None, :] * scale_prod,
-                           is_mant.astype(np.float64)[None, :] * scale_prod)
-        out[:, cols] = tile.partials
+            out[:, cols] += psum1 * (a_eff[None, :] * scale_prod) \
+                + psum2 * (is_mant.astype(np.float64)[None, :] * scale_prod)
     return out
 
 

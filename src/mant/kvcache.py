@@ -20,10 +20,19 @@ import numpy as np
 from .codec import (
     DEFAULT_GROUP_SIZE,
     GroupMeta,
-    dequantize_group,
-    quantize_weight_group,
+    decode_groups,
+    encode_groups,
+    split_runs,
+    to_groups,
 )
+from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .selection import VarianceTable, select_by_variance, variance_from_sums
+
+
+def _streaming_coefficients(table: VarianceTable, absmax, total, total_sq, count):
+    """Table coefficients from group sums; all-zero groups take the smallest."""
+    var = variance_from_sums(total, total_sq, count, absmax)
+    return np.where(absmax == 0.0, table.entries[0][0], table.lookup(var))
 
 
 @dataclass
@@ -61,32 +70,30 @@ class ProcessWindow:
         return self.fill_count == self.group_size
 
     def push(self, values) -> None:
-        """Stage one value vector; the window must not be full.
-
-        Channels with a zero scale stage zero; values beyond a channel's
-        INT8 range clamp, and both cases bump ``clamp_count``.
-        """
-        if self.is_full:
-            raise ValueError("process window is full; flush before pushing")
+        """Stage one value vector ``(channels,)`` or rows ``(n, channels)``
+        that fit in the window.  Channels with a zero scale stage zero; values
+        beyond a channel's INT8 range clamp; both bump ``clamp_count``."""
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.channels,):
+        if values.ndim not in (1, 2) or values.shape[-1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {values.shape}")
+        rows = values.reshape(-1, self.channels)
+        if self.fill_count + rows.shape[0] > self.group_size:
+            raise ValueError("process window is full; flush before pushing")
 
-        codes = np.zeros(self.channels)
         live = self.channel_scales > 0.0
-        scaled = np.divide(values, self.channel_scales, out=np.zeros_like(values), where=live)
-        codes[live] = np.sign(scaled[live]) * np.floor(np.abs(scaled[live]) + 0.5)
-        out_of_range = live & (np.abs(codes) > 127)
-        dead_loss = ~live & (values != 0.0)
-        self.clamp_count += int(np.count_nonzero(out_of_range) + np.count_nonzero(dead_loss))
+        scaled = np.divide(rows, self.channel_scales, out=np.zeros_like(rows), where=live)
+        codes = np.where(live, np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), 0.0)
+        self.clamp_count += int(np.count_nonzero(live & (np.abs(codes) > 127))
+                                + np.count_nonzero(~live & (rows != 0.0)))
         codes = np.clip(codes, -127, 127).astype(np.int8)
 
-        self.staged[self.fill_count] = codes
+        self.staged[self.fill_count:self.fill_count + rows.shape[0]] = codes
         decoded = codes.astype(np.float64) * self.channel_scales
-        self.running_max = np.maximum(self.running_max, np.abs(decoded))
-        self.sum_v += decoded
-        self.sum_v2 += decoded * decoded
-        self.fill_count += 1
+        self.running_max = np.maximum(self.running_max, np.abs(decoded).max(axis=0, initial=0.0))
+        # running sums add row by row, in the order the rows arrive
+        self.sum_v = np.add.accumulate(np.vstack([self.sum_v, decoded]))[-1]
+        self.sum_v2 = np.add.accumulate(np.vstack([self.sum_v2, decoded * decoded]))[-1]
+        self.fill_count += rows.shape[0]
 
     def staged_dequantized(self) -> np.ndarray:
         """Real values of the staged rows, shape (fill_count, channels)."""
@@ -103,24 +110,13 @@ class ProcessWindow:
         """
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
-        decoded = self.staged_dequantized()
-        codes = np.zeros((self.channels, self.group_size), dtype=np.uint8)
-        metas: list[GroupMeta] = []
-        smallest = table.entries[0][0]
-        for c in range(self.channels):
-            if self.running_max[c] == 0.0:
-                a = smallest
-            else:
-                var = variance_from_sums(float(self.sum_v[c]), float(self.sum_v2[c]),
-                                         self.group_size, float(self.running_max[c]))
-                a = table.lookup(var)
-            codes[c], meta = quantize_weight_group(decoded[:, c], a)
-            metas.append(meta)
+        coeffs = _streaming_coefficients(table, self.running_max, self.sum_v, self.sum_v2,
+                                         self.group_size)
+        codes, scales = encode_groups(self.staged_dequantized().T, coeffs)
+        metas = [GroupMeta(float(s), int(a), self.group_size) for s, a in zip(scales, coeffs)]
         self.fill_count = 0
         self.staged[:] = 0
-        self.running_max[:] = 0.0
-        self.sum_v[:] = 0.0
-        self.sum_v2[:] = 0.0
+        self.running_max[:] = self.sum_v[:] = self.sum_v2[:] = 0.0
         return codes, metas
 
 
@@ -204,26 +200,19 @@ class KvCache:
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {k_vector.shape}")
         if self.max_seq is not None and self.seq_len >= self.max_seq:
             raise ValueError(f"cache full: max_seq={self.max_seq}")
-        codes = np.zeros((self.heads, self.n_k_groups, self.group_size), dtype=np.uint8)
-        scales = np.zeros((self.heads, self.n_k_groups))
-        coeffs = np.zeros((self.heads, self.n_k_groups), dtype=np.uint8)
-        for h in range(self.heads):
-            for g, (start, stop) in enumerate(self.k_group_slices):
-                group = k_vector[h, start:stop]
-                absmax = float(np.max(np.abs(group)))
-                if absmax == 0.0:
-                    a = self.k_table.entries[0][0]
-                else:
-                    var = variance_from_sums(float(group.sum()), float((group * group).sum()),
-                                             group.size, absmax)
-                    a = self.k_table.lookup(var)
-                group_codes, meta = quantize_weight_group(group, a)
-                codes[h, g, :stop - start] = group_codes
-                scales[h, g] = meta.scale
-                coeffs[h, g] = meta.coefficient_a
-        self._k_codes.append(codes)
-        self._k_scales.append(scales)
-        self._k_coeffs.append(coeffs)
+        self._append_keys(k_vector[None])
+
+    def _append_keys(self, keys: np.ndarray) -> None:
+        """Encode keys (tokens, heads, head_dim) in one kernel call and append
+        them; each group's sums run over its true length."""
+        coeffs = np.concatenate([
+            _streaming_coefficients(self.k_table, np.max(np.abs(run), axis=-1),
+                                    run.sum(axis=-1), (run * run).sum(axis=-1), run.shape[-1])
+            for run in split_runs(keys, self.group_size)], axis=-1).astype(np.uint8)
+        codes, scales = encode_groups(to_groups(keys, self.group_size), coeffs)
+        self._k_codes.extend(codes)
+        self._k_scales.extend(scales)
+        self._k_coeffs.extend(coeffs)
         self._k_stacked = None
 
     def k_arrays(self):
@@ -240,15 +229,9 @@ class KvCache:
 
     def k_dequantized(self) -> np.ndarray:
         """Reconstructed keys, shape (seq, heads, head_dim)."""
-        out = np.zeros((self.seq_len, self.heads, self.head_dim))
-        for t in range(self.seq_len):
-            for h in range(self.heads):
-                for g, (start, stop) in enumerate(self.k_group_slices):
-                    meta = GroupMeta(float(self._k_scales[t][h, g]),
-                                     int(self._k_coeffs[t][h, g]), stop - start)
-                    out[t, h, start:stop] = dequantize_group(
-                        self._k_codes[t][h, g, :stop - start], meta)
-        return out
+        codes, scales, coeffs = self.k_arrays()
+        keys = decode_groups(codes, coeffs, scales).reshape(self.seq_len, self.heads, -1)
+        return np.ascontiguousarray(keys[..., :self.head_dim])
 
     # -- V path ------------------------------------------------------------
 
@@ -276,22 +259,21 @@ class KvCache:
             self.windows[h].push(v_vector[h])
         self._total_v += 1
         if self.windows[0].is_full:
-            for h in range(self.heads):
-                codes, metas = self.windows[h].flush(self.v_table)
-                self._v_blocks[h].append(_VBlock(
-                    codes,
-                    np.array([m.scale for m in metas]),
-                    np.array([m.coefficient_a for m in metas], dtype=np.uint8),
-                    self.group_size))
+            for window, blocks in zip(self.windows, self._v_blocks):
+                codes, metas = window.flush(self.v_table)
+                blocks.append(_VBlock(codes, np.array([m.scale for m in metas]),
+                                      np.array([m.coefficient_a for m in metas], dtype=np.uint8),
+                                      self.group_size))
             return True
         return False
 
     def prefill(self, k_matrix, v_matrix) -> None:
         """Quantize a whole prompt at once.
 
-        Keys go through the per-step path.  Value columns are split into
-        full sequence blocks encoded directly (variance computed from the
-        complete group); a trailing partial block enters the process window,
+        Keys encode as :meth:`append_k` would encode them one by one.  Value
+        columns are split into full sequence blocks encoded directly
+        (variance computed from the complete group); a trailing partial block
+        enters the process window,
         whose channel scales are the per-channel absolute maxima of the
         prefill values.
         """
@@ -303,31 +285,22 @@ class KvCache:
             raise ValueError("prefill must run on an empty cache")
         if self.max_seq is not None and k_matrix.shape[0] > self.max_seq:
             raise ValueError(f"prefill of {k_matrix.shape[0]} exceeds max_seq={self.max_seq}")
-        for t in range(k_matrix.shape[0]):
-            self.append_k(k_matrix[t])
-
+        self._append_keys(k_matrix)
         scales = np.max(np.abs(v_matrix), axis=0) / 127.0  # (heads, head_dim)
         self.init_windows(scales)
         seq = v_matrix.shape[0]
         full_blocks = seq // self.group_size
-        for b in range(full_blocks):
-            rows = v_matrix[b * self.group_size:(b + 1) * self.group_size]
-            for h in range(self.heads):
-                codes = np.zeros((self.head_dim, self.group_size), dtype=np.uint8)
-                block_scales = np.zeros(self.head_dim)
-                block_coeffs = np.zeros(self.head_dim, dtype=np.uint8)
-                for c in range(self.head_dim):
-                    a = select_by_variance(rows[:, h, c], self.v_table)
-                    codes[c], meta = quantize_weight_group(rows[:, h, c], a)
-                    block_scales[c] = meta.scale
-                    block_coeffs[c] = meta.coefficient_a
-                self._v_blocks[h].append(_VBlock(codes, block_scales, block_coeffs,
-                                                 self.group_size))
-        self._total_v = full_blocks * self.group_size
-        for t in range(full_blocks * self.group_size, seq):
-            for h in range(self.heads):
-                self.windows[h].push(v_matrix[t, h])
-            self._total_v += 1
+        flushed = full_blocks * self.group_size
+        # (blocks, heads, head_dim, G): one sequence group per channel
+        groups = np.ascontiguousarray(v_matrix[:flushed].reshape(
+            full_blocks, self.group_size, self.heads, self.head_dim).transpose(0, 2, 3, 1))
+        coeffs = select_by_variance(groups, self.v_table).astype(np.uint8)
+        codes, block_scales = encode_groups(groups, coeffs)
+        for h, (blocks, window) in enumerate(zip(self._v_blocks, self.windows)):
+            blocks.extend(_VBlock(*block, self.group_size)
+                          for block in zip(codes[:, h], block_scales[:, h], coeffs[:, h]))
+            window.push(v_matrix[flushed:, h])
+        self._total_v = seq
 
     def v_blocks(self, head: int) -> list[_VBlock]:
         return self._v_blocks[head]
@@ -335,14 +308,15 @@ class KvCache:
     def v_dequantized(self) -> np.ndarray:
         """Reconstructed values (flushed blocks plus staged rows)."""
         out = np.zeros((self._total_v, self.heads, self.head_dim))
-        for h in range(self.heads):
-            for b, block in enumerate(self._v_blocks[h]):
-                start = b * self.group_size
-                for c in range(self.head_dim):
-                    meta = GroupMeta(float(block.scales[c]), int(block.coeffs[c]), block.length)
-                    out[start:start + block.length, h, c] = dequantize_group(
-                        block.codes[c, :block.length], meta)
-            if self.windows is not None:
-                window = self.windows[h]
-                out[self.flushed_tokens:self._total_v, h, :] = window.staged_dequantized()
+        flushed = self.flushed_tokens
+        if flushed:
+            # (heads, blocks, head_dim, G) -> (blocks * G, heads, head_dim)
+            stacked = [np.array([[getattr(b, name) for b in blocks] for blocks in self._v_blocks])
+                       for name in ("codes", "coeffs", "scales")]
+            values = decode_groups(*stacked)
+            out[:flushed] = values.transpose(1, 3, 0, 2).reshape(flushed, self.heads, self.head_dim)
+        if self._total_v > flushed:
+            staged = np.array([w.staged[:w.fill_count] for w in self.windows])
+            scales = np.array([w.channel_scales for w in self.windows])
+            out[flushed:] = (staged.astype(np.float64) * scales[:, None, :]).transpose(1, 0, 2)
         return out

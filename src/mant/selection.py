@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import INT4_COEFF, dequantize_group, quantize_weight_group
+from .codec import INT4_COEFF, decode_groups, encode_groups
+from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 
 DEFAULT_COEFFICIENTS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 
@@ -53,64 +54,68 @@ class CandidateSet:
         return self.coefficients
 
 
-def reconstruction(values, a: int) -> np.ndarray:
-    """Quantize and dequantize one group with coefficient ``a``."""
-    codes, meta = quantize_weight_group(values, a)
-    return dequantize_group(codes, meta)
+def reconstruction(values, a) -> np.ndarray:
+    """Quantize and dequantize groups ``(..., G)`` with coefficient(s) ``a``."""
+    codes, scales = encode_groups(values, a)
+    return decode_groups(codes, a, scales)
 
 
-def select_weight_coefficient(w_group, x_calib, candidates: CandidateSet) -> int:
-    """Pick the candidate minimizing the output MSE for one weight group.
+def _scalar_or_array(result: np.ndarray):
+    return result.item() if result.ndim == 0 else result
 
-    ``x_calib`` has shape (samples, len(w_group)); the error of candidate a
-    is ``||x_calib @ (reconstruction(w, a) - w)||**2``.  Ties break toward
-    the earlier option, i.e. the smaller coefficient.
+
+def select_weight_coefficient(w_group, x_calib, candidates: CandidateSet):
+    """Pick the candidate minimizing the output MSE of each weight group.
+
+    ``w_group`` is one group ``(G,)`` (giving an int) or groups ``(n, G)``
+    sharing the calibration activations ``x_calib`` (samples, G).  The error
+    of candidate a is ``||x_calib @ (reconstruction(w, a) - w)||**2``; ties
+    break toward the earlier option, i.e. the smaller coefficient.
     """
     w_group = np.asarray(w_group, dtype=np.float64)
     x_calib = np.asarray(x_calib, dtype=np.float64)
-    if x_calib.ndim != 2 or x_calib.shape[1] != w_group.size:
-        raise ValueError(f"calibration shape {x_calib.shape} does not match group size {w_group.size}")
+    if x_calib.ndim != 2 or x_calib.shape[1] != w_group.shape[-1]:
+        raise ValueError(f"calibration shape {x_calib.shape} does not match group size "
+                         f"{w_group.shape[-1]}")
     options = candidates.options
-    best_a = options[0]
-    best_err = np.inf
-    for a in options:
+    errs = np.empty((len(options),) + w_group.shape[:-1])
+    for i, a in enumerate(options):
         delta = reconstruction(w_group, a) - w_group
-        err = float(np.sum((x_calib @ delta) ** 2))
-        if err < best_err:
-            best_a = a
-            best_err = err
-    return best_a
+        # a stack of matrix-vector products runs one gemv per group, the
+        # same BLAS call (and rounding) as x_calib @ delta for one group
+        errs[i] = np.sum(np.matmul(x_calib, delta[..., None])[..., 0] ** 2, axis=-1)
+    # a NaN error never wins, as with a strict < scan
+    best = np.argmin(np.where(np.isnan(errs), np.inf, errs), axis=0)
+    return _scalar_or_array(np.asarray(options)[best])
 
 
-def weight_space_error(values, a: int) -> float:
-    """Plain reconstruction MSE of one group, used to label calibration data."""
+def weight_space_error(values, a):
+    """Reconstruction MSE of groups ``(..., G)``, used to label calibration data."""
     values = np.asarray(values, dtype=np.float64)
     delta = reconstruction(values, a) - values
-    return float(np.mean(delta ** 2))
+    return _scalar_or_array(np.mean(delta ** 2, axis=-1))
 
 
-def normalized_variance(values) -> float:
-    """Variance of a group after scaling its absolute maximum to 1.
-
-    Computed as ``(E[x^2] - E[x]^2) / max|x|^2``; an all-zero group yields 0.
-    The result always lies in [0, 1].
-    """
-    values = np.asarray(values, dtype=np.float64)
-    absmax = float(np.max(np.abs(values))) if values.size else 0.0
-    if absmax == 0.0:
-        return 0.0
-    mean = float(np.mean(values))
-    mean_sq = float(np.mean(values ** 2))
-    var = (mean_sq - mean * mean) / (absmax * absmax)
-    return float(min(max(var, 0.0), 1.0))
+def normalized_variance(values):
+    """Variance of groups ``(..., G)`` after scaling each absolute maximum to
+    1: ``(E[x^2] - E[x]^2) / max|x|^2`` in [0, 1], 0 for an all-zero group."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    absmax = np.max(np.abs(values), axis=-1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.mean(values, axis=-1)
+        var = (np.mean(values ** 2, axis=-1) - mean * mean) / (absmax * absmax)
+    return _scalar_or_array(np.where(absmax == 0.0, 0.0, np.clip(var, 0.0, 1.0)))
 
 
-def variance_from_sums(total: float, total_sq: float, count: int, absmax: float) -> float:
+def variance_from_sums(total, total_sq, count, absmax):
     """Streaming form of :func:`normalized_variance` from running sums."""
-    if absmax == 0.0 or count == 0:
-        return 0.0
-    var = (total_sq / count - (total / count) ** 2) / (absmax * absmax)
-    return float(min(max(var, 0.0), 1.0))
+    total, total_sq, absmax = (np.asarray(x, dtype=np.float64) for x in (total, total_sq, absmax))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # float_power calls the C library's pow like Python's float ``**``;
+        # numpy's ``** 2`` squares, which rounds differently on some values
+        var = (total_sq / count - np.float_power(total / count, 2)) / (absmax * absmax)
+    var = np.where((absmax == 0.0) | (np.asarray(count) == 0), 0.0, np.clip(var, 0.0, 1.0))
+    return _scalar_or_array(var)
 
 
 @dataclass(frozen=True)
@@ -138,14 +143,17 @@ class VarianceTable:
             prev_hi = hi
         if self.entries[0][1] != 0.0 or self.entries[-1][2] != 1.0:
             raise ValueError("table ranges must cover [0, 1]")
+        object.__setattr__(self, "_coeffs", np.array([e[0] for e in self.entries]))
+        object.__setattr__(self, "_his", np.array([e[2] for e in self.entries]))
 
-    def lookup(self, variance: float) -> int:
-        """Coefficient whose range contains ``variance`` (total on [0, 1])."""
-        v = min(max(float(variance), 0.0), 1.0)
-        for a, lo, hi in self.entries:
-            if lo <= v < hi:
-                return a
-        return self.entries[-1][0]
+    def lookup(self, variance):
+        """Coefficient whose range contains ``variance`` (total on [0, 1]);
+        an array of variances gives an array of coefficients."""
+        v = np.clip(np.asarray(variance, dtype=np.float64), 0.0, 1.0)
+        # the ranges tile [0, 1] in order, so the first range with hi > v
+        # contains v; v = 1 (or NaN) falls through to the last entry
+        index = np.searchsorted(self._his, v, side="right")
+        return _scalar_or_array(self._coeffs[np.minimum(index, len(self.entries) - 1)])
 
     def range_of(self, a: int) -> tuple[float, float]:
         for coeff, lo, hi in self.entries:
@@ -253,7 +261,7 @@ def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...
     """
     coefficients = candidates.coefficients if isinstance(candidates, CandidateSet) \
         else tuple(int(a) for a in candidates)
-    groups = np.asarray(calib_groups, dtype=np.float64)
+    groups = np.ascontiguousarray(calib_groups, dtype=np.float64)
     if groups.ndim != 2:
         raise ValueError("calibration groups must be a (n, group_size) array")
     if groups.shape[0] < min_groups:
@@ -263,23 +271,18 @@ def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...
 
     probes = midpoint_probes(coefficients)
     search_space = tuple(sorted(set(coefficients) | set(probes)))
-    probe_variances: dict[int, list[float]] = {p: [] for p in probes}
-    for row in groups:
-        errs = [weight_space_error(row, a) for a in search_space]
-        label = search_space[int(np.argmin(errs))]
-        if label in probe_variances:
-            probe_variances[label].append(normalized_variance(row))
-    means = [float(np.mean(vs)) if vs else None for vs in (probe_variances[p] for p in probes)]
+    errs = np.array([weight_space_error(groups, a) for a in search_space])
+    labels = np.asarray(search_space)[np.argmin(errs, axis=0)]
+    variances = normalized_variance(groups)
+    means = [float(np.mean(variances[labels == p])) if np.any(labels == p) else None
+             for p in probes]
     return table_from_probe_means(coefficients, means)
 
 
-def select_by_variance(group, table: VarianceTable) -> int:
-    """Real-time coefficient choice: normalized variance lookup.
-
-    Total over all inputs; an all-zero group maps to the smallest
-    coefficient.
-    """
+def select_by_variance(group, table: VarianceTable):
+    """Real-time coefficient choice for groups ``(..., G)``: normalized
+    variance lookup; an all-zero group maps to the smallest coefficient."""
     values = np.asarray(group, dtype=np.float64)
-    if values.size == 0 or float(np.max(np.abs(values))) == 0.0:
-        return table.entries[0][0]
-    return table.lookup(normalized_variance(values))
+    silent = np.max(np.abs(values), axis=-1, initial=0.0) == 0.0
+    return _scalar_or_array(np.where(silent, table.entries[0][0],
+                                     table.lookup(normalized_variance(values))))

@@ -127,6 +127,43 @@ class TestQuantize:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("group_size", ["0", "100000"])
+    @pytest.mark.parametrize("role", ["weight", "activation", "kv"])
+    def test_group_size_out_of_range_is_usage_error(self, capsys, tmp_path, weight_file,
+                                                    role, group_size):
+        out_q = tmp_path / "q.mntq"
+        code, _, err = run_cli(capsys, "quantize", "--tensor", str(weight_file), "--role", role,
+                               "--group-size", group_size, "--out", str(out_q))
+        assert code == 2
+        assert f"error: group size must be an integer in 1..65535, got {group_size}" in err
+        assert not out_q.exists()
+
+    def test_stats_count_scales_lost_in_half(self, capsys, caplog, tmp_path):
+        # one group below the fp16 scale range, one above it
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((64, 3))
+        values /= np.max(np.abs(values), axis=0)
+        values *= [1e-7, 1e9, 1.0]
+        tensor, out_q, stats_path = (tmp_path / n for n in ("t.mntt", "q.mntq", "s.json"))
+        container.save_tensor(tensor, values)
+        code, _, _ = run_cli(capsys, "quantize", "--tensor", str(tensor), "--role", "weight",
+                             "--out", str(out_q), "--stats", str(stats_path))
+        assert code == 0
+        stats = json.loads(stats_path.read_text())
+        assert stats["scale_underflow"] == 1
+        assert stats["scale_overflow"] == 1
+        assert "1 group scales flushed to 0 and 1 clamped to 65504" in caplog.text
+        scales = container.load_quantized(out_q).scales
+        assert scales[0, 0] == 0.0 and scales[1, 0] == 65504.0 and 0.0 < scales[2, 0] < 65504.0
+
+    def test_stats_no_scale_loss(self, capsys, caplog, tmp_path, weight_file):
+        stats_path = tmp_path / "s.json"
+        run_cli(capsys, "quantize", "--tensor", str(weight_file), "--role", "activation",
+                "--out", str(tmp_path / "q.mntq"), "--stats", str(stats_path))
+        stats = json.loads(stats_path.read_text())
+        assert stats["scale_underflow"] == 0 and stats["scale_overflow"] == 0
+        assert "IEEE half" not in caplog.text
+
 
 class TestGemmCheck:
     def make_pair(self, tmp_path, k=128, coeff=25, group=64):

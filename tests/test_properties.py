@@ -1,0 +1,443 @@
+"""Property tests: the batched codec against per-group reference loops.
+
+The reference functions below are the earlier per-group implementations
+(one scalar encoder call per group, struct-packed container records, a
+Python loop per cache token and channel).  Every check requires exact
+equality, bit for bit.
+"""
+
+import io
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mant.codec import (
+    INT4_COEFF,
+    INT8_COEFF,
+    KIND_MANT4,
+    QuantizedTensor,
+    quantize_activation_tensor,
+    quantize_weight_tensor,
+)
+from mant.container import read_quantized, write_quantized
+from mant.grid import build_grid
+from mant.kvcache import KvCache
+from mant.selection import (
+    CandidateSet,
+    build_variance_table,
+    normalized_variance,
+    select_by_variance,
+    select_weight_coefficient,
+    table_from_probe_means,
+    variance_from_sums,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+# -- reference: per-group loops -------------------------------------------------
+
+def ref_mags(a: int) -> np.ndarray:
+    if a == INT4_COEFF:
+        return np.arange(8, dtype=np.float64)
+    return np.array(build_grid(a).magnitudes, dtype=np.float64)
+
+
+def ref_weight_group(values, a: int):
+    values = np.asarray(values, dtype=np.float64)
+    mags = ref_mags(a)
+    absmax = float(np.max(np.abs(values))) if values.size else 0.0
+    scale = absmax / float(mags[-1])
+    if scale == 0.0:
+        return np.zeros(values.shape, dtype=np.uint8), 0.0
+    idx = np.argmin(np.abs((np.abs(values) / scale)[:, None] - mags[None, :]), axis=1)
+    codes = idx.astype(np.uint8)
+    negative = values < 0
+    if a == INT4_COEFF:
+        negative &= idx != 0
+    codes[negative] |= 0x8
+    return codes, float(scale)
+
+
+def ref_int8_group(values):
+    values = np.asarray(values, dtype=np.float64)
+    scale = float(np.max(np.abs(values))) / 127.0
+    if scale == 0.0:
+        return np.zeros(values.shape, dtype=np.int8), 0.0
+    scaled = values / scale
+    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return np.clip(codes, -127, 127).astype(np.int8), scale
+
+
+def ref_dequantize_group(codes, a: int, scale: float) -> np.ndarray:
+    if scale == 0.0:
+        return np.zeros(codes.shape)
+    if a == INT8_COEFF:
+        return codes.astype(np.float64) * scale
+    mags = ref_mags(a)
+    return np.concatenate([mags, -mags])[codes] * scale
+
+
+def ref_rows(values, axis):
+    return np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
+
+
+def ref_slices(axis_len, group_size):
+    for start in range(0, axis_len, group_size):
+        yield start // group_size, start, min(start + group_size, axis_len)
+
+
+def ref_quantize_tensor(values, coeffs, axis, group_size, int8: bool):
+    rows = ref_rows(values, axis)
+    n_rows, axis_len = rows.shape
+    n_groups = -(-axis_len // group_size)
+    codes = np.zeros((n_rows, n_groups, group_size), dtype=np.int8 if int8 else np.uint8)
+    scales = np.zeros((n_rows, n_groups))
+    lengths = np.zeros((n_rows, n_groups), dtype=np.uint16)
+    for r in range(n_rows):
+        for g, start, stop in ref_slices(axis_len, group_size):
+            if int8:
+                group_codes, scale = ref_int8_group(rows[r, start:stop])
+            else:
+                group_codes, scale = ref_weight_group(rows[r, start:stop], int(coeffs[r, g]))
+            codes[r, g, :stop - start] = group_codes
+            scales[r, g] = scale
+            lengths[r, g] = stop - start
+    return codes, scales, lengths
+
+
+def ref_dequantize(qt: QuantizedTensor) -> np.ndarray:
+    rows = np.zeros((qt.n_rows, qt.axis_length))
+    for r in range(qt.n_rows):
+        for g in range(qt.n_groups):
+            length = int(qt.group_lengths[r, g])
+            start = g * qt.group_size
+            rows[r, start:start + length] = ref_dequantize_group(
+                qt.codes[r, g, :length], int(qt.coefficients[r, g]), float(qt.scales[r, g]))
+    moved = tuple(d for i, d in enumerate(qt.shape) if i != qt.group_axis) + (qt.axis_length,)
+    return np.moveaxis(rows.reshape(moved), -1, qt.group_axis)
+
+
+def ref_half_bits(scale: float) -> int:
+    with np.errstate(over="ignore"):
+        h = np.float16(scale)
+    if np.isinf(h):
+        h = np.float16(np.sign(scale) * 65504.0)
+    return int(h.view(np.uint16))
+
+
+def ref_pack(codes) -> bytes:
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.size % 2:
+        codes = np.concatenate([codes, np.zeros(1, dtype=np.uint8)])
+    return (codes[0::2] | (codes[1::2] << 4)).tobytes()
+
+
+def ref_write(qt: QuantizedTensor) -> bytes:
+    out = bytearray(b"MNTQ")
+    out += struct.pack("<HBHB", 1, 0 if qt.element_kind == KIND_MANT4 else 1,
+                       qt.group_size, len(qt.shape))
+    out += struct.pack(f"<{len(qt.shape)}Q", *qt.shape)
+    out += struct.pack("<B", qt.group_axis)
+    payload = bytearray()
+    for r in range(qt.n_rows):
+        for g in range(qt.n_groups):
+            length = int(qt.group_lengths[r, g])
+            out += struct.pack("<HBH", ref_half_bits(float(qt.scales[r, g])),
+                               int(qt.coefficients[r, g]), length)
+            group_codes = qt.codes[r, g, :length]
+            payload += ref_pack(group_codes) if qt.element_kind == KIND_MANT4 \
+                else group_codes.astype(np.int8).tobytes()
+    return bytes(out + payload)
+
+
+def ref_select_weight(w_group, x_calib, candidates) -> int:
+    best_a, best_err = candidates.options[0], np.inf
+    for a in candidates.options:
+        codes, scale = ref_weight_group(w_group, a)
+        err = float(np.sum((x_calib @ (ref_dequantize_group(codes, a, scale) - w_group)) ** 2))
+        if err < best_err:
+            best_a, best_err = a, err
+    return best_a
+
+
+def ref_normalized_variance(values) -> float:
+    absmax = float(np.max(np.abs(values))) if values.size else 0.0
+    if absmax == 0.0:
+        return 0.0
+    mean = float(np.mean(values))
+    var = (float(np.mean(values ** 2)) - mean * mean) / (absmax * absmax)
+    return float(min(max(var, 0.0), 1.0))
+
+
+def ref_variance_from_sums(total, total_sq, count, absmax) -> float:
+    if absmax == 0.0 or count == 0:
+        return 0.0
+    var = (total_sq / count - (total / count) ** 2) / (absmax * absmax)
+    return float(min(max(var, 0.0), 1.0))
+
+
+def ref_lookup(table, variance) -> int:
+    v = min(max(float(variance), 0.0), 1.0)
+    for a, lo, hi in table.entries:
+        if lo <= v < hi:
+            return a
+    return table.entries[-1][0]
+
+
+def ref_table(groups, coefficients):
+    probes = tuple((a + b) // 2 for a, b in zip(coefficients, coefficients[1:]))
+    space = tuple(sorted(set(coefficients) | set(probes)))
+    found = {p: [] for p in probes}
+    for row in groups:
+        errs = []
+        for a in space:
+            codes, scale = ref_weight_group(row, a)
+            errs.append(float(np.mean((ref_dequantize_group(codes, a, scale) - row) ** 2)))
+        label = space[int(np.argmin(errs))]
+        if label in found:
+            found[label].append(ref_normalized_variance(row))
+    return table_from_probe_means(coefficients, [float(np.mean(v)) if v else None
+                                                 for v in found.values()])
+
+
+class RefCache:
+    """The KV cache as token, group and channel loops over the reference codec."""
+
+    def __init__(self, heads, head_dim, k_table, v_table, group_size):
+        self.heads, self.head_dim, self.group_size = heads, head_dim, group_size
+        self.k_table, self.v_table = k_table, v_table
+        self.k = []            # per token: (codes, scales, coeffs)
+        self.v_blocks = [[] for _ in range(heads)]
+
+    def append_k(self, k_vector):
+        n_groups = -(-self.head_dim // self.group_size)
+        codes = np.zeros((self.heads, n_groups, self.group_size), dtype=np.uint8)
+        scales = np.zeros((self.heads, n_groups))
+        coeffs = np.zeros((self.heads, n_groups), dtype=np.uint8)
+        for h in range(self.heads):
+            for g, start, stop in ref_slices(self.head_dim, self.group_size):
+                group = k_vector[h, start:stop]
+                absmax = float(np.max(np.abs(group)))
+                a = self.k_table.entries[0][0] if absmax == 0.0 else ref_lookup(
+                    self.k_table, ref_variance_from_sums(float(group.sum()),
+                                                         float((group * group).sum()),
+                                                         group.size, absmax))
+                codes[h, g, :stop - start], scales[h, g] = ref_weight_group(group, a)
+                coeffs[h, g] = a
+        self.k.append((codes, scales, coeffs))
+
+    def prefill(self, k_matrix, v_matrix):
+        for t in range(k_matrix.shape[0]):
+            self.append_k(k_matrix[t])
+        self.channel_scales = np.max(np.abs(v_matrix), axis=0) / 127.0
+        self.staged = [[] for _ in range(self.heads)]
+        self.sums = np.zeros((3, self.heads, self.head_dim))   # max, sum, sum of squares
+        size = self.group_size
+        for b in range(v_matrix.shape[0] // size):
+            rows = v_matrix[b * size:(b + 1) * size]
+            for h in range(self.heads):
+                block = []
+                for c in range(self.head_dim):
+                    column = rows[:, h, c]
+                    silent = float(np.max(np.abs(column))) == 0.0
+                    a = self.v_table.entries[0][0] if silent else ref_lookup(
+                        self.v_table, ref_normalized_variance(column))
+                    block.append(ref_weight_group(column, a) + (a,))
+                self.v_blocks[h].append(block)
+        for t in range(v_matrix.shape[0] // size * size, v_matrix.shape[0]):
+            self.push_v(v_matrix[t], flush=False)
+
+    def push_v(self, v_vector, flush=True):
+        for h in range(self.heads):
+            scales = self.channel_scales[h]
+            codes = np.zeros(self.head_dim)
+            live = scales > 0.0
+            scaled = np.divide(v_vector[h], scales, out=np.zeros(self.head_dim), where=live)
+            codes[live] = np.sign(scaled[live]) * np.floor(np.abs(scaled[live]) + 0.5)
+            codes = np.clip(codes, -127, 127).astype(np.int8)
+            self.staged[h].append(codes)
+            decoded = codes.astype(np.float64) * scales
+            self.sums[0, h] = np.maximum(self.sums[0, h], np.abs(decoded))
+            self.sums[1, h] += decoded
+            self.sums[2, h] += decoded * decoded
+        if flush and len(self.staged[0]) == self.group_size:
+            for h in range(self.heads):
+                decoded = np.array(self.staged[h]).astype(np.float64) * self.channel_scales[h]
+                block = []
+                for c in range(self.head_dim):
+                    absmax = float(self.sums[0, h, c])
+                    a = self.v_table.entries[0][0] if absmax == 0.0 else ref_lookup(
+                        self.v_table, ref_variance_from_sums(float(self.sums[1, h, c]),
+                                                             float(self.sums[2, h, c]),
+                                                             self.group_size, absmax))
+                    block.append(ref_weight_group(decoded[:, c], a) + (a,))
+                self.v_blocks[h].append(block)
+                self.staged[h] = []
+            self.sums[:] = 0.0
+
+
+# -- strategies ---------------------------------------------------------------------
+
+MAX_DIM = {1: 300, 2: 40, 3: 12}
+
+
+@st.composite
+def tensors(draw):
+    """A 1-3-D tensor, a grouping axis and a group size; groups span
+    magnitudes 1e-8 to 1e6 and some are all zero."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, MAX_DIM[ndim]), min_size=ndim, max_size=ndim)))
+    axis = draw(st.integers(0, ndim - 1))
+    group_size = draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.standard_normal((int(np.prod(shape)) // shape[axis], shape[axis]))
+    n_groups = -(-shape[axis] // group_size)
+    magnitude = 10.0 ** rng.uniform(-8, 6, (rows.shape[0], n_groups))
+    magnitude[rng.random(magnitude.shape) < 0.15] = 0.0
+    rows *= np.repeat(magnitude, group_size, axis=1)[:, :shape[axis]]
+    moved = tuple(d for i, d in enumerate(shape) if i != axis) + (shape[axis],)
+    values = np.moveaxis(rows.reshape(moved), -1, axis)
+    coeffs = rng.choice(np.arange(INT4_COEFF + 1), (rows.shape[0], n_groups)).astype(np.uint8)
+    return values, axis, group_size, coeffs
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# -- properties -------------------------------------------------------------------------
+
+@SETTINGS
+@given(tensors())
+def test_weight_tensor_matches_group_loop(case):
+    values, axis, group_size, coeffs = case
+    qt = quantize_weight_tensor(values, coeffs, axis, group_size)
+    codes, scales, lengths = ref_quantize_tensor(values, coeffs, axis, group_size, int8=False)
+    assert same_bits(qt.codes, codes)
+    assert same_bits(qt.scales, scales)
+    assert same_bits(qt.group_lengths, lengths)
+    assert same_bits(qt.coefficients, coeffs)
+    assert same_bits(qt.dequantize(), ref_dequantize(qt))
+
+
+@SETTINGS
+@given(tensors())
+def test_activation_tensor_matches_group_loop(case):
+    values, axis, group_size, _ = case
+    qt = quantize_activation_tensor(values, axis, group_size)
+    codes, scales, lengths = ref_quantize_tensor(values, None, axis, group_size, int8=True)
+    assert same_bits(qt.codes, codes)
+    assert same_bits(qt.scales, scales)
+    assert same_bits(qt.group_lengths, lengths)
+    assert same_bits(qt.dequantize(), ref_dequantize(qt))
+
+
+@SETTINGS
+@given(tensors(), st.booleans())
+def test_container_matches_loop_writer(case, int8):
+    values, axis, group_size, coeffs = case
+    qt = quantize_activation_tensor(values, axis, group_size) if int8 \
+        else quantize_weight_tensor(values, coeffs, axis, group_size)
+    buf = io.BytesIO()
+    write_quantized(buf, qt)
+    assert buf.getvalue() == ref_write(qt)
+    loaded = read_quantized(io.BytesIO(buf.getvalue()))
+    assert same_bits(loaded.codes, qt.codes)
+    assert same_bits(loaded.coefficients, qt.coefficients)
+    assert same_bits(loaded.group_lengths, qt.group_lengths)
+    half = np.array([ref_half_bits(float(s)) for s in qt.scales.ravel()], dtype=np.uint16)
+    assert same_bits(loaded.scales, half.view(np.float16).astype(np.float64).reshape(qt.scales.shape))
+    assert ref_write(loaded) == buf.getvalue()
+
+
+@SETTINGS
+@given(st.integers(1, 130), st.integers(0, 2 ** 32 - 1))
+def test_batched_variances_match_scalar_forms(group_size, seed):
+    rng = np.random.default_rng(seed)
+    groups = rng.standard_normal((400, group_size)) * 10.0 ** rng.uniform(-8, 6, (400, 1))
+    groups += rng.uniform(-2, 2, (400, 1)) * np.abs(groups).max(axis=1, keepdims=True)
+    groups[rng.random(400) < 0.05] = 0.0
+    table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.11, 0.25])
+    absmax = np.abs(groups).max(axis=1)
+    total, total_sq = groups.sum(axis=1), (groups * groups).sum(axis=1)
+    streaming = variance_from_sums(total, total_sq, group_size, absmax)
+    assert same_bits(streaming, np.array([
+        ref_variance_from_sums(float(t), float(q), group_size, float(m))
+        for t, q, m in zip(total, total_sq, absmax)]))
+    assert same_bits(normalized_variance(groups),
+                     np.array([ref_normalized_variance(g) for g in groups]))
+    assert list(table.lookup(streaming)) == [ref_lookup(table, v) for v in streaming]
+    assert list(select_by_variance(groups, table)) == [
+        table.entries[0][0] if not g.any() else ref_lookup(table, ref_normalized_variance(g))
+        for g in groups]
+
+
+@SETTINGS
+@given(st.integers(1, 130), st.integers(1, 24), st.integers(1, 12), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_weight_selection_matches_loop(group_size, n, samples, include_int, seed):
+    rng = np.random.default_rng(seed)
+    groups = rng.standard_normal((n, group_size)) * 10.0 ** rng.uniform(-8, 6, (n, 1))
+    groups[rng.random(n) < 0.1] = 0.0
+    x_calib = rng.standard_normal((samples, group_size + 5))[:, 2:2 + group_size]
+    candidates = CandidateSet(include_int=include_int)
+    chosen = select_weight_coefficient(groups, x_calib, candidates)
+    assert list(chosen) == [ref_select_weight(g, x_calib, candidates) for g in groups]
+    assert select_weight_coefficient(groups[0], x_calib, candidates) == chosen[0]
+
+
+@SETTINGS
+@given(st.integers(2, 70), st.integers(32, 90), st.integers(0, 2 ** 32 - 1))
+def test_batched_variance_table_matches_loop(group_size, n, seed):
+    rng = np.random.default_rng(seed)
+    groups = rng.standard_normal((n, group_size)) * 10.0 ** rng.uniform(-8, 6, (n, 1))
+    groups[:, :group_size // 3] *= rng.uniform(0.0, 3.0, (n, 1))
+    candidates = (0, 17, 40, 90, 120)
+    # a transposed view: the table must not depend on memory order
+    table = build_variance_table(np.ascontiguousarray(groups.T).T, candidates)
+    assert table == ref_table(groups, candidates)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.sampled_from([(64, 64), (80, 32), (48, 17), (20, 32)]),
+       st.integers(1, 150), st.integers(0, 70), st.integers(0, 2 ** 32 - 1))
+def test_cache_matches_token_loops(heads, geometry, prompt, steps, seed):
+    head_dim, group_size = geometry
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal((prompt + steps, heads, head_dim)) * 10.0 ** rng.uniform(-3, 3)
+    v = rng.standard_normal((prompt + steps, heads, head_dim)) * 10.0 ** rng.uniform(-3, 3)
+    k[rng.random(k.shape[:2]) < 0.05] = 0.0
+    v[:, :, 0] = 0.0   # a silent channel
+    k_table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+    v_table = table_from_probe_means((0, 10, 30, 60, 120), [0.0, 0.02, 0.09, 0.3])
+    cache = KvCache(heads, head_dim, k_table, v_table, group_size)
+    ref = RefCache(heads, head_dim, k_table, v_table, group_size)
+    cache.prefill(k[:prompt], v[:prompt])
+    ref.prefill(k[:prompt], v[:prompt])
+    for t in range(prompt, prompt + steps):
+        cache.append_k(k[t])
+        cache.push_v(v[t])
+        ref.append_k(k[t])
+        ref.push_v(v[t])
+
+    codes, scales, coeffs = cache.k_arrays()
+    for name, got, i in (("codes", codes, 0), ("scales", scales, 1), ("coeffs", coeffs, 2)):
+        assert same_bits(got, np.array([token[i] for token in ref.k])), name
+    for h in range(heads):
+        blocks = cache.v_blocks(h)
+        assert len(blocks) == len(ref.v_blocks[h])
+        for block, ref_block in zip(blocks, ref.v_blocks[h]):
+            assert same_bits(block.codes, np.array([c for c, _, _ in ref_block]))
+            assert same_bits(block.scales, np.array([s for _, s, _ in ref_block]))
+            assert same_bits(block.coeffs, np.array([a for _, _, a in ref_block], dtype=np.uint8))
+        window = cache.windows[h]
+        staged = np.array(ref.staged[h], dtype=np.int8).reshape(-1, head_dim)
+        assert same_bits(window.staged[:window.fill_count], staged)
+        assert same_bits(window.running_max, ref.sums[0, h])
+        assert same_bits(window.sum_v, ref.sums[1, h])
+        assert same_bits(window.sum_v2, ref.sums[2, h])
