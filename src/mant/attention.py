@@ -14,17 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (
-    DEFAULT_GROUP_SIZE,
-    INT4_COEFF,
-    INT8_COEFF,
-    MAGNITUDE_MASK,
-    SIGN_BIT,
-    decode_groups,
-    encode_int8,
-    to_groups,
-)
+from .codec import DEFAULT_GROUP_SIZE, INT8_COEFF, decode_groups, encode_int8, to_groups
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
+from .gemm import fused_dot
 from .kvcache import KvCache
 from .selection import CandidateSet, VarianceTable, build_variance_table
 
@@ -123,20 +115,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exps / exps.sum()
 
 
-def _fused_dot(codes, coeffs, scales, x_codes, x_scale) -> np.ndarray:
-    """Fused products of 4-bit groups (rows, length) with one activation
-    group: the sign*m and sign*2**m lanes, folded with each row's
-    coefficient and both scales."""
-    mags = (codes & MAGNITUDE_MASK).astype(np.float64)
-    signs = np.where(codes & SIGN_BIT, -1.0, 1.0)
-    xg = x_codes.astype(np.float64)
-    psum1 = (signs * mags) @ xg
-    psum2 = (signs * np.exp2(mags)) @ xg
-    is_mant = coeffs != INT4_COEFF
-    a_eff = np.where(is_mant, coeffs.astype(np.float64), 1.0)
-    return (psum1 * a_eff + psum2 * is_mant) * (x_scale * scales)
-
-
 def _activation_groups(vectors: np.ndarray, group_size: int, quantize: bool = True):
     """Group-wise INT8 codes ``(..., n_groups, G)`` and scales of the last
     axis, or with ``quantize`` off the raw values and unit scales."""
@@ -157,8 +135,8 @@ def _scores_fused(q_codes, q_scales, cache: KvCache, head: int, upto: int) -> np
     scores = np.zeros(upto)
     for g, (start, stop) in enumerate(cache.k_group_slices):
         length = stop - start
-        scores += _fused_dot(k_codes[:upto, head, g, :length], k_coeffs[:upto, head, g],
-                             k_scales[:upto, head, g], q_codes[g][:length], q_scales[g])
+        scores += fused_dot(q_codes[g][:length], q_scales[g], k_codes[:upto, head, g, :length],
+                            k_coeffs[:upto, head, g], k_scales[:upto, head, g])
     return scores
 
 
@@ -175,8 +153,8 @@ def _weighted_values_fused(p_codes, p_scales, cache: KvCache, head: int, upto: i
         if start >= upto:
             break
         length = min(block.length, upto - start)
-        out += _fused_dot(block.codes[:, :length], block.coeffs, block.scales,
-                          p_codes[b][:length], p_scales[b])
+        out += fused_dot(p_codes[b][:length], p_scales[b], block.codes[:, :length],
+                         block.coeffs, block.scales)
     flushed = cache.flushed_tokens
     if cache.windows is not None and upto > flushed:
         window = cache.windows[head]
@@ -244,20 +222,19 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
             v_table = policies.v_table or v_default
         cache = KvCache(heads, head_dim, k_table, v_table, group_size)
         cache.prefill(k_pre, v_pre)
-        store = cache
-    else:
-        store = (k_pre, v_pre)
+    # the synthesized stream serves as the unquantized store: a row of
+    # tokens [0, seq) reads only those
+    ref_store = (k_all, v_all)
+    store = cache if policies.quantize_kv else ref_store
 
     ref_policies = AttentionPolicies(group_size=group_size, quantize_kv=False,
                                      quantize_activations=False)
-    ref_k = k_pre
-    ref_v = v_pre
 
     prefill_out = np.zeros((prefill_len, heads, head_dim))
     ref_prefill = np.zeros((prefill_len, heads, head_dim))
     for i in range(prefill_len):
         prefill_out[i] = _attention_row(q_pre[i], store, policies, i + 1, heads, scale)
-        ref_prefill[i] = _attention_row(q_pre[i], (ref_k, ref_v), ref_policies, i + 1, heads, scale)
+        ref_prefill[i] = _attention_row(q_pre[i], ref_store, ref_policies, i + 1, heads, scale)
 
     step_out = np.zeros((decode_steps, heads, head_dim))
     ref_steps = np.zeros((decode_steps, heads, head_dim))
@@ -269,16 +246,10 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
             cache.append_k(k_dec[s])
             if cache.push_v(v_dec[s]):
                 flush_steps.append(s)
-        else:
-            k_raw, v_raw = store
-            store = (np.concatenate([k_raw, k_dec[s][None]]),
-                     np.concatenate([v_raw, v_dec[s][None]]))
-        ref_k = np.concatenate([ref_k, k_dec[s][None]])
-        ref_v = np.concatenate([ref_v, v_dec[s][None]])
 
         seq = prefill_len + s + 1
         step_out[s] = _attention_row(q_dec[s], store, policies, seq, heads, scale)
-        ref_steps[s] = _attention_row(q_dec[s], (ref_k, ref_v), ref_policies, seq, heads, scale)
+        ref_steps[s] = _attention_row(q_dec[s], ref_store, ref_policies, seq, heads, scale)
         cosines[s] = _cosine(step_out[s], ref_steps[s])
         mses[s] = float(np.mean((step_out[s] - ref_steps[s]) ** 2))
 

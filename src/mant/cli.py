@@ -93,11 +93,9 @@ def cmd_fit_grid(args) -> int:
 
 
 def _quantize_stats(values: np.ndarray, qt, scales: np.ndarray) -> dict:
-    """Errors of the file's tensor ``qt``; fp16 losses of the written ``scales``."""
+    """Errors of the file's tensor ``qt``; fp16 losses of the written ``scales``
+    (:func:`container.write_quantized` has warned of them)."""
     underflow, overflow = container.half_losses(scales)
-    if underflow or overflow:
-        log.warning("%d group scales flushed to 0 and %d clamped to 65504 in IEEE half",
-                    underflow, overflow)
     decoded = qt.dequantize()
     err = decoded - values
     hist: dict[str, int] = {}

@@ -125,6 +125,18 @@ def code_value_table(a: int) -> np.ndarray:
     return _CODE_VALUES[_mant4_coefficients(int(a))]
 
 
+def code_values(codes, coefficients) -> np.ndarray:
+    """Pre-scale integer values of 4-bit codes ``(..., G)`` as float64, under
+    one coefficient for all groups or one per group: ``sign * (a*m + 2**m)``
+    on an adaptive grid, ``sign * m`` on the INT4 grid."""
+    codes = np.asarray(codes)
+    if codes.max(initial=0) > 0xF:
+        raise ValueError("codes exceed 4 bits")
+    # one flat index into the table gathers faster than a (row, code) pair
+    rows = _mant4_coefficients(coefficients) * _CODE_VALUES.shape[1]
+    return _CODE_VALUES.reshape(-1)[rows[..., None] + codes]
+
+
 def _check_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise ValueError("input contains non-finite values")
@@ -199,7 +211,7 @@ def decode_groups(codes, coefficients, scales) -> np.ndarray:
             raise ValueError("int8 codes require the INT8 coefficient")
         values = codes.astype(np.float64)
     elif codes.dtype == np.uint8:
-        values = _CODE_VALUES[_mant4_coefficients(coefficients)[..., None], codes]
+        values = code_values(codes, coefficients)
     else:
         raise ValueError(f"codes must be uint8 nibbles or int8, got {codes.dtype}")
     scales = np.asarray(scales, dtype=np.float64)

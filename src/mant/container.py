@@ -24,6 +24,7 @@ Scales are rounded to IEEE half on write; files round-trip bit-exactly.
 
 from __future__ import annotations
 
+import logging
 import math
 import struct
 from typing import BinaryIO
@@ -44,6 +45,8 @@ from .codec import (
 QUANT_MAGIC = b"MNTQ"
 TENSOR_MAGIC = b"MNTT"
 FORMAT_VERSION = 1
+
+log = logging.getLogger("mant")
 
 _KIND_CODES = {KIND_MANT4: 0, KIND_INT8: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
@@ -93,9 +96,14 @@ def _payload_slots(kind: str, lengths: np.ndarray, group_size: int):
 
 
 def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> None:
-    """Serialize a quantized tensor; scales are rounded to IEEE half."""
+    """Serialize a quantized tensor; scales are rounded to IEEE half, with a
+    warning on the ``mant`` logger when some flush to 0 or clamp to 65504."""
     if not 1 <= qt.group_size <= MAX_GROUP_SIZE:
         raise ContainerError(f"group size must be in 1..{MAX_GROUP_SIZE}, got {qt.group_size}")
+    underflow, overflow = half_losses(qt.scales)
+    if underflow or overflow:
+        log.warning("%d group scales flushed to 0 and %d clamped to 65504 in IEEE half",
+                    underflow, overflow)
     records = np.empty(qt.scales.shape, dtype=_RECORD)
     records["scale"] = half_bits(qt.scales)
     records["a"] = qt.coefficients

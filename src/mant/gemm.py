@@ -6,15 +6,17 @@ against INT8 activations splits into two integer partial sums:
     psum1 = sum(x * sign * m)        (multiply lane)
     psum2 = sum(x * sign * 2**m)     (shift lane)
 
-and the real result of one group is ``(psum1*a + psum2) * s_x * s_w``; all
-scale multiplication is deferred to group boundaries.
+and the real result of one group is ``(psum1*a + psum2) * (s_x * s_w)``
+(``psum1 * (s_x * s_w)`` for plain-INT4 groups, whose codes decode to
+``sign * m``); all scale multiplication is deferred to group boundaries.
 
-With group size <= 64 and INT8 activations, |psum1| < 2**16 and
-|psum2| < 2**21, so every addend and partial sum is an integer far below
-2**53.  The blocked implementation therefore runs the integer matmuls in
-float64 (BLAS) and still produces bit-exact integer partial sums;
+:func:`fused_dot` forms the integer ``psum1*a + psum2`` of every pair of
+rows in one float64 matmul of the INT8 codes against the codes' pre-scale
+integer values.  With |x| <= 127, |value| <= 127*7 + 2**7 = 1017 and group
+length G <= 65535, every product and partial sum is an integer below
+2**33, far below 2**53, so the matmul is exact in any summation order.
 :func:`fused_group_dot` is the pure-integer scalar path, with psum2 built
-from logical shifts.
+from logical shifts, and :func:`combine` its fold.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .codec import (
     MAGNITUDE_MASK,
     QuantizedTensor,
     SIGN_BIT,
+    code_values,
 )
-
-_TILE_COLS = 32
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,26 @@ def fused_group_dot(x, w) -> GroupDotResult:
 def combine(res: GroupDotResult, a: int, s_x: float, s_w: float) -> float:
     """Fold a group's partial sums with its metadata into a real value.
 
-    The integer part ``psum1*a + psum2`` is formed exactly before any real
-    multiplication.
+    The integer part ``psum1*a + psum2`` (``psum1`` alone for INT4_COEFF) is
+    formed exactly before it meets the scale product ``s_x * s_w``, as in
+    :func:`fused_dot`.
     """
-    return (res.psum1 * int(a) + res.psum2) * s_x * s_w
+    integer = res.psum1 if a == INT4_COEFF else res.psum1 * int(a) + res.psum2
+    return integer * (s_x * s_w)
+
+
+def fused_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales) -> np.ndarray:
+    """Fused products of INT8 activation groups with 4-bit weight groups.
+
+    ``x_codes`` holds activation groups ``(..., L)`` (int8) with scales
+    ``(...)``; ``w_codes`` holds N weight groups ``(N, L)`` (uint8 nibbles)
+    with coefficients and scales ``(N,)``.  Returns ``(..., N)``: each pair's
+    exact integer ``psum1*a + psum2`` times ``x_scale * w_scale``.  Real
+    activations in place of codes are accepted, but their sums round.
+    """
+    values = code_values(w_codes, w_coeffs)
+    psum = np.asarray(x_codes).astype(np.float64) @ values.T
+    return psum * np.multiply.outer(x_scales, w_scales)
 
 
 def _check_gemm_operands(x_q: QuantizedTensor, w_q: QuantizedTensor, w_kind: str) -> None:
@@ -91,40 +108,20 @@ def _check_gemm_operands(x_q: QuantizedTensor, w_q: QuantizedTensor, w_kind: str
 def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     """Fused INT8 x 4-bit matrix multiply, (M,K) x (K,N) -> (M,N) float64.
 
-    Both operands must be grouped along K with the same group size.  Groups
-    accumulate in ascending index in float64.  Weight groups carrying the
-    plain-INT4 sentinel coefficient decode as ``sign*m`` (psum1 lane only).
+    Both operands must be grouped along K with the same group size.  One
+    :func:`fused_dot` per K group covers all rows and columns; groups
+    accumulate in ascending index in float64.
     """
     _check_gemm_operands(x_q, w_q, KIND_MANT4)
     if np.any(w_q.coefficients == INT8_COEFF):
         raise ValueError("INT8 sentinel coefficient inside a 4-bit tensor")
-    m_dim, _ = x_q.shape
-    n_dim = w_q.shape[1]
-    out = np.zeros((m_dim, n_dim), dtype=np.float64)
-
-    w_mags = (w_q.codes & MAGNITUDE_MASK).astype(np.float64)
-    w_signs = np.where(w_q.codes & SIGN_BIT, -1.0, 1.0)
-    w_linear = w_signs * w_mags          # (N, n_groups, G)
-    w_pot = w_signs * np.exp2(w_mags)
-    x_codes = x_q.codes.astype(np.float64)  # (M, n_groups, G)
-
-    for col in range(0, n_dim, _TILE_COLS):
-        width = min(_TILE_COLS, n_dim - col)
-        cols = slice(col, col + width)
-        for g in range(x_q.n_groups):
-            length = int(x_q.group_lengths[0, g])
-            if length != int(w_q.group_lengths[0, g]):
-                raise ValueError(f"group {g} length mismatch between operands")
-            psum1 = x_codes[:, g, :length] @ w_linear[cols, g, :length].T
-            psum2 = x_codes[:, g, :length] @ w_pot[cols, g, :length].T
-            coeffs = w_q.coefficients[cols, g]
-            is_mant = coeffs != INT4_COEFF
-            a_eff = np.where(is_mant, coeffs, 1).astype(np.float64)
-            # psum1 takes the coefficient times both scales, psum2 the scales
-            # alone (zero for plain-INT4 groups); groups add in ascending order
-            scale_prod = x_q.scales[:, g][:, None] * w_q.scales[cols, g][None, :]
-            out[:, cols] += psum1 * (a_eff[None, :] * scale_prod) \
-                + psum2 * (is_mant.astype(np.float64)[None, :] * scale_prod)
+    out = np.zeros((x_q.shape[0], w_q.shape[1]), dtype=np.float64)
+    for g in range(x_q.n_groups):
+        length = int(x_q.group_lengths[0, g])
+        if length != int(w_q.group_lengths[0, g]):
+            raise ValueError(f"group {g} length mismatch between operands")
+        out += fused_dot(x_q.codes[:, g, :length], x_q.scales[:, g],
+                         w_q.codes[:, g, :length], w_q.coefficients[:, g], w_q.scales[:, g])
     return out
 
 

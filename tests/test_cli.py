@@ -153,6 +153,7 @@ class TestQuantize:
         assert stats["scale_underflow"] == 1
         assert stats["scale_overflow"] == 1
         assert "1 group scales flushed to 0 and 1 clamped to 65504" in caplog.text
+        assert caplog.text.count("IEEE half") == 1
         scales = container.load_quantized(out_q).scales
         assert scales[0, 0] == 0.0 and scales[1, 0] == 65504.0 and 0.0 < scales[2, 0] < 65504.0
 

@@ -184,6 +184,11 @@ class TestDequantizeGroup:
         with pytest.raises(ValueError):
             dequantize_group(np.array([1], dtype=np.uint8), GroupMeta(1.0, INT8_COEFF, 1))
 
+    def test_oversized_code(self):
+        # code 16 must not read the next coefficient's table row
+        with pytest.raises(ValueError, match="exceed 4 bits"):
+            dequantize_group(np.array([3, 16], dtype=np.uint8), GroupMeta(1.0, 17, 2))
+
     def test_fixed_point_exactness(self):
         rng = np.random.default_rng(9)
         table = code_value_table(33)

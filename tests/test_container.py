@@ -1,6 +1,7 @@
 """Binary container round trips and malformed-input handling."""
 
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from mant.codec import (
 )
 from mant.container import (
     ContainerError,
+    load_quantized,
     read_quantized,
     read_tensor,
+    save_quantized,
     write_quantized,
     write_tensor,
 )
@@ -41,6 +44,17 @@ class TestQuantizedContainer:
         loaded = read_quantized(io.BytesIO(quantized_bytes(qt)))
         for s in loaded.scales.ravel():
             assert float(np.float16(s)) == s
+
+    def test_scale_flushed_in_half_warns(self, caplog, tmp_path):
+        # a 64-element group of absmax 1e-7 has a scale below the fp16 range
+        values = np.random.default_rng(5).standard_normal(64)
+        values *= 1e-7 / np.max(np.abs(values))
+        qt = quantize_weight_tensor(values, 25, 0, 64)
+        assert np.max(np.abs(qt.dequantize())) == pytest.approx(1e-7)
+        with caplog.at_level(logging.WARNING, logger="mant"):
+            save_quantized(tmp_path / "q.mntq", qt)
+        assert "1 group scales flushed to 0 and 0 clamped to 65504 in IEEE half" in caplog.text
+        assert not load_quantized(tmp_path / "q.mntq").dequantize().any()
 
     def test_int8_round_trip(self):
         rng = np.random.default_rng(2)

@@ -84,6 +84,10 @@ class TestCombine:
     def test_zero_scale(self):
         assert combine(GroupDotResult(123, 456), 55, 0.0, 3.0) == 0.0
 
+    def test_int4_sentinel_drops_shift_lane(self):
+        # INT4 codes decode to sign*m: 3*1 + (-2)*(-3) from the worked example
+        assert combine(GroupDotResult(9, 22), INT4_COEFF, 2.0, 0.5) == 9.0
+
     def test_scale_linearity(self):
         res = GroupDotResult(-37, 911)
         base = combine(res, 40, 0.125, 0.75)

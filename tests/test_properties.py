@@ -1,9 +1,10 @@
-"""Property tests: the batched codec against per-group reference loops.
+"""Property tests: the batched codec and the fused GEMM against per-group
+reference loops.
 
 The reference functions below are the earlier per-group implementations
 (one scalar encoder call per group, struct-packed container records, a
-Python loop per cache token and channel).  Every check requires exact
-equality, bit for bit.
+Python loop per cache token and channel, a scalar dot product per group
+pair).  Every check requires exact equality, bit for bit.
 """
 
 import io
@@ -18,10 +19,12 @@ from mant.codec import (
     INT8_COEFF,
     KIND_MANT4,
     QuantizedTensor,
+    encode_int8,
     quantize_activation_tensor,
     quantize_weight_tensor,
 )
 from mant.container import read_quantized, write_quantized
+from mant.gemm import combine, fused_dot, fused_group_dot, gemm
 from mant.grid import build_grid
 from mant.kvcache import KvCache
 from mant.selection import (
@@ -279,6 +282,36 @@ class RefCache:
             self.sums[:] = 0.0
 
 
+def ref_gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
+    """Scalar fused GEMM: per output, group partial sums folded by
+    :func:`combine` and added in ascending group order."""
+    out = np.zeros((x_q.shape[0], w_q.shape[1]))
+    for m in range(x_q.shape[0]):
+        for n in range(w_q.shape[1]):
+            total = 0.0
+            for g in range(x_q.n_groups):
+                length = int(x_q.group_lengths[m, g])
+                res = fused_group_dot(x_q.codes[m, g, :length], w_q.codes[n, g, :length])
+                total += combine(res, int(w_q.coefficients[n, g]), float(x_q.scales[m, g]),
+                                 float(w_q.scales[n, g]))
+            out[m, n] = total
+    return out
+
+
+def ref_two_lane_dot(codes, coeffs, scales, x_codes, x_scale) -> np.ndarray:
+    """4-bit groups ``(rows, length)`` times one activation group as two
+    float64 lanes, sign*m and sign*2**m, folded with each row's coefficient
+    and both scales (the attention products' earlier form)."""
+    mags = (codes & 0x7).astype(np.float64)
+    signs = np.where(codes & 0x8, -1.0, 1.0)
+    xg = x_codes.astype(np.float64)
+    psum1 = (signs * mags) @ xg
+    psum2 = (signs * np.exp2(mags)) @ xg
+    is_mant = coeffs != INT4_COEFF
+    a_eff = np.where(is_mant, coeffs.astype(np.float64), 1.0)
+    return (psum1 * a_eff + psum2 * is_mant) * (x_scale * scales)
+
+
 # -- strategies ---------------------------------------------------------------------
 
 MAX_DIM = {1: 300, 2: 40, 3: 12}
@@ -441,3 +474,35 @@ def test_cache_matches_token_loops(heads, geometry, prompt, steps, seed):
         assert same_bits(window.running_max, ref.sums[0, h])
         assert same_bits(window.sum_v, ref.sums[1, h])
         assert same_bits(window.sum_v2, ref.sums[2, h])
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(1, 200), st.integers(1, 6), st.integers(1, 130),
+       st.integers(0, 2 ** 32 - 1))
+def test_gemm_matches_scalar_group_loop(m, k, n, group_size, seed):
+    rng = np.random.default_rng(seed)
+    n_groups = -(-k // group_size)
+    x = rng.standard_normal((m, k)) * np.repeat(10.0 ** rng.uniform(-8, 6, (m, n_groups)),
+                                                group_size, axis=1)[:, :k]
+    w = rng.standard_normal((k, n)) * np.repeat(10.0 ** rng.uniform(-8, 6, (n_groups, n)),
+                                                group_size, axis=0)[:k]
+    x[rng.random(m) < 0.2] = 0.0       # zero-scale activation rows
+    w[:, rng.random(n) < 0.2] = 0.0    # zero-scale weight columns
+    coeffs = rng.choice(np.arange(INT4_COEFF + 1), (n, n_groups)).astype(np.uint8)
+    coeffs[rng.random(coeffs.shape) < 0.25] = INT4_COEFF
+    x_q = quantize_activation_tensor(x, 1, group_size)
+    w_q = quantize_weight_tensor(w, coeffs, 0, group_size)
+    assert same_bits(gemm(x_q, w_q), ref_gemm(x_q, w_q))
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 130), st.integers(0, 2 ** 32 - 1))
+def test_fused_dot_of_one_activation_group_matches_two_lanes(rows, length, seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 16, (rows, length)).astype(np.uint8)
+    coeffs = rng.choice(np.arange(INT4_COEFF + 1), rows).astype(np.uint8)
+    scales = 10.0 ** rng.uniform(-8, 6, rows)
+    scales[rng.random(rows) < 0.1] = 0.0
+    x_codes, x_scale = encode_int8(rng.standard_normal(length) * 10.0 ** rng.uniform(-8, 6))
+    assert same_bits(fused_dot(x_codes, x_scale, codes, coeffs, scales),
+                     ref_two_lane_dot(codes, coeffs, scales, x_codes, x_scale))
