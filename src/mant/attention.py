@@ -110,9 +110,10 @@ def _cosine(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - np.max(scores)
+    """Softmax along the last axis."""
+    shifted = scores - np.max(scores, axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum()
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def _activation_groups(vectors: np.ndarray, group_size: int, quantize: bool = True):
@@ -129,64 +130,57 @@ def _int8_roundtrip(vectors: np.ndarray, group_size: int) -> np.ndarray:
     return values.reshape(values.shape[:-2] + (-1,))[..., :vectors.shape[-1]]
 
 
-def _scores_fused(q_codes, q_scales, cache: KvCache, head: int, upto: int) -> np.ndarray:
-    """Fused attention scores of one head against cached keys [0, upto)."""
-    k_codes, k_scales, k_coeffs = cache.k_arrays()
-    scores = np.zeros(upto)
+def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
+    """Fused attention scores ``(heads, upto)`` of one query against cached
+    keys [0, upto): one :func:`fused_dot` per key group, heads batched."""
+    k_codes, k_scales, k_coeffs = (a[:upto].swapaxes(0, 1) for a in cache.k_arrays())
+    scores = np.zeros((cache.heads, 1, upto))
     for g, (start, stop) in enumerate(cache.k_group_slices):
         length = stop - start
-        scores += fused_dot(q_codes[g][:length], q_scales[g], k_codes[:upto, head, g, :length],
-                            k_coeffs[:upto, head, g], k_scales[:upto, head, g])
-    return scores
+        scores += fused_dot(q_codes[:, None, g, :length], q_scales[:, None, g],
+                            k_codes[:, :, g, :length], k_coeffs[:, :, g], k_scales[:, :, g])
+    return scores[:, 0]
 
 
-def _weighted_values_fused(p_codes, p_scales, cache: KvCache, head: int, upto: int) -> np.ndarray:
-    """Fused probability-value product of one head over tokens [0, upto).
-
-    Flushed blocks use the 4-bit path; tokens still inside the process
-    window use the staged INT8 rows with their channel-wise scales.
+def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
+    """Fused probability-value product ``(heads, head_dim)`` over tokens
+    [0, upto): one :func:`fused_dot` per flushed value block on the 4-bit
+    path, then one product with the INT8 rows still in the process window
+    and their channel-wise scales.
     """
-    out = np.zeros(cache.head_dim)
+    out = np.zeros((cache.heads, 1, cache.head_dim))
     group_size = cache.group_size
-    for b, block in enumerate(cache.v_blocks(head)):
-        start = b * group_size
-        if start >= upto:
-            break
-        length = min(block.length, upto - start)
-        out += fused_dot(p_codes[b][:length], p_scales[b], block.codes[:, :length],
-                         block.coeffs, block.scales)
-    flushed = cache.flushed_tokens
-    if cache.windows is not None and upto > flushed:
-        window = cache.windows[head]
-        staged = window.staged[:upto - flushed].astype(np.float64)
+    v_codes, v_scales, v_coeffs = cache.v_arrays()
+    for b in range(min(v_codes.shape[0], -(-upto // group_size))):
+        length = min(group_size, upto - b * group_size)
+        out += fused_dot(p_codes[:, None, b, :length], p_scales[:, None, b],
+                         v_codes[b, ..., :length], v_coeffs[b], v_scales[b])
+    flushed, window = cache.flushed_tokens, cache.windows
+    if upto > flushed:
         b = flushed // group_size
-        xg = p_codes[b][:upto - flushed].astype(np.float64)
-        out += (staged.T @ xg) * (p_scales[b] * window.channel_scales)
-    return out
+        staged = window.staged[:upto - flushed].swapaxes(0, 1).astype(np.float64)
+        xg = p_codes[:, None, b, :upto - flushed].astype(np.float64)
+        out += (xg @ staged) * (p_scales[:, None, b, None] * window.channel_scales[:, None])
+    return out[:, 0]
 
 
 def _attention_row(q_row, store, policies: AttentionPolicies, upto: int,
-                   heads: int, scale: float) -> np.ndarray:
-    """One query's attention output over the first ``upto`` cached tokens.
-
-    Queries and probabilities of all heads are quantized together; scores
-    and outputs are formed head by head.
-    """
+                   scale: float) -> np.ndarray:
+    """One query's attention output ``(heads, head_dim)`` over the first
+    ``upto`` cached tokens, every head at once."""
     group_size = policies.group_size
     if policies.quantize_kv:
-        cache: KvCache = store
         quantize = policies.quantize_activations
         q_codes, q_scales = _activation_groups(q_row, group_size, quantize)
-        probs = np.array([_softmax(_scores_fused(q_codes[h], q_scales[h], cache, h, upto) * scale)
-                          for h in range(heads)])
+        probs = _softmax(_scores_fused(q_codes, q_scales, store, upto) * scale)
         p_codes, p_scales = _activation_groups(probs, group_size, quantize)
-        return np.array([_weighted_values_fused(p_codes[h], p_scales[h], cache, h, upto)
-                         for h in range(heads)])
-    k_raw, v_raw = store
+        return _weighted_values_fused(p_codes, p_scales, store, upto)
+    # (heads, upto, head_dim) views of the unquantized store
+    k_raw, v_raw = (x[:upto].swapaxes(0, 1) for x in store)
     q_hat = _int8_roundtrip(q_row, group_size) if policies.quantize_activations else q_row
-    probs = np.array([_softmax((k_raw[:upto, h, :] @ q_hat[h]) * scale) for h in range(heads)])
+    probs = _softmax((k_raw @ q_hat[..., None])[..., 0] * scale)
     p_hat = _int8_roundtrip(probs, group_size) if policies.quantize_activations else probs
-    return np.array([p_hat[h] @ v_raw[:upto, h, :] for h in range(heads)])
+    return (p_hat[:, None, :] @ v_raw)[:, 0]
 
 
 def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim: int,
@@ -233,8 +227,8 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
     prefill_out = np.zeros((prefill_len, heads, head_dim))
     ref_prefill = np.zeros((prefill_len, heads, head_dim))
     for i in range(prefill_len):
-        prefill_out[i] = _attention_row(q_pre[i], store, policies, i + 1, heads, scale)
-        ref_prefill[i] = _attention_row(q_pre[i], ref_store, ref_policies, i + 1, heads, scale)
+        prefill_out[i] = _attention_row(q_pre[i], store, policies, i + 1, scale)
+        ref_prefill[i] = _attention_row(q_pre[i], ref_store, ref_policies, i + 1, scale)
 
     step_out = np.zeros((decode_steps, heads, head_dim))
     ref_steps = np.zeros((decode_steps, heads, head_dim))
@@ -248,15 +242,13 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
                 flush_steps.append(s)
 
         seq = prefill_len + s + 1
-        step_out[s] = _attention_row(q_dec[s], store, policies, seq, heads, scale)
-        ref_steps[s] = _attention_row(q_dec[s], ref_store, ref_policies, seq, heads, scale)
+        step_out[s] = _attention_row(q_dec[s], store, policies, seq, scale)
+        ref_steps[s] = _attention_row(q_dec[s], ref_store, ref_policies, seq, scale)
         cosines[s] = _cosine(step_out[s], ref_steps[s])
         mses[s] = float(np.mean((step_out[s] - ref_steps[s]) ** 2))
 
     prefill_cos = float(np.mean([_cosine(prefill_out[i], ref_prefill[i])
                                  for i in range(prefill_len)]))
-    clamp = 0
-    if cache is not None and cache.windows is not None:
-        clamp = sum(w.clamp_count for w in cache.windows)
+    clamp = cache.windows.clamp_count if cache is not None else 0
     return ToyAttentionReport(prefill_out, ref_prefill, step_out, ref_steps,
                               cosines, mses, prefill_cos, flush_steps, clamp)

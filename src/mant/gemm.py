@@ -12,9 +12,11 @@ and the real result of one group is ``(psum1*a + psum2) * (s_x * s_w)``
 
 :func:`fused_dot` forms the integer ``psum1*a + psum2`` of every pair of
 rows in one float64 matmul of the INT8 codes against the codes' pre-scale
-integer values.  With |x| <= 127, |value| <= 127*7 + 2**7 = 1017 and group
-length G <= 65535, every product and partial sum is an integer below
-2**33, far below 2**53, so the matmul is exact in any summation order.
+integer values, batched over any leading axes of stacked groups (attention
+stacks its heads there).  With |x| <= 127, |value| <= 127*7 + 2**7 = 1017
+and group length G <= 65535, every product and partial sum is an integer
+below 2**33, far below 2**53, so the matmul is exact in any summation
+order, stacked or not.
 :func:`fused_group_dot` is the pure-integer scalar path, with psum2 built
 from logical shifts, and :func:`combine` its fold.
 """
@@ -79,15 +81,20 @@ def combine(res: GroupDotResult, a: int, s_x: float, s_w: float) -> float:
 def fused_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales) -> np.ndarray:
     """Fused products of INT8 activation groups with 4-bit weight groups.
 
-    ``x_codes`` holds activation groups ``(..., L)`` (int8) with scales
-    ``(...)``; ``w_codes`` holds N weight groups ``(N, L)`` (uint8 nibbles)
-    with coefficients and scales ``(N,)``.  Returns ``(..., N)``: each pair's
-    exact integer ``psum1*a + psum2`` times ``x_scale * w_scale``.  Real
-    activations in place of codes are accepted, but their sums round.
+    ``w_codes`` holds N weight groups ``(..., N, L)`` (uint8 nibbles) with
+    coefficients and scales ``(..., N)``; ``x_codes`` holds M activation
+    groups ``(..., M, L)`` (int8) with scales ``(..., M)``, or one group
+    ``(L,)`` with a scalar scale.  Leading axes are a batch (heads, say) and
+    broadcast.  Returns ``(..., M, N)`` (``(N,)`` for one group): each
+    pair's exact integer ``psum1*a + psum2`` times ``x_scale * w_scale``.
+    Real activations in place of codes are accepted, but their sums round.
     """
     values = code_values(w_codes, w_coeffs)
-    psum = np.asarray(x_codes).astype(np.float64) @ values.T
-    return psum * np.multiply.outer(x_scales, w_scales)
+    psum = np.asarray(x_codes).astype(np.float64) @ np.swapaxes(values, -1, -2)
+    x_scales, w_scales = np.asarray(x_scales), np.asarray(w_scales)
+    if np.ndim(x_codes) > 1:   # one scale product per (row, column) pair
+        x_scales, w_scales = x_scales[..., None], w_scales[..., None, :]
+    return psum * (x_scales * w_scales)
 
 
 def _check_gemm_operands(x_q: QuantizedTensor, w_q: QuantizedTensor, w_kind: str) -> None:

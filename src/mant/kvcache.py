@@ -9,10 +9,18 @@ vector as INT8 (channel-wise scales fixed at prefill) and updates running
 max / sum / sum-of-squares per channel, and when the window holds a full
 group the staged rows are re-encoded to 4-bit codes using a coefficient
 picked from the streaming variance.
+
+Every head shares one layout per role.  Keys are codes ``(seq, heads,
+n_kgroups, G)`` with scales and coefficients ``(seq, heads, n_kgroups)``;
+flushed values are codes ``(blocks, heads, head_dim, G)`` with scales and
+coefficients ``(blocks, heads, head_dim)``; one process window stages the
+values of all heads.  Both stores grow by concatenation.
 """
 
 from __future__ import annotations
 
+import copy
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +28,7 @@ import numpy as np
 from .codec import (
     DEFAULT_GROUP_SIZE,
     GroupMeta,
+    _check_finite,
     decode_groups,
     encode_groups,
     split_runs,
@@ -32,16 +41,20 @@ from .selection import VarianceTable, select_by_variance, variance_from_sums
 def _streaming_coefficients(table: VarianceTable, absmax, total, total_sq, count):
     """Table coefficients from group sums; all-zero groups take the smallest."""
     var = variance_from_sums(total, total_sq, count, absmax)
-    return np.where(absmax == 0.0, table.entries[0][0], table.lookup(var))
+    return np.where(absmax == 0.0, table.entries[0][0], table.lookup(var)).astype(np.uint8)
 
 
 @dataclass
 class ProcessWindow:
-    """Staging window of one attention head's value stream.
+    """Staging window of a value stream.
 
-    Holds up to ``group_size`` INT8 rows plus per-channel running statistics
-    of their dequantized values.  ``flush`` is only legal when the window is
-    full, and resets every counter.
+    ``channel_scales`` sets the channel shape: ``(channels,)`` for one head,
+    ``(heads, head_dim)`` for all heads of a cache.  The window holds up to
+    ``group_size`` INT8 rows ``(group_size, *channels)`` plus per-channel
+    running statistics of their dequantized values.  ``window[h]`` is head
+    ``h`` of a multi-head window: its arrays are views of this window's, its
+    counters a copy (``clamp_count`` counts the whole window).  ``flush`` is
+    only legal when the window is full, and resets every counter.
     """
 
     channel_scales: np.ndarray
@@ -55,28 +68,33 @@ class ProcessWindow:
 
     def __post_init__(self):
         self.channel_scales = np.asarray(self.channel_scales, dtype=np.float64)
-        channels = self.channel_scales.size
-        self.staged = np.zeros((self.group_size, channels), dtype=np.int8)
-        self.running_max = np.zeros(channels)
-        self.sum_v = np.zeros(channels)
-        self.sum_v2 = np.zeros(channels)
+        shape = self.channel_scales.shape
+        self.staged = np.zeros((self.group_size,) + shape, dtype=np.int8)
+        self.running_max, self.sum_v, self.sum_v2 = (np.zeros(shape) for _ in range(3))
 
-    @property
-    def channels(self) -> int:
-        return self.channel_scales.size
+    def __getitem__(self, head: int) -> ProcessWindow:
+        view = copy.copy(self)
+        view.staged = self.staged[:, head]
+        for name in ("channel_scales", "running_max", "sum_v", "sum_v2"):
+            setattr(view, name, getattr(self, name)[head])
+        return view
 
     @property
     def is_full(self) -> bool:
         return self.fill_count == self.group_size
 
     def push(self, values) -> None:
-        """Stage one value vector ``(channels,)`` or rows ``(n, channels)``
-        that fit in the window.  Channels with a zero scale stage zero; values
-        beyond a channel's INT8 range clamp; both bump ``clamp_count``."""
+        """Stage one value vector (the channel shape) or rows ``(n,
+        *channels)`` that fit in the window.  Non-finite values raise
+        ValueError before anything is staged.  Channels with a zero scale
+        stage zero; values beyond a channel's INT8 range clamp; both bump
+        ``clamp_count``."""
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {values.shape}")
-        rows = values.reshape(-1, self.channels)
+        shape = self.channel_scales.shape
+        if values.shape not in (shape, values.shape[:1] + shape):
+            raise ValueError(f"expected rows of {shape} channels, got {values.shape}")
+        _check_finite(values)
+        rows = values.reshape((-1,) + shape)
         if self.fill_count + rows.shape[0] > self.group_size:
             raise ValueError("process window is full; flush before pushing")
 
@@ -89,54 +107,60 @@ class ProcessWindow:
 
         self.staged[self.fill_count:self.fill_count + rows.shape[0]] = codes
         decoded = codes.astype(np.float64) * self.channel_scales
-        self.running_max = np.maximum(self.running_max, np.abs(decoded).max(axis=0, initial=0.0))
+        np.maximum(self.running_max, np.abs(decoded).max(axis=0, initial=0.0), out=self.running_max)
         # running sums add row by row, in the order the rows arrive
-        self.sum_v = np.add.accumulate(np.vstack([self.sum_v, decoded]))[-1]
-        self.sum_v2 = np.add.accumulate(np.vstack([self.sum_v2, decoded * decoded]))[-1]
+        self.sum_v[...] = np.add.accumulate(np.concatenate([self.sum_v[None], decoded]))[-1]
+        self.sum_v2[...] = np.add.accumulate(np.concatenate([self.sum_v2[None], decoded * decoded]))[-1]
         self.fill_count += rows.shape[0]
 
     def staged_dequantized(self) -> np.ndarray:
-        """Real values of the staged rows, shape (fill_count, channels)."""
-        return self.staged[:self.fill_count].astype(np.float64) * self.channel_scales[None, :]
+        """Real values of the staged rows, shape (fill_count, *channels)."""
+        return self.staged[:self.fill_count].astype(np.float64) * self.channel_scales
 
-    def flush(self, table: VarianceTable):
-        """Convert the staged window to 4-bit groups, one per channel.
+    def flush_groups(self, table: VarianceTable):
+        """Convert the full window to 4-bit groups, one per channel.
 
         Per channel the normalized variance comes from the running sums
         (``var(x/c) == var(x)/c**2``), the coefficient from the table, and
         the codes from re-encoding the dequantized staged column.  Returns
-        (codes, metas) with codes shaped (channels, group_size); the window
-        resets afterwards.
+        codes ``(*channels, group_size)`` and scales and coefficients
+        ``channels``; the window resets afterwards.
         """
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
         coeffs = _streaming_coefficients(table, self.running_max, self.sum_v, self.sum_v2,
                                          self.group_size)
-        codes, scales = encode_groups(self.staged_dequantized().T, coeffs)
-        metas = [GroupMeta(float(s), int(a), self.group_size) for s, a in zip(scales, coeffs)]
+        codes, scales = encode_groups(np.moveaxis(self.staged_dequantized(), 0, -1), coeffs)
         self.fill_count = 0
         self.staged[:] = 0
         self.running_max[:] = self.sum_v[:] = self.sum_v2[:] = 0.0
-        return codes, metas
+        return codes, scales, coeffs
+
+    def flush(self, table: VarianceTable):
+        """:meth:`flush_groups` with the metadata as one GroupMeta per
+        channel, in channel order: returns (codes, metas)."""
+        codes, scales, coeffs = self.flush_groups(table)
+        return codes, [GroupMeta(float(s), int(a), self.group_size)
+                       for s, a in zip(scales.flat, coeffs.flat)]
 
 
-@dataclass
-class _VBlock:
-    """One flushed sequence block: per-channel 4-bit groups."""
+# one head's part of a flushed value block, as views of the store: codes
+# (head_dim, G) uint8, scales and coeffs (head_dim,)
+ValueBlock = namedtuple("ValueBlock", "codes scales coeffs")
 
-    codes: np.ndarray   # (channels, group_size) uint8
-    scales: np.ndarray  # (channels,)
-    coeffs: np.ndarray  # (channels,)
-    length: int
+
+def _empty_store(lead: tuple[int, ...], group_size: int):
+    return (np.zeros(lead + (group_size,), dtype=np.uint8), np.zeros(lead),
+            np.zeros(lead, dtype=np.uint8))
 
 
 class KvCache:
     """Quantized K/V store for one attention layer.
 
     Keys are grouped along the head dimension and encoded completely at
-    every step; values are grouped along the sequence axis through a
-    per-head process window.  Coefficients come from per-role variance
-    tables.
+    every step; values are grouped along the sequence axis through one
+    process window over all heads.  Coefficients come from per-role
+    variance tables.
     """
 
     def __init__(self, heads: int, head_dim: int, k_table: VarianceTable,
@@ -154,13 +178,10 @@ class KvCache:
         self.v_table = v_table
         self.k_group_slices = [(start, min(start + group_size, head_dim))
                                for start in range(0, head_dim, group_size)]
-        # per token: codes (heads, n_kgroups, G), scales/coeffs (heads, n_kgroups)
-        self._k_codes: list[np.ndarray] = []
-        self._k_scales: list[np.ndarray] = []
-        self._k_coeffs: list[np.ndarray] = []
-        self._k_stacked = None
-        self._v_blocks: list[list[_VBlock]] = [[] for _ in range(heads)]
-        self.windows: list[ProcessWindow] | None = None
+        # (codes, scales, coeffs) of the key store and the flushed value blocks
+        self._k = _empty_store((0, heads, self.n_k_groups), group_size)
+        self._v = _empty_store((0, heads, head_dim), group_size)
+        self.windows: ProcessWindow | None = None
         self._total_v = 0
 
     @property
@@ -169,15 +190,15 @@ class KvCache:
 
     @property
     def seq_len(self) -> int:
-        return len(self._k_codes)
+        return self._k[0].shape[0]
 
     @property
     def flushed_tokens(self) -> int:
-        return len(self._v_blocks[0]) * self.group_size if self._v_blocks[0] else 0
+        return self._v[0].shape[0] * self.group_size
 
     @property
     def window_fill(self) -> int:
-        return self.windows[0].fill_count if self.windows else 0
+        return self.windows.fill_count if self.windows is not None else 0
 
     @property
     def total_v_tokens(self) -> int:
@@ -208,43 +229,26 @@ class KvCache:
         coeffs = np.concatenate([
             _streaming_coefficients(self.k_table, np.max(np.abs(run), axis=-1),
                                     run.sum(axis=-1), (run * run).sum(axis=-1), run.shape[-1])
-            for run in split_runs(keys, self.group_size)], axis=-1).astype(np.uint8)
+            for run in split_runs(keys, self.group_size)], axis=-1)
         codes, scales = encode_groups(to_groups(keys, self.group_size), coeffs)
-        self._k_codes.extend(codes)
-        self._k_scales.extend(scales)
-        self._k_coeffs.extend(coeffs)
-        self._k_stacked = None
+        self._k = tuple(np.concatenate(pair) for pair in zip(self._k, (codes, scales, coeffs)))
 
     def k_arrays(self):
-        """Stacked key store: codes (S, heads, n_kgroups, G), scales, coeffs."""
-        if self._k_stacked is None:
-            if not self._k_codes:
-                shape = (0, self.heads, self.n_k_groups)
-                self._k_stacked = (np.zeros(shape + (self.group_size,), dtype=np.uint8),
-                                   np.zeros(shape), np.zeros(shape, dtype=np.uint8))
-            else:
-                self._k_stacked = (np.stack(self._k_codes), np.stack(self._k_scales),
-                                   np.stack(self._k_coeffs))
-        return self._k_stacked
+        """Key store: codes (seq, heads, n_kgroups, G), scales, coeffs."""
+        return self._k
 
     def k_dequantized(self) -> np.ndarray:
         """Reconstructed keys, shape (seq, heads, head_dim)."""
         codes, scales, coeffs = self.k_arrays()
-        keys = decode_groups(codes, coeffs, scales).reshape(self.seq_len, self.heads, -1)
+        keys = decode_groups(codes, coeffs, scales).reshape(
+            self.seq_len, self.heads, self.n_k_groups * self.group_size)
         return np.ascontiguousarray(keys[..., :self.head_dim])
 
     # -- V path ------------------------------------------------------------
 
-    def init_windows(self, channel_scales: np.ndarray) -> None:
-        """Create per-head process windows with prefill-derived channel scales."""
-        channel_scales = np.asarray(channel_scales, dtype=np.float64)
-        if channel_scales.shape != (self.heads, self.head_dim):
-            raise ValueError(f"expected ({self.heads}, {self.head_dim}) channel scales")
-        self.windows = [ProcessWindow(channel_scales[h], self.group_size)
-                        for h in range(self.heads)]
-
     def push_v(self, v_vector) -> bool:
-        """Stage one value vector; flush every head's window when it fills.
+        """Stage one value vector (heads, head_dim); flush the window into
+        a new value block when it fills.
 
         Returns True when this push triggered a flush.
         """
@@ -255,15 +259,11 @@ class KvCache:
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {v_vector.shape}")
         if self.max_seq is not None and self._total_v >= self.max_seq:
             raise ValueError(f"cache full: max_seq={self.max_seq}")
-        for h in range(self.heads):
-            self.windows[h].push(v_vector[h])
+        self.windows.push(v_vector)
         self._total_v += 1
-        if self.windows[0].is_full:
-            for window, blocks in zip(self.windows, self._v_blocks):
-                codes, metas = window.flush(self.v_table)
-                blocks.append(_VBlock(codes, np.array([m.scale for m in metas]),
-                                      np.array([m.coefficient_a for m in metas], dtype=np.uint8),
-                                      self.group_size))
+        if self.windows.is_full:
+            block = self.windows.flush_groups(self.v_table)
+            self._v = tuple(np.concatenate([old, new[None]]) for old, new in zip(self._v, block))
             return True
         return False
 
@@ -273,9 +273,9 @@ class KvCache:
         Keys encode as :meth:`append_k` would encode them one by one.  Value
         columns are split into full sequence blocks encoded directly
         (variance computed from the complete group); a trailing partial block
-        enters the process window,
-        whose channel scales are the per-channel absolute maxima of the
-        prefill values.
+        enters the process window, whose channel scales are the per-channel
+        absolute maxima of the prefill values.  Non-finite input raises
+        ValueError and leaves the cache empty.
         """
         k_matrix = np.asarray(k_matrix, dtype=np.float64)
         v_matrix = np.asarray(v_matrix, dtype=np.float64)
@@ -285,9 +285,10 @@ class KvCache:
             raise ValueError("prefill must run on an empty cache")
         if self.max_seq is not None and k_matrix.shape[0] > self.max_seq:
             raise ValueError(f"prefill of {k_matrix.shape[0]} exceeds max_seq={self.max_seq}")
+        _check_finite(k_matrix)
+        _check_finite(v_matrix)
         self._append_keys(k_matrix)
-        scales = np.max(np.abs(v_matrix), axis=0) / 127.0  # (heads, head_dim)
-        self.init_windows(scales)
+        self.windows = ProcessWindow(np.max(np.abs(v_matrix), axis=0) / 127.0, self.group_size)
         seq = v_matrix.shape[0]
         full_blocks = seq // self.group_size
         flushed = full_blocks * self.group_size
@@ -295,28 +296,27 @@ class KvCache:
         groups = np.ascontiguousarray(v_matrix[:flushed].reshape(
             full_blocks, self.group_size, self.heads, self.head_dim).transpose(0, 2, 3, 1))
         coeffs = select_by_variance(groups, self.v_table).astype(np.uint8)
-        codes, block_scales = encode_groups(groups, coeffs)
-        for h, (blocks, window) in enumerate(zip(self._v_blocks, self.windows)):
-            blocks.extend(_VBlock(*block, self.group_size)
-                          for block in zip(codes[:, h], block_scales[:, h], coeffs[:, h]))
-            window.push(v_matrix[flushed:, h])
+        self._v = (*encode_groups(groups, coeffs), coeffs)
+        self.windows.push(v_matrix[flushed:])
         self._total_v = seq
 
-    def v_blocks(self, head: int) -> list[_VBlock]:
-        return self._v_blocks[head]
+    def v_arrays(self):
+        """Flushed value store: codes (blocks, heads, head_dim, G), scales,
+        coeffs."""
+        return self._v
+
+    def v_blocks(self, head: int) -> list[ValueBlock]:
+        """One head's flushed blocks, in sequence order."""
+        return [ValueBlock(*block) for block in zip(*(a[:, head] for a in self._v))]
 
     def v_dequantized(self) -> np.ndarray:
         """Reconstructed values (flushed blocks plus staged rows)."""
         out = np.zeros((self._total_v, self.heads, self.head_dim))
         flushed = self.flushed_tokens
-        if flushed:
-            # (heads, blocks, head_dim, G) -> (blocks * G, heads, head_dim)
-            stacked = [np.array([[getattr(b, name) for b in blocks] for blocks in self._v_blocks])
-                       for name in ("codes", "coeffs", "scales")]
-            values = decode_groups(*stacked)
-            out[:flushed] = values.transpose(1, 3, 0, 2).reshape(flushed, self.heads, self.head_dim)
+        codes, scales, coeffs = self._v
+        # (blocks, heads, head_dim, G) -> (blocks * G, heads, head_dim)
+        values = decode_groups(codes, coeffs, scales)
+        out[:flushed] = values.transpose(0, 3, 1, 2).reshape(flushed, self.heads, self.head_dim)
         if self._total_v > flushed:
-            staged = np.array([w.staged[:w.fill_count] for w in self.windows])
-            scales = np.array([w.channel_scales for w in self.windows])
-            out[flushed:] = (staged.astype(np.float64) * scales[:, None, :]).transpose(1, 0, 2)
+            out[flushed:] = self.windows.staged_dequantized()
         return out

@@ -108,6 +108,43 @@ class TestProcessWindow:
         with pytest.raises(ValueError):
             w.push(np.zeros(5))
 
+    def test_non_finite_rejected(self):
+        w = make_window()
+        w.push(np.array([0.1, 0.2, 0.3, 0.4]))
+        for bad in (np.array([np.nan, np.inf, -np.inf, 1.0]),
+                    np.array([[0.1, 0.2, 0.3, 0.4], [0.0, np.nan, 0.0, 0.0]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                w.push(bad)
+        # nothing of a rejected push is staged or counted
+        assert w.fill_count == 1 and w.clamp_count == 0
+        assert not w.staged[1:].any()
+        assert np.array_equal(w.sum_v, w.staged_dequantized()[0])
+
+    def test_multi_head_window_matches_per_head_windows(self):
+        rng = np.random.default_rng(11)
+        scales = rng.uniform(0.0, 0.03, (3, 6))
+        scales[1, 2] = 0.0
+        rows = rng.standard_normal((8, 3, 6))
+        w = ProcessWindow(scales, 8)
+        heads = [ProcessWindow(scales[h], 8) for h in range(3)]
+        w.push(rows[:5])
+        for row in rows[5:]:
+            w.push(row)
+        for h, head in enumerate(heads):
+            head.push(rows[:, h])
+            view = w[h]
+            for name in ("staged", "channel_scales", "running_max", "sum_v", "sum_v2"):
+                assert np.array_equal(getattr(view, name), getattr(head, name)), name
+            assert view.fill_count == head.fill_count
+        assert w.clamp_count == sum(head.clamp_count for head in heads)
+        codes, scales_out, coeffs = w.flush_groups(TABLE)
+        for h, head in enumerate(heads):
+            head_codes, metas = head.flush(TABLE)
+            assert np.array_equal(codes[h], head_codes)
+            assert list(scales_out[h]) == [m.scale for m in metas]
+            assert list(coeffs[h]) == [m.coefficient_a for m in metas]
+        assert w.fill_count == 0 and not w[0].staged.any()
+
 
 def make_cache(heads=2, head_dim=128, group_size=64):
     return KvCache(heads, head_dim, TABLE, TABLE, group_size)
@@ -182,6 +219,39 @@ class TestKvCache:
         # flushed blocks are 4-bit: coarse but bounded; staged rows INT8
         assert np.max(np.abs(decoded - v)) < np.max(np.abs(v)) * 0.5
         assert decoded.shape == v.shape
+
+    def test_push_v_rejects_non_finite(self):
+        rng = np.random.default_rng(12)
+        cache = make_cache(heads=2, head_dim=64, group_size=16)
+        cache.prefill(rng.standard_normal((20, 2, 64)), rng.standard_normal((20, 2, 64)))
+        v = rng.standard_normal((2, 64))
+        v[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            cache.push_v(v)
+        assert cache.total_v_tokens == 20 and cache.window_fill == 4
+        assert cache.conservation_holds()
+
+    @pytest.mark.parametrize("role", ["k", "v"])
+    def test_prefill_rejects_non_finite(self, role):
+        rng = np.random.default_rng(13)
+        k, v = rng.standard_normal((2, 3, 2, 64))
+        bad = k if role == "k" else v
+        bad[:] = np.nan
+        bad[1, 0, 5] = np.inf
+        cache = make_cache(heads=2, head_dim=64)
+        with pytest.raises(ValueError, match="non-finite"):
+            cache.prefill(k, v)
+        # the cache is left empty and takes a clean prompt afterwards
+        assert cache.seq_len == 0 and cache.windows is None and cache.total_v_tokens == 0
+        k, v = rng.standard_normal((2, 3, 2, 64))
+        cache.prefill(k, v)
+        assert cache.seq_len == 3 and np.isfinite(cache.windows.channel_scales).all()
+
+    def test_empty_cache_dequantizes(self):
+        cache = make_cache(heads=2, head_dim=48, group_size=32)
+        assert cache.k_dequantized().shape == (0, 2, 48)
+        assert cache.v_dequantized().shape == (0, 2, 48)
+        assert cache.v_blocks(1) == [] and cache.conservation_holds()
 
     def test_geometry_checks(self):
         cache = make_cache(heads=2, head_dim=64)

@@ -4,7 +4,8 @@ reference loops.
 The reference functions below are the earlier per-group implementations
 (one scalar encoder call per group, struct-packed container records, a
 Python loop per cache token and channel, a scalar dot product per group
-pair).  Every check requires exact equality, bit for bit.
+pair, attention head by head and value block by value block).  Every check
+requires exact equality, bit for bit.
 """
 
 import io
@@ -14,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mant.attention import AttentionPolicies, _attention_row
 from mant.codec import (
     INT4_COEFF,
     INT8_COEFF,
@@ -22,6 +24,7 @@ from mant.codec import (
     encode_int8,
     quantize_activation_tensor,
     quantize_weight_tensor,
+    to_groups,
 )
 from mant.container import read_quantized, write_quantized
 from mant.gemm import combine, fused_dot, fused_group_dot, gemm
@@ -298,6 +301,51 @@ def ref_gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     return out
 
 
+def ref_scores_fused(q_codes, q_scales, cache, head, upto) -> np.ndarray:
+    """Fused attention scores of one head against cached keys [0, upto)."""
+    k_codes, k_scales, k_coeffs = cache.k_arrays()
+    scores = np.zeros(upto)
+    for g, (start, stop) in enumerate(cache.k_group_slices):
+        length = stop - start
+        scores += fused_dot(q_codes[g][:length], q_scales[g], k_codes[:upto, head, g, :length],
+                            k_coeffs[:upto, head, g], k_scales[:upto, head, g])
+    return scores
+
+
+def ref_weighted_values_fused(p_codes, p_scales, cache, head, upto) -> np.ndarray:
+    """Fused probability-value product of one head over tokens [0, upto):
+    the 4-bit path block by block, then the window's staged INT8 rows."""
+    out = np.zeros(cache.head_dim)
+    group_size = cache.group_size
+    for b, block in enumerate(cache.v_blocks(head)):
+        start = b * group_size
+        if start >= upto:
+            break
+        length = min(group_size, upto - start)
+        out += fused_dot(p_codes[b][:length], p_scales[b], block.codes[:, :length],
+                         block.coeffs, block.scales)
+    flushed = cache.flushed_tokens
+    if upto > flushed:
+        window = cache.windows[head]
+        staged = window.staged[:upto - flushed].astype(np.float64)
+        b = flushed // group_size
+        xg = p_codes[b][:upto - flushed].astype(np.float64)
+        out += (staged.T @ xg) * (p_scales[b] * window.channel_scales)
+    return out
+
+
+def ref_attention_row(q_row, cache, upto, scale) -> np.ndarray:
+    """Quantized attention of one query, head by head."""
+    q_codes, q_scales = encode_int8(to_groups(q_row, cache.group_size))
+    out = np.zeros((cache.heads, cache.head_dim))
+    for h in range(cache.heads):
+        scores = ref_scores_fused(q_codes[h], q_scales[h], cache, h, upto) * scale
+        exps = np.exp(scores - np.max(scores))
+        p_codes, p_scales = encode_int8(to_groups(exps / exps.sum(), cache.group_size))
+        out[h] = ref_weighted_values_fused(p_codes, p_scales, cache, h, upto)
+    return out
+
+
 def ref_two_lane_dot(codes, coeffs, scales, x_codes, x_scale) -> np.ndarray:
     """4-bit groups ``(rows, length)`` times one activation group as two
     float64 lanes, sign*m and sign*2**m, folded with each row's coefficient
@@ -506,3 +554,55 @@ def test_fused_dot_of_one_activation_group_matches_two_lanes(rows, length, seed)
     x_codes, x_scale = encode_int8(rng.standard_normal(length) * 10.0 ** rng.uniform(-8, 6))
     assert same_bits(fused_dot(x_codes, x_scale, codes, coeffs, scales),
                      ref_two_lane_dot(codes, coeffs, scales, x_codes, x_scale))
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 40), st.integers(1, 130),
+       st.integers(0, 2 ** 32 - 1))
+def test_stacked_fused_dot_matches_per_head_calls(heads, m, n, length, seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 16, (heads, n, length)).astype(np.uint8)
+    coeffs = rng.choice(np.arange(INT4_COEFF + 1), (heads, n)).astype(np.uint8)
+    coeffs[rng.random(coeffs.shape) < 0.25] = INT4_COEFF
+    scales = 10.0 ** rng.uniform(-8, 6, (heads, n))
+    scales[rng.random(scales.shape) < 0.1] = 0.0
+    x_codes, x_scales = encode_int8(rng.standard_normal((heads, m, length))
+                                    * 10.0 ** rng.uniform(-8, 6, (heads, m, 1)))
+    stacked = fused_dot(x_codes, x_scales, codes, coeffs, scales)
+    assert same_bits(stacked, np.array([fused_dot(x_codes[h], x_scales[h], codes[h], coeffs[h],
+                                                  scales[h]) for h in range(heads)]))
+    # one activation group per head, as attention calls it
+    assert same_bits(stacked[:, 0], np.array([fused_dot(x_codes[h, 0], x_scales[h, 0], codes[h],
+                                                        coeffs[h], scales[h])
+                                              for h in range(heads)]))
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.sampled_from([(48, 32), (100, 64), (64, 64), (40, 16)]),
+       st.integers(1, 150), st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+def test_batched_attention_matches_per_head_loop(heads, geometry, prompt, steps, seed):
+    head_dim, group_size = geometry
+    rng = np.random.default_rng(seed)
+    k, v = rng.standard_normal((2, prompt + steps, heads, head_dim)) * 10.0 ** rng.uniform(-3, 3)
+    v[:, :, 0] = 0.0   # a silent channel
+    k_table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+    v_table = table_from_probe_means((0, 10, 30, 60, 120), [0.0, 0.02, 0.09, 0.3])
+    cache = KvCache(heads, head_dim, k_table, v_table, group_size)
+    cache.prefill(k[:prompt], v[:prompt])
+    for t in range(prompt, prompt + steps):
+        cache.append_k(k[t])
+        cache.push_v(v[t])
+    total, flushed = prompt + steps, cache.flushed_tokens
+    # inside a flushed block, on a block boundary, inside the window, all tokens
+    uptos = {1, total}
+    if total > flushed:
+        uptos.add(int(rng.integers(flushed, total)) + 1)
+    if flushed:
+        uptos |= {flushed, group_size * int(rng.integers(1, flushed // group_size + 1)),
+                  int(rng.integers(1, flushed))}
+    policies = AttentionPolicies(group_size=group_size)
+    scale = 1.0 / np.sqrt(head_dim)
+    for upto in sorted(uptos):
+        q_row = rng.standard_normal((heads, head_dim))
+        assert same_bits(_attention_row(q_row, cache, policies, upto, scale),
+                         ref_attention_row(q_row, cache, upto, scale)), upto
