@@ -46,7 +46,6 @@ from .gemm import (
     dequantized_gemm,
     fused_group_dot,
     gemm,
-    gemm_int8,
 )
 from .selection import (
     CalibrationConfig,
@@ -79,7 +78,7 @@ __all__ = [
     "MantCode", "MantGrid", "ProcessWindow", "QuantizedTensor", "ReferenceCurve",
     "SimReport", "ToyAttentionReport", "VarianceTable", "build_grid",
     "build_variance_table", "combine", "compare_configs", "dequantize_group",
-    "dequantized_gemm", "fit_coefficient", "fused_group_dot", "gemm", "gemm_int8",
+    "dequantized_gemm", "fit_coefficient", "fused_group_dot", "gemm",
     "load_quantized", "load_tensor", "normalized_variance", "pack_codes", "probit",
     "quantize_activation_group", "quantize_activation_tensor", "quantize_weight_group",
     "quantize_weight_tensor", "read_quantized", "read_tensor", "reference_curve",

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import DEFAULT_GROUP_SIZE, INT8_COEFF, decode_groups, encode_int8, to_groups
+from .codec import (DEFAULT_GROUP_SIZE, INT8_COEFF, decode_groups, encode_int8, group_lengths,
+                    to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .gemm import fused_dot
 from .kvcache import KvCache
@@ -135,8 +136,7 @@ def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
     keys [0, upto): one :func:`fused_dot` per key group, heads batched."""
     k_codes, k_scales, k_coeffs = (a[:upto].swapaxes(0, 1) for a in cache.k_arrays())
     scores = np.zeros((cache.heads, 1, upto))
-    for g, (start, stop) in enumerate(cache.k_group_slices):
-        length = stop - start
+    for g, length in enumerate(group_lengths(cache.head_dim, cache.group_size)):
         scores += fused_dot(q_codes[:, None, g, :length], q_scales[:, None, g],
                             k_codes[:, :, g, :length], k_coeffs[:, :, g], k_scales[:, :, g])
     return scores[:, 0]
@@ -145,8 +145,9 @@ def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
 def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused probability-value product ``(heads, head_dim)`` over tokens
     [0, upto): one :func:`fused_dot` per flushed value block on the 4-bit
-    path, then one product with the INT8 rows still in the process window
-    and their channel-wise scales.
+    path, then one over the window's INT8 rows under their channel scales.
+    The loops over key groups and value blocks are cache tiles: each call
+    gathers one group's or one block's code values.
     """
     out = np.zeros((cache.heads, 1, cache.head_dim))
     group_size = cache.group_size
@@ -157,10 +158,10 @@ def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.n
                          v_codes[b, ..., :length], v_coeffs[b], v_scales[b])
     flushed, window = cache.flushed_tokens, cache.windows
     if upto > flushed:
-        b = flushed // group_size
-        staged = window.staged[:upto - flushed].swapaxes(0, 1).astype(np.float64)
-        xg = p_codes[:, None, b, :upto - flushed].astype(np.float64)
-        out += (xg @ staged) * (p_scales[:, None, b, None] * window.channel_scales[:, None])
+        b, length = flushed // group_size, upto - flushed
+        out += fused_dot(p_codes[:, None, b, :length], p_scales[:, None, b],
+                         window.staged[:length].transpose(1, 2, 0), INT8_COEFF,
+                         window.channel_scales)
     return out[:, 0]
 
 

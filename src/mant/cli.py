@@ -265,6 +265,8 @@ def _load_sim_config(path: str) -> tuple[str, ArrayConfig, CostModel]:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     name = data.pop("name", os.path.basename(path))
     cost_fields = data.pop("cost", {})
     try:

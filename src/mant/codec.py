@@ -126,10 +126,17 @@ def code_value_table(a: int) -> np.ndarray:
 
 
 def code_values(codes, coefficients) -> np.ndarray:
-    """Pre-scale integer values of 4-bit codes ``(..., G)`` as float64, under
-    one coefficient for all groups or one per group: ``sign * (a*m + 2**m)``
-    on an adaptive grid, ``sign * m`` on the INT4 grid."""
+    """Pre-scale integer values of codes ``(..., G)`` as float64, under one
+    coefficient for all groups or one per group: uint8 nibbles ``sign * (a*m
+    + 2**m)`` on an adaptive grid, ``sign * m`` on the INT4 grid; int8 codes
+    (coefficient INT8_COEFF) are their own values."""
     codes = np.asarray(codes)
+    if codes.dtype == np.int8:
+        if (np.asarray(coefficients) != INT8_COEFF).any():
+            raise ValueError("int8 codes require the INT8 coefficient")
+        return codes.astype(np.float64)
+    if codes.dtype != np.uint8:
+        raise ValueError(f"codes must be uint8 nibbles or int8, got {codes.dtype}")
     if codes.max(initial=0) > 0xF:
         raise ValueError("codes exceed 4 bits")
     # one flat index into the table gathers faster than a (row, code) pair
@@ -201,19 +208,11 @@ def decode_groups(codes, coefficients, scales) -> np.ndarray:
     """Decode groups ``(..., G)`` back to reals; coefficients and scales hold
     one value for all groups or one per group.
 
-    uint8 codes are 4-bit nibbles, ``sign * magnitude * scale`` on the grid
-    of the group's coefficient; int8 codes (coefficient INT8_COEFF) decode to
-    ``code * scale``.  Zero-scale groups decode to zeros.
+    Each code's :func:`code_values` value times its group's scale: uint8
+    nibbles on the grid of the group's coefficient, int8 codes (coefficient
+    INT8_COEFF) as themselves.  Zero-scale groups decode to zeros.
     """
-    codes = np.asarray(codes)
-    if codes.dtype == np.int8:
-        if not np.all(np.asarray(coefficients) == INT8_COEFF):
-            raise ValueError("int8 codes require the INT8 coefficient")
-        values = codes.astype(np.float64)
-    elif codes.dtype == np.uint8:
-        values = code_values(codes, coefficients)
-    else:
-        raise ValueError(f"codes must be uint8 nibbles or int8, got {codes.dtype}")
+    values = code_values(codes, coefficients)
     scales = np.asarray(scales, dtype=np.float64)
     values *= scales[..., None]
     values[scales == 0.0] = 0.0
@@ -329,7 +328,6 @@ class QuantizedTensor:
     codes: np.ndarray
     scales: np.ndarray        # (rows, n_groups) float64
     coefficients: np.ndarray  # (rows, n_groups) uint8
-    group_lengths: np.ndarray  # (rows, n_groups) uint16
 
     @property
     def axis_length(self) -> int:
@@ -342,6 +340,12 @@ class QuantizedTensor:
     @property
     def n_rows(self) -> int:
         return math.prod(self.shape) // self.axis_length
+
+    @property
+    def group_lengths(self) -> np.ndarray:
+        """True length of every group, a read-only (rows, n_groups) uint16 view."""
+        return np.broadcast_to(group_lengths(self.axis_length, self.group_size),
+                               (self.n_rows, self.n_groups))
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the full real-valued tensor."""
@@ -357,29 +361,27 @@ def _rows_to_tensor(rows: np.ndarray, shape: tuple[int, ...], axis: int) -> np.n
 
 
 def _tensor_groups(values, group_axis: int, group_size: int):
-    """Tensor values as zero-padded groups, with their lengths."""
+    """Tensor values as zero-padded groups (rows, n_groups, G)."""
     values = np.asarray(values, dtype=np.float64)
     rows = np.moveaxis(values, group_axis, -1).reshape(-1, values.shape[group_axis])
-    groups = to_groups(rows, group_size)
-    lengths = np.broadcast_to(group_lengths(rows.shape[1], group_size), groups.shape[:2]).copy()
-    return values, groups, lengths
+    return values, to_groups(rows, group_size)
 
 
 def quantize_activation_tensor(values, group_axis: int, group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a tensor to group-wise INT8 along ``group_axis``."""
-    values, groups, lengths = _tensor_groups(values, group_axis, group_size)
+    values, groups = _tensor_groups(values, group_axis, group_size)
     codes, scales = encode_int8(groups)
     coeffs = np.full(scales.shape, INT8_COEFF, dtype=np.uint8)
     return QuantizedTensor(tuple(values.shape), KIND_INT8, group_axis, group_size,
-                           codes, scales, coeffs, lengths)
+                           codes, scales, coeffs)
 
 
 def quantize_weight_tensor(values, coefficients, group_axis: int = 0,
                            group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a tensor to group-wise 4-bit codes along ``group_axis``, with
     one coefficient for all groups or a (rows, n_groups) array of them."""
-    values, groups, lengths = _tensor_groups(values, group_axis, group_size)
+    values, groups = _tensor_groups(values, group_axis, group_size)
     codes, scales = encode_groups(groups, coefficients)
-    coeffs = np.broadcast_to(coefficients, lengths.shape).astype(np.uint8)
+    coeffs = np.broadcast_to(coefficients, scales.shape).astype(np.uint8)
     return QuantizedTensor(tuple(values.shape), KIND_MANT4, group_axis, group_size,
-                           codes, scales, coeffs, lengths)
+                           codes, scales, coeffs)

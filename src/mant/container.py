@@ -107,9 +107,9 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> None:
     records = np.empty(qt.scales.shape, dtype=_RECORD)
     records["scale"] = half_bits(qt.scales)
     records["a"] = qt.coefficients
-    records["length"] = qt.group_lengths
-    index, live, row_slots = _payload_slots(
-        qt.element_kind, group_lengths(qt.axis_length, qt.group_size), qt.group_size)
+    lengths = group_lengths(qt.axis_length, qt.group_size)
+    records["length"] = lengths
+    index, live, row_slots = _payload_slots(qt.element_kind, lengths, qt.group_size)
     slots = np.zeros((qt.n_rows, row_slots), dtype=qt.codes.dtype)
     slots[:, index] = qt.codes[:, live]
     # every row holds an even number of nibbles, so packing the flat array
@@ -167,7 +167,7 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
     return QuantizedTensor(tuple(int(d) for d in shape), kind, int(group_axis), int(group_size),
                            codes if kind == KIND_MANT4 else codes.view(np.int8),
                            records["scale"].view(np.float16).astype(np.float64),
-                           records["a"].copy(), records["length"].copy())
+                           records["a"].copy())
 
 
 def write_tensor(fh: BinaryIO, values: np.ndarray) -> None:

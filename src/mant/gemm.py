@@ -13,10 +13,12 @@ and the real result of one group is ``(psum1*a + psum2) * (s_x * s_w)``
 :func:`fused_dot` forms the integer ``psum1*a + psum2`` of every pair of
 rows in one float64 matmul of the INT8 codes against the codes' pre-scale
 integer values, batched over any leading axes of stacked groups (attention
-stacks its heads there).  With |x| <= 127, |value| <= 127*7 + 2**7 = 1017
-and group length G <= 65535, every product and partial sum is an integer
-below 2**33, far below 2**53, so the matmul is exact in any summation
-order, stacked or not.
+stacks its heads there).  It is the one kernel for every product of
+quantized codes: the right operand may also hold INT8 codes (coefficient
+INT8_COEFF), which are their own values.  With |x| <= 127, |value| <=
+127*7 + 2**7 = 1017 (<= 127 for INT8) and group length G <= 65535, every
+product and partial sum is an integer below 2**33, far below 2**53, so the
+matmul is exact in any summation order, stacked or not.
 :func:`fused_group_dot` is the pure-integer scalar path, with psum2 built
 from logical shifts, and :func:`combine` its fold.
 """
@@ -29,13 +31,12 @@ import numpy as np
 
 from .codec import (
     INT4_COEFF,
-    INT8_COEFF,
     KIND_INT8,
-    KIND_MANT4,
     MAGNITUDE_MASK,
     QuantizedTensor,
     SIGN_BIT,
     code_values,
+    group_lengths,
 )
 
 
@@ -79,15 +80,17 @@ def combine(res: GroupDotResult, a: int, s_x: float, s_w: float) -> float:
 
 
 def fused_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales) -> np.ndarray:
-    """Fused products of INT8 activation groups with 4-bit weight groups.
+    """Fused products of INT8 activation groups with 4-bit or INT8 groups.
 
-    ``w_codes`` holds N weight groups ``(..., N, L)`` (uint8 nibbles) with
-    coefficients and scales ``(..., N)``; ``x_codes`` holds M activation
-    groups ``(..., M, L)`` (int8) with scales ``(..., M)``, or one group
-    ``(L,)`` with a scalar scale.  Leading axes are a batch (heads, say) and
-    broadcast.  Returns ``(..., M, N)`` (``(N,)`` for one group): each
-    pair's exact integer ``psum1*a + psum2`` times ``x_scale * w_scale``.
-    Real activations in place of codes are accepted, but their sums round.
+    ``w_codes`` holds N weight groups ``(..., N, L)``, uint8 nibbles or int8
+    codes under INT8_COEFF (any other pairing raises ValueError in
+    :func:`codec.code_values`), with coefficients and scales ``(..., N)``;
+    ``x_codes`` holds M activation groups ``(..., M, L)`` (int8) with scales
+    ``(..., M)``, or one group ``(L,)`` with a scalar scale.  Leading axes
+    are a batch (heads, say) and broadcast.  Returns ``(..., M, N)``
+    (``(N,)`` for one group): each pair's exact integer ``psum1*a + psum2``
+    times ``x_scale * w_scale``.  Real activations in place of codes are
+    accepted, but their sums round.
     """
     values = code_values(w_codes, w_coeffs)
     psum = np.asarray(x_codes).astype(np.float64) @ np.swapaxes(values, -1, -2)
@@ -97,11 +100,17 @@ def fused_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales) -> np.ndarray:
     return psum * (x_scales * w_scales)
 
 
-def _check_gemm_operands(x_q: QuantizedTensor, w_q: QuantizedTensor, w_kind: str) -> None:
+def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
+    """Fused INT8 x (4-bit or INT8) matrix multiply, (M,K) x (K,N) -> (M,N)
+    float64.
+
+    Both operands must be grouped along K with the same group size.  One
+    :func:`fused_dot` per K group covers all rows and columns; groups
+    accumulate in ascending index in float64.  The group loop is a cache
+    tile: each call gathers one group's code values, not the whole weight's.
+    """
     if x_q.element_kind != KIND_INT8:
         raise ValueError(f"left operand must be INT8, got {x_q.element_kind}")
-    if w_q.element_kind != w_kind:
-        raise ValueError(f"right operand must be {w_kind}, got {w_q.element_kind}")
     if len(x_q.shape) != 2 or len(w_q.shape) != 2:
         raise ValueError("gemm operands must be 2-D")
     if x_q.shape[1] != w_q.shape[0]:
@@ -110,42 +119,10 @@ def _check_gemm_operands(x_q: QuantizedTensor, w_q: QuantizedTensor, w_kind: str
         raise ValueError("operands must be grouped along the shared accumulation axis")
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
-
-
-def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
-    """Fused INT8 x 4-bit matrix multiply, (M,K) x (K,N) -> (M,N) float64.
-
-    Both operands must be grouped along K with the same group size.  One
-    :func:`fused_dot` per K group covers all rows and columns; groups
-    accumulate in ascending index in float64.
-    """
-    _check_gemm_operands(x_q, w_q, KIND_MANT4)
-    if np.any(w_q.coefficients == INT8_COEFF):
-        raise ValueError("INT8 sentinel coefficient inside a 4-bit tensor")
     out = np.zeros((x_q.shape[0], w_q.shape[1]), dtype=np.float64)
-    for g in range(x_q.n_groups):
-        length = int(x_q.group_lengths[0, g])
-        if length != int(w_q.group_lengths[0, g]):
-            raise ValueError(f"group {g} length mismatch between operands")
+    for g, length in enumerate(group_lengths(x_q.axis_length, x_q.group_size)):
         out += fused_dot(x_q.codes[:, g, :length], x_q.scales[:, g],
                          w_q.codes[:, g, :length], w_q.coefficients[:, g], w_q.scales[:, g])
-    return out
-
-
-def gemm_int8(x_q: QuantizedTensor, y_q: QuantizedTensor) -> np.ndarray:
-    """Fused INT8 x INT8 matrix multiply with the same grouping contract."""
-    _check_gemm_operands(x_q, y_q, KIND_INT8)
-    m_dim, _ = x_q.shape
-    n_dim = y_q.shape[1]
-    out = np.zeros((m_dim, n_dim), dtype=np.float64)
-    x_codes = x_q.codes.astype(np.float64)
-    y_codes = y_q.codes.astype(np.float64)  # (N, n_groups, G)
-    for g in range(x_q.n_groups):
-        length = int(x_q.group_lengths[0, g])
-        if length != int(y_q.group_lengths[0, g]):
-            raise ValueError(f"group {g} length mismatch between operands")
-        psum = x_codes[:, g, :length] @ y_codes[:, g, :length].T
-        out += psum * (x_q.scales[:, g][:, None] * y_q.scales[:, g][None, :])
     return out
 
 

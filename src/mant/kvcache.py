@@ -176,8 +176,6 @@ class KvCache:
         self.max_seq = max_seq
         self.k_table = k_table
         self.v_table = v_table
-        self.k_group_slices = [(start, min(start + group_size, head_dim))
-                               for start in range(0, head_dim, group_size)]
         # (codes, scales, coeffs) of the key store and the flushed value blocks
         self._k = _empty_store((0, heads, self.n_k_groups), group_size)
         self._v = _empty_store((0, heads, head_dim), group_size)
@@ -186,7 +184,7 @@ class KvCache:
 
     @property
     def n_k_groups(self) -> int:
-        return len(self.k_group_slices)
+        return -(-self.head_dim // self.group_size)
 
     @property
     def seq_len(self) -> int:

@@ -77,6 +77,9 @@ def select_weight_coefficient(w_group, x_calib, candidates: CandidateSet):
     if x_calib.ndim != 2 or x_calib.shape[1] != w_group.shape[-1]:
         raise ValueError(f"calibration shape {x_calib.shape} does not match group size "
                          f"{w_group.shape[-1]}")
+    if not x_calib.shape[0]:
+        # every candidate's output error would be 0, and the tie pick a=0
+        raise ValueError("calibration set has no rows")
     options = candidates.options
     errs = np.empty((len(options),) + w_group.shape[:-1])
     for i, a in enumerate(options):
@@ -167,8 +170,12 @@ class VarianceTable:
 
     @classmethod
     def from_json(cls, text: str) -> "VarianceTable":
-        data = json.loads(text)
-        return cls(tuple((int(e["a"]), float(e["lo"]), float(e["hi"])) for e in data))
+        try:
+            entries = tuple((int(e["a"]), float(e["lo"]), float(e["hi"])) for e in json.loads(text))
+        except (TypeError, KeyError) as exc:   # not a list of objects, or a bad field
+            raise ValueError(f'variance table must be a JSON list of {{"a", "lo", "hi"}} '
+                             f"objects with numbers: {exc!r}") from exc
+        return cls(entries)
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,6 @@ class CalibrationConfig:
     coefficients: tuple[int, ...] = DEFAULT_COEFFICIENTS
     include_int: bool = False
     min_groups: int = 32
-    nf_epsilon: float = 0.055
 
     def candidate_set(self) -> CandidateSet:
         return CandidateSet(self.coefficients, self.include_int)
@@ -190,19 +196,22 @@ class CalibrationConfig:
             "candidates": list(self.coefficients),
             "include_int": self.include_int,
             "min_groups": self.min_groups,
-            "nf_epsilon": self.nf_epsilon,
         }, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationConfig":
         data = json.loads(text)
-        return cls(
-            group_size=int(data.get("group_size", 64)),
-            coefficients=tuple(int(a) for a in data.get("candidates", DEFAULT_COEFFICIENTS)),
-            include_int=bool(data.get("include_int", False)),
-            min_groups=int(data.get("min_groups", 32)),
-            nf_epsilon=float(data.get("nf_epsilon", 0.055)),
-        )
+        if not isinstance(data, dict):
+            raise ValueError("calibration config must be a JSON object")
+        try:
+            return cls(
+                group_size=int(data.get("group_size", 64)),
+                coefficients=tuple(int(a) for a in data.get("candidates", DEFAULT_COEFFICIENTS)),
+                include_int=bool(data.get("include_int", False)),
+                min_groups=int(data.get("min_groups", 32)),
+            )
+        except TypeError as exc:   # a null, nested or non-list field
+            raise ValueError(f"bad calibration config field: {exc}") from exc
 
 
 def midpoint_probes(coefficients: tuple[int, ...]) -> tuple[int, ...]:

@@ -300,13 +300,17 @@ def simulate_attention(seq_len: int, heads: int, head_dim: int,
 
 def simulate_layer(layer: dict, config: ArrayConfig, cost: CostModel) -> SimReport:
     """Simulate one workload-description entry."""
+    def dim(name):
+        if not isinstance(layer[name], (int, float, str)):   # null or nested
+            raise ValueError(f"layer field {name!r} must be an integer, got {layer[name]!r}")
+        return int(layer[name])
+
     kind = layer.get("kind")
     if kind == "gemm":
-        return simulate_gemm(int(layer["M"]), int(layer["K"]), int(layer["N"]),
+        return simulate_gemm(dim("M"), dim("K"), dim("N"),
                              config, cost, label=layer.get("label", "gemm"))
     if kind == "attention":
-        return simulate_attention(int(layer["seq_len"]), int(layer["heads"]),
-                                  int(layer["head_dim"]), config, cost,
+        return simulate_attention(dim("seq_len"), dim("heads"), dim("head_dim"), config, cost,
                                   label=layer.get("label", "attention"))
     raise ValueError(f"unknown layer kind {kind!r} (expected 'gemm' or 'attention')")
 

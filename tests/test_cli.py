@@ -138,6 +138,20 @@ class TestQuantize:
         assert f"error: group size must be an integer in 1..65535, got {group_size}" in err
         assert not out_q.exists()
 
+    def test_empty_calibration_is_usage_error(self, capsys, tmp_path, weight_file):
+        # 64x8 weight: with no calibration rows every group would get a=0
+        weight = tmp_path / "w64.mntt"
+        container.save_tensor(weight, np.random.default_rng(0).standard_normal((64, 8)))
+        calib = tmp_path / "empty.mntt"
+        container.save_tensor(calib, np.zeros((0, 64)))
+        for options in (["--calib-samples", "0"], ["--calib", str(calib)]):
+            out_q = tmp_path / "q.mntq"
+            code, _, err = run_cli(capsys, "quantize", "--tensor", str(weight), "--role",
+                                   "weight", *options, "--out", str(out_q))
+            assert code == 2
+            assert "error: calibration set has no rows" in err
+            assert not out_q.exists()
+
     def test_stats_count_scales_lost_in_half(self, capsys, caplog, tmp_path):
         # one group below the fp16 scale range, one above it
         rng = np.random.default_rng(4)
@@ -348,3 +362,46 @@ class TestGenTensor:
         code, _, _ = run_cli(capsys, "gen-tensor", "--shape", "0x4",
                              "--out", str(tmp_path / "t.mntt"))
         assert code == 2
+
+
+# JSON inputs of the wrong shape: each must exit 2 with an error line, never
+# escape main() as a TypeError or AttributeError
+WORKLOAD = {"layers": [{"kind": "gemm", "M": 64, "K": 64, "N": 64}]}
+MALFORMED_JSON = [
+    ("sim-config-list", "sim", {"config": [1, 2]}),
+    ("sim-layer-null-M", "sim", {"workload": {"layers": [{"kind": "gemm", "M": None,
+                                                            "K": 64, "N": 64}]}}),
+    ("sim-layer-list-seq-len", "sim", {"workload": [{"kind": "attention", "seq_len": [8],
+                                                     "heads": 1, "head_dim": 64}]}),
+    ("quantize-table-strings", "quantize", {"table": ["x"]}),
+    ("quantize-table-numbers", "quantize", {"table": [1, 2]}),
+    ("quantize-table-null-a", "quantize", {"table": [{"a": None, "lo": 0.0, "hi": 1.0}]}),
+    ("quantize-calib-config-list", "quantize", {"calib-config": [1, 2]}),
+    ("quantize-calib-config-null", "quantize", {"calib-config": {"group_size": None}}),
+    ("quantize-calib-config-number-candidates", "quantize", {"calib-config": {"candidates": 5}}),
+    ("kv-run-k-table-strings", "kv-run", {"k-table": ["x"]}),
+    ("kv-run-k-table-numbers", "kv-run", {"k-table": [1, 2]}),
+]
+
+
+@pytest.mark.parametrize("command,files", [case[1:] for case in MALFORMED_JSON],
+                         ids=[case[0] for case in MALFORMED_JSON])
+def test_malformed_json_is_usage_error(capsys, tmp_path, weight_file, command, files):
+    base = {
+        "sim": ["sim"],
+        "quantize": ["quantize", "--tensor", str(weight_file), "--role", "kv", "--axis", "0",
+                     "--out", str(tmp_path / "q.mntq")],
+        "kv-run": ["kv-run", "--prefill", "8", "--steps", "1", "--heads", "1",
+                   "--head-dim", "8", "--group-size", "8"],
+    }[command]
+    if command == "sim":
+        files = {"workload": WORKLOAD, "config": {"name": "w4"}, **files}
+    argv = list(base)
+    for option, payload in files.items():
+        path = tmp_path / f"{option}.json"
+        path.write_text(json.dumps(payload))
+        argv += [f"--{option}", str(path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err

@@ -85,6 +85,19 @@ class TestQuantizedContainer:
         assert loaded.shape == (100,)
         assert np.array_equal(loaded.codes, qt.codes)
 
+    @pytest.mark.parametrize("row,group,length", [(1, 1, 64), (0, 0, 36), (1, 0, 0)])
+    def test_record_length_disagrees_with_dims(self, row, group, length):
+        # (100, 2) in groups of 64: two rows of a 64 and a 36 group
+        rng = np.random.default_rng(7)
+        blob = bytearray(quantized_bytes(quantize_weight_tensor(rng.standard_normal((100, 2)),
+                                                                40, 0, 64)))
+        header = 4 + 6 + 2 * 8 + 1   # magic, version/kind/G/ndim, dims, axis
+        offset = header + 5 * (2 * row + group) + 3   # <HBH record: scale, a, length
+        blob[offset:offset + 2] = length.to_bytes(2, "little")
+        with pytest.raises(ContainerError,
+                           match=rf"group \({row},{group}\) length {length} inconsistent"):
+            read_quantized(io.BytesIO(bytes(blob)))
+
     def test_bad_magic(self):
         with pytest.raises(ContainerError):
             read_quantized(io.BytesIO(b"XXXX" + b"\x00" * 32))

@@ -5,6 +5,7 @@ import pytest
 
 from mant.codec import (
     INT4_COEFF,
+    INT8_COEFF,
     MantCode,
     QuantizedTensor,
     code_value_table,
@@ -15,9 +16,9 @@ from mant.gemm import (
     GroupDotResult,
     combine,
     dequantized_gemm,
+    fused_dot,
     fused_group_dot,
     gemm,
-    gemm_int8,
 )
 
 
@@ -187,7 +188,7 @@ class TestGemm:
         xq, wq = random_operands(rng, 4, 64, 4)
         base = gemm(xq, wq)
         scaled = QuantizedTensor(xq.shape, xq.element_kind, xq.group_axis, xq.group_size,
-                                 xq.codes, xq.scales * 4.0, xq.coefficients, xq.group_lengths)
+                                 xq.codes, xq.scales * 4.0, xq.coefficients)
         assert np.array_equal(gemm(scaled, wq), base * 4.0)
 
 
@@ -195,8 +196,8 @@ class TestGemmInt8:
     def test_trivial_product(self):
         x = np.array([[3.0]])
         y = np.array([[2.0]])
-        out = gemm_int8(quantize_activation_tensor(x, 1, 64),
-                        quantize_activation_tensor(y, 0, 64))
+        out = gemm(quantize_activation_tensor(x, 1, 64),
+                   quantize_activation_tensor(y, 0, 64))
         assert out[0, 0] == pytest.approx(6.0)
 
     def test_vs_reference(self):
@@ -206,11 +207,39 @@ class TestGemmInt8:
         xq = quantize_activation_tensor(x, 1, 64)
         yq = quantize_activation_tensor(y, 0, 64)
         ref = xq.dequantize() @ yq.dequantize()
-        assert np.max(np.abs(gemm_int8(xq, yq) - ref)) / np.max(np.abs(ref)) <= 1e-6
+        assert np.max(np.abs(gemm(xq, yq) - ref)) / np.max(np.abs(ref)) <= 1e-6
 
     def test_zero_scale_rows(self):
         x = np.zeros((1, 64))
         y = np.random.default_rng(13).standard_normal((64, 4))
-        out = gemm_int8(quantize_activation_tensor(x, 1, 64),
-                        quantize_activation_tensor(y, 0, 64))
+        out = gemm(quantize_activation_tensor(x, 1, 64),
+                   quantize_activation_tensor(y, 0, 64))
         assert np.all(out == 0.0)
+
+
+class TestFusedDot:
+    def test_int8_codes_under_4bit_coefficient(self):
+        codes = np.array([[1, -2]], dtype=np.int8)
+        with pytest.raises(ValueError, match="INT8 coefficient"):
+            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, np.array([17]), np.ones(1))
+        with pytest.raises(ValueError, match="INT8 coefficient"):
+            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, INT4_COEFF, np.ones(1))
+
+    def test_nibbles_under_int8_coefficient(self):
+        codes = np.array([[1, 2]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="out of range"):
+            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, INT8_COEFF, np.ones(1))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64, np.float64, bool])
+    def test_other_code_dtypes(self, dtype):
+        codes = np.array([[1, 0]], dtype=dtype)
+        with pytest.raises(ValueError, match="uint8 nibbles or int8"):
+            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, INT8_COEFF, np.ones(1))
+        with pytest.raises(ValueError, match="uint8 nibbles or int8"):
+            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, 17, np.ones(1))
+
+    def test_int8_codes_are_their_own_values(self):
+        codes = np.array([[127, -127, 3]], dtype=np.int8)
+        out = fused_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, codes, INT8_COEFF,
+                        np.array([0.25]))
+        assert out[0] == (254 - 127 - 15) * 0.125

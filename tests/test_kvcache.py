@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mant.codec import quantize_activation_group, quantize_weight_group
+from mant.codec import group_lengths, quantize_activation_group, quantize_weight_group
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import normalized_variance, table_from_probe_means
 
@@ -177,7 +177,8 @@ class TestKvCache:
         decoded = cache.k_dequantized()[0]
         _, scales, coeffs = cache.k_arrays()
         for h in range(2):
-            for g, (start, stop) in enumerate(cache.k_group_slices):
+            for g, length in enumerate(group_lengths(cache.head_dim, cache.group_size)):
+                start, stop = g * cache.group_size, g * cache.group_size + length
                 gap = int(coeffs[0, h, g]) + 64
                 bound = scales[0, h, g] * gap / 2 + 1e-12
                 assert np.max(np.abs(decoded[h, start:stop] - k[h, start:stop])) <= bound

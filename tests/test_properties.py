@@ -22,6 +22,7 @@ from mant.codec import (
     KIND_MANT4,
     QuantizedTensor,
     encode_int8,
+    group_lengths,
     quantize_activation_tensor,
     quantize_weight_tensor,
     to_groups,
@@ -301,12 +302,24 @@ def ref_gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     return out
 
 
+def ref_gemm_int8(x_q: QuantizedTensor, y_q: QuantizedTensor) -> np.ndarray:
+    """INT8 x INT8 GEMM as its own loop: one matmul of the codes per group,
+    times the scale products, added in ascending group order."""
+    out = np.zeros((x_q.shape[0], y_q.shape[1]))
+    x_codes = x_q.codes.astype(np.float64)
+    y_codes = y_q.codes.astype(np.float64)  # (N, n_groups, G)
+    for g in range(x_q.n_groups):
+        length = int(x_q.group_lengths[0, g])
+        psum = x_codes[:, g, :length] @ y_codes[:, g, :length].T
+        out += psum * (x_q.scales[:, g][:, None] * y_q.scales[:, g][None, :])
+    return out
+
+
 def ref_scores_fused(q_codes, q_scales, cache, head, upto) -> np.ndarray:
     """Fused attention scores of one head against cached keys [0, upto)."""
     k_codes, k_scales, k_coeffs = cache.k_arrays()
     scores = np.zeros(upto)
-    for g, (start, stop) in enumerate(cache.k_group_slices):
-        length = stop - start
+    for g, length in enumerate(group_lengths(cache.head_dim, cache.group_size)):
         scores += fused_dot(q_codes[g][:length], q_scales[g], k_codes[:upto, head, g, :length],
                             k_coeffs[:upto, head, g], k_scales[:upto, head, g])
     return scores
@@ -541,6 +554,23 @@ def test_gemm_matches_scalar_group_loop(m, k, n, group_size, seed):
     x_q = quantize_activation_tensor(x, 1, group_size)
     w_q = quantize_weight_tensor(w, coeffs, 0, group_size)
     assert same_bits(gemm(x_q, w_q), ref_gemm(x_q, w_q))
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.integers(1, 200), st.integers(1, 6), st.integers(1, 130),
+       st.integers(0, 2 ** 32 - 1))
+def test_gemm_of_int8_weights_matches_int8_group_loop(m, k, n, group_size, seed):
+    rng = np.random.default_rng(seed)
+    n_groups = -(-k // group_size)
+    x = rng.standard_normal((m, k)) * np.repeat(10.0 ** rng.uniform(-8, 6, (m, n_groups)),
+                                                group_size, axis=1)[:, :k]
+    w = rng.standard_normal((k, n)) * np.repeat(10.0 ** rng.uniform(-8, 6, (n_groups, n)),
+                                                group_size, axis=0)[:k]
+    x[rng.random(m) < 0.2] = 0.0       # zero-scale activation rows
+    w[:, rng.random(n) < 0.2] = 0.0    # zero-scale weight columns
+    x_q = quantize_activation_tensor(x, 1, group_size)
+    w_q = quantize_activation_tensor(w, 0, group_size)
+    assert same_bits(gemm(x_q, w_q), ref_gemm_int8(x_q, w_q))
 
 
 @SETTINGS

@@ -81,6 +81,13 @@ class TestSelectWeightCoefficient:
         with pytest.raises(ValueError):
             select_weight_coefficient(np.zeros(64), np.zeros((4, 32)), CandidateSet())
 
+    @pytest.mark.parametrize("groups", [(64,), (3, 64)])
+    def test_empty_calibration_set(self, groups):
+        # with no rows every candidate's error is 0, and the tie would pick a=0
+        w = np.random.default_rng(2).standard_normal(groups)
+        with pytest.raises(ValueError, match="no rows"):
+            select_weight_coefficient(w, np.zeros((0, 64)), CandidateSet())
+
 
 class TestNormalizedVariance:
     def test_alternating_signs(self):
@@ -217,7 +224,7 @@ class TestVarianceTable:
 class TestCalibrationConfig:
     def test_json_round_trip(self):
         cfg = CalibrationConfig(group_size=32, coefficients=(0, 40, 120),
-                                min_groups=16, nf_epsilon=0.05)
+                                min_groups=16)
         again = CalibrationConfig.from_json(cfg.to_json())
         assert again == cfg
         assert again.candidate_set().coefficients == (0, 40, 120)

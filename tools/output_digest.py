@@ -1,0 +1,141 @@
+"""Print sha256 digests of outputs that a refactor must leave byte-identical.
+
+Run it on two trees on the same machine and compare the lines:
+
+    PYTHONPATH=src python3 tools/output_digest.py
+
+Each line is a name and the first 16 hex digits of a sha256:
+
+* ``attention ...``: one line per ``run_toy_attention`` case, hashing
+  ``prefill_outputs``, ``reference_prefill``, ``step_outputs``,
+  ``reference_steps``, ``step_cosine`` and ``step_mse`` (their bytes), then
+  ``repr((prefill_cosine, flush_steps, clamp_count))``;
+* ``gemm mant4`` and ``gemm int8``: ``gemm`` outputs over several shapes,
+  group sizes with tail groups and zero rows, with mixed 4-bit weights
+  (adaptive and INT4 coefficients) and with INT8 weights;
+* ``cli quantize``: the MNTQ files and ``--stats`` JSON of CLI ``quantize``
+  runs for the weight, activation and kv roles.
+
+The float sums depend on the BLAS build, so digests compare trees on one
+machine; they are not fixed reference values.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from mant.attention import AttentionPolicies, calibration_tables, run_toy_attention
+from mant.cli import main
+from mant.codec import quantize_activation_tensor, quantize_weight_tensor
+
+gemm_module = importlib.import_module("mant.gemm")   # the package's `gemm` is the function
+
+# (name, (prefill_len, decode_steps, heads, head_dim), policy fields, seed)
+ATTENTION_CASES = (
+    ("(40,70,2,64) seed 0", (40, 70, 2, 64), {}, 0),
+    ("(33,90,3,48) G=32 seed 5", (33, 90, 3, 48), {"group_size": 32}, 5),
+    ("(192,96,4,64) seed 101", (192, 96, 4, 64), {}, 101),
+    ("quantize_kv=False (20,30,2,64) seed 7", (20, 30, 2, 64), {"quantize_kv": False}, 7),
+    ("quantize_activations=False (25,40,2,64) seed 9", (25, 40, 2, 64),
+     {"quantize_activations": False}, 9),
+    ("(30,50,2,100) G=64 seed 3", (30, 50, 2, 100), {"group_size": 64}, 3),
+    ("kv-decode tables (192,384,4,64) seed 339489570", (192, 384, 4, 64), "kv-decode",
+     339489570),
+)
+KV_DECODE_MODEL_SEED = 20250226   # bench/workloads.py MODEL_SEED
+
+# (M, K, N, group size): tails at K % G != 0, one-element groups, M = 1
+GEMM_SHAPES = ((1, 64, 16, 64), (5, 200, 7, 64), (8, 130, 9, 130), (3, 100, 11, 32),
+               (4, 37, 5, 1), (16, 384, 48, 64), (2, 257, 3, 128))
+
+
+def short(h) -> str:
+    return h.hexdigest()[:16]
+
+
+def attention_digests():
+    for name, (prefill, steps, heads, head_dim), fields, seed in ATTENTION_CASES:
+        if fields == "kv-decode":
+            k_table, v_table = calibration_tables(np.random.default_rng(KV_DECODE_MODEL_SEED),
+                                                  heads, head_dim, 64, length=128)
+            fields = {"group_size": 64, "k_table": k_table, "v_table": v_table}
+        report = run_toy_attention(prefill, steps, heads, head_dim,
+                                   AttentionPolicies(**fields), seed=seed)
+        h = hashlib.sha256()
+        for array in (report.prefill_outputs, report.reference_prefill, report.step_outputs,
+                      report.reference_steps, report.step_cosine, report.step_mse):
+            h.update(array.tobytes())
+        h.update(repr((report.prefill_cosine, report.flush_steps,
+                       report.clamp_count)).encode())
+        yield f"attention {name}", short(h)
+
+
+def gemm_digests():
+    # trees from before gemm took INT8 weights multiplied them in gemm_int8
+    int8_gemm = getattr(gemm_module, "gemm_int8", gemm_module.gemm)
+    rng = np.random.default_rng(2025)
+    mant4, int8 = hashlib.sha256(), hashlib.sha256()
+    for m, k, n, group_size in GEMM_SHAPES:
+        x = rng.standard_normal((m, k)) * np.exp(rng.uniform(-3, 3, (1, k)))
+        x[m // 2] = 0.0
+        w = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2, 2, (1, n))
+        x_q = quantize_activation_tensor(x, 1, group_size)
+        n_groups = -(-k // group_size)
+        coeffs = rng.choice(np.r_[np.arange(0, 128, 7), 128], (n, n_groups)).astype(np.uint8)
+        w_q = quantize_weight_tensor(w, coeffs, 0, group_size)
+        mant4.update(gemm_module.gemm(x_q, w_q).tobytes())
+        int8.update(int8_gemm(x_q, quantize_activation_tensor(w, 0, group_size)).tobytes())
+    yield "gemm mant4", short(mant4)
+    yield "gemm int8", short(int8)
+
+
+def cli_digest():
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name):
+            return os.path.join(tmp, name)
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(list(argv))
+            if code != 0:
+                raise SystemExit(f"mant {' '.join(argv)} exited {code}")
+
+        run("gen-tensor", "--shape", "200x24", "--seed", "3", "--out", path("t.mntt"))
+        run("gen-tensor", "--shape", "16x200", "--seed", "4", "--std", "5",
+            "--out", path("calib.mntt"))
+        cases = (
+            ("weight", "--group-size", "64"),
+            ("weight", "--group-size", "48", "--calib", path("calib.mntt")),
+            ("activation", "--axis", "0", "--group-size", "64"),
+            ("activation", "--group-size", "8"),
+            ("kv", "--axis", "0", "--group-size", "64"),
+            ("kv", "--axis", "0", "--group-size", "32", "--candidates", "10,40,90"),
+        )
+        for i, (role, *options) in enumerate(cases):
+            out, stats = path(f"q{i}.mntq"), path(f"q{i}.json")
+            run("quantize", "--tensor", path("t.mntt"), "--role", role, *options,
+                "--out", out, "--stats", stats)
+            for name in (out, stats):
+                with open(name, "rb") as fh:
+                    h.update(fh.read())
+    yield "cli quantize", short(h)
+
+
+def main_digest() -> int:
+    for gen in (attention_digests, gemm_digests, cli_digest):
+        for name, digest in gen():
+            print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
