@@ -1,10 +1,12 @@
 """Toy single-layer attention pipeline over the quantized KV cache.
 
 Exercises the full policy stack end to end: prefill quantizes K and V
-wholesale, each decode step runs the spatial K path and the two-phase V
-window, queries and softmax probabilities are quantized to group-wise INT8
-along their accumulation axes, and softmax stays in real arithmetic.  A
-full-precision reference trace runs alongside for error reporting.
+wholesale and the prompt attends in blocks of query rows under a causal
+mask, each decode step runs the spatial K path and the two-phase V window
+and attends as a one-row block, queries and softmax probabilities are
+quantized to group-wise INT8 along their accumulation axes, and softmax
+stays in real arithmetic.  A full-precision reference trace runs alongside
+for error reporting.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class AttentionPolicies:
 
     group_size: int = DEFAULT_GROUP_SIZE
     quantize_kv: bool = True
-    quantize_activations: bool = True
     k_table: VarianceTable | None = None
     v_table: VarianceTable | None = None
 
@@ -49,6 +50,8 @@ class ToyAttentionReport:
 
 
 DEFAULT_TOKEN_CORRELATION = 0.9
+# Query rows per prompt attention block: each block's masked scores stay small.
+_PROMPT_BLOCK_ROWS = 32
 
 
 def synthesize_stream(rng: np.random.Generator, length: int, heads: int, head_dim: int,
@@ -100,88 +103,94 @@ def calibration_tables(rng: np.random.Generator, heads: int, head_dim: int,
     return k_table, v_table
 
 
-def _cosine(x: np.ndarray, y: np.ndarray) -> float:
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 and ny == 0.0:
-        return 1.0
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.dot(x.ravel(), y.ravel()) / (nx * ny))
+def _row_cosines(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cosine similarity of each pair of rows ``x[i]``, ``y[i]``: 1 when
+    both rows are zero, 0 when one of them is."""
+    size = math.prod(x.shape[1:])
+    x, y = x.reshape(len(x), 1, size), y.reshape(len(y), size, 1)
+    nx = np.sqrt((x @ x.swapaxes(1, 2))[:, 0, 0])
+    ny = np.sqrt((y.swapaxes(1, 2) @ y)[:, 0, 0])
+    zero = (nx == 0.0) | (ny == 0.0)
+    return np.where(zero, nx == ny, (x @ y)[:, 0, 0] / np.where(zero, 1.0, nx * ny))
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis."""
-    shifted = scores - np.max(scores, axis=-1, keepdims=True)
-    exps = np.exp(shifted)
+def _softmax(scores: np.ndarray, first: int) -> np.ndarray:
+    """Softmax of scores ``(heads, rows, upto)`` along the last axis, in
+    which row r sees only tokens [0, first + r); one row needs no mask."""
+    if scores.shape[1] > 1:
+        visible = np.arange(scores.shape[2]) < first + np.arange(scores.shape[1])[:, None]
+        scores = np.where(visible, scores, -np.inf)
+    exps = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     return exps / exps.sum(axis=-1, keepdims=True)
-
-
-def _activation_groups(vectors: np.ndarray, group_size: int, quantize: bool = True):
-    """Group-wise INT8 codes ``(..., n_groups, G)`` and scales of the last
-    axis, or with ``quantize`` off the raw values and unit scales."""
-    groups = to_groups(vectors, group_size)
-    return encode_int8(groups) if quantize else (groups, np.ones(groups.shape[:-1]))
 
 
 def _int8_roundtrip(vectors: np.ndarray, group_size: int) -> np.ndarray:
     """Quantize vectors to group-wise INT8 along the last axis and decode them."""
-    codes, scales = _activation_groups(vectors, group_size)
+    codes, scales = encode_int8(to_groups(vectors, group_size))
     values = decode_groups(codes, INT8_COEFF, scales)
     return values.reshape(values.shape[:-2] + (-1,))[..., :vectors.shape[-1]]
 
 
 def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
-    """Fused attention scores ``(heads, upto)`` of one query against cached
-    keys [0, upto): one :func:`fused_dot` per key group, heads batched."""
+    """Fused attention scores ``(heads, rows, upto)`` of query rows
+    ``(heads, rows, ...)`` against cached keys [0, upto): one
+    :func:`fused_dot` per key group, heads batched."""
     k_codes, k_scales, k_coeffs = (a[:upto].swapaxes(0, 1) for a in cache.k_arrays())
-    scores = np.zeros((cache.heads, 1, upto))
+    scores = np.zeros(q_codes.shape[:2] + (upto,))
     for g, length in enumerate(group_lengths(cache.head_dim, cache.group_size)):
-        scores += fused_dot(q_codes[:, None, g, :length], q_scales[:, None, g],
+        scores += fused_dot(q_codes[:, :, g, :length], q_scales[:, :, g],
                             k_codes[:, :, g, :length], k_coeffs[:, :, g], k_scales[:, :, g])
-    return scores[:, 0]
+    return scores
 
 
 def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
-    """Fused probability-value product ``(heads, head_dim)`` over tokens
-    [0, upto): one :func:`fused_dot` per flushed value block on the 4-bit
-    path, then one over the window's INT8 rows under their channel scales.
-    The loops over key groups and value blocks are cache tiles: each call
-    gathers one group's or one block's code values.
+    """Fused probability-value product ``(heads, rows, head_dim)`` of
+    probability rows ``(heads, rows, ...)`` over tokens [0, upto): one
+    :func:`fused_dot` per flushed value block on the 4-bit path, then one
+    over the window's INT8 rows under their channel scales.  The loops over
+    key groups and value blocks are cache tiles: each call gathers one
+    group's or one block's code values.
     """
-    out = np.zeros((cache.heads, 1, cache.head_dim))
+    out = np.zeros(p_codes.shape[:2] + (cache.head_dim,))
     group_size = cache.group_size
     v_codes, v_scales, v_coeffs = cache.v_arrays()
     for b in range(min(v_codes.shape[0], -(-upto // group_size))):
         length = min(group_size, upto - b * group_size)
-        out += fused_dot(p_codes[:, None, b, :length], p_scales[:, None, b],
+        out += fused_dot(p_codes[:, :, b, :length], p_scales[:, :, b],
                          v_codes[b, ..., :length], v_coeffs[b], v_scales[b])
     flushed, window = cache.flushed_tokens, cache.windows
     if upto > flushed:
         b, length = flushed // group_size, upto - flushed
-        out += fused_dot(p_codes[:, None, b, :length], p_scales[:, None, b],
+        out += fused_dot(p_codes[:, :, b, :length], p_scales[:, :, b],
                          window.staged[:length].transpose(1, 2, 0), INT8_COEFF,
                          window.channel_scales)
-    return out[:, 0]
+    return out
 
 
-def _attention_row(q_row, store, policies: AttentionPolicies, upto: int,
-                   scale: float) -> np.ndarray:
-    """One query's attention output ``(heads, head_dim)`` over the first
-    ``upto`` cached tokens, every head at once."""
-    group_size = policies.group_size
-    if policies.quantize_kv:
-        quantize = policies.quantize_activations
-        q_codes, q_scales = _activation_groups(q_row, group_size, quantize)
-        probs = _softmax(_scores_fused(q_codes, q_scales, store, upto) * scale)
-        p_codes, p_scales = _activation_groups(probs, group_size, quantize)
-        return _weighted_values_fused(p_codes, p_scales, store, upto)
+def _attention_rows(q_rows, store, first: int, scale: float, group_size: int,
+                    int8: bool = True) -> np.ndarray:
+    """Attention outputs ``(rows, heads, head_dim)`` of a block of query rows
+    ``(rows, heads, head_dim)``, every head at once; row r attends to the
+    first ``first + r`` tokens of ``store``.
+
+    A :class:`KvCache` store runs the fused path with INT8 queries and
+    probabilities.  A ``(k, v)`` pair of ``(tokens, heads, head_dim)``
+    arrays runs in real arithmetic, with queries and probabilities rounded
+    to group-wise INT8 when ``int8`` is set.
+    """
+    upto = first + q_rows.shape[0] - 1
+    q = q_rows.swapaxes(0, 1)   # (heads, rows, head_dim)
+    if isinstance(store, KvCache):
+        q_codes, q_scales = encode_int8(to_groups(q, group_size))
+        probs = _softmax(_scores_fused(q_codes, q_scales, store, upto) * scale, first)
+        p_codes, p_scales = encode_int8(to_groups(probs, group_size))
+        return _weighted_values_fused(p_codes, p_scales, store, upto).swapaxes(0, 1)
     # (heads, upto, head_dim) views of the unquantized store
     k_raw, v_raw = (x[:upto].swapaxes(0, 1) for x in store)
-    q_hat = _int8_roundtrip(q_row, group_size) if policies.quantize_activations else q_row
-    probs = _softmax((k_raw @ q_hat[..., None])[..., 0] * scale)
-    p_hat = _int8_roundtrip(probs, group_size) if policies.quantize_activations else probs
-    return (p_hat[:, None, :] @ v_raw)[:, 0]
+    q_hat = _int8_roundtrip(q, group_size) if int8 else q
+    probs = _softmax((k_raw @ q_hat.swapaxes(1, 2)).swapaxes(1, 2) * scale, first)
+    p_hat = _int8_roundtrip(probs, group_size) if int8 else probs
+    return (p_hat @ v_raw).swapaxes(0, 1)
 
 
 def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim: int,
@@ -201,8 +210,6 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
     rng = np.random.default_rng(seed)
     q_all, k_all, v_all = synthesize_stream(rng, prefill_len + decode_steps,
                                             heads, head_dim, correlation)
-    q_pre, k_pre, v_pre = (x[:prefill_len] for x in (q_all, k_all, v_all))
-    q_dec, k_dec, v_dec = (x[prefill_len:] for x in (q_all, k_all, v_all))
     scale = 1.0 / math.sqrt(head_dim)
 
     cache = None
@@ -216,40 +223,33 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
             k_table = policies.k_table or k_default
             v_table = policies.v_table or v_default
         cache = KvCache(heads, head_dim, k_table, v_table, group_size)
-        cache.prefill(k_pre, v_pre)
-    # the synthesized stream serves as the unquantized store: a row of
-    # tokens [0, seq) reads only those
+        cache.prefill(k_all[:prefill_len], v_all[:prefill_len])
+    # the synthesized stream serves as the unquantized store
     ref_store = (k_all, v_all)
     store = cache if policies.quantize_kv else ref_store
+    out = np.zeros((2, prefill_len + decode_steps, heads, head_dim))   # quantized, reference
 
-    ref_policies = AttentionPolicies(group_size=group_size, quantize_kv=False,
-                                     quantize_activations=False)
+    def attend(start, stop):
+        """Both outputs of query rows [start, stop); row t sees tokens [0, t]."""
+        q_rows = q_all[start:stop]
+        out[0, start:stop] = _attention_rows(q_rows, store, start + 1, scale, group_size)
+        out[1, start:stop] = _attention_rows(q_rows, ref_store, start + 1, scale, group_size,
+                                             int8=False)
 
-    prefill_out = np.zeros((prefill_len, heads, head_dim))
-    ref_prefill = np.zeros((prefill_len, heads, head_dim))
-    for i in range(prefill_len):
-        prefill_out[i] = _attention_row(q_pre[i], store, policies, i + 1, scale)
-        ref_prefill[i] = _attention_row(q_pre[i], ref_store, ref_policies, i + 1, scale)
-
-    step_out = np.zeros((decode_steps, heads, head_dim))
-    ref_steps = np.zeros((decode_steps, heads, head_dim))
-    cosines = np.zeros(decode_steps)
-    mses = np.zeros(decode_steps)
+    for start in range(0, prefill_len, _PROMPT_BLOCK_ROWS):
+        attend(start, min(start + _PROMPT_BLOCK_ROWS, prefill_len))
     flush_steps: list[int] = []
-    for s in range(decode_steps):
+    for s, t in enumerate(range(prefill_len, prefill_len + decode_steps)):
         if policies.quantize_kv:
-            cache.append_k(k_dec[s])
-            if cache.push_v(v_dec[s]):
+            cache.append_k(k_all[t])
+            if cache.push_v(v_all[t]):
                 flush_steps.append(s)
+        attend(t, t + 1)
 
-        seq = prefill_len + s + 1
-        step_out[s] = _attention_row(q_dec[s], store, policies, seq, scale)
-        ref_steps[s] = _attention_row(q_dec[s], ref_store, ref_policies, seq, scale)
-        cosines[s] = _cosine(step_out[s], ref_steps[s])
-        mses[s] = float(np.mean((step_out[s] - ref_steps[s]) ** 2))
-
-    prefill_cos = float(np.mean([_cosine(prefill_out[i], ref_prefill[i])
-                                 for i in range(prefill_len)]))
+    (prefill_out, step_out), (ref_prefill, ref_steps) = (np.split(x, [prefill_len]) for x in out)
+    cosines = _row_cosines(step_out, ref_steps)
+    mses = np.mean((step_out - ref_steps) ** 2, axis=(1, 2))
+    prefill_cos = float(np.mean(_row_cosines(prefill_out, ref_prefill)))
     clamp = cache.windows.clamp_count if cache is not None else 0
     return ToyAttentionReport(prefill_out, ref_prefill, step_out, ref_steps,
                               cosines, mses, prefill_cos, flush_steps, clamp)

@@ -89,8 +89,7 @@ def fused_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales) -> np.ndarray:
     ``(..., M)``, or one group ``(L,)`` with a scalar scale.  Leading axes
     are a batch (heads, say) and broadcast.  Returns ``(..., M, N)``
     (``(N,)`` for one group): each pair's exact integer ``psum1*a + psum2``
-    times ``x_scale * w_scale``.  Real activations in place of codes are
-    accepted, but their sums round.
+    times ``x_scale * w_scale``.
     """
     values = code_values(w_codes, w_coeffs)
     psum = np.asarray(x_codes).astype(np.float64) @ np.swapaxes(values, -1, -2)

@@ -184,17 +184,15 @@ class CalibrationConfig:
 
     group_size: int = 64
     coefficients: tuple[int, ...] = DEFAULT_COEFFICIENTS
-    include_int: bool = False
     min_groups: int = 32
 
     def candidate_set(self) -> CandidateSet:
-        return CandidateSet(self.coefficients, self.include_int)
+        return CandidateSet(self.coefficients, include_int=False)
 
     def to_json(self) -> str:
         return json.dumps({
             "group_size": self.group_size,
             "candidates": list(self.coefficients),
-            "include_int": self.include_int,
             "min_groups": self.min_groups,
         }, indent=2)
 
@@ -207,7 +205,6 @@ class CalibrationConfig:
             return cls(
                 group_size=int(data.get("group_size", 64)),
                 coefficients=tuple(int(a) for a in data.get("candidates", DEFAULT_COEFFICIENTS)),
-                include_int=bool(data.get("include_int", False)),
                 min_groups=int(data.get("min_groups", 32)),
             )
         except TypeError as exc:   # a null, nested or non-list field

@@ -60,7 +60,6 @@ class ArrayConfig:
     group_size: int = 64
     frequency_hz: float = 1.0e9
     dram_bandwidth: float = 64.0      # bytes per cycle
-    buffer_bytes: int = 512 * 1024
     divider_latency: int = 12         # non-pipelined division unit
     rqu_count: int = 32
 
@@ -301,9 +300,11 @@ def simulate_attention(seq_len: int, heads: int, head_dim: int,
 def simulate_layer(layer: dict, config: ArrayConfig, cost: CostModel) -> SimReport:
     """Simulate one workload-description entry."""
     def dim(name):
-        if not isinstance(layer[name], (int, float, str)):   # null or nested
-            raise ValueError(f"layer field {name!r} must be an integer, got {layer[name]!r}")
-        return int(layer[name])
+        value = layer[name]   # an integer, or a float with no fractional part
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"layer field {name!r} must be an integer, got {value!r}")
+        return int(value)
 
     kind = layer.get("kind")
     if kind == "gemm":

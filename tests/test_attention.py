@@ -63,13 +63,6 @@ class TestRunToyAttention:
                 expected[s, h] = p_hat @ v[:upto, h]
         assert np.array_equal(rep.step_outputs, expected)
 
-    def test_all_policies_off_matches_reference(self):
-        policies = AttentionPolicies(quantize_kv=False, quantize_activations=False)
-        rep = run_toy_attention(32, 4, 1, 32, policies, seed=2)
-        assert np.array_equal(rep.step_outputs, rep.reference_steps)
-        assert np.array_equal(rep.prefill_outputs, rep.reference_prefill)
-        assert np.all(rep.step_cosine == 1.0)
-
     def test_fidelity_small_config(self):
         rep = run_toy_attention(128, 16, 2, 64, seed=3)
         assert rep.step_cosine.min() >= 0.99

@@ -369,6 +369,13 @@ class TestGenTensor:
 WORKLOAD = {"layers": [{"kind": "gemm", "M": 64, "K": 64, "N": 64}]}
 MALFORMED_JSON = [
     ("sim-config-list", "sim", {"config": [1, 2]}),
+    ("sim-config-buffer-bytes", "sim", {"config": {"name": "w4", "buffer_bytes": 524288}}),
+    ("sim-layer-fractional-M", "sim", {"workload": {"layers": [{"kind": "gemm", "M": 64.9,
+                                                                "K": 64, "N": 64}]}}),
+    ("sim-layer-bool-K", "sim", {"workload": {"layers": [{"kind": "gemm", "M": 64, "K": True,
+                                                          "N": 64}]}}),
+    ("sim-layer-string-M", "sim", {"workload": {"layers": [{"kind": "gemm", "M": "64",
+                                                            "K": 64, "N": 64}]}}),
     ("sim-layer-null-M", "sim", {"workload": {"layers": [{"kind": "gemm", "M": None,
                                                             "K": 64, "N": 64}]}}),
     ("sim-layer-list-seq-len", "sim", {"workload": [{"kind": "attention", "seq_len": [8],

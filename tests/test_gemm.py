@@ -179,9 +179,9 @@ class TestGemm:
 
     def test_kind_mismatch(self):
         rng = np.random.default_rng(10)
-        xq = quantize_activation_tensor(rng.standard_normal((2, 64)), 1, 64)
-        with pytest.raises(ValueError):
-            gemm(xq, xq)
+        xq, wq = random_operands(rng, 2, 64, 2)
+        with pytest.raises(ValueError, match="left operand must be INT8"):
+            gemm(wq, xq)
 
     def test_activation_scale_linearity(self):
         rng = np.random.default_rng(11)

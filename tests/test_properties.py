@@ -5,7 +5,9 @@ The reference functions below are the earlier per-group implementations
 (one scalar encoder call per group, struct-packed container records, a
 Python loop per cache token and channel, a scalar dot product per group
 pair, attention head by head and value block by value block).  Every check
-requires exact equality, bit for bit.
+requires exact equality, bit for bit, but one: a block of attention query
+rows matches one-row calls to 1e-12 of its largest output, since softmax
+sums over masked rows add in a different order.
 """
 
 import io
@@ -15,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mant.attention import AttentionPolicies, _attention_row
+from mant.attention import _attention_rows
 from mant.codec import (
     INT4_COEFF,
     INT8_COEFF,
@@ -359,6 +361,19 @@ def ref_attention_row(q_row, cache, upto, scale) -> np.ndarray:
     return out
 
 
+def streamed_cache(k, v, prompt: int, group_size: int) -> KvCache:
+    """A cache prefilled with the first ``prompt`` tokens of ``k``, ``v``
+    ``(tokens, heads, head_dim)`` and fed the rest one decode step at a time."""
+    k_table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+    v_table = table_from_probe_means((0, 10, 30, 60, 120), [0.0, 0.02, 0.09, 0.3])
+    cache = KvCache(k.shape[1], k.shape[2], k_table, v_table, group_size)
+    cache.prefill(k[:prompt], v[:prompt])
+    for t in range(prompt, len(k)):
+        cache.append_k(k[t])
+        cache.push_v(v[t])
+    return cache
+
+
 def ref_two_lane_dot(codes, coeffs, scales, x_codes, x_scale) -> np.ndarray:
     """4-bit groups ``(rows, length)`` times one activation group as two
     float64 lanes, sign*m and sign*2**m, folded with each row's coefficient
@@ -615,13 +630,7 @@ def test_batched_attention_matches_per_head_loop(heads, geometry, prompt, steps,
     rng = np.random.default_rng(seed)
     k, v = rng.standard_normal((2, prompt + steps, heads, head_dim)) * 10.0 ** rng.uniform(-3, 3)
     v[:, :, 0] = 0.0   # a silent channel
-    k_table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
-    v_table = table_from_probe_means((0, 10, 30, 60, 120), [0.0, 0.02, 0.09, 0.3])
-    cache = KvCache(heads, head_dim, k_table, v_table, group_size)
-    cache.prefill(k[:prompt], v[:prompt])
-    for t in range(prompt, prompt + steps):
-        cache.append_k(k[t])
-        cache.push_v(v[t])
+    cache = streamed_cache(k, v, prompt, group_size)
     total, flushed = prompt + steps, cache.flushed_tokens
     # inside a flushed block, on a block boundary, inside the window, all tokens
     uptos = {1, total}
@@ -630,9 +639,38 @@ def test_batched_attention_matches_per_head_loop(heads, geometry, prompt, steps,
     if flushed:
         uptos |= {flushed, group_size * int(rng.integers(1, flushed // group_size + 1)),
                   int(rng.integers(1, flushed))}
-    policies = AttentionPolicies(group_size=group_size)
     scale = 1.0 / np.sqrt(head_dim)
     for upto in sorted(uptos):
         q_row = rng.standard_normal((heads, head_dim))
-        assert same_bits(_attention_row(q_row, cache, policies, upto, scale),
+        assert same_bits(_attention_rows(q_row[None], cache, upto, scale, group_size)[0],
                          ref_attention_row(q_row, cache, upto, scale)), upto
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.sampled_from([(48, 32), (100, 64), (64, 64), (40, 16)]),
+       st.integers(1, 150), st.integers(0, 40), st.sampled_from(["cache", "int8", "float"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_attention_block_matches_one_row_calls(heads, geometry, prompt, steps, store, seed):
+    head_dim, group_size = geometry
+    rng = np.random.default_rng(seed)
+    k, v = rng.standard_normal((2, prompt + steps, heads, head_dim)) * 10.0 ** rng.uniform(-3, 3)
+    cache = streamed_cache(k, v, prompt, group_size)
+    total, flushed = prompt + steps, cache.flushed_tokens
+    kv = cache if store == "cache" else (k, v)
+    int8 = store != "float"
+    # a block's first row sees [0, first): on a block boundary, inside a
+    # flushed block near the window (so the block reaches into it), or
+    # inside the window
+    firsts = {1}
+    if flushed:
+        firsts |= {group_size * int(rng.integers(1, flushed // group_size + 1)),
+                   int(rng.integers(max(1, flushed - 20), flushed))}
+    if total > flushed:
+        firsts.add(int(rng.integers(flushed, total)) + 1)
+    scale = 1.0 / np.sqrt(head_dim)
+    for first in sorted(firsts):
+        q = rng.standard_normal((min(24, total - first + 1), heads, head_dim))
+        block = _attention_rows(q, kv, first, scale, group_size, int8)
+        rows = np.concatenate([_attention_rows(q[r:r + 1], kv, first + r, scale, group_size,
+                                               int8) for r in range(len(q))])
+        assert np.max(np.abs(block - rows)) <= 1e-12 * np.max(np.abs(rows)), first

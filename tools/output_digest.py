@@ -6,10 +6,12 @@ Run it on two trees on the same machine and compare the lines:
 
 Each line is a name and the first 16 hex digits of a sha256:
 
-* ``attention ...``: one line per ``run_toy_attention`` case, hashing
-  ``prefill_outputs``, ``reference_prefill``, ``step_outputs``,
-  ``reference_steps``, ``step_cosine`` and ``step_mse`` (their bytes), then
-  ``repr((prefill_cosine, flush_steps, clamp_count))``;
+* ``attention decode ...`` and ``attention prompt ...``: two lines per
+  ``run_toy_attention`` case.  The decode line hashes ``step_outputs``,
+  ``reference_steps``, ``step_cosine`` and ``step_mse`` (their bytes),
+  then ``repr((flush_steps, clamp_count))``; the prompt line hashes
+  ``prefill_outputs`` and ``reference_prefill``, then
+  ``repr(prefill_cosine)``;
 * ``gemm mant4`` and ``gemm int8``: ``gemm`` outputs over several shapes,
   group sizes with tail groups and zero rows, with mixed 4-bit weights
   (adaptive and INT4 coefficients) and with INT8 weights;
@@ -44,8 +46,6 @@ ATTENTION_CASES = (
     ("(33,90,3,48) G=32 seed 5", (33, 90, 3, 48), {"group_size": 32}, 5),
     ("(192,96,4,64) seed 101", (192, 96, 4, 64), {}, 101),
     ("quantize_kv=False (20,30,2,64) seed 7", (20, 30, 2, 64), {"quantize_kv": False}, 7),
-    ("quantize_activations=False (25,40,2,64) seed 9", (25, 40, 2, 64),
-     {"quantize_activations": False}, 9),
     ("(30,50,2,100) G=64 seed 3", (30, 50, 2, 100), {"group_size": 64}, 3),
     ("kv-decode tables (192,384,4,64) seed 339489570", (192, 384, 4, 64), "kv-decode",
      339489570),
@@ -69,13 +69,16 @@ def attention_digests():
             fields = {"group_size": 64, "k_table": k_table, "v_table": v_table}
         report = run_toy_attention(prefill, steps, heads, head_dim,
                                    AttentionPolicies(**fields), seed=seed)
-        h = hashlib.sha256()
-        for array in (report.prefill_outputs, report.reference_prefill, report.step_outputs,
-                      report.reference_steps, report.step_cosine, report.step_mse):
-            h.update(array.tobytes())
-        h.update(repr((report.prefill_cosine, report.flush_steps,
-                       report.clamp_count)).encode())
-        yield f"attention {name}", short(h)
+        decode, prompt = hashlib.sha256(), hashlib.sha256()
+        for array in (report.step_outputs, report.reference_steps, report.step_cosine,
+                      report.step_mse):
+            decode.update(array.tobytes())
+        decode.update(repr((report.flush_steps, report.clamp_count)).encode())
+        for array in (report.prefill_outputs, report.reference_prefill):
+            prompt.update(array.tobytes())
+        prompt.update(repr(report.prefill_cosine).encode())
+        yield f"attention decode {name}", short(decode)
+        yield f"attention prompt {name}", short(prompt)
 
 
 def gemm_digests():
