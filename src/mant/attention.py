@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (DEFAULT_GROUP_SIZE, INT8_COEFF, decode_groups, encode_int8, group_lengths,
-                    to_groups)
+                    split_runs, to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
-from .gemm import fused_dot
+from .gemm import fused_dot, grouped_dot
 from .kvcache import KvCache
 from .selection import CandidateSet, VarianceTable, build_variance_table
 
@@ -49,30 +49,28 @@ class ToyAttentionReport:
     clamp_count: int = 0
 
 
-DEFAULT_TOKEN_CORRELATION = 0.9
+# AR(1) correlation of consecutive tokens' hidden states in the toy streams
+TOKEN_CORRELATION = 0.9
 # Query rows per prompt attention block: each block's masked scores stay small.
 _PROMPT_BLOCK_ROWS = 32
 
 
-def synthesize_stream(rng: np.random.Generator, length: int, heads: int, head_dim: int,
-                      correlation: float = DEFAULT_TOKEN_CORRELATION):
+def synthesize_stream(rng: np.random.Generator, length: int, heads: int, head_dim: int):
     """Transformer-like toy q/k/v streams, shape (length, heads, head_dim) each.
 
     Hidden states follow a stationary AR(1) walk (token correlation
-    ``correlation``) and are projected through fixed random matrices, so
-    keys and values carry the kind of temporal structure real caches have;
-    entries are marginally standard normal.
+    :data:`TOKEN_CORRELATION`) and are projected through fixed random
+    matrices, so keys and values carry the kind of temporal structure real
+    caches have; entries are marginally standard normal.
     """
-    if not 0.0 <= correlation < 1.0:
-        raise ValueError(f"correlation must be in [0, 1), got {correlation}")
     model_dim = heads * head_dim
     w_q = rng.standard_normal((model_dim, heads, head_dim)) / math.sqrt(model_dim)
     w_k = rng.standard_normal((model_dim, heads, head_dim)) / math.sqrt(model_dim)
     w_v = rng.standard_normal((model_dim, heads, head_dim)) / math.sqrt(model_dim)
     hidden = rng.standard_normal((length, model_dim))
-    innovation = math.sqrt(1.0 - correlation * correlation)
+    innovation = math.sqrt(1.0 - TOKEN_CORRELATION * TOKEN_CORRELATION)
     for t in range(1, length):
-        hidden[t] = correlation * hidden[t - 1] + innovation * hidden[t]
+        hidden[t] = TOKEN_CORRELATION * hidden[t - 1] + innovation * hidden[t]
     q = np.einsum("tm,mhd->thd", hidden, w_q)
     k = np.einsum("tm,mhd->thd", hidden, w_k)
     v = np.einsum("tm,mhd->thd", hidden, w_v)
@@ -80,20 +78,19 @@ def synthesize_stream(rng: np.random.Generator, length: int, heads: int, head_di
 
 
 def calibration_tables(rng: np.random.Generator, heads: int, head_dim: int,
-                       group_size: int, correlation: float = DEFAULT_TOKEN_CORRELATION,
-                       length: int = 256,
-                       candidates: CandidateSet | None = None):
+                       group_size: int, length: int = 256):
     """Variance tables for the K and V roles, calibrated on a toy stream.
 
     Key groups run along the head dimension (one slice per token), value
     groups along the sequence (one slice per channel), so the two roles see
     different statistics and get separate tables.
     """
-    candidates = candidates or CandidateSet(include_int=False)
-    _, k, v = synthesize_stream(rng, length, heads, head_dim, correlation)
-    # full key groups in (token, head, group) order; a tail group is left out
-    k_full = head_dim - head_dim % group_size
-    k_groups = k[:, :, :k_full].reshape(-1, group_size)
+    candidates = CandidateSet(include_int=False)
+    _, k, v = synthesize_stream(rng, length, heads, head_dim)
+    # key groups in (token, head, group) order: the full groups, or the
+    # short rows when no group is full
+    k_runs = split_runs(k, group_size)[0]
+    k_groups = k_runs.reshape(-1, k_runs.shape[-1])
     # value groups in (block, head, channel) order
     blocks = length // group_size
     v_groups = v[:blocks * group_size].reshape(blocks, group_size, heads, head_dim)
@@ -134,36 +131,30 @@ def _int8_roundtrip(vectors: np.ndarray, group_size: int) -> np.ndarray:
 def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused attention scores ``(heads, rows, upto)`` of query rows
     ``(heads, rows, ...)`` against cached keys [0, upto): one
-    :func:`fused_dot` per key group, heads batched."""
+    :func:`grouped_dot` over the key groups, heads batched."""
     k_codes, k_scales, k_coeffs = (a[:upto].swapaxes(0, 1) for a in cache.k_arrays())
-    scores = np.zeros(q_codes.shape[:2] + (upto,))
-    for g, length in enumerate(group_lengths(cache.head_dim, cache.group_size)):
-        scores += fused_dot(q_codes[:, :, g, :length], q_scales[:, :, g],
-                            k_codes[:, :, g, :length], k_coeffs[:, :, g], k_scales[:, :, g])
-    return scores
+    return grouped_dot(q_codes, q_scales, k_codes, k_coeffs, k_scales,
+                       group_lengths(cache.head_dim, cache.group_size))
 
 
 def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused probability-value product ``(heads, rows, head_dim)`` of
     probability rows ``(heads, rows, ...)`` over tokens [0, upto): one
-    :func:`fused_dot` per flushed value block on the 4-bit path, then one
-    over the window's INT8 rows under their channel scales.  The loops over
-    key groups and value blocks are cache tiles: each call gathers one
-    group's or one block's code values.
+    :func:`grouped_dot` over the flushed value blocks on the 4-bit path, then
+    one :func:`fused_dot` over the window's INT8 rows under their channel
+    scales.
     """
-    out = np.zeros(p_codes.shape[:2] + (cache.head_dim,))
-    group_size = cache.group_size
+    group_size, flushed = cache.group_size, cache.flushed_tokens
     v_codes, v_scales, v_coeffs = cache.v_arrays()
-    for b in range(min(v_codes.shape[0], -(-upto // group_size))):
-        length = min(group_size, upto - b * group_size)
-        out += fused_dot(p_codes[:, :, b, :length], p_scales[:, :, b],
-                         v_codes[b, ..., :length], v_coeffs[b], v_scales[b])
-    flushed, window = cache.flushed_tokens, cache.windows
+    # the store read as (heads, head_dim, blocks, G): block b is group b of every channel
+    out = grouped_dot(p_codes, p_scales, v_codes.transpose(1, 2, 0, 3),
+                      v_coeffs.transpose(1, 2, 0), v_scales.transpose(1, 2, 0),
+                      group_lengths(min(upto, flushed), group_size))
     if upto > flushed:
         b, length = flushed // group_size, upto - flushed
         out += fused_dot(p_codes[:, :, b, :length], p_scales[:, :, b],
-                         window.staged[:length].transpose(1, 2, 0), INT8_COEFF,
-                         window.channel_scales)
+                         cache.windows.staged[:length].transpose(1, 2, 0), INT8_COEFF,
+                         cache.windows.channel_scales)
     return out
 
 
@@ -194,8 +185,8 @@ def _attention_rows(q_rows, store, first: int, scale: float, group_size: int,
 
 
 def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim: int,
-                      policies: AttentionPolicies | None = None, seed: int = 0,
-                      correlation: float = DEFAULT_TOKEN_CORRELATION) -> ToyAttentionReport:
+                      policies: AttentionPolicies | None = None,
+                      seed: int = 0) -> ToyAttentionReport:
     """Run the quantized toy attention pipeline against its FP reference.
 
     Inputs come from :func:`synthesize_stream` under ``seed``; variance
@@ -206,10 +197,10 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
         raise ValueError("invalid geometry")
     policies = policies or AttentionPolicies()
     group_size = policies.group_size
+    group_lengths(head_dim, group_size)   # rejects a group size out of range
 
     rng = np.random.default_rng(seed)
-    q_all, k_all, v_all = synthesize_stream(rng, prefill_len + decode_steps,
-                                            heads, head_dim, correlation)
+    q_all, k_all, v_all = synthesize_stream(rng, prefill_len + decode_steps, heads, head_dim)
     scale = 1.0 / math.sqrt(head_dim)
 
     cache = None
@@ -218,8 +209,7 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
             k_table, v_table = policies.k_table, policies.v_table
         else:
             table_rng = np.random.default_rng([seed, 1])
-            k_default, v_default = calibration_tables(table_rng, heads, head_dim,
-                                                      group_size, correlation)
+            k_default, v_default = calibration_tables(table_rng, heads, head_dim, group_size)
             k_table = policies.k_table or k_default
             v_table = policies.v_table or v_default
         cache = KvCache(heads, head_dim, k_table, v_table, group_size)

@@ -149,7 +149,6 @@ def cmd_quantize(args) -> int:
             if args.calib_config:
                 with open(args.calib_config) as fh:
                     calib = CalibrationConfig.from_json(fh.read())
-                group_size = calib.group_size
                 candidates = calib.candidate_set()
                 min_groups = calib.min_groups
             else:

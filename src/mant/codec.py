@@ -151,15 +151,15 @@ def _check_finite(values: np.ndarray) -> None:
 
 # -- batched kernels: groups (..., G) with per-group metadata (...) ---------
 
-def encode_groups(groups, coefficients, scales=None):
+def encode_groups(groups, coefficients):
     """Encode zero-padded groups ``(..., G)`` to 4-bit codes and scales.
 
     ``coefficients`` holds one coefficient for all groups or one per group
-    (INT4_COEFF: the plain INT4 grid).  The scale defaults to ``max|group| /
-    grid_max(a)``; ``scales`` fixes it instead.  Each element takes the
-    magnitude nearest to ``|value| / scale`` (the smaller one on ties) and
-    the sign bit when negative, except on an INT4 zero.  Padding encodes to
-    0, and a zero-scale group to all zeros.
+    (INT4_COEFF: the plain INT4 grid).  The scale is ``max|group| /
+    grid_max(a)``.  Each element takes the magnitude nearest to ``|value| /
+    scale`` (the smaller one on ties) and the sign bit when negative, except
+    on an INT4 zero.  Padding encodes to 0, and a zero-scale group to all
+    zeros.
     """
     groups = np.asarray(groups, dtype=np.float64)
     _check_finite(groups)
@@ -167,20 +167,15 @@ def encode_groups(groups, coefficients, scales=None):
     coeffs = _mant4_coefficients(coefficients)
     if coeffs.ndim and coeffs.shape != lead:
         raise ValueError(f"coefficients shape {coeffs.shape} does not match groups {lead}")
-    if scales is None:
-        scales = np.abs(groups).max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
-    else:
-        scales = np.broadcast_to(np.asarray(scales, dtype=np.float64), lead)
-        if (scales < 0.0).any():
-            raise ValueError("scales must be non-negative")
     n = math.prod(lead)
     if n > 1 and groups.size > _CHUNK_ELEMENTS:
         step = max(1, _CHUNK_ELEMENTS // groups.shape[-1])
         flat, flat_coeffs = groups.reshape(n, -1), np.broadcast_to(coeffs, lead).reshape(n)
-        codes = np.concatenate([encode_groups(flat[i:i + step], flat_coeffs[i:i + step],
-                                              scales.reshape(n)[i:i + step])[0]
-                                for i in range(0, n, step)])
-        return codes.reshape(groups.shape), scales
+        chunks = [encode_groups(flat[i:i + step], flat_coeffs[i:i + step])
+                  for i in range(0, n, step)]
+        codes, scales = (np.concatenate(parts) for parts in zip(*chunks))
+        return codes.reshape(groups.shape), scales.reshape(lead)
+    scales = np.abs(groups).max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
     silent = scales == 0.0
     normalized = np.abs(groups) / np.where(silent, 1.0, scales)[..., None]
     dist = normalized[..., None] - _MAGNITUDES[coeffs][..., None, :]
@@ -221,14 +216,14 @@ def decode_groups(codes, coefficients, scales) -> np.ndarray:
 
 # -- single-group API ----------------------------------------------------------
 
-def quantize_weight_group(values, a: int, scale: float | None = None):
+def quantize_weight_group(values, a: int):
     """Encode one group of reals to 4-bit codes on the grid of ``a``.
 
     Returns ``(codes, meta)``; see :func:`encode_groups` for the scale and
-    the rounding.  Pass ``scale`` to re-encode against a fixed factor.
+    the rounding.
     """
     values = np.asarray(values, dtype=np.float64)
-    codes, scales = encode_groups(values, a, scale)
+    codes, scales = encode_groups(values, a)
     return codes, GroupMeta(float(scales), int(a), values.size)
 
 

@@ -19,6 +19,9 @@ INT8_COEFF), which are their own values.  With |x| <= 127, |value| <=
 127*7 + 2**7 = 1017 (<= 127 for INT8) and group length G <= 65535, every
 product and partial sum is an integer below 2**33, far below 2**53, so the
 matmul is exact in any summation order, stacked or not.
+:func:`grouped_dot` owns the fold across groups: it adds one group's
+:func:`fused_dot` at a time, in ascending group order, for ``gemm`` and for
+both attention products.
 :func:`fused_group_dot` is the pure-integer scalar path, with psum2 built
 from logical shifts, and :func:`combine` its fold.
 """
@@ -99,14 +102,25 @@ def fused_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales) -> np.ndarray:
     return psum * (x_scales * w_scales)
 
 
+def grouped_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales, lengths) -> np.ndarray:
+    """Sum over groups of :func:`fused_dot`, ``(..., M, N)`` float64, of
+    codes ``(..., M|N, n_groups, G)`` with scales and coefficients ``(...,
+    M|N, n_groups)``.  Group g is cut to ``lengths[g]`` elements; groups add
+    in ascending order into zeros.  The loop is a cache tile: each call
+    gathers one group's code values, not the whole operand's."""
+    out = np.zeros(x_codes.shape[:-2] + w_codes.shape[-3:-2])
+    for g, length in enumerate(lengths):
+        out += fused_dot(x_codes[..., g, :length], x_scales[..., g],
+                         w_codes[..., g, :length], w_coeffs[..., g], w_scales[..., g])
+    return out
+
+
 def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     """Fused INT8 x (4-bit or INT8) matrix multiply, (M,K) x (K,N) -> (M,N)
     float64.
 
-    Both operands must be grouped along K with the same group size.  One
-    :func:`fused_dot` per K group covers all rows and columns; groups
-    accumulate in ascending index in float64.  The group loop is a cache
-    tile: each call gathers one group's code values, not the whole weight's.
+    Both operands must be grouped along K with the same group size; one
+    :func:`grouped_dot` over the K groups covers all rows and columns.
     """
     if x_q.element_kind != KIND_INT8:
         raise ValueError(f"left operand must be INT8, got {x_q.element_kind}")
@@ -118,11 +132,8 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
         raise ValueError("operands must be grouped along the shared accumulation axis")
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
-    out = np.zeros((x_q.shape[0], w_q.shape[1]), dtype=np.float64)
-    for g, length in enumerate(group_lengths(x_q.axis_length, x_q.group_size)):
-        out += fused_dot(x_q.codes[:, g, :length], x_q.scales[:, g],
-                         w_q.codes[:, g, :length], w_q.coefficients[:, g], w_q.scales[:, g])
-    return out
+    return grouped_dot(x_q.codes, x_q.scales, w_q.codes, w_q.coefficients, w_q.scales,
+                       group_lengths(x_q.axis_length, x_q.group_size))
 
 
 def dequantized_gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:

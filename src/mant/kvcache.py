@@ -8,7 +8,9 @@ values go through a two-phase process window: each decode step stages the
 vector as INT8 (channel-wise scales fixed at prefill) and updates running
 max / sum / sum-of-squares per channel, and when the window holds a full
 group the staged rows are re-encoded to 4-bit codes using a coefficient
-picked from the streaming variance.
+picked from the streaming variance.  Keys (from each group's sums over its
+true length), prompt values and window flushes all pick coefficients
+through :func:`selection.coefficients_from_sums`.
 
 Every head shares one layout per role.  Keys are codes ``(seq, heads,
 n_kgroups, G)`` with scales and coefficients ``(seq, heads, n_kgroups)``;
@@ -35,13 +37,7 @@ from .codec import (
     to_groups,
 )
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
-from .selection import VarianceTable, select_by_variance, variance_from_sums
-
-
-def _streaming_coefficients(table: VarianceTable, absmax, total, total_sq, count):
-    """Table coefficients from group sums; all-zero groups take the smallest."""
-    var = variance_from_sums(total, total_sq, count, absmax)
-    return np.where(absmax == 0.0, table.entries[0][0], table.lookup(var)).astype(np.uint8)
+from .selection import VarianceTable, coefficients_from_sums, select_by_variance
 
 
 @dataclass
@@ -59,8 +55,8 @@ class ProcessWindow:
 
     channel_scales: np.ndarray
     group_size: int = DEFAULT_GROUP_SIZE
-    fill_count: int = 0
-    clamp_count: int = 0
+    fill_count: int = field(default=0, init=False)
+    clamp_count: int = field(default=0, init=False)
     staged: np.ndarray = field(init=False)
     running_max: np.ndarray = field(init=False)
     sum_v: np.ndarray = field(init=False)
@@ -128,8 +124,8 @@ class ProcessWindow:
         """
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
-        coeffs = _streaming_coefficients(table, self.running_max, self.sum_v, self.sum_v2,
-                                         self.group_size)
+        coeffs = coefficients_from_sums(table, self.sum_v, self.sum_v2, self.group_size,
+                                        self.running_max)
         codes, scales = encode_groups(np.moveaxis(self.staged_dequantized(), 0, -1), coeffs)
         self.fill_count = 0
         self.staged[:] = 0
@@ -164,16 +160,12 @@ class KvCache:
     """
 
     def __init__(self, heads: int, head_dim: int, k_table: VarianceTable,
-                 v_table: VarianceTable, group_size: int = DEFAULT_GROUP_SIZE,
-                 max_seq: int | None = None):
+                 v_table: VarianceTable, group_size: int = DEFAULT_GROUP_SIZE):
         if heads < 1 or head_dim < 1 or group_size < 1:
             raise ValueError("geometry must be positive")
-        if max_seq is not None and max_seq < 1:
-            raise ValueError("max_seq must be positive")
         self.heads = heads
         self.head_dim = head_dim
         self.group_size = group_size
-        self.max_seq = max_seq
         self.k_table = k_table
         self.v_table = v_table
         # (codes, scales, coeffs) of the key store and the flushed value blocks
@@ -217,16 +209,14 @@ class KvCache:
         k_vector = np.asarray(k_vector, dtype=np.float64)
         if k_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {k_vector.shape}")
-        if self.max_seq is not None and self.seq_len >= self.max_seq:
-            raise ValueError(f"cache full: max_seq={self.max_seq}")
         self._append_keys(k_vector[None])
 
     def _append_keys(self, keys: np.ndarray) -> None:
         """Encode keys (tokens, heads, head_dim) in one kernel call and append
         them; each group's sums run over its true length."""
         coeffs = np.concatenate([
-            _streaming_coefficients(self.k_table, np.max(np.abs(run), axis=-1),
-                                    run.sum(axis=-1), (run * run).sum(axis=-1), run.shape[-1])
+            coefficients_from_sums(self.k_table, run.sum(axis=-1), (run * run).sum(axis=-1),
+                                   run.shape[-1], np.max(np.abs(run), axis=-1))
             for run in split_runs(keys, self.group_size)], axis=-1)
         codes, scales = encode_groups(to_groups(keys, self.group_size), coeffs)
         self._k = tuple(np.concatenate(pair) for pair in zip(self._k, (codes, scales, coeffs)))
@@ -255,8 +245,6 @@ class KvCache:
         v_vector = np.asarray(v_vector, dtype=np.float64)
         if v_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {v_vector.shape}")
-        if self.max_seq is not None and self._total_v >= self.max_seq:
-            raise ValueError(f"cache full: max_seq={self.max_seq}")
         self.windows.push(v_vector)
         self._total_v += 1
         if self.windows.is_full:
@@ -281,8 +269,6 @@ class KvCache:
             raise ValueError("prefill expects matching (seq, heads, head_dim) tensors")
         if self.seq_len or self._total_v:
             raise ValueError("prefill must run on an empty cache")
-        if self.max_seq is not None and k_matrix.shape[0] > self.max_seq:
-            raise ValueError(f"prefill of {k_matrix.shape[0]} exceeds max_seq={self.max_seq}")
         _check_finite(k_matrix)
         _check_finite(v_matrix)
         self._append_keys(k_matrix)
@@ -293,7 +279,7 @@ class KvCache:
         # (blocks, heads, head_dim, G): one sequence group per channel
         groups = np.ascontiguousarray(v_matrix[:flushed].reshape(
             full_blocks, self.group_size, self.heads, self.head_dim).transpose(0, 2, 3, 1))
-        coeffs = select_by_variance(groups, self.v_table).astype(np.uint8)
+        coeffs = select_by_variance(groups, self.v_table)
         self._v = (*encode_groups(groups, coeffs), coeffs)
         self.windows.push(v_matrix[flushed:])
         self._total_v = seq

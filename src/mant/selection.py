@@ -8,7 +8,8 @@ with their best coefficient, and the variance boundary between two adjacent
 candidates is the mean normalized variance observed at the integer midpoint
 coefficient between them (probing a=35 and a=45 yields the boundaries of
 the a=40 range, for example).  At inference a single streaming variance
-lookup replaces the per-candidate search.
+lookup replaces the per-candidate search; :func:`coefficients_from_sums`
+holds that rule and :func:`variance_from_sums` the one variance formula.
 """
 
 from __future__ import annotations
@@ -99,26 +100,30 @@ def weight_space_error(values, a):
     return _scalar_or_array(np.mean(delta ** 2, axis=-1))
 
 
-def normalized_variance(values):
-    """Variance of groups ``(..., G)`` after scaling each absolute maximum to
-    1: ``(E[x^2] - E[x]^2) / max|x|^2`` in [0, 1], 0 for an all-zero group."""
+def _group_sums(values):
+    """Sum, sum of squares, length and absolute maximum of groups ``(..., G)``."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    absmax = np.max(np.abs(values), axis=-1, initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.mean(values, axis=-1)
-        var = (np.mean(values ** 2, axis=-1) - mean * mean) / (absmax * absmax)
-    return _scalar_or_array(np.where(absmax == 0.0, 0.0, np.clip(var, 0.0, 1.0)))
+    return (values.sum(axis=-1), (values * values).sum(axis=-1), values.shape[-1],
+            np.max(np.abs(values), axis=-1, initial=0.0))
 
 
 def variance_from_sums(total, total_sq, count, absmax):
-    """Streaming form of :func:`normalized_variance` from running sums."""
+    """Normalized variance ``(E[x^2] - E[x]^2) / max|x|^2`` in [0, 1] of
+    groups from their sums over ``count`` elements and absolute maxima; 0
+    for an all-zero or empty group.  The mean is squared by a multiply,
+    which rounds once; the C library's ``pow`` sometimes rounds otherwise."""
     total, total_sq, absmax = (np.asarray(x, dtype=np.float64) for x in (total, total_sq, absmax))
     with np.errstate(divide="ignore", invalid="ignore"):
-        # float_power calls the C library's pow like Python's float ``**``;
-        # numpy's ``** 2`` squares, which rounds differently on some values
-        var = (total_sq / count - np.float_power(total / count, 2)) / (absmax * absmax)
+        mean = total / count
+        var = (total_sq / count - mean * mean) / (absmax * absmax)
     var = np.where((absmax == 0.0) | (np.asarray(count) == 0), 0.0, np.clip(var, 0.0, 1.0))
     return _scalar_or_array(var)
+
+
+def normalized_variance(values):
+    """Variance of groups ``(..., G)`` after scaling each absolute maximum to
+    1: :func:`variance_from_sums` of each group's sums."""
+    return variance_from_sums(*_group_sums(values))
 
 
 @dataclass(frozen=True)
@@ -180,9 +185,9 @@ class VarianceTable:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Knobs of a calibration run, shareable as JSON."""
+    """Knobs of a calibration run, shareable as JSON.  The group size is not
+    one of them: it is the quantizer's setting (the CLI's ``--group-size``)."""
 
-    group_size: int = 64
     coefficients: tuple[int, ...] = DEFAULT_COEFFICIENTS
     min_groups: int = 32
 
@@ -191,7 +196,6 @@ class CalibrationConfig:
 
     def to_json(self) -> str:
         return json.dumps({
-            "group_size": self.group_size,
             "candidates": list(self.coefficients),
             "min_groups": self.min_groups,
         }, indent=2)
@@ -201,9 +205,12 @@ class CalibrationConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("calibration config must be a JSON object")
+        if "group_size" in data:
+            # ignoring the key would silently change the group size an old file selects
+            raise ValueError("calibration config has no group_size field; "
+                             "set the group size with --group-size")
         try:
             return cls(
-                group_size=int(data.get("group_size", 64)),
                 coefficients=tuple(int(a) for a in data.get("candidates", DEFAULT_COEFFICIENTS)),
                 min_groups=int(data.get("min_groups", 32)),
             )
@@ -285,10 +292,13 @@ def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...
     return table_from_probe_means(coefficients, means)
 
 
+def coefficients_from_sums(table: VarianceTable, total, total_sq, count, absmax) -> np.ndarray:
+    """Real-time coefficient choice (uint8) of groups from their sums, as in
+    :func:`variance_from_sums`; an all-zero group takes the smallest."""
+    coeffs = table.lookup(variance_from_sums(total, total_sq, count, absmax))
+    return np.where(np.asarray(absmax) == 0.0, table.entries[0][0], coeffs).astype(np.uint8)
+
+
 def select_by_variance(group, table: VarianceTable):
-    """Real-time coefficient choice for groups ``(..., G)``: normalized
-    variance lookup; an all-zero group maps to the smallest coefficient."""
-    values = np.asarray(group, dtype=np.float64)
-    silent = np.max(np.abs(values), axis=-1, initial=0.0) == 0.0
-    return _scalar_or_array(np.where(silent, table.entries[0][0],
-                                     table.lookup(normalized_variance(values))))
+    """:func:`coefficients_from_sums` of groups ``(..., G)``."""
+    return _scalar_or_array(coefficients_from_sums(table, *_group_sums(group)))

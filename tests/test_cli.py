@@ -111,8 +111,7 @@ class TestQuantize:
 
     def test_kv_role_with_calib_config(self, capsys, tmp_path, weight_file):
         cfg = tmp_path / "calib.json"
-        cfg.write_text(json.dumps({"group_size": 64, "candidates": [0, 40, 120],
-                                   "min_groups": 8}))
+        cfg.write_text(json.dumps({"candidates": [0, 40, 120], "min_groups": 8}))
         out_q = tmp_path / "kv.mntq"
         code, _, _ = run_cli(capsys, "quantize", "--tensor", str(weight_file),
                              "--role", "kv", "--axis", "0",
@@ -120,6 +119,19 @@ class TestQuantize:
         assert code == 0
         qt = container.load_quantized(out_q)
         assert set(np.unique(qt.coefficients)) <= {0, 40, 120}
+
+    def test_calib_config_group_size_is_usage_error(self, capsys, tmp_path, weight_file):
+        # --group-size is the only group size setting
+        cfg = tmp_path / "calib.json"
+        cfg.write_text(json.dumps({"group_size": 32}))
+        out_q = tmp_path / "kv.mntq"
+        code, _, err = run_cli(capsys, "quantize", "--tensor", str(weight_file),
+                               "--role", "kv", "--axis", "0", "--group-size", "64",
+                               "--calib-config", str(cfg), "--out", str(out_q))
+        assert code == 2
+        assert "error:" in err and "--group-size" in err
+        assert "Traceback" not in err
+        assert not out_q.exists()
 
     def test_missing_tensor_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "quantize", "--tensor", str(tmp_path / "nope.mntt"),
@@ -290,6 +302,23 @@ class TestKvRun:
         code, _, _ = run_cli(capsys, "kv-run", "--prefill", "64", "--steps", "8",
                              "--heads", "1", "--head-dim", "64", "--min-cosine", "1.1")
         assert code == 1
+
+    @pytest.mark.parametrize("group_size", ["0", "100000"])
+    def test_group_size_out_of_range_is_usage_error(self, capsys, group_size):
+        code, _, err = run_cli(capsys, "kv-run", "--prefill", "8", "--steps", "1",
+                               "--heads", "1", "--head-dim", "8", "--group-size", group_size)
+        assert code == 2
+        assert f"error: group size must be an integer in 1..65535, got {group_size}" in err
+        assert "Traceback" not in err
+
+    def test_group_longer_than_head_dim(self, capsys, tmp_path):
+        # each key is one short group; calibration takes those short rows
+        out = tmp_path / "trace.json"
+        code, _, _ = run_cli(capsys, "kv-run", "--prefill", "64", "--steps", "70",
+                             "--heads", "2", "--head-dim", "48", "--group-size", "64",
+                             "--min-cosine", "0.99", "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["flush_steps"] == [63]
 
 
 class TestSim:

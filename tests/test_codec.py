@@ -83,14 +83,6 @@ class TestQuantizeWeightGroup:
                 codes, meta = quantize_weight_group(values, a)
                 assert np.array_equal(codes, brute_force_codes(values, a, meta.scale))
 
-    def test_scale_override(self):
-        values = np.array([0.9, -0.4])
-        codes1, meta1 = quantize_weight_group(values, 17)
-        decoded = dequantize_group(codes1, meta1)
-        codes2, meta2 = quantize_weight_group(decoded, 17, scale=meta1.scale)
-        assert np.array_equal(codes1, codes2)
-        assert meta2.scale == meta1.scale
-
     def test_idempotent_with_recomputed_scale(self):
         rng = np.random.default_rng(5)
         for a in (0, 25, 90):

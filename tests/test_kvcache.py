@@ -260,22 +260,3 @@ class TestKvCache:
             cache.append_k(np.zeros((3, 64)))
         with pytest.raises(ValueError):
             KvCache(0, 64, TABLE, TABLE)
-
-
-class TestMaxSeq:
-    def test_capacity_enforced(self):
-        rng = np.random.default_rng(9)
-        cache = KvCache(1, 64, TABLE, TABLE, group_size=16, max_seq=3)
-        cache.prefill(rng.standard_normal((2, 1, 64)), rng.standard_normal((2, 1, 64)))
-        cache.append_k(rng.standard_normal((1, 64)))
-        cache.push_v(rng.standard_normal((1, 64)))
-        with pytest.raises(ValueError):
-            cache.append_k(rng.standard_normal((1, 64)))
-        with pytest.raises(ValueError):
-            cache.push_v(rng.standard_normal((1, 64)))
-
-    def test_prefill_overflow(self):
-        rng = np.random.default_rng(10)
-        cache = KvCache(1, 64, TABLE, TABLE, max_seq=4)
-        with pytest.raises(ValueError):
-            cache.prefill(rng.standard_normal((8, 1, 64)), rng.standard_normal((8, 1, 64)))

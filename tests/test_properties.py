@@ -184,7 +184,8 @@ def ref_normalized_variance(values) -> float:
 def ref_variance_from_sums(total, total_sq, count, absmax) -> float:
     if absmax == 0.0 or count == 0:
         return 0.0
-    var = (total_sq / count - (total / count) ** 2) / (absmax * absmax)
+    mean = total / count
+    var = (total_sq / count - mean * mean) / (absmax * absmax)
     return float(min(max(var, 0.0), 1.0))
 
 

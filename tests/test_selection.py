@@ -5,6 +5,7 @@ import pytest
 
 from mant.codec import INT4_COEFF
 from mant.grid import build_grid
+from mant.kvcache import KvCache
 from mant.selection import (
     CalibrationConfig,
     CandidateSet,
@@ -112,6 +113,37 @@ class TestNormalizedVariance:
         streaming = variance_from_sums(float(g.sum()), float((g * g).sum()),
                                        g.size, float(np.max(np.abs(g))))
         assert abs(streaming - normalized_variance(g)) < 1e-9
+
+
+def near_one_groups():
+    """Groups whose variance cancels in ``E[x^2] - E[x]^2``: a squared mean
+    that rounds differently changes it.  The C library's ``pow`` and a
+    multiply disagree on about 1 in 2,000 of these means."""
+    rng = np.random.default_rng(4)
+    groups = 1.0 + 1e-3 * rng.standard_normal((20000, 8))
+    return groups, groups.sum(axis=1), (groups * groups).sum(axis=1), np.abs(groups).max(axis=1)
+
+
+class TestOneVarianceFormula:
+    def test_two_pass_is_the_sums_formula(self):
+        groups, total, total_sq, absmax = near_one_groups()
+        streaming = variance_from_sums(total, total_sq, 8, absmax)
+        assert normalized_variance(groups).tobytes() == streaming.tobytes()
+
+    def test_keys_and_select_by_variance_agree_at_a_boundary(self):
+        # a boundary at the larger of the two roundings of a group's
+        # variance separates them; keys choose from group sums and must
+        # land on the side select_by_variance does
+        groups, total, total_sq, absmax = near_one_groups()
+        mean = total / 8
+        by_pow = (total_sq / 8 - np.float_power(mean, 2)) / (absmax * absmax)
+        by_mul = (total_sq / 8 - mean * mean) / (absmax * absmax)
+        g = int(np.argmax(by_pow != by_mul))   # group 0 where the two always agree
+        boundary = max(by_pow[g], by_mul[g])
+        table = VarianceTable(((10, 0.0, boundary), (40, boundary, 1.0)))
+        cache = KvCache(1, 8, table, table, group_size=8)
+        cache.append_k(groups[g][None])
+        assert cache.k_arrays()[2][0, 0, 0] == select_by_variance(groups[g], table)
 
 
 class TestVarianceTable:
@@ -223,13 +255,11 @@ class TestVarianceTable:
 
 class TestCalibrationConfig:
     def test_json_round_trip(self):
-        cfg = CalibrationConfig(group_size=32, coefficients=(0, 40, 120),
-                                min_groups=16)
+        cfg = CalibrationConfig(coefficients=(0, 40, 120), min_groups=16)
         again = CalibrationConfig.from_json(cfg.to_json())
         assert again == cfg
         assert again.candidate_set().coefficients == (0, 40, 120)
 
     def test_defaults(self):
         cfg = CalibrationConfig.from_json("{}")
-        assert cfg.group_size == 64
         assert len(cfg.coefficients) == 15

@@ -15,8 +15,14 @@ Each line is a name and the first 16 hex digits of a sha256:
 * ``gemm mant4`` and ``gemm int8``: ``gemm`` outputs over several shapes,
   group sizes with tail groups and zero rows, with mixed 4-bit weights
   (adaptive and INT4 coefficients) and with INT8 weights;
+* ``kv coefficients``: the key and flushed-value coefficient arrays of
+  caches streamed (prefill, then decode steps) under fixed variance tables,
+  over geometries with tail key groups, then the ``calibration_tables`` JSON
+  of two geometries;
 * ``cli quantize``: the MNTQ files and ``--stats`` JSON of CLI ``quantize``
-  runs for the weight, activation and kv roles.
+  runs for the weight, activation and kv roles;
+* ``cli quantize kv table and config``: the same for kv-role runs with a
+  ``--table`` and with a ``--calib-config``.
 
 The float sums depend on the BLAS build, so digests compare trees on one
 machine; they are not fixed reference values.
@@ -28,15 +34,19 @@ import contextlib
 import hashlib
 import importlib
 import io
+import json
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from mant.attention import AttentionPolicies, calibration_tables, run_toy_attention
+from mant.attention import (AttentionPolicies, calibration_tables, run_toy_attention,
+                            synthesize_stream)
 from mant.cli import main
 from mant.codec import quantize_activation_tensor, quantize_weight_tensor
+from mant.kvcache import KvCache
+from mant.selection import table_from_probe_means
 
 gemm_module = importlib.import_module("mant.gemm")   # the package's `gemm` is the function
 
@@ -55,6 +65,14 @@ KV_DECODE_MODEL_SEED = 20250226   # bench/workloads.py MODEL_SEED
 # (M, K, N, group size): tails at K % G != 0, one-element groups, M = 1
 GEMM_SHAPES = ((1, 64, 16, 64), (5, 200, 7, 64), (8, 130, 9, 130), (3, 100, 11, 32),
                (4, 37, 5, 1), (16, 384, 48, 64), (2, 257, 3, 128))
+
+# (prompt, decode steps, heads, head_dim, group size): tail key groups at 48/32 and 100/64
+KV_STREAMS = ((40, 90, 3, 48, 32), (70, 130, 2, 100, 64))
+# boundaries where toy keys and values land, so a variance change can move a pick
+KV_TABLE = table_from_probe_means((0, 10, 20, 40, 60, 90, 120),
+                                  [0.08, 0.11, 0.14, 0.17, 0.2, 0.24])
+# (heads, head_dim, group size) of the calibrated tables
+CALIBRATION_GEOMETRIES = ((2, 48, 32), (2, 100, 64))
 
 
 def short(h) -> str:
@@ -100,8 +118,25 @@ def gemm_digests():
     yield "gemm int8", short(int8)
 
 
-def cli_digest():
+def kv_coefficient_digest():
     h = hashlib.sha256()
+    for seed, (prompt, steps, heads, head_dim, group_size) in enumerate(KV_STREAMS):
+        _, k, v = synthesize_stream(np.random.default_rng(seed), prompt + steps, heads, head_dim)
+        cache = KvCache(heads, head_dim, KV_TABLE, KV_TABLE, group_size)
+        cache.prefill(k[:prompt], v[:prompt])
+        for t in range(prompt, prompt + steps):
+            cache.append_k(k[t])
+            cache.push_v(v[t])
+        h.update(cache.k_arrays()[2].tobytes())
+        h.update(cache.v_arrays()[2].tobytes())
+    for seed, (heads, head_dim, group_size) in enumerate(CALIBRATION_GEOMETRIES):
+        for table in calibration_tables(np.random.default_rng(seed), heads, head_dim, group_size):
+            h.update(table.to_json().encode())
+    yield "kv coefficients", short(h)
+
+
+def cli_digest():
+    h, kv = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         def path(name):
             return os.path.join(tmp, name)
@@ -123,18 +158,27 @@ def cli_digest():
             ("kv", "--axis", "0", "--group-size", "64"),
             ("kv", "--axis", "0", "--group-size", "32", "--candidates", "10,40,90"),
         )
-        for i, (role, *options) in enumerate(cases):
+        with open(path("table.json"), "w") as fh:
+            fh.write(KV_TABLE.to_json())
+        with open(path("calib.json"), "w") as fh:
+            json.dump({"candidates": [0, 20, 40, 80, 120], "min_groups": 8}, fh)
+        kv_cases = (
+            ("kv", "--axis", "0", "--group-size", "32", "--table", path("table.json")),
+            ("kv", "--axis", "0", "--group-size", "64", "--calib-config", path("calib.json")),
+        )
+        for i, (role, *options) in enumerate(cases + kv_cases):
             out, stats = path(f"q{i}.mntq"), path(f"q{i}.json")
             run("quantize", "--tensor", path("t.mntt"), "--role", role, *options,
                 "--out", out, "--stats", stats)
             for name in (out, stats):
                 with open(name, "rb") as fh:
-                    h.update(fh.read())
+                    (h if i < len(cases) else kv).update(fh.read())
     yield "cli quantize", short(h)
+    yield "cli quantize kv table and config", short(kv)
 
 
 def main_digest() -> int:
-    for gen in (attention_digests, gemm_digests, cli_digest):
+    for gen in (attention_digests, gemm_digests, kv_coefficient_digest, cli_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
