@@ -93,6 +93,10 @@ def calibration_tables(rng: np.random.Generator, heads: int, head_dim: int,
     k_groups = k_runs.reshape(-1, k_runs.shape[-1])
     # value groups in (block, head, channel) order
     blocks = length // group_size
+    if not blocks:
+        raise ValueError(f"group size {group_size} is longer than the {length}-token calibration "
+                         "stream, so no value group is full; give both variance tables "
+                         "(kv-run --k-table and --v-table) to skip calibration")
     v_groups = v[:blocks * group_size].reshape(blocks, group_size, heads, head_dim)
     v_groups = v_groups.transpose(0, 2, 3, 1).reshape(-1, group_size)
     k_table = build_variance_table(k_groups, candidates)
@@ -132,7 +136,8 @@ def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused attention scores ``(heads, rows, upto)`` of query rows
     ``(heads, rows, ...)`` against cached keys [0, upto): one
     :func:`grouped_dot` over the key groups, heads batched."""
-    k_codes, k_scales, k_coeffs = (a[:upto].swapaxes(0, 1) for a in cache.k_arrays())
+    k_codes, k_scales, k_coeffs = (a[:upto].swapaxes(0, 1)
+                                   for a in cache.keys.split_rows(cache.seq_len, cache.heads))
     return grouped_dot(q_codes, q_scales, k_codes, k_coeffs, k_scales,
                        group_lengths(cache.head_dim, cache.group_size))
 
@@ -145,10 +150,9 @@ def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.n
     scales.
     """
     group_size, flushed = cache.group_size, cache.flushed_tokens
-    v_codes, v_scales, v_coeffs = cache.v_arrays()
-    # the store read as (heads, head_dim, blocks, G): block b is group b of every channel
-    out = grouped_dot(p_codes, p_scales, v_codes.transpose(1, 2, 0, 3),
-                      v_coeffs.transpose(1, 2, 0), v_scales.transpose(1, 2, 0),
+    # (heads, head_dim, blocks, G): block b is group b of every channel
+    v_codes, v_scales, v_coeffs = cache.values.split_rows(cache.heads, cache.head_dim)
+    out = grouped_dot(p_codes, p_scales, v_codes, v_coeffs, v_scales,
                       group_lengths(min(upto, flushed), group_size))
     if upto > flushed:
         b, length = flushed // group_size, upto - flushed

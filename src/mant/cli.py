@@ -28,6 +28,7 @@ from .codec import (
     quantize_activation_tensor,
     quantize_weight_tensor,
     split_runs,
+    tensor_rows,
 )
 from .gemm import dequantized_gemm, gemm
 from .grid import CURVE_KINDS, DEFAULT_NF_EPSILON, build_grid, fit_coefficient, reference_curve
@@ -37,7 +38,7 @@ from .selection import (
     CandidateSet,
     VarianceTable,
     build_variance_table,
-    select_by_variance,
+    quantize_by_variance,
     select_weight_coefficient,
 )
 from .simulator import ArrayConfig, CostModel, compare_configs
@@ -113,6 +114,8 @@ def _quantize_stats(values: np.ndarray, qt, scales: np.ndarray) -> dict:
 
 def cmd_quantize(args) -> int:
     values = container.load_tensor(args.tensor)
+    if not values.size:
+        raise ValueError(f"tensor of shape {values.shape} has no elements to quantize")
     rng = np.random.default_rng(args.seed)
     group_size = args.group_size
     axis = args.axis
@@ -121,7 +124,7 @@ def cmd_quantize(args) -> int:
     if not -values.ndim <= axis < values.ndim:
         raise ValueError(f"axis {axis} out of range for shape {values.shape}")
     axis %= values.ndim
-    rows = np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
+    rows = tensor_rows(values, axis)
 
     if args.role == "activation":
         qt = quantize_activation_tensor(values, axis, group_size)
@@ -162,11 +165,7 @@ def cmd_quantize(args) -> int:
                 min_groups = min(32, groups.shape[0])
             table = build_variance_table(groups, candidates, min_groups=min_groups)
             log.info("calibrated variance table from %d groups", groups.shape[0])
-        # one lookup per run of equal-length groups keeps each variance
-        # summed over its group's true length
-        coeffs = np.concatenate([select_by_variance(run, table)
-                                 for run in split_runs(rows, group_size)], axis=1)
-        qt = quantize_weight_tensor(values, coeffs, axis, group_size)
+        qt = quantize_by_variance(values, table, axis, group_size)
 
     container.save_quantized(args.out, qt)
     # stats reflect the file exactly (scales are half precision on disk)

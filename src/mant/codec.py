@@ -313,7 +313,7 @@ class QuantizedTensor:
     flattened remaining axes in row-major order; group ``g`` of row ``r``
     covers elements ``[g*group_size, min((g+1)*group_size, axis_len))``.
     ``codes`` is (rows, n_groups, group_size): uint8 nibbles for 4-bit kinds,
-    int8 for INT8, zero-padded past each group's true length.
+    int8 for INT8, zero-padded past each group's true length; the arrays may be views.
     """
 
     shape: tuple[int, ...]
@@ -334,13 +334,20 @@ class QuantizedTensor:
 
     @property
     def n_rows(self) -> int:
-        return math.prod(self.shape) // self.axis_length
+        rest = list(self.shape)
+        del rest[self.group_axis]   # dividing the size by the axis length fails on an empty axis
+        return math.prod(rest)
 
     @property
     def group_lengths(self) -> np.ndarray:
         """True length of every group, a read-only (rows, n_groups) uint16 view."""
         return np.broadcast_to(group_lengths(self.axis_length, self.group_size),
                                (self.n_rows, self.n_groups))
+
+    def split_rows(self, *row_shape: int):
+        """Views of ``(codes, scales, coefficients)``, rows split into ``row_shape``."""
+        return tuple(a.reshape(row_shape + a.shape[1:])
+                     for a in (self.codes, self.scales, self.coefficients))
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the full real-valued tensor."""
@@ -350,24 +357,22 @@ class QuantizedTensor:
                                self.shape, self.group_axis)
 
 
+def tensor_rows(values, group_axis: int) -> np.ndarray:
+    """A tensor's :class:`QuantizedTensor` rows, contiguous float64 ``(n_rows, axis_len)``."""
+    moved = np.moveaxis(np.asarray(values, dtype=np.float64), group_axis, -1)
+    return np.ascontiguousarray(moved).reshape(math.prod(moved.shape[:-1]), moved.shape[-1])
+
+
 def _rows_to_tensor(rows: np.ndarray, shape: tuple[int, ...], axis: int) -> np.ndarray:
     moved_shape = tuple(shape[i] for i in range(len(shape)) if i != axis) + (shape[axis],)
     return np.moveaxis(rows.reshape(moved_shape), -1, axis)
 
 
-def _tensor_groups(values, group_axis: int, group_size: int):
-    """Tensor values as zero-padded groups (rows, n_groups, G)."""
-    values = np.asarray(values, dtype=np.float64)
-    rows = np.moveaxis(values, group_axis, -1).reshape(-1, values.shape[group_axis])
-    return values, to_groups(rows, group_size)
-
-
 def quantize_activation_tensor(values, group_axis: int, group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a tensor to group-wise INT8 along ``group_axis``."""
-    values, groups = _tensor_groups(values, group_axis, group_size)
-    codes, scales = encode_int8(groups)
+    codes, scales = encode_int8(to_groups(tensor_rows(values, group_axis), group_size))
     coeffs = np.full(scales.shape, INT8_COEFF, dtype=np.uint8)
-    return QuantizedTensor(tuple(values.shape), KIND_INT8, group_axis, group_size,
+    return QuantizedTensor(np.shape(values), KIND_INT8, group_axis, group_size,
                            codes, scales, coeffs)
 
 
@@ -375,8 +380,8 @@ def quantize_weight_tensor(values, coefficients, group_axis: int = 0,
                            group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a tensor to group-wise 4-bit codes along ``group_axis``, with
     one coefficient for all groups or a (rows, n_groups) array of them."""
-    values, groups = _tensor_groups(values, group_axis, group_size)
-    codes, scales = encode_groups(groups, coefficients)
+    codes, scales = encode_groups(to_groups(tensor_rows(values, group_axis), group_size),
+                                  coefficients)
     coeffs = np.broadcast_to(coefficients, scales.shape).astype(np.uint8)
-    return QuantizedTensor(tuple(values.shape), KIND_MANT4, group_axis, group_size,
+    return QuantizedTensor(np.shape(values), KIND_MANT4, group_axis, group_size,
                            codes, scales, coeffs)

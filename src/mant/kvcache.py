@@ -12,32 +12,33 @@ picked from the streaming variance.  Keys (from each group's sums over its
 true length), prompt values and window flushes all pick coefficients
 through :func:`selection.coefficients_from_sums`.
 
-Every head shares one layout per role.  Keys are codes ``(seq, heads,
-n_kgroups, G)`` with scales and coefficients ``(seq, heads, n_kgroups)``;
-flushed values are codes ``(blocks, heads, head_dim, G)`` with scales and
-coefficients ``(blocks, heads, head_dim)``; one process window stages the
-values of all heads.  Both stores grow by concatenation.
+The keys and the flushed values are 4-bit ``(tokens, heads, head_dim)``
+:class:`QuantizedTensor` s grouped along axis 2 and 0, built by
+:func:`selection.quantize_by_variance` (keys, prompt values) or a window
+flush and joined along axis 0.  The value arrays stay block-major in
+memory, so each block is one contiguous operand of the value product.
+One process window stages the values of all heads.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .codec import (
     DEFAULT_GROUP_SIZE,
+    KIND_MANT4,
     GroupMeta,
+    QuantizedTensor,
     _check_finite,
-    decode_groups,
     encode_groups,
-    split_runs,
-    to_groups,
+    tensor_rows,
 )
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
-from .selection import VarianceTable, coefficients_from_sums, select_by_variance
+from .selection import VarianceTable, coefficients_from_sums, quantize_by_variance
 
 
 @dataclass
@@ -126,7 +127,8 @@ class ProcessWindow:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
         coeffs = coefficients_from_sums(table, self.sum_v, self.sum_v2, self.group_size,
                                         self.running_max)
-        codes, scales = encode_groups(np.moveaxis(self.staged_dequantized(), 0, -1), coeffs)
+        groups = tensor_rows(self.staged_dequantized(), 0).reshape(coeffs.shape + (-1,))
+        codes, scales = encode_groups(groups, coeffs)
         self.fill_count = 0
         self.staged[:] = 0
         self.running_max[:] = self.sum_v[:] = self.sum_v2[:] = 0.0
@@ -145,9 +147,16 @@ class ProcessWindow:
 ValueBlock = namedtuple("ValueBlock", "codes scales coeffs")
 
 
-def _empty_store(lead: tuple[int, ...], group_size: int):
-    return (np.zeros(lead + (group_size,), dtype=np.uint8), np.zeros(lead),
-            np.zeros(lead, dtype=np.uint8))
+def _join(old: QuantizedTensor, new: QuantizedTensor) -> QuantizedTensor:
+    """``new`` after ``old`` along tensor axis 0: rows join, or whole groups when axis 0
+    is the group axis, kept group-major in memory (``swapaxes(0, 1)`` views)."""
+    axis = 1 if old.group_axis == 0 else 0
+    codes, scales, coeffs = (np.concatenate([a.swapaxes(0, axis), b.swapaxes(0, axis)])
+                             .swapaxes(0, axis)
+                             for a, b in ((old.codes, new.codes), (old.scales, new.scales),
+                                          (old.coefficients, new.coefficients)))
+    return replace(old, shape=(old.shape[0] + new.shape[0],) + old.shape[1:],
+                   codes=codes, scales=scales, coefficients=coeffs)
 
 
 class KvCache:
@@ -168,9 +177,8 @@ class KvCache:
         self.group_size = group_size
         self.k_table = k_table
         self.v_table = v_table
-        # (codes, scales, coeffs) of the key store and the flushed value blocks
-        self._k = _empty_store((0, heads, self.n_k_groups), group_size)
-        self._v = _empty_store((0, heads, head_dim), group_size)
+        self.keys = quantize_by_variance(np.zeros((0, heads, head_dim)), k_table, 2, group_size)
+        self.values = quantize_by_variance(np.zeros((0, heads, head_dim)), v_table, 0, group_size)
         self.windows: ProcessWindow | None = None
         self._total_v = 0
 
@@ -180,11 +188,11 @@ class KvCache:
 
     @property
     def seq_len(self) -> int:
-        return self._k[0].shape[0]
+        return self.keys.shape[0]
 
     @property
     def flushed_tokens(self) -> int:
-        return self._v[0].shape[0] * self.group_size
+        return self.values.shape[0]
 
     @property
     def window_fill(self) -> int:
@@ -209,28 +217,12 @@ class KvCache:
         k_vector = np.asarray(k_vector, dtype=np.float64)
         if k_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {k_vector.shape}")
-        self._append_keys(k_vector[None])
-
-    def _append_keys(self, keys: np.ndarray) -> None:
-        """Encode keys (tokens, heads, head_dim) in one kernel call and append
-        them; each group's sums run over its true length."""
-        coeffs = np.concatenate([
-            coefficients_from_sums(self.k_table, run.sum(axis=-1), (run * run).sum(axis=-1),
-                                   run.shape[-1], np.max(np.abs(run), axis=-1))
-            for run in split_runs(keys, self.group_size)], axis=-1)
-        codes, scales = encode_groups(to_groups(keys, self.group_size), coeffs)
-        self._k = tuple(np.concatenate(pair) for pair in zip(self._k, (codes, scales, coeffs)))
+        self.keys = _join(self.keys, quantize_by_variance(k_vector[None], self.k_table, 2,
+                                                          self.group_size))
 
     def k_arrays(self):
-        """Key store: codes (seq, heads, n_kgroups, G), scales, coeffs."""
-        return self._k
-
-    def k_dequantized(self) -> np.ndarray:
-        """Reconstructed keys, shape (seq, heads, head_dim)."""
-        codes, scales, coeffs = self.k_arrays()
-        keys = decode_groups(codes, coeffs, scales).reshape(
-            self.seq_len, self.heads, self.n_k_groups * self.group_size)
-        return np.ascontiguousarray(keys[..., :self.head_dim])
+        """Views of the keys: codes (seq, heads, n_kgroups, G), scales, coeffs."""
+        return self.keys.split_rows(self.seq_len, self.heads)
 
     # -- V path ------------------------------------------------------------
 
@@ -248,8 +240,11 @@ class KvCache:
         self.windows.push(v_vector)
         self._total_v += 1
         if self.windows.is_full:
-            block = self.windows.flush_groups(self.v_table)
-            self._v = tuple(np.concatenate([old, new[None]]) for old, new in zip(self._v, block))
+            block = (a.reshape((-1, 1) + a.shape[2:])   # one group per (head, channel) row
+                     for a in self.windows.flush_groups(self.v_table))
+            self.values = _join(self.values, QuantizedTensor(
+                (self.group_size, self.heads, self.head_dim), KIND_MANT4, 0, self.group_size,
+                *block))
             return True
         return False
 
@@ -271,36 +266,25 @@ class KvCache:
             raise ValueError("prefill must run on an empty cache")
         _check_finite(k_matrix)
         _check_finite(v_matrix)
-        self._append_keys(k_matrix)
+        self.keys = quantize_by_variance(k_matrix, self.k_table, 2, self.group_size)
         self.windows = ProcessWindow(np.max(np.abs(v_matrix), axis=0) / 127.0, self.group_size)
         seq = v_matrix.shape[0]
-        full_blocks = seq // self.group_size
-        flushed = full_blocks * self.group_size
-        # (blocks, heads, head_dim, G): one sequence group per channel
-        groups = np.ascontiguousarray(v_matrix[:flushed].reshape(
-            full_blocks, self.group_size, self.heads, self.head_dim).transpose(0, 2, 3, 1))
-        coeffs = select_by_variance(groups, self.v_table)
-        self._v = (*encode_groups(groups, coeffs), coeffs)
+        flushed = seq - seq % self.group_size
+        self.values = _join(self.values, quantize_by_variance(v_matrix[:flushed], self.v_table, 0,
+                                                              self.group_size))
         self.windows.push(v_matrix[flushed:])
         self._total_v = seq
 
     def v_arrays(self):
-        """Flushed value store: codes (blocks, heads, head_dim, G), scales,
-        coeffs."""
-        return self._v
+        """Views of the values: codes (blocks, heads, head_dim, G), scales, coeffs."""
+        return tuple(a.swapaxes(0, 1).reshape((-1, self.heads, self.head_dim) + a.shape[2:])
+                     for a in (self.values.codes, self.values.scales, self.values.coefficients))
 
     def v_blocks(self, head: int) -> list[ValueBlock]:
         """One head's flushed blocks, in sequence order."""
-        return [ValueBlock(*block) for block in zip(*(a[:, head] for a in self._v))]
+        return [ValueBlock(*block) for block in zip(*(a[:, head] for a in self.v_arrays()))]
 
     def v_dequantized(self) -> np.ndarray:
         """Reconstructed values (flushed blocks plus staged rows)."""
-        out = np.zeros((self._total_v, self.heads, self.head_dim))
-        flushed = self.flushed_tokens
-        codes, scales, coeffs = self._v
-        # (blocks, heads, head_dim, G) -> (blocks * G, heads, head_dim)
-        values = decode_groups(codes, coeffs, scales)
-        out[:flushed] = values.transpose(0, 3, 1, 2).reshape(flushed, self.heads, self.head_dim)
-        if self._total_v > flushed:
-            out[flushed:] = self.windows.staged_dequantized()
-        return out
+        staged = [] if self.windows is None else [self.windows.staged_dequantized()]
+        return np.concatenate([self.values.dequantize()] + staged)

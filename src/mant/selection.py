@@ -10,6 +10,8 @@ coefficient between them (probing a=35 and a=45 yields the boundaries of
 the a=40 range, for example).  At inference a single streaming variance
 lookup replaces the per-candidate search; :func:`coefficients_from_sums`
 holds that rule and :func:`variance_from_sums` the one variance formula.
+:func:`quantize_by_variance` encodes a whole tensor by that rule (the
+CLI's kv role, and the KV cache's keys and prompt values).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import INT4_COEFF, decode_groups, encode_groups
+from .codec import (INT4_COEFF, KIND_MANT4, QuantizedTensor, decode_groups, encode_groups,
+                    split_runs, tensor_rows, to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 
 DEFAULT_COEFFICIENTS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
@@ -302,3 +305,16 @@ def coefficients_from_sums(table: VarianceTable, total, total_sq, count, absmax)
 def select_by_variance(group, table: VarianceTable):
     """:func:`coefficients_from_sums` of groups ``(..., G)``."""
     return _scalar_or_array(coefficients_from_sums(table, *_group_sums(group)))
+
+
+def quantize_by_variance(values, table: VarianceTable, group_axis: int,
+                         group_size: int) -> QuantizedTensor:
+    """A 4-bit tensor grouped along ``group_axis``, each group's coefficient from
+    :func:`coefficients_from_sums` of its sums over its true length (:func:`codec.split_runs`)."""
+    rows = tensor_rows(values, group_axis)
+    # the empty first part keeps the (rows, 0) shape of an axis with no groups
+    coeffs = np.concatenate([np.zeros((len(rows), 0), np.uint8)] + [coefficients_from_sums(
+        table, *_group_sums(run)) for run in split_runs(rows, group_size)], axis=-1)
+    codes, scales = encode_groups(to_groups(rows, group_size), coeffs)
+    return QuantizedTensor(np.shape(values), KIND_MANT4, group_axis, group_size,
+                           codes, scales, coeffs)

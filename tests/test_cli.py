@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, file round trips, determinism."""
 
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from mant import container
 from mant.cli import main
+from mant.kvcache import KvCache
+from mant.selection import table_from_probe_means
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +137,34 @@ class TestQuantize:
         assert "Traceback" not in err
         assert not out_q.exists()
 
+    def test_kv_role_matches_cache_keys(self, capsys, tmp_path):
+        # the kv role and the cache's key store come from one encoder
+        tensor, table_path, out_q = tmp_path / "k.mntt", tmp_path / "t.json", tmp_path / "k.mntq"
+        container.save_tensor(tensor, np.random.default_rng(21).standard_normal((40, 3, 48)))
+        table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+        table_path.write_text(table.to_json())
+        code, _, _ = run_cli(capsys, "quantize", "--tensor", str(tensor), "--role", "kv",
+                             "--axis", "2", "--group-size", "32", "--table", str(table_path),
+                             "--out", str(out_q))
+        assert code == 0
+        keys = container.load_tensor(tensor)   # the float32 values the CLI read
+        cache = KvCache(3, 48, table, table, 32)
+        cache.prefill(keys, keys)
+        buf = io.BytesIO()
+        container.write_quantized(buf, cache.keys)
+        assert out_q.read_bytes() == buf.getvalue()
+
+    @pytest.mark.parametrize("role", ["weight", "activation", "kv"])
+    def test_tensor_with_no_elements_is_usage_error(self, capsys, tmp_path, role):
+        tensor, out_q = tmp_path / "empty.mntt", tmp_path / "q.mntq"
+        container.save_tensor(tensor, np.zeros((0, 4)))
+        code, _, err = run_cli(capsys, "quantize", "--tensor", str(tensor), "--role", role,
+                               "--out", str(out_q))
+        assert code == 2
+        assert "error: tensor of shape (0, 4) has no elements" in err
+        assert "Traceback" not in err
+        assert not out_q.exists()
+
     def test_missing_tensor_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "quantize", "--tensor", str(tmp_path / "nope.mntt"),
                                "--role", "weight", "--out", str(tmp_path / "q.mntq"))
@@ -190,6 +222,19 @@ class TestQuantize:
         stats = json.loads(stats_path.read_text())
         assert stats["scale_underflow"] == 0 and stats["scale_overflow"] == 0
         assert "IEEE half" not in caplog.text
+
+
+class TestDequantize:
+    def test_tensor_with_no_elements(self, capsys, tmp_path):
+        # a consistent MNTQ file of dims (0, 4), group axis 0 and G=64: a
+        # header with no groups and no payload
+        path, out = tmp_path / "empty.mntq", tmp_path / "empty.mntt"
+        path.write_bytes(b"MNTQ" + struct.pack("<HBHB", 1, 0, 64, 2)
+                         + struct.pack("<2QB", 0, 4, 0))
+        code, _, err = run_cli(capsys, "dequantize", "--input", str(path), "--out", str(out))
+        assert code == 0
+        assert "Traceback" not in err
+        assert container.load_tensor(out).shape == (0, 4)
 
 
 class TestGemmCheck:
@@ -311,6 +356,14 @@ class TestKvRun:
         assert f"error: group size must be an integer in 1..65535, got {group_size}" in err
         assert "Traceback" not in err
 
+    def test_group_longer_than_calibration_stream(self, capsys):
+        code, _, err = run_cli(capsys, "kv-run", "--prefill", "8", "--steps", "1",
+                               "--heads", "1", "--head-dim", "8", "--group-size", "300")
+        assert code == 2
+        assert "error: group size 300" in err and "256-token" in err
+        assert "--k-table" in err and "--v-table" in err
+        assert "Traceback" not in err
+
     def test_group_longer_than_head_dim(self, capsys, tmp_path):
         # each key is one short group; calibration takes those short rows
         out = tmp_path / "trace.json"
@@ -413,7 +466,8 @@ MALFORMED_JSON = [
     ("quantize-table-numbers", "quantize", {"table": [1, 2]}),
     ("quantize-table-null-a", "quantize", {"table": [{"a": None, "lo": 0.0, "hi": 1.0}]}),
     ("quantize-calib-config-list", "quantize", {"calib-config": [1, 2]}),
-    ("quantize-calib-config-null", "quantize", {"calib-config": {"group_size": None}}),
+    ("quantize-calib-config-null", "quantize", {"calib-config": {"candidates": None}}),
+    ("quantize-calib-config-null-min-groups", "quantize", {"calib-config": {"min_groups": None}}),
     ("quantize-calib-config-number-candidates", "quantize", {"calib-config": {"candidates": 5}}),
     ("kv-run-k-table-strings", "kv-run", {"k-table": ["x"]}),
     ("kv-run-k-table-numbers", "kv-run", {"k-table": [1, 2]}),

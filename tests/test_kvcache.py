@@ -1,9 +1,13 @@
 """Process window and KV-cache engine contracts."""
 
+import io
+
 import numpy as np
 import pytest
 
-from mant.codec import group_lengths, quantize_activation_group, quantize_weight_group
+from mant import container, simulator
+from mant.codec import (QuantizedTensor, group_lengths, quantize_activation_group,
+                        quantize_weight_group)
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import normalized_variance, table_from_probe_means
 
@@ -174,7 +178,7 @@ class TestKvCache:
         cache = make_cache()
         k = rng.standard_normal((2, 128))
         cache.append_k(k)
-        decoded = cache.k_dequantized()[0]
+        decoded = cache.keys.dequantize()[0]
         _, scales, coeffs = cache.k_arrays()
         for h in range(2):
             for g, length in enumerate(group_lengths(cache.head_dim, cache.group_size)):
@@ -250,7 +254,7 @@ class TestKvCache:
 
     def test_empty_cache_dequantizes(self):
         cache = make_cache(heads=2, head_dim=48, group_size=32)
-        assert cache.k_dequantized().shape == (0, 2, 48)
+        assert cache.keys.dequantize().shape == (0, 2, 48)
         assert cache.v_dequantized().shape == (0, 2, 48)
         assert cache.v_blocks(1) == [] and cache.conservation_holds()
 
@@ -260,3 +264,40 @@ class TestKvCache:
             cache.append_k(np.zeros((3, 64)))
         with pytest.raises(ValueError):
             KvCache(0, 64, TABLE, TABLE)
+
+
+class TestStores:
+    """Keys and flushed values are QuantizedTensors the container writes as they are."""
+
+    def test_values_round_trip_through_container(self):
+        rng = np.random.default_rng(14)
+        cache = make_cache(heads=2, head_dim=48, group_size=32)
+        cache.prefill(rng.standard_normal((100, 2, 48)), rng.standard_normal((100, 2, 48)))
+        for _ in range(60):   # two more blocks flush from the window
+            cache.append_k(rng.standard_normal((2, 48)))
+            cache.push_v(rng.standard_normal((2, 48)))
+        values = cache.values
+        assert isinstance(values, QuantizedTensor) and isinstance(cache.keys, QuantizedTensor)
+        assert values.shape == (160, 2, 48) and values.group_axis == 0
+        # block-major in memory: each block's codes are one contiguous operand
+        assert values.codes.swapaxes(0, 1).flags.c_contiguous
+        buf = io.BytesIO()
+        container.write_quantized(buf, values)
+        buf.seek(0)
+        loaded = container.read_quantized(buf)
+        assert loaded.shape == values.shape and loaded.group_axis == 0
+        assert np.array_equal(loaded.codes, values.codes)
+        assert np.array_equal(loaded.coefficients, values.coefficients)
+
+    @pytest.mark.parametrize("store,size", [("keys", 8739), ("values", 8099)])
+    def test_file_size_is_header_payload_and_records(self, store, size):
+        rng = np.random.default_rng(15)
+        cache = make_cache(heads=2, head_dim=48, group_size=32)
+        cache.prefill(rng.standard_normal((128, 2, 48)), rng.standard_normal((128, 2, 48)))
+        qt = getattr(cache, store)
+        buf = io.BytesIO()
+        container.write_quantized(buf, qt)
+        header = 4 + 6 + 8 * 3 + 1
+        payload = simulator._packed_payload_bytes(qt.axis_length, qt.n_rows, 4, 32)
+        records = container._RECORD.itemsize * qt.n_rows * qt.n_groups
+        assert len(buf.getvalue()) == header + payload + records == size

@@ -19,6 +19,9 @@ Each line is a name and the first 16 hex digits of a sha256:
   caches streamed (prefill, then decode steps) under fixed variance tables,
   over geometries with tail key groups, then the ``calibration_tables`` JSON
   of two geometries;
+* ``kv stores``: every array of the same caches, in C order: codes, scales
+  and coefficients of ``k_arrays()`` and of ``v_arrays()``, then the staged
+  INT8 rows and the channel scales of the process window;
 * ``cli quantize``: the MNTQ files and ``--stats`` JSON of CLI ``quantize``
   runs for the weight, activation and kv roles;
 * ``cli quantize kv table and config``: the same for kv-role runs with a
@@ -118,8 +121,8 @@ def gemm_digests():
     yield "gemm int8", short(int8)
 
 
-def kv_coefficient_digest():
-    h = hashlib.sha256()
+def kv_digests():
+    h, stores = hashlib.sha256(), hashlib.sha256()
     for seed, (prompt, steps, heads, head_dim, group_size) in enumerate(KV_STREAMS):
         _, k, v = synthesize_stream(np.random.default_rng(seed), prompt + steps, heads, head_dim)
         cache = KvCache(heads, head_dim, KV_TABLE, KV_TABLE, group_size)
@@ -129,10 +132,15 @@ def kv_coefficient_digest():
             cache.push_v(v[t])
         h.update(cache.k_arrays()[2].tobytes())
         h.update(cache.v_arrays()[2].tobytes())
+        window = cache.windows
+        for array in (*cache.k_arrays(), *cache.v_arrays(), window.staged[:window.fill_count],
+                      window.channel_scales):
+            stores.update(array.tobytes())
     for seed, (heads, head_dim, group_size) in enumerate(CALIBRATION_GEOMETRIES):
         for table in calibration_tables(np.random.default_rng(seed), heads, head_dim, group_size):
             h.update(table.to_json().encode())
     yield "kv coefficients", short(h)
+    yield "kv stores", short(stores)
 
 
 def cli_digest():
@@ -178,7 +186,7 @@ def cli_digest():
 
 
 def main_digest() -> int:
-    for gen in (attention_digests, gemm_digests, kv_coefficient_digest, cli_digest):
+    for gen in (attention_digests, gemm_digests, kv_digests, cli_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
