@@ -18,10 +18,7 @@ from .codec import (
     DEFAULT_GROUP_SIZE,
     INT4_COEFF,
     INT8_COEFF,
-    GroupMeta,
-    MantCode,
     QuantizedTensor,
-    dequantize_group,
     pack_codes,
     quantize_activation_group,
     quantize_activation_tensor,
@@ -71,18 +68,16 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayConfig", "AttentionPolicies", "CalibrationConfig",
-    "CandidateSet",
+    "ArrayConfig", "AttentionPolicies", "CalibrationConfig", "CandidateSet",
     "ContainerError", "CostModel", "DEFAULT_GROUP_SIZE", "DEFAULT_NF_EPSILON",
-    "GroupDotResult", "GroupMeta", "INT4_COEFF", "INT8_COEFF", "KvCache",
-    "MantCode", "MantGrid", "ProcessWindow", "QuantizedTensor", "ReferenceCurve",
-    "SimReport", "ToyAttentionReport", "VarianceTable", "build_grid",
-    "build_variance_table", "combine", "compare_configs", "dequantize_group",
-    "dequantized_gemm", "fit_coefficient", "fused_group_dot", "gemm",
-    "load_quantized", "load_tensor", "normalized_variance", "pack_codes", "probit",
-    "quantize_activation_group", "quantize_activation_tensor", "quantize_weight_group",
-    "quantize_weight_tensor", "read_quantized", "read_tensor", "reference_curve",
-    "run_toy_attention", "save_quantized", "save_tensor", "select_by_variance",
-    "select_weight_coefficient", "simulate_attention", "simulate_gemm",
-    "simulate_workload", "unpack_codes", "write_quantized", "write_tensor",
+    "GroupDotResult", "INT4_COEFF", "INT8_COEFF", "KvCache", "MantGrid", "ProcessWindow",
+    "QuantizedTensor", "ReferenceCurve", "SimReport", "ToyAttentionReport", "VarianceTable",
+    "build_grid", "build_variance_table", "combine", "compare_configs", "dequantized_gemm",
+    "fit_coefficient", "fused_group_dot", "gemm", "load_quantized", "load_tensor",
+    "normalized_variance", "pack_codes", "probit", "quantize_activation_group",
+    "quantize_activation_tensor", "quantize_weight_group", "quantize_weight_tensor",
+    "read_quantized", "read_tensor", "reference_curve", "run_toy_attention",
+    "save_quantized", "save_tensor", "select_by_variance", "select_weight_coefficient",
+    "simulate_attention", "simulate_gemm", "simulate_workload", "unpack_codes",
+    "write_quantized", "write_tensor",
 ]

@@ -21,7 +21,7 @@ from .codec import (DEFAULT_GROUP_SIZE, INT8_COEFF, decode_groups, encode_int8, 
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .gemm import fused_dot, grouped_dot
 from .kvcache import KvCache
-from .selection import CandidateSet, VarianceTable, build_variance_table
+from .selection import MIN_CALIBRATION_GROUPS, CandidateSet, VarianceTable, build_variance_table
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ def calibration_tables(rng: np.random.Generator, heads: int, head_dim: int,
     k_groups = k_runs.reshape(-1, k_runs.shape[-1])
     # value groups in (block, head, channel) order
     blocks = length // group_size
-    if not blocks:
-        raise ValueError(f"group size {group_size} is longer than the {length}-token calibration "
-                         "stream, so no value group is full; give both variance tables "
+    if blocks * heads * head_dim < MIN_CALIBRATION_GROUPS:
+        raise ValueError(f"group size {group_size} leaves {blocks * heads * head_dim} full value "
+                         f"groups in the {length}-token calibration stream, fewer than the "
+                         f"{MIN_CALIBRATION_GROUPS} calibration needs; give both variance tables "
                          "(kv-run --k-table and --v-table) to skip calibration")
     v_groups = v[:blocks * group_size].reshape(blocks, group_size, heads, head_dim)
     v_groups = v_groups.transpose(0, 2, 3, 1).reshape(-1, group_size)

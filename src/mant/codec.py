@@ -8,7 +8,8 @@ scaling factor and its coefficient as metadata.
 Three batched kernels do all the work on zero-padded groups ``(..., G)``
 with per-group metadata ``(...)``: :func:`encode_groups` (4-bit),
 :func:`encode_int8` and :func:`decode_groups`.  Tensor codecs call them
-once per tensor; the single-group functions are thin wrappers over them.
+once per tensor and return a :class:`QuantizedTensor`; the single-group
+functions return a tensor of one group.
 
 Code layout: a 4-bit code is one byte holding ``sign << 3 | magnitude``
 (sign bit 1 means negative).  Two codes pack into one payload byte, low
@@ -53,46 +54,6 @@ _CODE_VALUES.setflags(write=False)
 _CHUNK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class MantCode:
-    """One 4-bit sign-magnitude code."""
-
-    sign: int
-    magnitude: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if not 0 <= self.magnitude <= 7:
-            raise ValueError(f"magnitude must be in 0..7, got {self.magnitude}")
-
-    @property
-    def nibble(self) -> int:
-        return (SIGN_BIT if self.sign < 0 else 0) | self.magnitude
-
-    @classmethod
-    def from_nibble(cls, nibble: int) -> "MantCode":
-        return cls(-1 if nibble & SIGN_BIT else 1, nibble & MAGNITUDE_MASK)
-
-    def value(self, a: int) -> int:
-        """Decoded pre-scale integer value on the grid of coefficient ``a``."""
-        return self.sign * int(magnitude_values(a)[self.magnitude])
-
-
-@dataclass(frozen=True)
-class GroupMeta:
-    """Per-group metadata: scaling factor, coefficient, true group length.
-
-    ``scale`` is zero only for all-zero groups, which decode to zeros.
-    ``coefficient_a`` is 0..127 for adaptive groups, INT4_COEFF for plain
-    INT4 groups, INT8_COEFF for INT8 groups.
-    """
-
-    scale: float
-    coefficient_a: int
-    length: int = DEFAULT_GROUP_SIZE
-
-
 def _mant4_coefficients(coefficients):
     """Validated 4-bit coefficients (0..127 or INT4_COEFF) as table indices."""
     if isinstance(coefficients, (int, np.integer)):
@@ -111,18 +72,6 @@ def magnitude_values(a: int) -> np.ndarray:
     if a == INT8_COEFF:
         raise ValueError("INT8 groups have no 4-bit magnitude table")
     return _MAGNITUDES[_mant4_coefficients(int(a))]
-
-
-def grid_max(a: int) -> float:
-    """Largest representable pre-scale magnitude for coefficient ``a``."""
-    if a == INT8_COEFF:
-        return 127.0
-    return float(magnitude_values(a)[-1])
-
-
-def code_value_table(a: int) -> np.ndarray:
-    """Pre-scale decoded values of all 16 nibbles (index = nibble pattern)."""
-    return _CODE_VALUES[_mant4_coefficients(int(a))]
 
 
 def code_values(codes, coefficients) -> np.ndarray:
@@ -155,11 +104,11 @@ def encode_groups(groups, coefficients):
     """Encode zero-padded groups ``(..., G)`` to 4-bit codes and scales.
 
     ``coefficients`` holds one coefficient for all groups or one per group
-    (INT4_COEFF: the plain INT4 grid).  The scale is ``max|group| /
-    grid_max(a)``.  Each element takes the magnitude nearest to ``|value| /
-    scale`` (the smaller one on ties) and the sign bit when negative, except
-    on an INT4 zero.  Padding encodes to 0, and a zero-scale group to all
-    zeros.
+    (INT4_COEFF: the plain INT4 grid).  The scale is ``max|group|`` over the
+    top magnitude ``magnitude_values(a)[-1]``.  Each element takes the
+    magnitude nearest to ``|value| / scale`` (the smaller one on ties) and
+    the sign bit when negative, except on an INT4 zero.  Padding encodes to
+    0, and a zero-scale group to all zeros.
     """
     groups = np.asarray(groups, dtype=np.float64)
     _check_finite(groups)
@@ -216,27 +165,27 @@ def decode_groups(codes, coefficients, scales) -> np.ndarray:
 
 # -- single-group API ----------------------------------------------------------
 
-def quantize_weight_group(values, a: int):
-    """Encode one group of reals to 4-bit codes on the grid of ``a``.
-
-    Returns ``(codes, meta)``; see :func:`encode_groups` for the scale and
-    the rounding.
-    """
+def _group_tensor(values, kind: str, coefficient: int, encode) -> QuantizedTensor:
+    """One group of reals as a one-group tensor of ``kind``, encoded by ``encode``."""
     values = np.asarray(values, dtype=np.float64)
-    codes, scales = encode_groups(values, a)
-    return codes, GroupMeta(float(scales), int(a), values.size)
+    if values.ndim != 1:
+        raise ValueError(f"a group is a 1-D array, got shape {values.shape}")
+    if not values.size:
+        raise ValueError("the group is empty")
+    codes, scales = encode(values)
+    return QuantizedTensor(values.shape, kind, 0, values.size, codes[None, None],
+                           scales.reshape(1, 1), np.full((1, 1), coefficient, np.uint8))
 
 
-def quantize_activation_group(values):
-    """Encode one group of reals to symmetric INT8 (see :func:`encode_int8`)."""
-    values = np.asarray(values, dtype=np.float64)
-    codes, scales = encode_int8(values)
-    return codes, GroupMeta(float(scales), INT8_COEFF, values.size)
+def quantize_weight_group(values, a: int) -> QuantizedTensor:
+    """One group of reals as a one-group 4-bit tensor on the grid of ``a``;
+    see :func:`encode_groups` for the scale and the rounding."""
+    return _group_tensor(values, KIND_MANT4, a, lambda group: encode_groups(group, a))
 
 
-def dequantize_group(codes, meta: GroupMeta) -> np.ndarray:
-    """Decode a group back to reals: ``sign * magnitude_value * scale``."""
-    return decode_groups(codes, meta.coefficient_a, meta.scale)
+def quantize_activation_group(values) -> QuantizedTensor:
+    """One group of reals as a one-group INT8 tensor (see :func:`encode_int8`)."""
+    return _group_tensor(values, KIND_INT8, INT8_COEFF, encode_int8)
 
 
 def pack_codes(codes) -> bytes:

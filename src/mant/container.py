@@ -32,6 +32,8 @@ from typing import BinaryIO
 import numpy as np
 
 from .codec import (
+    INT4_COEFF,
+    INT8_COEFF,
     KIND_INT8,
     KIND_MANT4,
     MAX_GROUP_SIZE,
@@ -150,11 +152,17 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
     records = np.frombuffer(_read_exact(fh, _RECORD.itemsize * n_rows * n_groups),
                             dtype=_RECORD).reshape(n_rows, n_groups)
     expected = group_lengths(axis_len, group_size)
-    wrong = np.argwhere(records["length"] != expected)
-    if wrong.size:
-        r, g = wrong[0]
-        raise ContainerError(f"group ({r},{g}) length {records['length'][r, g]} "
-                             "inconsistent with dims")
+    scales = records["scale"].view(np.float16).astype(np.float64)
+    coeffs = records["a"]
+    for bad, name, values, problem in (
+            (records["length"] != expected, "length", records["length"], "inconsistent with dims"),
+            # half bits below 0x7C00: sign clear and exponent not all ones
+            (records["scale"] >= 0x7C00, "scale", scales, "is not finite and non-negative"),
+            (coeffs > INT4_COEFF if kind == KIND_MANT4 else coeffs != INT8_COEFF,
+             "coefficient", coeffs, f"does not fit {kind} codes")):
+        if bad.any():
+            r, g = np.argwhere(bad)[0]
+            raise ContainerError(f"group ({r},{g}) {name} {values[r, g]} {problem}")
 
     index, live, row_slots = _payload_slots(kind, expected, group_size)
     blob = _read_exact(fh, n_rows * packed_group_bytes(kind, row_slots))
@@ -166,8 +174,7 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
         raise ContainerError("trailing bytes after payload")
     return QuantizedTensor(tuple(int(d) for d in shape), kind, int(group_axis), int(group_size),
                            codes if kind == KIND_MANT4 else codes.view(np.int8),
-                           records["scale"].view(np.float16).astype(np.float64),
-                           records["a"].copy())
+                           scales, coeffs.copy())
 
 
 def write_tensor(fh: BinaryIO, values: np.ndarray) -> None:

@@ -14,10 +14,11 @@ through :func:`selection.coefficients_from_sums`.
 
 The keys and the flushed values are 4-bit ``(tokens, heads, head_dim)``
 :class:`QuantizedTensor` s grouped along axis 2 and 0, built by
-:func:`selection.quantize_by_variance` (keys, prompt values) or a window
-flush and joined along axis 0.  The value arrays stay block-major in
-memory, so each block is one contiguous operand of the value product.
-One process window stages the values of all heads.
+:func:`selection.quantize_by_variance` (keys, prompt values) or
+:meth:`ProcessWindow.flush` (a full window as one ``(group_size, heads,
+head_dim)`` block) and joined along axis 0.  The value arrays stay
+block-major in memory, so each block is one contiguous operand of the
+value product.  One process window stages the values of all heads.
 """
 
 from __future__ import annotations
@@ -28,15 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import (
-    DEFAULT_GROUP_SIZE,
-    KIND_MANT4,
-    GroupMeta,
-    QuantizedTensor,
-    _check_finite,
-    encode_groups,
-    tensor_rows,
-)
+from .codec import DEFAULT_GROUP_SIZE, QuantizedTensor, _check_finite, quantize_weight_tensor
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .selection import VarianceTable, coefficients_from_sums, quantize_by_variance
 
@@ -114,32 +107,25 @@ class ProcessWindow:
         """Real values of the staged rows, shape (fill_count, *channels)."""
         return self.staged[:self.fill_count].astype(np.float64) * self.channel_scales
 
-    def flush_groups(self, table: VarianceTable):
-        """Convert the full window to 4-bit groups, one per channel.
+    def flush(self, table: VarianceTable) -> QuantizedTensor:
+        """Convert the full window to a 4-bit ``(group_size, *channels)``
+        tensor grouped along axis 0, one group per channel.
 
         Per channel the normalized variance comes from the running sums
         (``var(x/c) == var(x)/c**2``), the coefficient from the table, and
-        the codes from re-encoding the dequantized staged column.  Returns
-        codes ``(*channels, group_size)`` and scales and coefficients
-        ``channels``; the window resets afterwards.
+        the codes from re-encoding the dequantized staged column.  The
+        window resets afterwards.
         """
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
         coeffs = coefficients_from_sums(table, self.sum_v, self.sum_v2, self.group_size,
                                         self.running_max)
-        groups = tensor_rows(self.staged_dequantized(), 0).reshape(coeffs.shape + (-1,))
-        codes, scales = encode_groups(groups, coeffs)
+        block = quantize_weight_tensor(self.staged_dequantized(), coeffs.reshape(-1, 1), 0,
+                                       self.group_size)
         self.fill_count = 0
         self.staged[:] = 0
         self.running_max[:] = self.sum_v[:] = self.sum_v2[:] = 0.0
-        return codes, scales, coeffs
-
-    def flush(self, table: VarianceTable):
-        """:meth:`flush_groups` with the metadata as one GroupMeta per
-        channel, in channel order: returns (codes, metas)."""
-        codes, scales, coeffs = self.flush_groups(table)
-        return codes, [GroupMeta(float(s), int(a), self.group_size)
-                       for s, a in zip(scales.flat, coeffs.flat)]
+        return block
 
 
 # one head's part of a flushed value block, as views of the store: codes
@@ -240,11 +226,7 @@ class KvCache:
         self.windows.push(v_vector)
         self._total_v += 1
         if self.windows.is_full:
-            block = (a.reshape((-1, 1) + a.shape[2:])   # one group per (head, channel) row
-                     for a in self.windows.flush_groups(self.v_table))
-            self.values = _join(self.values, QuantizedTensor(
-                (self.group_size, self.heads, self.head_dim), KIND_MANT4, 0, self.group_size,
-                *block))
+            self.values = _join(self.values, self.windows.flush(self.v_table))
             return True
         return False
 

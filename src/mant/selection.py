@@ -26,6 +26,7 @@ from .codec import (INT4_COEFF, KIND_MANT4, QuantizedTensor, decode_groups, enco
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 
 DEFAULT_COEFFICIENTS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
+MIN_CALIBRATION_GROUPS = 32
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,9 @@ def select_weight_coefficient(w_group, x_calib, candidates: CandidateSet):
     if not x_calib.shape[0]:
         # every candidate's output error would be 0, and the tie pick a=0
         raise ValueError("calibration set has no rows")
+    if not np.isfinite(x_calib).all():
+        # every error would be NaN, and the tie pick the first option
+        raise ValueError("calibration data contains non-finite values")
     options = candidates.options
     errs = np.empty((len(options),) + w_group.shape[:-1])
     for i, a in enumerate(options):
@@ -192,7 +196,7 @@ class CalibrationConfig:
     one of them: it is the quantizer's setting (the CLI's ``--group-size``)."""
 
     coefficients: tuple[int, ...] = DEFAULT_COEFFICIENTS
-    min_groups: int = 32
+    min_groups: int = MIN_CALIBRATION_GROUPS
 
     def candidate_set(self) -> CandidateSet:
         return CandidateSet(self.coefficients, include_int=False)
@@ -215,7 +219,7 @@ class CalibrationConfig:
         try:
             return cls(
                 coefficients=tuple(int(a) for a in data.get("candidates", DEFAULT_COEFFICIENTS)),
-                min_groups=int(data.get("min_groups", 32)),
+                min_groups=int(data.get("min_groups", MIN_CALIBRATION_GROUPS)),
             )
         except TypeError as exc:   # a null, nested or non-list field
             raise ValueError(f"bad calibration config field: {exc}") from exc
@@ -267,7 +271,7 @@ def table_from_probe_means(coefficients, probe_means) -> VarianceTable:
 
 
 def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...],
-                         min_groups: int = 32) -> VarianceTable:
+                         min_groups: int = MIN_CALIBRATION_GROUPS) -> VarianceTable:
     """Calibrate a variance table from sample groups.
 
     Each calibration group is labeled with its error-minimizing coefficient

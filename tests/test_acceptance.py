@@ -89,8 +89,8 @@ def test_criterion_03_encoder_oracle_equivalence():
         encoded = np.zeros((10_000, 64), dtype=np.uint8)
         scales = np.zeros(10_000)
         for i in range(10_000):
-            encoded[i], meta = quantize_weight_group(groups[i], a)
-            scales[i] = meta.scale
+            qt = quantize_weight_group(groups[i], a)
+            encoded[i], scales[i] = qt.codes[0, 0], qt.scales[0, 0]
         if not np.array_equal(encoded, _oracle_codes_batch(groups, a, scales)):
             ok = False
             break
@@ -187,15 +187,18 @@ def test_criterion_08_v_window_compositional():
     staged = window.staged_dequantized().copy()
     sums, sums2 = window.sum_v.copy(), window.sum_v2.copy()
     maxes = window.running_max.copy()
-    codes, metas = window.flush(table)
+    block = window.flush(table)
 
     ok = True
     for c in range(32):
         streaming = (sums2[c] / 64 - (sums[c] / 64) ** 2) / maxes[c] ** 2
         if abs(streaming - normalized_variance(staged[:, c])) > 1e-9:
             ok = False
-        ref_codes, ref_meta = quantize_weight_group(staged[:, c], table.lookup(streaming))
-        if not np.array_equal(codes[c], ref_codes) or metas[c] != ref_meta:
+        ref = quantize_weight_group(staged[:, c], table.lookup(streaming))
+        if not np.array_equal(block.codes[c], ref.codes[0]) \
+                or block.scales[c, 0] != ref.scales[0, 0] \
+                or block.coefficients[c, 0] != ref.coefficients[0, 0] \
+                or block.group_lengths[c, 0] != ref.group_lengths[0, 0]:
             ok = False
     elapsed = time.perf_counter() - start
     report(8, "V-window compositional check", ok and elapsed < 10.0,

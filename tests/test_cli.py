@@ -165,6 +165,18 @@ class TestQuantize:
         assert "Traceback" not in err
         assert not out_q.exists()
 
+    def test_non_finite_calibration_is_usage_error(self, capsys, tmp_path, weight_file):
+        calib, out_q = tmp_path / "c.mntt", tmp_path / "q.mntq"
+        x_calib = np.random.default_rng(1).standard_normal((16, 128))
+        x_calib[3, 70] = np.nan
+        container.save_tensor(calib, x_calib)
+        code, _, err = run_cli(capsys, "quantize", "--tensor", str(weight_file),
+                               "--role", "weight", "--calib", str(calib), "--out", str(out_q))
+        assert code == 2
+        assert "error: calibration data contains non-finite values" in err
+        assert "Traceback" not in err
+        assert not out_q.exists()
+
     def test_missing_tensor_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "quantize", "--tensor", str(tmp_path / "nope.mntt"),
                                "--role", "weight", "--out", str(tmp_path / "q.mntq"))
@@ -252,8 +264,8 @@ class TestGemmCheck:
         # dyadic scales survive the half-precision container rounding, so
         # the fused and dequantized paths agree bit for bit
         rng = np.random.default_rng(4)
-        from mant.codec import code_value_table, quantize_activation_tensor, quantize_weight_tensor
-        table = code_value_table(17)
+        from mant.codec import code_values, quantize_activation_tensor, quantize_weight_tensor
+        table = code_values(np.arange(16, dtype=np.uint8), 17)
         w = table[rng.integers(0, 16, (64, 8))] * 0.25
         w[0, :] = table[7] * 0.25  # absmax on the top grid point per column
         x_codes = rng.integers(-126, 127, (4, 64))
@@ -361,6 +373,15 @@ class TestKvRun:
                                "--heads", "1", "--head-dim", "8", "--group-size", "300")
         assert code == 2
         assert "error: group size 300" in err and "256-token" in err
+        assert "--k-table" in err and "--v-table" in err
+        assert "Traceback" not in err
+
+    def test_too_few_value_groups_to_calibrate(self, capsys):
+        # at G=200 the 256-token stream holds one value block of 8 groups
+        code, _, err = run_cli(capsys, "kv-run", "--prefill", "8", "--steps", "1",
+                               "--heads", "1", "--head-dim", "8", "--group-size", "200")
+        assert code == 2
+        assert "error: group size 200" in err and "256-token" in err
         assert "--k-table" in err and "--v-table" in err
         assert "Traceback" not in err
 

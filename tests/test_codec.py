@@ -6,11 +6,11 @@ import pytest
 from mant.codec import (
     INT4_COEFF,
     INT8_COEFF,
-    GroupMeta,
-    MantCode,
-    code_value_table,
-    dequantize_group,
-    grid_max,
+    KIND_INT8,
+    KIND_MANT4,
+    SIGN_BIT,
+    code_values,
+    decode_groups,
     magnitude_values,
     pack_codes,
     quantize_activation_group,
@@ -45,72 +45,73 @@ def brute_force_codes(values, a, scale):
     return out
 
 
-class TestMantCode:
-    def test_nibble_layout(self):
-        assert MantCode(1, 7).nibble == 0x7
-        assert MantCode(-1, 1).nibble == 0x9
-        assert MantCode.from_nibble(0x9) == MantCode(-1, 1)
-
-    def test_value(self):
-        assert MantCode(-1, 3).value(17) == -59
-        assert MantCode(1, 0).value(0) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MantCode(0, 3)
-        with pytest.raises(ValueError):
-            MantCode(1, 8)
-
-
 class TestQuantizeWeightGroup:
     def test_exact_powers_of_two(self):
-        codes, meta = quantize_weight_group([1.0, 0.5, 0.25, -0.125], 0)
-        assert meta.scale == 1.0 / 128.0
-        assert list(codes) == [MantCode(1, 7).nibble, MantCode(1, 6).nibble,
-                               MantCode(1, 5).nibble, MantCode(-1, 4).nibble]
+        qt = quantize_weight_group([1.0, 0.5, 0.25, -0.125], 0)
+        assert qt.scales[0, 0] == 1.0 / 128.0
+        assert list(qt.codes[0, 0]) == [0x7, 0x6, 0x5, SIGN_BIT | 0x4]
+
+    def test_one_group_tensor(self):
+        qt = quantize_weight_group(np.arange(5.0), 17)
+        assert (qt.shape, qt.element_kind, qt.group_axis, qt.group_size) == ((5,), KIND_MANT4, 0, 5)
+        assert qt.codes.shape == (1, 1, 5) and qt.coefficients.tolist() == [[17]]
+        qt = quantize_activation_group(np.arange(3.0))
+        assert (qt.shape, qt.element_kind, qt.codes.dtype) == ((3,), KIND_INT8, np.int8)
+        assert qt.coefficients.tolist() == [[INT8_COEFF]]
+
+    def test_empty_group_raises(self):
+        with pytest.raises(ValueError, match="group is empty"):
+            quantize_weight_group([], 17)
+        with pytest.raises(ValueError, match="group is empty"):
+            quantize_activation_group(np.zeros(0))
+
+    def test_group_must_be_one_dimensional(self):
+        # a (2, 4) array would otherwise encode as one tensor of malformed shape
+        with pytest.raises(ValueError, match="1-D"):
+            quantize_weight_group(np.ones((2, 4)), 17)
+        with pytest.raises(ValueError, match="1-D"):
+            quantize_activation_group(np.ones((2, 4)))
 
     def test_all_zero_group(self):
-        codes, meta = quantize_weight_group(np.zeros(64), 40)
-        assert meta.scale == 0.0
-        assert np.all(codes == 0)
-        assert np.all(dequantize_group(codes, meta) == 0.0)
+        qt = quantize_weight_group(np.zeros(64), 40)
+        assert qt.scales[0, 0] == 0.0
+        assert np.all(qt.codes == 0)
+        assert np.all(qt.dequantize() == 0.0)
 
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(11)
         for a in (0, 17, 40, 120, INT4_COEFF):
             for _ in range(20):
                 values = rng.standard_normal(32) * rng.uniform(0.1, 10)
-                codes, meta = quantize_weight_group(values, a)
-                assert np.array_equal(codes, brute_force_codes(values, a, meta.scale))
+                qt = quantize_weight_group(values, a)
+                assert np.array_equal(qt.codes[0, 0], brute_force_codes(values, a, qt.scales[0, 0]))
 
     def test_idempotent_with_recomputed_scale(self):
         rng = np.random.default_rng(5)
         for a in (0, 25, 90):
             values = rng.standard_normal(64)
-            codes1, meta1 = quantize_weight_group(values, a)
-            decoded = dequantize_group(codes1, meta1)
-            codes2, meta2 = quantize_weight_group(decoded, a)
-            assert meta2.scale == meta1.scale
-            assert np.array_equal(codes1, codes2)
+            qt1 = quantize_weight_group(values, a)
+            qt2 = quantize_weight_group(qt1.dequantize(), a)
+            assert qt2.scales[0, 0] == qt1.scales[0, 0]
+            assert np.array_equal(qt1.codes, qt2.codes)
 
     def test_top_code_always_used(self):
         rng = np.random.default_rng(6)
         for a in (0, 17, 60):
             values = rng.standard_normal(64)
-            codes, _ = quantize_weight_group(values, a)
-            assert 7 in (codes & 0x7)
+            assert 7 in (quantize_weight_group(values, a).codes & 0x7)
 
     def test_error_bound(self):
         rng = np.random.default_rng(7)
         for a in (0, 17, 50, 127):
             values = rng.standard_normal(64) * 3.0
-            codes, meta = quantize_weight_group(values, a)
-            decoded = dequantize_group(codes, meta)
+            qt = quantize_weight_group(values, a)
+            decoded = qt.dequantize()
             largest_gap = a + 64  # widest step sits between the top two points
-            assert np.max(np.abs(decoded - values)) <= meta.scale * largest_gap / 2 + 1e-12
+            assert np.max(np.abs(decoded - values)) <= qt.scales[0, 0] * largest_gap / 2 + 1e-12
 
     def test_zero_canonical_sign(self):
-        codes, _ = quantize_weight_group([0.0, -0.0, 1.0], 17)
+        codes = quantize_weight_group([0.0, -0.0, 1.0], 17).codes[0, 0]
         assert codes[0] == 0 and codes[1] == 0
 
     def test_non_finite_rejected(self):
@@ -124,36 +125,36 @@ class TestQuantizeWeightGroup:
             quantize_weight_group([1.0], 130)
 
     def test_int4_grid(self):
-        codes, meta = quantize_weight_group([0.0, 3.5, -7.0, 1.0], INT4_COEFF)
-        assert meta.scale == 1.0
-        decoded = dequantize_group(codes, meta)
+        qt = quantize_weight_group([0.0, 3.5, -7.0, 1.0], INT4_COEFF)
+        assert qt.scales[0, 0] == 1.0
+        decoded = qt.dequantize()
         assert decoded[0] == 0.0  # INT4 represents exact zero
         assert decoded[2] == -7.0
 
 
 class TestQuantizeActivationGroup:
     def test_half_away_from_zero(self):
-        codes, meta = quantize_activation_group([2.54, -1.27])
-        assert meta.scale == pytest.approx(0.02)
-        assert list(codes) == [127, -64]
+        qt = quantize_activation_group([2.54, -1.27])
+        assert qt.scales[0, 0] == pytest.approx(0.02)
+        assert list(qt.codes[0, 0]) == [127, -64]
 
     def test_all_zero(self):
-        codes, meta = quantize_activation_group(np.zeros(8))
-        assert meta.scale == 0.0
-        assert np.all(codes == 0)
+        qt = quantize_activation_group(np.zeros(8))
+        assert qt.scales[0, 0] == 0.0
+        assert np.all(qt.codes == 0)
 
     def test_round_trip_on_grid(self):
         # 2.5 at scale 0.5 encodes to 5 and decodes back exactly
-        codes, meta = quantize_activation_group([63.5, 2.5])
-        assert meta.scale == 0.5
-        assert codes[1] == 5
-        assert dequantize_group(codes, meta)[1] == 2.5
+        qt = quantize_activation_group([63.5, 2.5])
+        assert qt.scales[0, 0] == 0.5
+        assert qt.codes[0, 0, 1] == 5
+        assert qt.dequantize()[1] == 2.5
 
     def test_never_minus_128(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            codes, _ = quantize_activation_group(rng.standard_normal(64) * 100)
-            assert codes.min() >= -127
+            qt = quantize_activation_group(rng.standard_normal(64) * 100)
+            assert qt.codes.min() >= -127
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
@@ -161,41 +162,43 @@ class TestQuantizeActivationGroup:
 
 
 class TestDequantizeGroup:
+    def test_pre_scale_values(self):
+        # sign * (a*m + 2**m): -(17*3 + 8) and +(0 + 1)
+        assert code_values(np.array([SIGN_BIT | 3, 0], dtype=np.uint8), 17).tolist() == [-59, 1]
+
     def test_mant_example(self):
-        meta = GroupMeta(0.1, 17, 1)
-        decoded = dequantize_group(np.array([MantCode(-1, 3).nibble], dtype=np.uint8), meta)
+        decoded = decode_groups(np.array([SIGN_BIT | 3], dtype=np.uint8), 17, 0.1)
         assert decoded[0] == pytest.approx(-5.9)
 
     def test_zero_scale(self):
-        meta = GroupMeta(0.0, 40, 1)
-        assert dequantize_group(np.array([0], dtype=np.uint8), meta)[0] == 0.0
+        assert decode_groups(np.array([0], dtype=np.uint8), 40, 0.0)[0] == 0.0
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
-            dequantize_group(np.array([1], dtype=np.int8), GroupMeta(1.0, 17, 1))
+            decode_groups(np.array([1], dtype=np.int8), 17, 1.0)
         with pytest.raises(ValueError):
-            dequantize_group(np.array([1], dtype=np.uint8), GroupMeta(1.0, INT8_COEFF, 1))
+            decode_groups(np.array([1], dtype=np.uint8), INT8_COEFF, 1.0)
 
     def test_oversized_code(self):
         # code 16 must not read the next coefficient's table row
         with pytest.raises(ValueError, match="exceed 4 bits"):
-            dequantize_group(np.array([3, 16], dtype=np.uint8), GroupMeta(1.0, 17, 2))
+            decode_groups(np.array([3, 16], dtype=np.uint8), 17, 1.0)
 
     def test_fixed_point_exactness(self):
         rng = np.random.default_rng(9)
-        table = code_value_table(33)
+        table = code_values(np.arange(16, dtype=np.uint8), 33)
         nibbles = rng.integers(0, 16, 64).astype(np.uint8)
         nibbles[0] = 7  # keep the group's absmax on the top grid point
         # dyadic scale keeps every scale * magnitude product exact
         values = table[nibbles] * 0.375
-        codes, meta = quantize_weight_group(values, 33)
-        assert meta.scale == 0.375
-        assert np.array_equal(dequantize_group(codes, meta), values)
+        qt = quantize_weight_group(values, 33)
+        assert qt.scales[0, 0] == 0.375
+        assert np.array_equal(qt.dequantize(), values)
 
 
 class TestPacking:
     def test_known_byte(self):
-        payload = pack_codes([MantCode(1, 7).nibble, MantCode(-1, 1).nibble])
+        payload = pack_codes([0x7, SIGN_BIT | 0x1])
         assert payload == bytes([0x97])
 
     def test_empty(self):
@@ -255,7 +258,7 @@ class TestQuantizedTensor:
         qt = quantize_weight_tensor(w, 30, group_axis=0, group_size=64)
         decoded = qt.dequantize()
         for r in range(4):
-            assert np.max(np.abs(decoded[:, r])) <= qt.scales[r, 0] * grid_max(30) + 1e-12
+            assert np.max(np.abs(decoded[:, r])) <= qt.scales[r, 0] * magnitude_values(30)[-1] + 1e-12
 
     def test_3d_axis(self):
         rng = np.random.default_rng(17)

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from mant.cli import main
 from mant.codec import (
     quantize_activation_tensor,
     quantize_weight_tensor,
@@ -97,6 +98,35 @@ class TestQuantizedContainer:
         with pytest.raises(ContainerError,
                            match=rf"group \({row},{group}\) length {length} inconsistent"):
             read_quantized(io.BytesIO(bytes(blob)))
+
+    @pytest.mark.parametrize("kind,field,value,match", [
+        ("mant4", 0, 0x7C00, "scale inf is not finite"),
+        ("mant4", 0, 0x7E00, "scale nan is not finite"),
+        ("mant4", 0, 0xBC00, "scale -1.0 is not finite and non-negative"),
+        ("mant4", 0, 0x8000, "scale -0.0 is not finite"),
+        ("int8", 0, 0x7C00, "scale inf is not finite"),
+        ("mant4", 2, 200, "coefficient 200 does not fit mant4"),
+        ("mant4", 2, 255, "coefficient 255 does not fit mant4"),
+        ("int8", 2, 128, "coefficient 128 does not fit int8"),
+        ("int8", 2, 0, "coefficient 0 does not fit int8"),
+    ])
+    def test_corrupt_record(self, tmp_path, capsys, kind, field, value, match):
+        # (100, 2) in groups of 64; corrupt group (1, 0)'s scale bits or coefficient
+        w = np.random.default_rng(8).standard_normal((100, 2))
+        qt = quantize_weight_tensor(w, 40, 0, 64) if kind == "mant4" \
+            else quantize_activation_tensor(w, 0, 64)
+        blob = bytearray(quantized_bytes(qt))
+        offset = 4 + 6 + 2 * 8 + 1 + 5 * 2 + field   # header, then record (1, 0)
+        size = 2 if field == 0 else 1
+        blob[offset:offset + size] = value.to_bytes(size, "little")
+        with pytest.raises(ContainerError, match=rf"group \(1,0\) {match}"):
+            read_quantized(io.BytesIO(bytes(blob)))
+        path, out = tmp_path / "bad.mntq", tmp_path / "out.mntt"
+        path.write_bytes(bytes(blob))
+        assert main(["dequantize", "--input", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_magic(self):
         with pytest.raises(ContainerError):

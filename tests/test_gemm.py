@@ -6,9 +6,9 @@ import pytest
 from mant.codec import (
     INT4_COEFF,
     INT8_COEFF,
-    MantCode,
+    SIGN_BIT,
     QuantizedTensor,
-    code_value_table,
+    code_values,
     quantize_activation_tensor,
     quantize_weight_tensor,
 )
@@ -36,12 +36,12 @@ def multiply_oracle(x, w_nibbles):
 
 class TestFusedGroupDot:
     def test_worked_example(self):
-        res = fused_group_dot([3, -2], [MantCode(1, 1).nibble, MantCode(-1, 3).nibble])
+        res = fused_group_dot([3, -2], [0x1, SIGN_BIT | 3])
         assert (res.psum1, res.psum2) == (9, 22)
 
     def test_all_zero_activations(self):
         res = fused_group_dot(np.zeros(64, dtype=np.int64),
-                              np.full(64, MantCode(-1, 5).nibble, dtype=np.uint8))
+                              np.full(64, SIGN_BIT | 5, dtype=np.uint8))
         assert (res.psum1, res.psum2) == (0, 0)
 
     def test_shift_equals_multiply(self):
@@ -55,7 +55,7 @@ class TestFusedGroupDot:
     def test_identity_against_grid_values(self):
         rng = np.random.default_rng(1)
         for a in (0, 17, 63, 127):
-            table = code_value_table(a)
+            table = code_values(np.arange(16, dtype=np.uint8), a)
             for _ in range(20):
                 x = rng.integers(-127, 128, 64)
                 w = rng.integers(0, 16, 64).astype(np.uint8)
@@ -106,7 +106,7 @@ def random_operands(rng, m, k, n, group_size=64, a=25):
 class TestGemm:
     def test_on_grid_exact(self):
         # both operands exactly on their grids: product is exact
-        table = code_value_table(17)
+        table = code_values(np.arange(16, dtype=np.uint8), 17)
         rng = np.random.default_rng(2)
         nibbles = rng.integers(0, 16, (64, 1)).astype(np.uint8)
         nibbles[0, 0] = 7   # pin the weight absmax to the top grid point

@@ -59,9 +59,9 @@ class TestProcessWindow:
         for c, s in enumerate(scales):
             # pin the codec's group scale to s via a sentinel absmax element
             sentinel = np.concatenate([[127.0 * s], rows[:, c]])
-            codec_codes, meta = quantize_activation_group(sentinel)
-            assert meta.scale == pytest.approx(s, rel=1e-15)
-            assert np.array_equal(w.staged[:8, c], codec_codes[1:])
+            qt = quantize_activation_group(sentinel)
+            assert qt.scales[0, 0] == pytest.approx(s, rel=1e-15)
+            assert np.array_equal(w.staged[:8, c], qt.codes[0, 0, 1:])
 
     def test_flush_composes_with_weight_codec(self):
         rng = np.random.default_rng(1)
@@ -70,14 +70,14 @@ class TestProcessWindow:
             w.push(rng.standard_normal(6) * 0.5)
         staged = w.staged_dequantized().copy()
         sums, sums2, maxes = w.sum_v.copy(), w.sum_v2.copy(), w.running_max.copy()
-        codes, metas = w.flush(TABLE)
+        block = w.flush(TABLE)
         for c in range(6):
             var = (sums2[c] / 16 - (sums[c] / 16) ** 2) / maxes[c] ** 2
             expected_a = TABLE.lookup(var)
-            ref_codes, ref_meta = quantize_weight_group(staged[:, c], expected_a)
-            assert metas[c].coefficient_a == expected_a
-            assert metas[c].scale == ref_meta.scale
-            assert np.array_equal(codes[c], ref_codes)
+            ref = quantize_weight_group(staged[:, c], expected_a)
+            assert block.coefficients[c, 0] == expected_a
+            assert block.scales[c, 0] == ref.scales[0, 0]
+            assert np.array_equal(block.codes[c], ref.codes[0])
 
     def test_streaming_variance_matches_two_pass(self):
         rng = np.random.default_rng(2)
@@ -93,10 +93,10 @@ class TestProcessWindow:
         w = make_window(channels=2, group_size=4)
         for _ in range(4):
             w.push(np.zeros(2))
-        codes, metas = w.flush(TABLE)
-        assert np.all(codes == 0)
-        assert all(m.scale == 0.0 for m in metas)
-        assert all(m.coefficient_a == 0 for m in metas)  # smallest candidate
+        block = w.flush(TABLE)
+        assert np.all(block.codes == 0)
+        assert np.all(block.scales == 0.0)
+        assert np.all(block.coefficients == 0)  # smallest candidate
 
     def test_clamp_counting(self):
         w = ProcessWindow(np.array([0.01, 0.0]), 4)
@@ -141,12 +141,12 @@ class TestProcessWindow:
                 assert np.array_equal(getattr(view, name), getattr(head, name)), name
             assert view.fill_count == head.fill_count
         assert w.clamp_count == sum(head.clamp_count for head in heads)
-        codes, scales_out, coeffs = w.flush_groups(TABLE)
+        codes, scales_out, coeffs = w.flush(TABLE).split_rows(3, 6)
         for h, head in enumerate(heads):
-            head_codes, metas = head.flush(TABLE)
-            assert np.array_equal(codes[h], head_codes)
-            assert list(scales_out[h]) == [m.scale for m in metas]
-            assert list(coeffs[h]) == [m.coefficient_a for m in metas]
+            head_block = head.flush(TABLE)
+            assert np.array_equal(codes[h], head_block.codes)
+            assert np.array_equal(scales_out[h], head_block.scales)
+            assert np.array_equal(coeffs[h], head_block.coefficients)
         assert w.fill_count == 0 and not w[0].staged.any()
 
 

@@ -82,6 +82,16 @@ class TestSelectWeightCoefficient:
         with pytest.raises(ValueError):
             select_weight_coefficient(np.zeros(64), np.zeros((4, 32)), CandidateSet())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_calibration_rejected(self, bad):
+        # a NaN makes every error NaN, and the first option would win
+        rng = np.random.default_rng(3)
+        x_calib = rng.standard_normal((8, 64))
+        x_calib[5, 17] = bad
+        for w in (rng.standard_normal(64), rng.standard_normal((3, 64))):
+            with pytest.raises(ValueError, match="non-finite"):
+                select_weight_coefficient(w, x_calib, CandidateSet())
+
     @pytest.mark.parametrize("groups", [(64,), (3, 64)])
     def test_empty_calibration_set(self, groups):
         # with no rows every candidate's error is 0, and the tie would pick a=0

@@ -22,6 +22,10 @@ Each line is a name and the first 16 hex digits of a sha256:
 * ``kv stores``: every array of the same caches, in C order: codes, scales
   and coefficients of ``k_arrays()`` and of ``v_arrays()``, then the staged
   INT8 rows and the channel scales of the process window;
+* ``single group``: codes, scales and coefficients of
+  ``quantize_weight_group`` (adaptive, INT4, all-zero and odd-length groups)
+  and ``quantize_activation_group`` results, then of one multi-head
+  ``ProcessWindow.flush`` block;
 * ``cli quantize``: the MNTQ files and ``--stats`` JSON of CLI ``quantize``
   runs for the weight, activation and kv roles;
 * ``cli quantize kv table and config``: the same for kv-role runs with a
@@ -47,8 +51,9 @@ import numpy as np
 from mant.attention import (AttentionPolicies, calibration_tables, run_toy_attention,
                             synthesize_stream)
 from mant.cli import main
-from mant.codec import quantize_activation_tensor, quantize_weight_tensor
-from mant.kvcache import KvCache
+from mant.codec import (quantize_activation_group, quantize_activation_tensor,
+                        quantize_weight_group, quantize_weight_tensor)
+from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import table_from_probe_means
 
 gemm_module = importlib.import_module("mant.gemm")   # the package's `gemm` is the function
@@ -143,6 +148,43 @@ def kv_digests():
     yield "kv stores", short(stores)
 
 
+# (length, coefficient or None for INT8, all zero): odd lengths, INT4 (128), zero groups
+SINGLE_GROUPS = ((64, 0, False), (64, 17, False), (64, 127, False), (64, 128, False),
+                 (37, 40, False), (37, 128, False), (64, 40, True), (1, 90, False),
+                 (64, None, False), (37, None, False), (64, None, True))
+
+
+def group_arrays(result):
+    """Codes, scales and coefficients of a single-group or flush result: a
+    QuantizedTensor, or the (codes, meta) and (codes, [meta, ...]) pairs that
+    trees from before the one-group tensor return."""
+    if isinstance(result, tuple):
+        codes, metas = result
+        metas = metas if isinstance(metas, list) else [metas]
+        return (codes, np.array([m.scale for m in metas]),
+                np.array([m.coefficient_a for m in metas], dtype=np.uint8))
+    return result.codes, result.scales, result.coefficients
+
+
+def single_group_digest():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    results = []
+    for length, a, zero in SINGLE_GROUPS:
+        values = rng.standard_normal(length) * 10.0 ** rng.uniform(-3, 3)
+        if zero:
+            values[:] = 0.0
+        results.append(quantize_activation_group(values) if a is None
+                       else quantize_weight_group(values, a))
+    window = ProcessWindow(rng.uniform(0.0, 0.03, (3, 8)), 16)
+    window.push(rng.standard_normal((16, 3, 8)))
+    results.append(window.flush(KV_TABLE))
+    for result in results:
+        for array in group_arrays(result):
+            h.update(np.asarray(array).tobytes())
+    yield "single group", short(h)
+
+
 def cli_digest():
     h, kv = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -186,7 +228,7 @@ def cli_digest():
 
 
 def main_digest() -> int:
-    for gen in (attention_digests, gemm_digests, kv_digests, cli_digest):
+    for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
