@@ -136,29 +136,30 @@ def _int8_roundtrip(vectors: np.ndarray, group_size: int) -> np.ndarray:
 def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused attention scores ``(heads, rows, upto)`` of query rows
     ``(heads, rows, ...)`` against cached keys [0, upto): one
-    :func:`grouped_dot` over the key groups, heads batched."""
-    k_codes, k_scales, k_coeffs = (a[:upto].swapaxes(0, 1)
-                                   for a in cache.keys.split_rows(cache.seq_len, cache.heads))
-    return grouped_dot(q_codes, q_scales, k_codes, k_coeffs, k_scales,
+    :func:`grouped_dot` over the key groups' levels, heads batched."""
+    k_scales, k_levels = (a.reshape((cache.seq_len, cache.heads) + a.shape[1:])[:upto]
+                          .swapaxes(0, 1) for a in (cache.keys.scales, cache.keys.levels))
+    return grouped_dot(q_codes, q_scales, k_levels, k_scales,
                        group_lengths(cache.head_dim, cache.group_size))
 
 
 def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused probability-value product ``(heads, rows, head_dim)`` of
     probability rows ``(heads, rows, ...)`` over tokens [0, upto): one
-    :func:`grouped_dot` over the flushed value blocks on the 4-bit path, then
-    one :func:`fused_dot` over the window's INT8 rows under their channel
-    scales.
+    :func:`grouped_dot` over the flushed value blocks' levels on the 4-bit
+    path, then one :func:`fused_dot` over the window's INT8 rows under their
+    channel scales.
     """
     group_size, flushed = cache.group_size, cache.flushed_tokens
     # (heads, head_dim, blocks, G): block b is group b of every channel
-    v_codes, v_scales, v_coeffs = cache.values.split_rows(cache.heads, cache.head_dim)
-    out = grouped_dot(p_codes, p_scales, v_codes, v_coeffs, v_scales,
+    v_scales, v_levels = (a.reshape((cache.heads, cache.head_dim) + a.shape[1:])
+                          for a in (cache.values.scales, cache.values.levels))
+    out = grouped_dot(p_codes, p_scales, v_levels, v_scales,
                       group_lengths(min(upto, flushed), group_size))
     if upto > flushed:
         b, length = flushed // group_size, upto - flushed
         out += fused_dot(p_codes[:, :, b, :length], p_scales[:, :, b],
-                         cache.windows.staged[:length].transpose(1, 2, 0), INT8_COEFF,
+                         cache.windows.staged[:length].transpose(1, 2, 0),
                          cache.windows.channel_scales)
     return out
 

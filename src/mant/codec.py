@@ -9,7 +9,8 @@ Three batched kernels do all the work on zero-padded groups ``(..., G)``
 with per-group metadata ``(...)``: :func:`encode_groups` (4-bit),
 :func:`encode_int8` and :func:`decode_groups`.  Tensor codecs call them
 once per tensor and return a :class:`QuantizedTensor`; the single-group
-functions return a tensor of one group.
+functions return a tensor of one group.  A tensor keeps its codes' int16
+pre-scale values (``levels``, see :func:`code_values`), computed once.
 
 Code layout: a 4-bit code is one byte holding ``sign << 3 | magnitude``
 (sign bit 1 means negative).  Two codes pack into one payload byte, low
@@ -45,10 +46,11 @@ KIND_INT8 = "int8"
 # adaptive grids, row INT4_COEFF the plain INT4 ladder 0..7.
 _MAGNITUDES = np.array([build_grid(a).magnitudes for a in range(MAX_COEFFICIENT + 1)]
                        + [tuple(range(GRID_POINTS))], dtype=np.float64)
-# Decoded pre-scale value of every (coefficient, nibble) pair.
-_CODE_VALUES = np.concatenate([_MAGNITUDES, -_MAGNITUDES], axis=1)
+# Pre-scale integer value (level) of every (coefficient, nibble) pair:
+# |level| <= 127*7 + 2**7 = 1017.
+_CODE_LEVELS = np.concatenate([_MAGNITUDES, -_MAGNITUDES], axis=1).astype(np.int16)
 _MAGNITUDES.setflags(write=False)
-_CODE_VALUES.setflags(write=False)
+_CODE_LEVELS.setflags(write=False)
 
 # Values per encoder pass: its (groups, G, 8) distances stay near 1 MB.
 _CHUNK_ELEMENTS = 1 << 14
@@ -75,22 +77,22 @@ def magnitude_values(a: int) -> np.ndarray:
 
 
 def code_values(codes, coefficients) -> np.ndarray:
-    """Pre-scale integer values of codes ``(..., G)`` as float64, under one
-    coefficient for all groups or one per group: uint8 nibbles ``sign * (a*m
-    + 2**m)`` on an adaptive grid, ``sign * m`` on the INT4 grid; int8 codes
-    (coefficient INT8_COEFF) are their own values."""
+    """Pre-scale integer values (levels) of codes ``(..., G)`` as int16,
+    under one coefficient for all groups or one per group: uint8 nibbles
+    ``sign * (a*m + 2**m)`` on an adaptive grid, ``sign * m`` on the INT4
+    grid; int8 codes (coefficient INT8_COEFF) are their own values."""
     codes = np.asarray(codes)
     if codes.dtype == np.int8:
         if (np.asarray(coefficients) != INT8_COEFF).any():
             raise ValueError("int8 codes require the INT8 coefficient")
-        return codes.astype(np.float64)
+        return codes.astype(np.int16)
     if codes.dtype != np.uint8:
         raise ValueError(f"codes must be uint8 nibbles or int8, got {codes.dtype}")
     if codes.max(initial=0) > 0xF:
         raise ValueError("codes exceed 4 bits")
     # one flat index into the table gathers faster than a (row, code) pair
-    rows = _mant4_coefficients(coefficients) * _CODE_VALUES.shape[1]
-    return _CODE_VALUES.reshape(-1)[rows[..., None] + codes]
+    rows = _mant4_coefficients(coefficients) * _CODE_LEVELS.shape[1]
+    return _CODE_LEVELS.reshape(-1)[rows[..., None] + codes]
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -152,13 +154,16 @@ def decode_groups(codes, coefficients, scales) -> np.ndarray:
     """Decode groups ``(..., G)`` back to reals; coefficients and scales hold
     one value for all groups or one per group.
 
-    Each code's :func:`code_values` value times its group's scale: uint8
+    Each code's :func:`code_values` level times its group's scale: uint8
     nibbles on the grid of the group's coefficient, int8 codes (coefficient
     INT8_COEFF) as themselves.  Zero-scale groups decode to zeros.
     """
-    values = code_values(codes, coefficients)
+    return _scale_levels(code_values(codes, coefficients), scales)
+
+
+def _scale_levels(levels, scales) -> np.ndarray:
     scales = np.asarray(scales, dtype=np.float64)
-    values *= scales[..., None]
+    values = levels * scales[..., None]
     values[scales == 0.0] = 0.0
     return values
 
@@ -263,6 +268,7 @@ class QuantizedTensor:
     covers elements ``[g*group_size, min((g+1)*group_size, axis_len))``.
     ``codes`` is (rows, n_groups, group_size): uint8 nibbles for 4-bit kinds,
     int8 for INT8, zero-padded past each group's true length; the arrays may be views.
+    ``levels`` is ``code_values(codes, coefficients)``, computed when not given.
     """
 
     shape: tuple[int, ...]
@@ -272,6 +278,11 @@ class QuantizedTensor:
     codes: np.ndarray
     scales: np.ndarray        # (rows, n_groups) float64
     coefficients: np.ndarray  # (rows, n_groups) uint8
+    levels: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.levels is None:
+            self.levels = code_values(self.codes, self.coefficients)
 
     @property
     def axis_length(self) -> int:
@@ -300,7 +311,7 @@ class QuantizedTensor:
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the full real-valued tensor."""
-        groups = decode_groups(self.codes, self.coefficients, self.scales)
+        groups = _scale_levels(self.levels, self.scales)
         rows = groups.reshape(self.n_rows, self.n_groups * self.group_size)
         return _rows_to_tensor(np.ascontiguousarray(rows[:, :self.axis_length]),
                                self.shape, self.group_axis)

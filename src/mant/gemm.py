@@ -11,14 +11,14 @@ and the real result of one group is ``(psum1*a + psum2) * (s_x * s_w)``
 ``sign * m``); all scale multiplication is deferred to group boundaries.
 
 :func:`fused_dot` forms the integer ``psum1*a + psum2`` of every pair of
-rows in one float64 matmul of the INT8 codes against the codes' pre-scale
-integer values, batched over any leading axes of stacked groups (attention
-stacks its heads there).  It is the one kernel for every product of
-quantized codes: the right operand may also hold INT8 codes (coefficient
-INT8_COEFF), which are their own values.  With |x| <= 127, |value| <=
-127*7 + 2**7 = 1017 (<= 127 for INT8) and group length G <= 65535, every
-product and partial sum is an integer below 2**33, far below 2**53, so the
-matmul is exact in any summation order, stacked or not.
+rows in one matmul of the INT8 codes against the right operand's pre-scale
+integer values (``QuantizedTensor.levels``, or INT8 codes, their own
+values), batched over any leading axes (attention stacks its heads there).
+It is the one kernel for every product of quantized codes.  With |x| <=
+127 and |level| <= 127*7 + 2**7 = 1017, every partial sum of a group of
+length L is an integer of at most L*127*1017, so the matmul is exact in any
+summation order: in float32 while that stays below 2**24 (L <= 129), in
+float64 (below 2**53) for longer groups.
 :func:`grouped_dot` owns the fold across groups: it adds one group's
 :func:`fused_dot` at a time, in ascending group order, for ``gemm`` and for
 both attention products.
@@ -38,7 +38,6 @@ from .codec import (
     MAGNITUDE_MASK,
     QuantizedTensor,
     SIGN_BIT,
-    code_values,
     group_lengths,
 )
 
@@ -82,36 +81,39 @@ def combine(res: GroupDotResult, a: int, s_x: float, s_w: float) -> float:
     return integer * (s_x * s_w)
 
 
-def fused_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales) -> np.ndarray:
+def fused_dot(x_codes, x_scales, w_levels, w_scales) -> np.ndarray:
     """Fused products of INT8 activation groups with 4-bit or INT8 groups.
 
-    ``w_codes`` holds N weight groups ``(..., N, L)``, uint8 nibbles or int8
-    codes under INT8_COEFF (any other pairing raises ValueError in
-    :func:`codec.code_values`), with coefficients and scales ``(..., N)``;
-    ``x_codes`` holds M activation groups ``(..., M, L)`` (int8) with scales
-    ``(..., M)``, or one group ``(L,)`` with a scalar scale.  Leading axes
-    are a batch (heads, say) and broadcast.  Returns ``(..., M, N)``
-    (``(N,)`` for one group): each pair's exact integer ``psum1*a + psum2``
-    times ``x_scale * w_scale``.
+    ``w_levels`` holds N right-operand groups ``(..., N, L)``: the int16
+    pre-scale levels of 4-bit codes, or int8 INT8 codes (their own levels);
+    any other dtype, uint8 nibbles among them, raises ValueError.  Scales are
+    ``(..., N)``.  ``x_codes`` holds M activation groups ``(..., M, L)``
+    (int8) with scales ``(..., M)``, or one group ``(L,)`` with a scalar
+    scale.  Leading axes are a batch (heads, say) and broadcast.  Returns
+    ``(..., M, N)`` (``(N,)`` for one group): each pair's exact integer
+    ``psum1*a + psum2`` times ``x_scale * w_scale``.
     """
-    values = code_values(w_codes, w_coeffs)
-    psum = np.asarray(x_codes).astype(np.float64) @ np.swapaxes(values, -1, -2)
+    w_levels = np.asarray(w_levels)
+    if w_levels.dtype not in (np.int16, np.int8):
+        raise ValueError(f"right operand must be int16 levels or int8 codes, got {w_levels.dtype}")
+    exact = np.float32 if w_levels.shape[-1] * 127 * 1017 < 2 ** 24 else np.float64
+    psum = np.asarray(x_codes).astype(exact) @ np.swapaxes(w_levels, -1, -2).astype(exact)
     x_scales, w_scales = np.asarray(x_scales), np.asarray(w_scales)
     if np.ndim(x_codes) > 1:   # one scale product per (row, column) pair
         x_scales, w_scales = x_scales[..., None], w_scales[..., None, :]
-    return psum * (x_scales * w_scales)
+    return psum.astype(np.float64) * (x_scales * w_scales)
 
 
-def grouped_dot(x_codes, x_scales, w_codes, w_coeffs, w_scales, lengths) -> np.ndarray:
+def grouped_dot(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
     """Sum over groups of :func:`fused_dot`, ``(..., M, N)`` float64, of
-    codes ``(..., M|N, n_groups, G)`` with scales and coefficients ``(...,
-    M|N, n_groups)``.  Group g is cut to ``lengths[g]`` elements; groups add
-    in ascending order into zeros.  The loop is a cache tile: each call
-    gathers one group's code values, not the whole operand's."""
-    out = np.zeros(x_codes.shape[:-2] + w_codes.shape[-3:-2])
+    codes and levels ``(..., M|N, n_groups, G)`` with scales ``(..., M|N,
+    n_groups)``.  Group g is cut to ``lengths[g]`` elements; groups add in
+    ascending order into zeros.  The loop is a cache tile: each call
+    converts one group's levels, not the whole operand's."""
+    out = np.zeros(x_codes.shape[:-2] + w_levels.shape[-3:-2])
     for g, length in enumerate(lengths):
         out += fused_dot(x_codes[..., g, :length], x_scales[..., g],
-                         w_codes[..., g, :length], w_coeffs[..., g], w_scales[..., g])
+                         w_levels[..., g, :length], w_scales[..., g])
     return out
 
 
@@ -132,7 +134,7 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
         raise ValueError("operands must be grouped along the shared accumulation axis")
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
-    return grouped_dot(x_q.codes, x_q.scales, w_q.codes, w_q.coefficients, w_q.scales,
+    return grouped_dot(x_q.codes, x_q.scales, w_q.levels, w_q.scales,
                        group_lengths(x_q.axis_length, x_q.group_size))
 
 

@@ -16,9 +16,11 @@ The keys and the flushed values are 4-bit ``(tokens, heads, head_dim)``
 :class:`QuantizedTensor` s grouped along axis 2 and 0, built by
 :func:`selection.quantize_by_variance` (keys, prompt values) or
 :meth:`ProcessWindow.flush` (a full window as one ``(group_size, heads,
-head_dim)`` block) and joined along axis 0.  The value arrays stay
-block-major in memory, so each block is one contiguous operand of the
-value product.  One process window stages the values of all heads.
+head_dim)`` block) and appended along axis 0 in place by
+:meth:`KvCache._append`: their arrays view the filled prefix of buffers
+whose capacity doubles when it runs out.  The value arrays stay
+block-major, so each block is one contiguous operand of the value
+product.  One process window stages the values of all heads.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ class ProcessWindow:
     ``(heads, head_dim)`` for all heads of a cache.  The window holds up to
     ``group_size`` INT8 rows ``(group_size, *channels)`` plus per-channel
     running statistics of their dequantized values.  ``window[h]`` is head
-    ``h`` of a multi-head window: its arrays are views of this window's, its
-    counters a copy (``clamp_count`` counts the whole window).  ``flush`` is
-    only legal when the window is full, and resets every counter.
+    ``h`` of a multi-head window, for reading: its arrays are read-only views
+    of this window's, its counters a copy (``clamp_count`` counts the whole
+    window), and ``push`` and ``flush`` on it raise ValueError.  ``flush``
+    is only legal when the window is full, and resets every counter.
     """
 
     channel_scales: np.ndarray
@@ -55,6 +58,7 @@ class ProcessWindow:
     running_max: np.ndarray = field(init=False)
     sum_v: np.ndarray = field(init=False)
     sum_v2: np.ndarray = field(init=False)
+    head: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.channel_scales = np.asarray(self.channel_scales, dtype=np.float64)
@@ -64,10 +68,17 @@ class ProcessWindow:
 
     def __getitem__(self, head: int) -> ProcessWindow:
         view = copy.copy(self)
-        view.staged = self.staged[:, head]
+        view.head, view.staged = head, self.staged[:, head]
         for name in ("channel_scales", "running_max", "sum_v", "sum_v2"):
             setattr(view, name, getattr(self, name)[head])
+        for name in ("staged", "channel_scales", "running_max", "sum_v", "sum_v2"):
+            getattr(view, name).setflags(write=False)
         return view
+
+    def _check_writable(self) -> None:
+        if self.head is not None:
+            raise ValueError(f"window[{self.head}] is a read-only head view; push to and "
+                             "flush the whole window")
 
     @property
     def is_full(self) -> bool:
@@ -79,6 +90,7 @@ class ProcessWindow:
         ValueError before anything is staged.  Channels with a zero scale
         stage zero; values beyond a channel's INT8 range clamp; both bump
         ``clamp_count``."""
+        self._check_writable()
         values = np.asarray(values, dtype=np.float64)
         shape = self.channel_scales.shape
         if values.shape not in (shape, values.shape[:1] + shape):
@@ -116,6 +128,7 @@ class ProcessWindow:
         the codes from re-encoding the dequantized staged column.  The
         window resets afterwards.
         """
+        self._check_writable()
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
         coeffs = coefficients_from_sums(table, self.sum_v, self.sum_v2, self.group_size,
@@ -131,18 +144,6 @@ class ProcessWindow:
 # one head's part of a flushed value block, as views of the store: codes
 # (head_dim, G) uint8, scales and coeffs (head_dim,)
 ValueBlock = namedtuple("ValueBlock", "codes scales coeffs")
-
-
-def _join(old: QuantizedTensor, new: QuantizedTensor) -> QuantizedTensor:
-    """``new`` after ``old`` along tensor axis 0: rows join, or whole groups when axis 0
-    is the group axis, kept group-major in memory (``swapaxes(0, 1)`` views)."""
-    axis = 1 if old.group_axis == 0 else 0
-    codes, scales, coeffs = (np.concatenate([a.swapaxes(0, axis), b.swapaxes(0, axis)])
-                             .swapaxes(0, axis)
-                             for a, b in ((old.codes, new.codes), (old.scales, new.scales),
-                                          (old.coefficients, new.coefficients)))
-    return replace(old, shape=(old.shape[0] + new.shape[0],) + old.shape[1:],
-                   codes=codes, scales=scales, coefficients=coeffs)
 
 
 class KvCache:
@@ -167,6 +168,7 @@ class KvCache:
         self.values = quantize_by_variance(np.zeros((0, heads, head_dim)), v_table, 0, group_size)
         self.windows: ProcessWindow | None = None
         self._total_v = 0
+        self._buffers: dict[str, list[np.ndarray]] = {}
 
     @property
     def n_k_groups(self) -> int:
@@ -192,6 +194,30 @@ class KvCache:
         """Flushed tokens plus window fill must equal all value tokens seen."""
         return self.flushed_tokens + self.window_fill == self._total_v
 
+    def _append(self, name: str, new: QuantizedTensor) -> None:
+        """Append ``new`` to the store ``name`` along tensor axis 0: codes,
+        scales, coefficients and levels fill buffers led by the axis that
+        grows (key rows, value blocks), whose capacity doubles when it runs
+        out.  The store views the filled prefix, so a tensor a caller holds
+        keeps its contents."""
+        old = getattr(self, name)
+        axis = 1 if old.group_axis == 0 else 0
+        names = ("codes", "scales", "coefficients", "levels")
+        parts = [getattr(new, f).swapaxes(0, axis) for f in names]
+        used, size = old.codes.shape[axis], old.codes.shape[axis] + parts[0].shape[0]
+        buffers = self._buffers.get(name)
+        if buffers is None or size > len(buffers[0]):
+            capacity = max(size, 2 * len(buffers[0])) if buffers else size
+            buffers = [np.empty((capacity,) + p.shape[1:], p.dtype) for p in parts]
+            for buffer, f in zip(buffers, names):
+                buffer[:used] = getattr(old, f).swapaxes(0, axis)
+            self._buffers[name] = buffers
+        for buffer, part in zip(buffers, parts):
+            buffer[used:size] = part
+        views = {f: buffer[:size].swapaxes(0, axis) for f, buffer in zip(names, buffers)}
+        setattr(self, name, replace(old, shape=(old.shape[0] + new.shape[0],) + old.shape[1:],
+                                    **views))
+
     # -- K path ------------------------------------------------------------
 
     def append_k(self, k_vector) -> None:
@@ -203,8 +229,8 @@ class KvCache:
         k_vector = np.asarray(k_vector, dtype=np.float64)
         if k_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {k_vector.shape}")
-        self.keys = _join(self.keys, quantize_by_variance(k_vector[None], self.k_table, 2,
-                                                          self.group_size))
+        self._append("keys", quantize_by_variance(k_vector[None], self.k_table, 2,
+                                                  self.group_size))
 
     def k_arrays(self):
         """Views of the keys: codes (seq, heads, n_kgroups, G), scales, coeffs."""
@@ -226,7 +252,7 @@ class KvCache:
         self.windows.push(v_vector)
         self._total_v += 1
         if self.windows.is_full:
-            self.values = _join(self.values, self.windows.flush(self.v_table))
+            self._append("values", self.windows.flush(self.v_table))
             return True
         return False
 
@@ -248,12 +274,12 @@ class KvCache:
             raise ValueError("prefill must run on an empty cache")
         _check_finite(k_matrix)
         _check_finite(v_matrix)
-        self.keys = quantize_by_variance(k_matrix, self.k_table, 2, self.group_size)
+        self._append("keys", quantize_by_variance(k_matrix, self.k_table, 2, self.group_size))
         self.windows = ProcessWindow(np.max(np.abs(v_matrix), axis=0) / 127.0, self.group_size)
         seq = v_matrix.shape[0]
         flushed = seq - seq % self.group_size
-        self.values = _join(self.values, quantize_by_variance(v_matrix[:flushed], self.v_table, 0,
-                                                              self.group_size))
+        self._append("values", quantize_by_variance(v_matrix[:flushed], self.v_table, 0,
+                                                    self.group_size))
         self.windows.push(v_matrix[flushed:])
         self._total_v = seq
 

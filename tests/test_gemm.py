@@ -6,6 +6,8 @@ import pytest
 from mant.codec import (
     INT4_COEFF,
     INT8_COEFF,
+    KIND_INT8,
+    KIND_MANT4,
     SIGN_BIT,
     QuantizedTensor,
     code_values,
@@ -19,6 +21,7 @@ from mant.gemm import (
     fused_dot,
     fused_group_dot,
     gemm,
+    grouped_dot,
 )
 
 
@@ -217,29 +220,105 @@ class TestGemmInt8:
         assert np.all(out == 0.0)
 
 
+def one_group_tensor(codes, coefficient):
+    """A one-group tensor of ``codes`` (G,) under ``coefficient``."""
+    kind = KIND_INT8 if codes.dtype == np.int8 else KIND_MANT4
+    return QuantizedTensor(codes.shape, kind, 0, codes.size, codes[None, None],
+                           np.ones((1, 1)), np.full((1, 1), coefficient, np.uint8))
+
+
 class TestFusedDot:
+    """``fused_dot`` multiplies levels, so a code/coefficient pairing is
+    checked where levels are made: in ``code_values``, and through it when a
+    ``QuantizedTensor`` is built."""
+
     def test_int8_codes_under_4bit_coefficient(self):
         codes = np.array([[1, -2]], dtype=np.int8)
         with pytest.raises(ValueError, match="INT8 coefficient"):
-            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, np.array([17]), np.ones(1))
+            code_values(codes, np.array([17]))
         with pytest.raises(ValueError, match="INT8 coefficient"):
-            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, INT4_COEFF, np.ones(1))
+            code_values(codes, INT4_COEFF)
+        with pytest.raises(ValueError, match="INT8 coefficient"):
+            one_group_tensor(codes[0], 17)
 
     def test_nibbles_under_int8_coefficient(self):
         codes = np.array([[1, 2]], dtype=np.uint8)
         with pytest.raises(ValueError, match="out of range"):
-            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, INT8_COEFF, np.ones(1))
+            code_values(codes, INT8_COEFF)
+        with pytest.raises(ValueError, match="out of range"):
+            one_group_tensor(codes[0], INT8_COEFF)
+
+    def test_codes_above_four_bits(self):
+        with pytest.raises(ValueError, match="exceed 4 bits"):
+            one_group_tensor(np.array([1, 16], dtype=np.uint8), 17)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64, np.float64, bool])
     def test_other_code_dtypes(self, dtype):
         codes = np.array([[1, 0]], dtype=dtype)
         with pytest.raises(ValueError, match="uint8 nibbles or int8"):
-            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, INT8_COEFF, np.ones(1))
+            code_values(codes, INT8_COEFF)
         with pytest.raises(ValueError, match="uint8 nibbles or int8"):
-            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, codes, 17, np.ones(1))
+            code_values(codes, 17)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.float32,
+                                       np.float64, bool])
+    def test_operand_must_be_levels(self, dtype):
+        # nibbles are not levels: a silent misread would be a wrong product
+        with pytest.raises(ValueError, match="int16 levels or int8 codes"):
+            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, np.array([[1, 2]], dtype=dtype),
+                      np.ones(1))
 
     def test_int8_codes_are_their_own_values(self):
         codes = np.array([[127, -127, 3]], dtype=np.int8)
-        out = fused_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, codes, INT8_COEFF,
-                        np.array([0.25]))
+        out = fused_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, codes, np.array([0.25]))
         assert out[0] == (254 - 127 - 15) * 0.125
+
+    def test_levels_of_nibbles(self):
+        codes = np.array([[SIGN_BIT | 3, 0, 7]], dtype=np.uint8)
+        out = fused_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, code_values(codes, 17),
+                        np.array([0.25]))
+        assert out[0] == (2 * -59 + 1 * 1 - 5 * (17 * 7 + 128)) * 0.125
+
+
+class TestExactnessBound:
+    """``grouped_dot`` on levels against an oracle that multiplies the
+    ``code_values`` levels in float64, at the magnitudes that reach the
+    float32 bound (L * 127 * 1017 < 2**24 up to L = 129)."""
+
+    @pytest.mark.parametrize("length", list(range(1, 131)))
+    def test_worst_case_magnitudes(self, length):
+        rng = np.random.default_rng(length)
+        heads, m, n, n_groups = 2, 3, 4, 2
+        nibbles = np.full((heads, n, n_groups, length), 7, dtype=np.uint8)
+        coeffs = np.full((heads, n, n_groups), 127, dtype=np.uint8)
+        x_codes = np.full((heads, m, n_groups, length), 127, dtype=np.int8)
+        # one row of each operand at the bound with equal signs, the others mixed;
+        # x row 1 ends in 126, so at L = 130 its sum is odd and above 2**24
+        nibbles[:, 1:] |= (rng.random((heads, n - 1, n_groups, length)) < 0.5).astype(np.uint8) << 3
+        x_codes[:, 1, :, -1] = 126
+        x_codes[:, 2:] *= np.where(rng.random((heads, m - 2, n_groups, length)) < 0.5, -1, 1) \
+            .astype(np.int8)
+        x_scales = 10.0 ** rng.uniform(-3, 3, (heads, m, n_groups))
+        w_scales = 10.0 ** rng.uniform(-3, 3, (heads, n, n_groups))
+        levels = code_values(nibbles, coeffs)
+        lengths = [length] * n_groups
+        oracle = np.zeros((heads, m, n))
+        for g in range(n_groups):
+            psum = x_codes[..., g, :].astype(np.float64) @ np.swapaxes(
+                levels[..., g, :].astype(np.float64), -1, -2)
+            oracle += psum * (x_scales[..., g][..., None] * w_scales[..., g][..., None, :])
+        out = grouped_dot(x_codes, x_scales, levels, w_scales, lengths)
+        assert out.tobytes() == oracle.tobytes()
+        assert abs(x_codes[0, 0, 0].astype(np.int64) @ levels[0, 0, 0]) == length * 127 * 1017
+
+    @pytest.mark.parametrize("length", [129, 130])
+    def test_float32_boundary(self, length):
+        # the sum stays below 2**24 at L = 129; at L = 130 it is an odd
+        # integer above 2**24, which float32 cannot hold
+        x = np.full(length, 127, dtype=np.int8)
+        x[-1] = 126
+        levels = np.full((1, length), 1017, dtype=np.int16)
+        exact = int(x.astype(np.int64) @ levels[0].astype(np.int64))
+        assert (exact > 2 ** 24 and exact % 2 == 1) == (length == 130)
+        assert float(np.float32(exact)) != exact or length == 129
+        assert fused_dot(x, 1.0, levels, np.ones(1))[0] == float(exact)

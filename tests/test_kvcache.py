@@ -18,6 +18,12 @@ def make_window(channels=4, group_size=8, scale=0.05):
     return ProcessWindow(np.full(channels, scale), group_size)
 
 
+def file_bytes(qt: QuantizedTensor) -> bytes:
+    buf = io.BytesIO()
+    container.write_quantized(buf, qt)
+    return buf.getvalue()
+
+
 class TestProcessWindow:
     def test_first_push_statistics(self):
         w = make_window()
@@ -148,6 +154,31 @@ class TestProcessWindow:
             assert np.array_equal(scales_out[h], head_block.scales)
             assert np.array_equal(coeffs[h], head_block.coefficients)
         assert w.fill_count == 0 and not w[0].staged.any()
+
+
+    def test_head_view_is_read_only(self):
+        # a view that could flush would zero head 0 in the shared arrays but
+        # reset only its own fill count, so the window's next flush would
+        # encode head 0 as zero-scale groups without an error
+        rng = np.random.default_rng(16)
+        w = ProcessWindow(rng.uniform(0.01, 0.03, (3, 6)), 8)
+        w.push(rng.standard_normal((7, 3, 6)))
+        names = ("staged", "running_max", "sum_v", "sum_v2")
+        with pytest.raises(ValueError, match="read-only"):
+            w[0].push(rng.standard_normal(6))
+        w.push(rng.standard_normal((3, 6)))
+        before = {name: getattr(w, name).copy() for name in names}
+        view = w[0]
+        with pytest.raises(ValueError, match="read-only"):
+            view.flush(TABLE)
+        assert w.is_full and view.is_full and w.clamp_count == view.clamp_count
+        for name in names:
+            assert np.array_equal(getattr(w, name), before[name]), name
+            # reads keep working
+            assert np.array_equal(getattr(view, name), before[name][:, 0] if name == "staged"
+                                  else before[name][0]), name
+        block = w.flush(TABLE)
+        assert (block.split_rows(3, 6)[1][0] > 0).all() and w.fill_count == 0
 
 
 def make_cache(heads=2, head_dim=128, group_size=64):
@@ -288,6 +319,44 @@ class TestStores:
         assert loaded.shape == values.shape and loaded.group_axis == 0
         assert np.array_equal(loaded.codes, values.codes)
         assert np.array_equal(loaded.coefficients, values.coefficients)
+
+    def test_keys_grow_in_place(self):
+        rng = np.random.default_rng(17)
+        cache = make_cache(heads=2, head_dim=48, group_size=32)
+        cache.prefill(rng.standard_normal((5, 2, 48)), rng.standard_normal((5, 2, 48)))
+        held = []
+        reallocated = []
+        for t in range(30):
+            old = cache.keys
+            held.append((old, [a.copy() for a in (old.codes, old.scales, old.coefficients,
+                                                   old.levels)], file_bytes(old)))
+            cache.append_k(rng.standard_normal((2, 48)))
+            if not np.shares_memory(old.codes, cache.keys.codes):
+                reallocated.append(old.shape[0])
+        # the 5-token prompt fills the first buffer; capacity then doubles
+        assert reallocated == [5, 10, 20]
+        assert cache.keys.shape == (35, 2, 48)
+        for old, arrays, data in held:   # held tensors keep their bytes
+            for got, want in zip((old.codes, old.scales, old.coefficients, old.levels), arrays):
+                assert np.array_equal(got, want)
+            assert file_bytes(old) == data
+
+    def test_values_grow_in_place(self):
+        rng = np.random.default_rng(18)
+        cache = make_cache(heads=2, head_dim=16, group_size=4)
+        cache.prefill(rng.standard_normal((4, 2, 16)), rng.standard_normal((4, 2, 16)))
+        held, reallocated = [], []
+        for _ in range(40):
+            old = cache.values
+            if cache.push_v(rng.standard_normal((2, 16))):
+                held.append((old, file_bytes(old)))
+                if not np.shares_memory(old.levels, cache.values.levels):
+                    reallocated.append(old.shape[0] // 4)
+            cache.append_k(rng.standard_normal((2, 16)))
+        assert reallocated == [1, 2, 4, 8] and cache.values.shape == (44, 2, 16)
+        assert cache.values.levels.swapaxes(0, 1).flags.c_contiguous
+        for old, data in held:
+            assert file_bytes(old) == data
 
     @pytest.mark.parametrize("store,size", [("keys", 8739), ("values", 8099)])
     def test_file_size_is_header_payload_and_records(self, store, size):

@@ -23,6 +23,7 @@ from mant.codec import (
     INT8_COEFF,
     KIND_MANT4,
     QuantizedTensor,
+    code_values,
     encode_int8,
     group_lengths,
     quantize_activation_tensor,
@@ -37,6 +38,7 @@ from mant.selection import (
     CandidateSet,
     build_variance_table,
     normalized_variance,
+    quantize_by_variance,
     select_by_variance,
     select_weight_coefficient,
     table_from_probe_means,
@@ -323,8 +325,9 @@ def ref_scores_fused(q_codes, q_scales, cache, head, upto) -> np.ndarray:
     k_codes, k_scales, k_coeffs = cache.k_arrays()
     scores = np.zeros(upto)
     for g, length in enumerate(group_lengths(cache.head_dim, cache.group_size)):
-        scores += fused_dot(q_codes[g][:length], q_scales[g], k_codes[:upto, head, g, :length],
-                            k_coeffs[:upto, head, g], k_scales[:upto, head, g])
+        scores += fused_dot(q_codes[g][:length], q_scales[g],
+                            code_values(k_codes[:upto, head, g, :length], k_coeffs[:upto, head, g]),
+                            k_scales[:upto, head, g])
     return scores
 
 
@@ -338,8 +341,8 @@ def ref_weighted_values_fused(p_codes, p_scales, cache, head, upto) -> np.ndarra
         if start >= upto:
             break
         length = min(group_size, upto - start)
-        out += fused_dot(p_codes[b][:length], p_scales[b], block.codes[:, :length],
-                         block.coeffs, block.scales)
+        out += fused_dot(p_codes[b][:length], p_scales[b],
+                         code_values(block.codes[:, :length], block.coeffs), block.scales)
     flushed = cache.flushed_tokens
     if upto > flushed:
         window = cache.windows[head]
@@ -463,6 +466,39 @@ def test_container_matches_loop_writer(case, int8):
     half = np.array([ref_half_bits(float(s)) for s in qt.scales.ravel()], dtype=np.uint16)
     assert same_bits(loaded.scales, half.view(np.float16).astype(np.float64).reshape(qt.scales.shape))
     assert ref_write(loaded) == buf.getvalue()
+
+
+def levels_hold(qt: QuantizedTensor) -> bool:
+    """The tensor's int16 levels are the ``code_values`` of its codes, and a
+    container round trip rebuilds the same levels."""
+    buf = io.BytesIO()
+    write_quantized(buf, qt)
+    loaded = read_quantized(io.BytesIO(buf.getvalue()))
+    return same_bits(qt.levels, code_values(qt.codes, qt.coefficients)) and \
+        same_bits(loaded.levels, code_values(loaded.codes, loaded.coefficients))
+
+
+@SETTINGS
+@given(tensors(), st.integers(1, 3), st.sampled_from([(64, 64), (48, 17), (20, 32)]),
+       st.integers(1, 100), st.integers(0, 70), st.integers(0, 2 ** 32 - 1))
+def test_levels_are_code_values_wherever_a_tensor_is_built(case, heads, geometry, prompt,
+                                                             steps, seed):
+    values, axis, group_size, coeffs = case
+    table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+    assert levels_hold(quantize_weight_tensor(values, coeffs, axis, group_size))
+    assert levels_hold(quantize_activation_tensor(values, axis, group_size))
+    assert levels_hold(quantize_by_variance(values, table, axis, group_size))
+    head_dim, kv_group = geometry
+    rng = np.random.default_rng(seed)
+    k, v = rng.standard_normal((2, prompt + steps, heads, head_dim)) * 10.0 ** rng.uniform(-3, 3)
+    cache = KvCache(heads, head_dim, table, table, kv_group)
+    cache.prefill(k[:prompt], v[:prompt])
+    assert levels_hold(cache.keys) and levels_hold(cache.values)
+    for t in range(prompt, prompt + steps):
+        cache.append_k(k[t])
+        assert levels_hold(cache.keys)
+        if cache.push_v(v[t]):
+            assert levels_hold(cache.values)
 
 
 @SETTINGS
@@ -598,7 +634,7 @@ def test_fused_dot_of_one_activation_group_matches_two_lanes(rows, length, seed)
     scales = 10.0 ** rng.uniform(-8, 6, rows)
     scales[rng.random(rows) < 0.1] = 0.0
     x_codes, x_scale = encode_int8(rng.standard_normal(length) * 10.0 ** rng.uniform(-8, 6))
-    assert same_bits(fused_dot(x_codes, x_scale, codes, coeffs, scales),
+    assert same_bits(fused_dot(x_codes, x_scale, code_values(codes, coeffs), scales),
                      ref_two_lane_dot(codes, coeffs, scales, x_codes, x_scale))
 
 
@@ -614,12 +650,13 @@ def test_stacked_fused_dot_matches_per_head_calls(heads, m, n, length, seed):
     scales[rng.random(scales.shape) < 0.1] = 0.0
     x_codes, x_scales = encode_int8(rng.standard_normal((heads, m, length))
                                     * 10.0 ** rng.uniform(-8, 6, (heads, m, 1)))
-    stacked = fused_dot(x_codes, x_scales, codes, coeffs, scales)
-    assert same_bits(stacked, np.array([fused_dot(x_codes[h], x_scales[h], codes[h], coeffs[h],
-                                                  scales[h]) for h in range(heads)]))
+    levels = code_values(codes, coeffs)
+    stacked = fused_dot(x_codes, x_scales, levels, scales)
+    assert same_bits(stacked, np.array([fused_dot(x_codes[h], x_scales[h], levels[h], scales[h])
+                                        for h in range(heads)]))
     # one activation group per head, as attention calls it
-    assert same_bits(stacked[:, 0], np.array([fused_dot(x_codes[h, 0], x_scales[h, 0], codes[h],
-                                                        coeffs[h], scales[h])
+    assert same_bits(stacked[:, 0], np.array([fused_dot(x_codes[h, 0], x_scales[h, 0], levels[h],
+                                                        scales[h])
                                               for h in range(heads)]))
 
 

@@ -11,7 +11,8 @@ Each line is a name and the first 16 hex digits of a sha256:
   ``reference_steps``, ``step_cosine`` and ``step_mse`` (their bytes),
   then ``repr((flush_steps, clamp_count))``; the prompt line hashes
   ``prefill_outputs`` and ``reference_prefill``, then
-  ``repr(prefill_cosine)``;
+  ``repr(prefill_cosine)``.  One case runs value groups of 192 tokens,
+  longer than the 129 whose products stay exact in float32;
 * ``gemm mant4`` and ``gemm int8``: ``gemm`` outputs over several shapes,
   group sizes with tail groups and zero rows, with mixed 4-bit weights
   (adaptive and INT4 coefficients) and with INT8 weights;
@@ -22,6 +23,11 @@ Each line is a name and the first 16 hex digits of a sha256:
 * ``kv stores``: every array of the same caches, in C order: codes, scales
   and coefficients of ``k_arrays()`` and of ``v_arrays()``, then the staged
   INT8 rows and the channel scales of the process window;
+* ``kv store growth``: the MNTQ bytes (``container.write_quantized``) of
+  ``cache.keys`` and ``cache.values`` of two caches, one with a tail key
+  group, whose decode steps grow the keys past 4x the prompt (two
+  doublings of a store that starts at the prompt's length) and flush the
+  window at least three times;
 * ``single group``: codes, scales and coefficients of
   ``quantize_weight_group`` (adaptive, INT4, all-zero and odd-length groups)
   and ``quantize_activation_group`` results, then of one multi-head
@@ -51,12 +57,17 @@ import numpy as np
 from mant.attention import (AttentionPolicies, calibration_tables, run_toy_attention,
                             synthesize_stream)
 from mant.cli import main
+from mant.container import write_quantized
 from mant.codec import (quantize_activation_group, quantize_activation_tensor,
                         quantize_weight_group, quantize_weight_tensor)
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import table_from_probe_means
 
 gemm_module = importlib.import_module("mant.gemm")   # the package's `gemm` is the function
+
+# boundaries where toy keys and values land, so a variance change can move a pick
+KV_TABLE = table_from_probe_means((0, 10, 20, 40, 60, 90, 120),
+                                  [0.08, 0.11, 0.14, 0.17, 0.2, 0.24])
 
 # (name, (prefill_len, decode_steps, heads, head_dim), policy fields, seed)
 ATTENTION_CASES = (
@@ -67,6 +78,8 @@ ATTENTION_CASES = (
     ("(30,50,2,100) G=64 seed 3", (30, 50, 2, 100), {"group_size": 64}, 3),
     ("kv-decode tables (192,384,4,64) seed 339489570", (192, 384, 4, 64), "kv-decode",
      339489570),
+    ("(200,400,2,64) G=192 fixed tables seed 11", (200, 400, 2, 64),
+     {"group_size": 192, "k_table": KV_TABLE, "v_table": KV_TABLE}, 11),
 )
 KV_DECODE_MODEL_SEED = 20250226   # bench/workloads.py MODEL_SEED
 
@@ -76,9 +89,9 @@ GEMM_SHAPES = ((1, 64, 16, 64), (5, 200, 7, 64), (8, 130, 9, 130), (3, 100, 11, 
 
 # (prompt, decode steps, heads, head_dim, group size): tail key groups at 48/32 and 100/64
 KV_STREAMS = ((40, 90, 3, 48, 32), (70, 130, 2, 100, 64))
-# boundaries where toy keys and values land, so a variance change can move a pick
-KV_TABLE = table_from_probe_means((0, 10, 20, 40, 60, 90, 120),
-                                  [0.08, 0.11, 0.14, 0.17, 0.2, 0.24])
+# (prompt, decode steps, heads, head_dim, group size): the keys grow past 4x
+# the prompt and at least 4 windows flush; a tail key group at 40/16
+KV_GROWTH = ((20, 70, 3, 40, 16), (64, 200, 2, 64, 32))
 # (heads, head_dim, group size) of the calibrated tables
 CALIBRATION_GEOMETRIES = ((2, 48, 32), (2, 100, 64))
 
@@ -124,6 +137,22 @@ def gemm_digests():
         int8.update(int8_gemm(x_q, quantize_activation_tensor(w, 0, group_size)).tobytes())
     yield "gemm mant4", short(mant4)
     yield "gemm int8", short(int8)
+
+
+def kv_growth_digest():
+    h = hashlib.sha256()
+    for seed, (prompt, steps, heads, head_dim, group_size) in enumerate(KV_GROWTH, 7):
+        _, k, v = synthesize_stream(np.random.default_rng(seed), prompt + steps, heads, head_dim)
+        cache = KvCache(heads, head_dim, KV_TABLE, KV_TABLE, group_size)
+        cache.prefill(k[:prompt], v[:prompt])
+        for t in range(prompt, prompt + steps):
+            cache.append_k(k[t])
+            cache.push_v(v[t])
+        for store in (cache.keys, cache.values):
+            buf = io.BytesIO()
+            write_quantized(buf, store)
+            h.update(buf.getvalue())
+    yield "kv store growth", short(h)
 
 
 def kv_digests():
@@ -228,7 +257,8 @@ def cli_digest():
 
 
 def main_digest() -> int:
-    for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest):
+    for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest,
+                kv_growth_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
