@@ -36,6 +36,8 @@ from .attention import AttentionPolicies, run_toy_attention
 from .selection import (
     CalibrationConfig,
     CandidateSet,
+    DEFAULT_COEFFICIENTS,
+    MIN_CALIBRATION_GROUPS,
     VarianceTable,
     build_variance_table,
     quantize_by_variance,
@@ -162,7 +164,7 @@ def cmd_quantize(args) -> int:
             first = split_runs(rows, group_size)[0]
             groups = first.reshape(-1, first.shape[-1])
             if min_groups is None:
-                min_groups = min(32, groups.shape[0])
+                min_groups = min(MIN_CALIBRATION_GROUPS, groups.shape[0])
             table = build_variance_table(groups, candidates, min_groups=min_groups)
             log.info("calibrated variance table from %d groups", groups.shape[0])
         qt = quantize_by_variance(values, table, axis, group_size)
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=None,
                    help="grouping axis (default: 0 for weights, last otherwise)")
     p.add_argument("--group-size", type=int, default=DEFAULT_GROUP_SIZE)
-    p.add_argument("--candidates", default="0,5,10,17,20,30,40,50,60,70,80,90,100,110,120,int")
+    p.add_argument("--candidates", default=",".join(map(str, DEFAULT_COEFFICIENTS + ("int",))))
     p.add_argument("--table", help="variance table JSON for the kv role")
     p.add_argument("--calib", help="calibration activations (MNTT) for the weight role")
     p.add_argument("--calib-config", help="calibration config JSON for the kv role")

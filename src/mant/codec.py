@@ -49,11 +49,11 @@ _MAGNITUDES = np.array([build_grid(a).magnitudes for a in range(MAX_COEFFICIENT 
 # Pre-scale integer value (level) of every (coefficient, nibble) pair:
 # |level| <= 127*7 + 2**7 = 1017.
 _CODE_LEVELS = np.concatenate([_MAGNITUDES, -_MAGNITUDES], axis=1).astype(np.int16)
+# Midpoints between adjacent magnitudes: half-integers, so exact.
+_MIDPOINTS = (_MAGNITUDES[:, 1:] + _MAGNITUDES[:, :-1]) / 2
 _MAGNITUDES.setflags(write=False)
 _CODE_LEVELS.setflags(write=False)
-
-# Values per encoder pass: its (groups, G, 8) distances stay near 1 MB.
-_CHUNK_ELEMENTS = 1 << 14
+_MIDPOINTS.setflags(write=False)
 
 
 def _mant4_coefficients(coefficients):
@@ -107,10 +107,11 @@ def encode_groups(groups, coefficients):
 
     ``coefficients`` holds one coefficient for all groups or one per group
     (INT4_COEFF: the plain INT4 grid).  The scale is ``max|group|`` over the
-    top magnitude ``magnitude_values(a)[-1]``.  Each element takes the
-    magnitude nearest to ``|value| / scale`` (the smaller one on ties) and
-    the sign bit when negative, except on an INT4 zero.  Padding encodes to
-    0, and a zero-scale group to all zeros.
+    top magnitude ``magnitude_values(a)[-1]``.  Each element's magnitude
+    index is the number of midpoints between adjacent magnitudes that
+    ``|value| / scale`` strictly exceeds: the nearest magnitude, the smaller
+    one on ties.  The sign bit is set when negative, except on an INT4 zero.
+    Padding encodes to 0, and a zero-scale group to all zeros.
     """
     groups = np.asarray(groups, dtype=np.float64)
     _check_finite(groups)
@@ -118,19 +119,16 @@ def encode_groups(groups, coefficients):
     coeffs = _mant4_coefficients(coefficients)
     if coeffs.ndim and coeffs.shape != lead:
         raise ValueError(f"coefficients shape {coeffs.shape} does not match groups {lead}")
-    n = math.prod(lead)
-    if n > 1 and groups.size > _CHUNK_ELEMENTS:
-        step = max(1, _CHUNK_ELEMENTS // groups.shape[-1])
-        flat, flat_coeffs = groups.reshape(n, -1), np.broadcast_to(coeffs, lead).reshape(n)
-        chunks = [encode_groups(flat[i:i + step], flat_coeffs[i:i + step])
-                  for i in range(0, n, step)]
-        codes, scales = (np.concatenate(parts) for parts in zip(*chunks))
-        return codes.reshape(groups.shape), scales.reshape(lead)
-    scales = np.abs(groups).max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
+    normalized = np.abs(groups)
+    scales = normalized.max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
     silent = scales == 0.0
-    normalized = np.abs(groups) / np.where(silent, 1.0, scales)[..., None]
-    dist = normalized[..., None] - _MAGNITUDES[coeffs][..., None, :]
-    codes = np.abs(dist, out=dist).argmin(axis=-1).astype(np.uint8)
+    normalized /= np.where(silent, 1.0, scales)[..., None]
+    midpoints = _MIDPOINTS[coeffs][..., None, :]
+    codes = np.zeros(groups.shape, dtype=np.uint8)
+    above = np.empty(groups.shape, dtype=bool)
+    for k in range(GRID_POINTS - 1):
+        np.greater(normalized, midpoints[..., k], out=above)
+        codes += above.view(np.uint8)
     # magnitude 0 of the INT4 grid decodes to exact zero; keep its sign canonical
     negative = (groups < 0) & ((codes != 0) | (coeffs != INT4_COEFF)[..., None])
     codes |= negative.view(np.uint8) << 3

@@ -139,6 +139,7 @@ class VarianceTable:
 
     ``entries`` is an ascending-coefficient list of (a, lo, hi) ranges that
     tile [0, 1]: contiguous, non-overlapping, first lo = 0, last hi = 1.
+    Each a is an integer coefficient in 0..INT4_COEFF.
     """
 
     entries: tuple[tuple[int, float, float], ...]
@@ -147,6 +148,12 @@ class VarianceTable:
         if not self.entries:
             raise ValueError("variance table is empty")
         coeffs = [e[0] for e in self.entries]
+        for a in coeffs:
+            # a group's coefficient is stored as uint8, which would wrap a larger a
+            if isinstance(a, bool) or not isinstance(a, (int, np.integer)) \
+                    or not 0 <= a <= INT4_COEFF:
+                raise ValueError(f"table coefficient must be an integer in 0..{INT4_COEFF}, "
+                                 f"got {a!r}")
         if coeffs != sorted(coeffs) or len(set(coeffs)) != len(coeffs):
             raise ValueError("table entries must be ordered by ascending coefficient")
         prev_hi = 0.0
@@ -183,7 +190,7 @@ class VarianceTable:
     @classmethod
     def from_json(cls, text: str) -> "VarianceTable":
         try:
-            entries = tuple((int(e["a"]), float(e["lo"]), float(e["hi"])) for e in json.loads(text))
+            entries = tuple((e["a"], float(e["lo"]), float(e["hi"])) for e in json.loads(text))
         except (TypeError, KeyError) as exc:   # not a list of objects, or a bad field
             raise ValueError(f'variance table must be a JSON list of {{"a", "lo", "hi"}} '
                              f"objects with numbers: {exc!r}") from exc

@@ -492,6 +492,16 @@ MALFORMED_JSON = [
     ("quantize-calib-config-number-candidates", "quantize", {"calib-config": {"candidates": 5}}),
     ("kv-run-k-table-strings", "kv-run", {"k-table": ["x"]}),
     ("kv-run-k-table-numbers", "kv-run", {"k-table": [1, 2]}),
+    # coefficients outside 0..128 or not integers: stored as uint8, 300 would wrap to 44
+    ("quantize-table-a-300", "quantize", {"table": [{"a": 300, "lo": 0.0, "hi": 1.0}]}),
+    ("quantize-table-a-256", "quantize", {"table": [{"a": 5, "lo": 0.0, "hi": 0.5},
+                                                    {"a": 256, "lo": 0.5, "hi": 1.0}]}),
+    ("quantize-table-fractional-a", "quantize", {"table": [{"a": 40.7, "lo": 0.0, "hi": 1.0}]}),
+    ("quantize-table-bool-a", "quantize", {"table": [{"a": True, "lo": 0.0, "hi": 1.0}]}),
+    ("kv-run-k-table-a-300", "kv-run", {"k-table": [{"a": 300, "lo": 0.0, "hi": 1.0}],
+                                        "v-table": [{"a": 40, "lo": 0.0, "hi": 1.0}]}),
+    ("kv-run-v-table-fractional-a", "kv-run", {"k-table": [{"a": 40, "lo": 0.0, "hi": 1.0}],
+                                               "v-table": [{"a": 40.7, "lo": 0.0, "hi": 1.0}]}),
 ]
 
 

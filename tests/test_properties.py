@@ -24,6 +24,7 @@ from mant.codec import (
     KIND_MANT4,
     QuantizedTensor,
     code_values,
+    encode_groups,
     encode_int8,
     group_lengths,
     quantize_activation_tensor,
@@ -423,6 +424,28 @@ def same_bits(a, b) -> bool:
         np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+# scales at which a tie group lands on its targets exactly (powers of two) and
+# at which it rounds near them
+TIE_SCALES = (2.0 ** -30, 0.5, 1.0, 2.0 ** 40, 0.1, 3.7, 1e5 / 3)
+
+
+def tie_groups():
+    """Groups ``(129 * len(TIE_SCALES), 58)`` and their coefficients: each
+    holds its coefficient's midpoints between adjacent magnitudes, the floats
+    either side of each midpoint and every magnitude, with both signs, times
+    one of the scales.  The top magnitude makes the scale the group's."""
+    groups, coeffs = [], []
+    for a in range(INT4_COEFF + 1):
+        mags = ref_mags(a)
+        mids = (mags[1:] + mags[:-1]) / 2
+        targets = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                                  mags])
+        for scale in TIE_SCALES:
+            groups.append(np.concatenate([targets, -targets]) * scale)
+            coeffs.append(a)
+    return np.array(groups), np.array(coeffs, dtype=np.uint8)
+
+
 # -- properties -------------------------------------------------------------------------
 
 @SETTINGS
@@ -436,6 +459,16 @@ def test_weight_tensor_matches_group_loop(case):
     assert same_bits(qt.group_lengths, lengths)
     assert same_bits(qt.coefficients, coeffs)
     assert same_bits(qt.dequantize(), ref_dequantize(qt))
+
+
+def test_encoder_ties_match_argmin_oracle():
+    # every coefficient in one call over more than 16,384 values
+    groups, coeffs = tie_groups()
+    assert groups.size > 1 << 14
+    codes, scales = encode_groups(groups, coeffs)
+    refs = [ref_weight_group(group, int(a)) for group, a in zip(groups, coeffs)]
+    assert same_bits(codes, np.array([ref_codes for ref_codes, _ in refs]))
+    assert same_bits(scales, np.array([ref_scale for _, ref_scale in refs]))
 
 
 @SETTINGS

@@ -1,5 +1,7 @@
 """Coefficient selection: offline MSE search and the variance table."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,18 @@ class TestVarianceTable:
             VarianceTable(((30, 0.0, 0.5), (40, 0.5, 0.9)))  # does not reach 1
         with pytest.raises(ValueError):
             VarianceTable(())
+
+    @pytest.mark.parametrize("a", [-1, 129, 256, 300, 40.7, 40.0, True, "40", None])
+    def test_coefficient_must_be_an_integer_in_range(self, a):
+        # a group's coefficient is stored as uint8: 300 would wrap to 44, 256 to 0
+        with pytest.raises(ValueError, match="integer in 0..128"):
+            VarianceTable(((5, 0.0, 0.5), (a, 0.5, 1.0)))
+        with pytest.raises(ValueError, match="integer in 0..128"):
+            VarianceTable.from_json(json.dumps([{"a": a, "lo": 0.0, "hi": 1.0}]))
+
+    def test_int4_and_numpy_coefficients_accepted(self):
+        assert VarianceTable(((np.int64(5), 0.0, 0.5), (INT4_COEFF, 0.5, 1.0))).lookup(0.7) \
+            == INT4_COEFF
 
     def test_insufficient_calibration(self):
         with pytest.raises(ValueError):

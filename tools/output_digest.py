@@ -32,6 +32,11 @@ Each line is a name and the first 16 hex digits of a sha256:
   ``quantize_weight_group`` (adaptive, INT4, all-zero and odd-length groups)
   and ``quantize_activation_group`` results, then of one multi-head
   ``ProcessWindow.flush`` block;
+* ``encoder ties``: codes and scales of one ``encode_groups`` call with
+  per-group coefficients over every coefficient's tie groups: its midpoints
+  between adjacent magnitudes, the floats either side of each and every
+  magnitude, with both signs, at power-of-two and other scales (the groups of
+  ``tests/test_properties.py::test_encoder_ties_match_argmin_oracle``);
 * ``cli quantize``: the MNTQ files and ``--stats`` JSON of CLI ``quantize``
   runs for the weight, activation and kv roles;
 * ``cli quantize kv table and config``: the same for kv-role runs with a
@@ -58,8 +63,8 @@ from mant.attention import (AttentionPolicies, calibration_tables, run_toy_atten
                             synthesize_stream)
 from mant.cli import main
 from mant.container import write_quantized
-from mant.codec import (quantize_activation_group, quantize_activation_tensor,
-                        quantize_weight_group, quantize_weight_tensor)
+from mant.codec import (INT4_COEFF, encode_groups, magnitude_values, quantize_activation_group,
+                        quantize_activation_tensor, quantize_weight_group, quantize_weight_tensor)
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import table_from_probe_means
 
@@ -214,6 +219,27 @@ def single_group_digest():
     yield "single group", short(h)
 
 
+# scales at which a tie group lands on its targets exactly (powers of two) and
+# at which it rounds near them
+TIE_SCALES = (2.0 ** -30, 0.5, 1.0, 2.0 ** 40, 0.1, 3.7, 1e5 / 3)
+
+
+def encoder_ties_digest():
+    groups, coeffs = [], []
+    for a in range(INT4_COEFF + 1):
+        mags = magnitude_values(a)
+        mids = (mags[1:] + mags[:-1]) / 2
+        targets = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                                  mags])
+        for scale in TIE_SCALES:
+            groups.append(np.concatenate([targets, -targets]) * scale)
+            coeffs.append(a)
+    codes, scales = encode_groups(np.array(groups), np.array(coeffs, dtype=np.uint8))
+    h = hashlib.sha256(codes.tobytes())
+    h.update(scales.tobytes())
+    yield "encoder ties", short(h)
+
+
 def cli_digest():
     h, kv = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -258,7 +284,7 @@ def cli_digest():
 
 def main_digest() -> int:
     for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest,
-                kv_growth_digest):
+                kv_growth_digest, encoder_ties_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
