@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -63,17 +64,23 @@ def _parse_candidates(text: str) -> CandidateSet:
             include_int = True
         else:
             coeffs.append(int(token))
-    return CandidateSet(tuple(coeffs) or CandidateSet().coefficients, include_int)
+    if not coeffs:
+        raise ValueError(f"--candidates {text!r} names no coefficient")
+    return CandidateSet(tuple(coeffs), include_int)
 
 
 def _coeff_key(a: int) -> str:
     return "int" if a == INT4_COEFF else str(a)
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _emit_json(payload, path: str | None) -> None:
+    """Print ``payload`` as indented JSON and write the same text, plus a
+    newline, to ``path`` when given."""
+    text = json.dumps(payload, indent=2)
+    print(text)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
 
 
 def cmd_fit_grid(args) -> int:
@@ -89,9 +96,7 @@ def cmd_fit_grid(args) -> int:
         "grid_magnitudes": list(grid.magnitudes),
         "grid_normalized": [m / grid.max_magnitude for m in grid.magnitudes],
     }
-    print(json.dumps(result, indent=2))
-    if args.out:
-        _write_json(args.out, result)
+    _emit_json(result, args.out)
     return EXIT_OK
 
 
@@ -172,9 +177,7 @@ def cmd_quantize(args) -> int:
     container.save_quantized(args.out, qt)
     # stats reflect the file exactly (scales are half precision on disk)
     stats = _quantize_stats(values, container.load_quantized(args.out), qt.scales)
-    print(json.dumps(stats, indent=2))
-    if args.stats:
-        _write_json(args.stats, stats)
+    _emit_json(stats, args.stats)
     return EXIT_OK
 
 
@@ -195,9 +198,7 @@ def cmd_gemm_check(args) -> int:
     mean_rel = float(np.mean(diff) / ref_scale) if ref_scale else float(np.mean(diff))
     result = {"max_relative_error": max_rel, "mean_relative_error": mean_rel,
               "threshold": args.threshold, "ok": max_rel <= args.threshold}
-    print(json.dumps(result, indent=2))
-    if args.out:
-        _write_json(args.out, result)
+    _emit_json(result, args.out)
     return EXIT_OK if result["ok"] else EXIT_VERIFY
 
 
@@ -233,9 +234,7 @@ def cmd_kv_run(args) -> int:
         "flush_steps": report.flush_steps,
         "steps": steps,
     }
-    print(json.dumps(trace, indent=2))
-    if args.out:
-        _write_json(args.out, trace)
+    _emit_json(trace, args.out)
     if args.min_cosine is not None:
         worst = min([report.prefill_cosine] + [s["cosine"] for s in steps])
         if worst < args.min_cosine:
@@ -328,7 +327,10 @@ def cmd_gen_tensor(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so in-process calls of :func:`main` share it."""
     parser = argparse.ArgumentParser(prog="mant",
                                      description="Adaptive 4-bit quantization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -105,8 +105,10 @@ def _check_finite(values: np.ndarray) -> None:
 def encode_groups(groups, coefficients):
     """Encode zero-padded groups ``(..., G)`` to 4-bit codes and scales.
 
-    ``coefficients`` holds one coefficient for all groups or one per group
-    (INT4_COEFF: the plain INT4 grid).  The scale is ``max|group|`` over the
+    ``coefficients`` holds one coefficient for all groups, or an array that
+    broadcasts to the groups' lead shape ``(...)``, such as one per group or
+    ``(options, 1)`` over a stack of candidate options (INT4_COEFF: the
+    plain INT4 grid).  The scale is ``max|group|`` over the
     top magnitude ``magnitude_values(a)[-1]``.  Each element's magnitude
     index is the number of midpoints between adjacent magnitudes that
     ``|value| / scale`` strictly exceeds: the nearest magnitude, the smaller
@@ -117,8 +119,10 @@ def encode_groups(groups, coefficients):
     _check_finite(groups)
     lead = groups.shape[:-1]
     coeffs = _mant4_coefficients(coefficients)
-    if coeffs.ndim and coeffs.shape != lead:
-        raise ValueError(f"coefficients shape {coeffs.shape} does not match groups {lead}")
+    if coeffs.ndim and coeffs.shape != lead and (
+            coeffs.ndim > len(lead)
+            or any(c not in (1, n) for c, n in zip(coeffs.shape[::-1], lead[::-1]))):
+        raise ValueError(f"coefficients shape {coeffs.shape} does not broadcast to groups {lead}")
     normalized = np.abs(groups)
     scales = normalized.max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
     silent = scales == 0.0

@@ -27,6 +27,22 @@ from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py 
 
 DEFAULT_COEFFICIENTS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 MIN_CALIBRATION_GROUPS = 32
+# Groups per stacked search in select_weight_coefficient, set by a sweep on
+# large weights (CHANGES.md): the (options, rows, G) temporaries of larger
+# tiles outgrow the cache, and smaller tiles cost more calls.
+SEARCH_TILE_ROWS = 128
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, not a bool or a fraction: a checked
+    field refuses those rather than truncating them."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, name: str) -> int:
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -42,7 +58,7 @@ class CandidateSet:
     include_int: bool = True
 
     def __post_init__(self):
-        coeffs = tuple(int(a) for a in self.coefficients)
+        coeffs = tuple(_integer(a, "coefficient") for a in self.coefficients)
         if not coeffs:
             raise ValueError("candidate set is empty")
         if list(coeffs) != sorted(set(coeffs)):
@@ -88,16 +104,20 @@ def select_weight_coefficient(w_group, x_calib, candidates: CandidateSet):
     if not np.isfinite(x_calib).all():
         # every error would be NaN, and the tie pick the first option
         raise ValueError("calibration data contains non-finite values")
-    options = candidates.options
-    errs = np.empty((len(options),) + w_group.shape[:-1])
-    for i, a in enumerate(options):
-        delta = reconstruction(w_group, a) - w_group
+    options = np.asarray(candidates.options)
+    groups = w_group.reshape(-1, w_group.shape[-1])
+    best = np.empty(len(groups), dtype=np.intp)
+    for start in range(0, len(groups), SEARCH_TILE_ROWS):
+        tile = groups[start:start + SEARCH_TILE_ROWS]
+        # every option of every group in one (options, rows, G) stack
+        stack = np.broadcast_to(tile, (len(options),) + tile.shape)
+        delta = reconstruction(stack, options[:, None]) - tile
         # a stack of matrix-vector products runs one gemv per group, the
         # same BLAS call (and rounding) as x_calib @ delta for one group
-        errs[i] = np.sum(np.matmul(x_calib, delta[..., None])[..., 0] ** 2, axis=-1)
-    # a NaN error never wins, as with a strict < scan
-    best = np.argmin(np.where(np.isnan(errs), np.inf, errs), axis=0)
-    return _scalar_or_array(np.asarray(options)[best])
+        errs = np.sum(np.matmul(x_calib, delta[..., None])[..., 0] ** 2, axis=-1)
+        # a NaN error never wins, as with a strict < scan
+        best[start:start + len(tile)] = np.argmin(np.where(np.isnan(errs), np.inf, errs), axis=0)
+    return _scalar_or_array(options[best].reshape(w_group.shape[:-1]))
 
 
 def weight_space_error(values, a):
@@ -150,8 +170,7 @@ class VarianceTable:
         coeffs = [e[0] for e in self.entries]
         for a in coeffs:
             # a group's coefficient is stored as uint8, which would wrap a larger a
-            if isinstance(a, bool) or not isinstance(a, (int, np.integer)) \
-                    or not 0 <= a <= INT4_COEFF:
+            if not _is_integer(a) or not 0 <= a <= INT4_COEFF:
                 raise ValueError(f"table coefficient must be an integer in 0..{INT4_COEFF}, "
                                  f"got {a!r}")
         if coeffs != sorted(coeffs) or len(set(coeffs)) != len(coeffs):
@@ -205,6 +224,10 @@ class CalibrationConfig:
     coefficients: tuple[int, ...] = DEFAULT_COEFFICIENTS
     min_groups: int = MIN_CALIBRATION_GROUPS
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", self.candidate_set().coefficients)
+        object.__setattr__(self, "min_groups", _integer(self.min_groups, "min_groups"))
+
     def candidate_set(self) -> CandidateSet:
         return CandidateSet(self.coefficients, include_int=False)
 
@@ -223,13 +246,10 @@ class CalibrationConfig:
             # ignoring the key would silently change the group size an old file selects
             raise ValueError("calibration config has no group_size field; "
                              "set the group size with --group-size")
-        try:
-            return cls(
-                coefficients=tuple(int(a) for a in data.get("candidates", DEFAULT_COEFFICIENTS)),
-                min_groups=int(data.get("min_groups", MIN_CALIBRATION_GROUPS)),
-            )
-        except TypeError as exc:   # a null, nested or non-list field
-            raise ValueError(f"bad calibration config field: {exc}") from exc
+        candidates = data.get("candidates", DEFAULT_COEFFICIENTS)
+        if not isinstance(candidates, (list, tuple)):
+            raise ValueError(f"calibration config candidates must be a list, got {candidates!r}")
+        return cls(tuple(candidates), data.get("min_groups", MIN_CALIBRATION_GROUPS))
 
 
 def midpoint_probes(coefficients: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +211,17 @@ class TestQuantize:
             assert "error: calibration set has no rows" in err
             assert not out_q.exists()
 
+    @pytest.mark.parametrize("candidates", ["int", ","])
+    def test_candidates_naming_no_coefficient_is_usage_error(self, capsys, tmp_path,
+                                                             weight_file, candidates):
+        # such a list once fell back to the 15 default coefficients
+        out_q = tmp_path / "q.mntq"
+        code, _, err = run_cli(capsys, "quantize", "--tensor", str(weight_file), "--role",
+                               "weight", "--candidates", candidates, "--out", str(out_q))
+        assert code == 2
+        assert "error: --candidates" in err
+        assert not out_q.exists()
+
     def test_stats_count_scales_lost_in_half(self, capsys, caplog, tmp_path):
         # one group below the fp16 scale range, one above it
         rng = np.random.default_rng(4)
@@ -234,6 +248,45 @@ class TestQuantize:
         stats = json.loads(stats_path.read_text())
         assert stats["scale_underflow"] == 0 and stats["scale_overflow"] == 0
         assert "IEEE half" not in caplog.text
+
+
+class TestInProcessRuns:
+    """:func:`main` shares one parser between calls in a process."""
+
+    RUNS = (["quantize", "--role", "weight", "--group-size", "48", "--candidates", "10,40,int",
+             "--seed", "3", "--calib-samples", "8"],
+            ["quantize", "--role", "weight"],
+            ["quantize", "--role", "kv", "--axis", "0"])
+
+    def test_runs_match_fresh_processes(self, capsys, tmp_path, weight_file):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(container.__file__)))
+        for i, argv in enumerate(self.RUNS):
+            argv = argv + ["--tensor", str(weight_file)]
+            files = {}
+            for where in ("in-process", "fresh"):
+                out, stats = tmp_path / f"{where}{i}.mntq", tmp_path / f"{where}{i}.json"
+                options = ["--out", str(out), "--stats", str(stats)]
+                if where == "in-process":
+                    code, printed, _ = run_cli(capsys, *argv, *options)
+                    assert code == 0
+                    assert printed == stats.read_text()   # the printed text is the file's
+                else:
+                    subprocess.run([sys.executable, "-m", "mant.cli", *argv, *options], env=env,
+                                   check=True, stdout=subprocess.DEVNULL)
+                files[where] = out.read_bytes(), stats.read_bytes()
+            assert files["in-process"] == files["fresh"]
+
+    def test_usage_errors_after_a_run(self, capsys, tmp_path, weight_file):
+        base = ["quantize", "--tensor", str(weight_file), "--out", str(tmp_path / "q.mntq")]
+        code, _, _ = run_cli(capsys, *base, "--role", "weight")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--role", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, *base, "--role", "weight", "--candidates", "int")
+        assert code == 2
+        assert "error: --candidates" in err
 
 
 class TestDequantize:
@@ -490,6 +543,15 @@ MALFORMED_JSON = [
     ("quantize-calib-config-null", "quantize", {"calib-config": {"candidates": None}}),
     ("quantize-calib-config-null-min-groups", "quantize", {"calib-config": {"min_groups": None}}),
     ("quantize-calib-config-number-candidates", "quantize", {"calib-config": {"candidates": 5}}),
+    # fractions and booleans are refused, not truncated: 40.7 once meant 40, 8.9 groups 8
+    # (the weight file holds 16 groups, so min_groups 4 alone would calibrate)
+    ("quantize-calib-config-fractional-candidate", "quantize",
+     {"calib-config": {"candidates": [0, 40.7], "min_groups": 4}}),
+    ("quantize-calib-config-bool-candidate", "quantize",
+     {"calib-config": {"candidates": [0, True], "min_groups": 4}}),
+    ("quantize-calib-config-fractional-min-groups", "quantize",
+     {"calib-config": {"min_groups": 8.9}}),
+    ("quantize-calib-config-bool-min-groups", "quantize", {"calib-config": {"min_groups": True}}),
     ("kv-run-k-table-strings", "kv-run", {"k-table": ["x"]}),
     ("kv-run-k-table-numbers", "kv-run", {"k-table": [1, 2]}),
     # coefficients outside 0..128 or not integers: stored as uint8, 300 would wrap to 44

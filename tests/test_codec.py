@@ -11,6 +11,7 @@ from mant.codec import (
     SIGN_BIT,
     code_values,
     decode_groups,
+    encode_groups,
     magnitude_values,
     pack_codes,
     quantize_activation_group,
@@ -270,3 +271,20 @@ class TestQuantizedTensor:
     def test_bad_coefficient_shape(self):
         with pytest.raises(ValueError):
             quantize_weight_tensor(np.zeros((64, 2)), np.zeros((3, 3)), 0, 64)
+
+
+class TestEncodeGroupsCoefficientShapes:
+    GROUPS = np.random.default_rng(23).standard_normal((4, 5, 16))   # lead shape (4, 5)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (1, 5), (4, 1), (1, 1), (4, 5)])
+    def test_broadcasting_shapes_match_per_group(self, shape):
+        coeffs = np.random.default_rng(24).choice([0, 17, 60, INT4_COEFF], shape)
+        full = np.broadcast_to(coeffs, self.GROUPS.shape[:-1])
+        for got, want in zip(encode_groups(self.GROUPS, coeffs), encode_groups(self.GROUPS, full)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(4,), (3,), (2, 5), (4, 5, 1), (1, 4, 5), (2, 4, 5)])
+    def test_other_shapes_rejected(self, shape):
+        # (4,) does not broadcast to (4, 5); (1, 4, 5) would broadcast to a larger lead shape
+        with pytest.raises(ValueError, match="does not broadcast"):
+            encode_groups(self.GROUPS, np.zeros(shape, dtype=np.uint8))

@@ -9,6 +9,7 @@ from mant.codec import INT4_COEFF
 from mant.grid import build_grid
 from mant.kvcache import KvCache
 from mant.selection import (
+    SEARCH_TILE_ROWS,
     CalibrationConfig,
     CandidateSet,
     VarianceTable,
@@ -40,6 +41,11 @@ class TestCandidateSet:
             CandidateSet((10, 5))
         with pytest.raises(ValueError):
             CandidateSet((0, 130))
+        # a fraction or a bool is refused, not truncated to an integer
+        for coeffs in ((0, 40.7), (0, 40.0), (True, 40), (0, "40")):
+            with pytest.raises(ValueError, match="integer"):
+                CandidateSet(coeffs)
+        assert CandidateSet((np.int64(0), 40)).coefficients == (0, 40)
 
 
 class TestSelectWeightCoefficient:
@@ -100,6 +106,53 @@ class TestSelectWeightCoefficient:
         w = np.random.default_rng(2).standard_normal(groups)
         with pytest.raises(ValueError, match="no rows"):
             select_weight_coefficient(w, np.zeros((0, 64)), CandidateSet())
+
+
+def per_option_scan(w, x, candidates):
+    """The search one option at a time: an encode, a decode and a stack of
+    gemvs per option (the reference for the stacked search)."""
+    options = candidates.options
+    errs = np.empty((len(options),) + w.shape[:-1])
+    for i, a in enumerate(options):
+        delta = reconstruction(w, a) - w
+        errs[i] = np.sum(np.matmul(x, delta[..., None])[..., 0] ** 2, axis=-1)
+    best = np.argmin(np.where(np.isnan(errs), np.inf, errs), axis=0)
+    return np.asarray(options)[best]
+
+
+def mixed_groups(rng, n, length):
+    """``n`` groups that cycle through Gaussian, Laplace, uniform, spiked (two
+    spikes of 3 to 6 over a 0.3-wide Gaussian), all-zero and constant, at
+    scales from 0.01 to 100."""
+    def spiked():
+        g = 0.3 * rng.standard_normal(length)
+        at = rng.choice(length, min(2, length), replace=False)
+        g[at] = rng.choice([-1.0, 1.0], at.size) * rng.uniform(3.0, 6.0, at.size)
+        return g
+    kinds = (lambda: rng.standard_normal(length), lambda: rng.laplace(size=length),
+             lambda: rng.uniform(-1.0, 1.0, length), spiked, lambda: np.zeros(length),
+             lambda: np.full(length, rng.uniform(-2.0, 2.0)))
+    return np.array([kinds[i % len(kinds)]() * 10.0 ** rng.uniform(-2, 2) for i in range(n)])
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("length", [64, 1, 32, 48])
+    @pytest.mark.parametrize("candidates", [CandidateSet(), CandidateSet(include_int=False),
+                                            CandidateSet((10, 40, 90)),
+                                            CandidateSet((0, 17, 120), include_int=False)],
+                             ids=["default", "no-int", "subset-int", "subset-no-int"])
+    def test_matches_per_option_scan(self, length, candidates):
+        rng = np.random.default_rng(length)
+        x_calib = rng.standard_normal((16, length)) * np.exp(rng.uniform(-1.6, 1.6, length))
+        for n in (1, SEARCH_TILE_ROWS - 1, SEARCH_TILE_ROWS, SEARCH_TILE_ROWS + 1,
+                  3 * SEARCH_TILE_ROWS):
+            w = mixed_groups(rng, n, length)
+            picks = select_weight_coefficient(w, x_calib, candidates)
+            assert picks.shape == (n,)
+            np.testing.assert_array_equal(picks, per_option_scan(w, x_calib, candidates))
+        w = mixed_groups(rng, 1, length)[0]
+        assert select_weight_coefficient(w, x_calib, candidates) == \
+            per_option_scan(w, x_calib, candidates)
 
 
 class TestNormalizedVariance:
@@ -283,6 +336,14 @@ class TestCalibrationConfig:
         again = CalibrationConfig.from_json(cfg.to_json())
         assert again == cfg
         assert again.candidate_set().coefficients == (0, 40, 120)
+
+    @pytest.mark.parametrize("fields", [{"coefficients": (0, 40.7)},
+                                        {"coefficients": (0, True)},
+                                        {"min_groups": 8.9}, {"min_groups": True}])
+    def test_non_integers_refused(self, fields):
+        # CalibrationConfig((0, 40.7), 8.9) once meant coefficients (0, 40) and 8 groups
+        with pytest.raises(ValueError, match="integer"):
+            CalibrationConfig(**fields)
 
     def test_defaults(self):
         cfg = CalibrationConfig.from_json("{}")

@@ -37,6 +37,10 @@ Each line is a name and the first 16 hex digits of a sha256:
   between adjacent magnitudes, the floats either side of each and every
   magnitude, with both signs, at power-of-two and other scales (the groups of
   ``tests/test_properties.py::test_encoder_ties_match_argmin_oracle``);
+* ``mse selection``: ``select_weight_coefficient`` picks over about 2,000
+  seeded groups (Gaussian, Laplace, uniform, spiked, all-zero and constant)
+  of lengths 64, 48, 32 and 1, against 8-, 32- and 64-row calibration sets,
+  with candidate sets with and without INT4;
 * ``cli quantize``: the MNTQ files and ``--stats`` JSON of CLI ``quantize``
   runs for the weight, activation and kv roles;
 * ``cli quantize kv table and config``: the same for kv-role runs with a
@@ -66,7 +70,7 @@ from mant.container import write_quantized
 from mant.codec import (INT4_COEFF, encode_groups, magnitude_values, quantize_activation_group,
                         quantize_activation_tensor, quantize_weight_group, quantize_weight_tensor)
 from mant.kvcache import KvCache, ProcessWindow
-from mant.selection import table_from_probe_means
+from mant.selection import CandidateSet, select_weight_coefficient, table_from_probe_means
 
 gemm_module = importlib.import_module("mant.gemm")   # the package's `gemm` is the function
 
@@ -240,6 +244,38 @@ def encoder_ties_digest():
     yield "encoder ties", short(h)
 
 
+# (calibration rows, group length, candidates): each length with and without INT4
+SELECTION_CASES = tuple(
+    (rows, length, (CandidateSet(), CandidateSet((0, 10, 30, 60, 120), False))[(r + j) % 2])
+    for r, rows in enumerate((8, 32, 64)) for j, length in enumerate((64, 48, 32, 1)))
+SELECTION_GROUPS = 170   # per call: one full 128-row search tile and a part
+
+
+def mixed_groups(rng, n, length):
+    """Groups cycling through Gaussian, Laplace, uniform, spiked (two spikes
+    of 3 to 6 over a 0.3-wide Gaussian), all-zero and constant kinds."""
+    def spiked():
+        g = 0.3 * rng.standard_normal(length)
+        at = rng.choice(length, min(2, length), replace=False)
+        g[at] = rng.choice([-1.0, 1.0], at.size) * rng.uniform(3.0, 6.0, at.size)
+        return g
+    kinds = (lambda: rng.standard_normal(length), lambda: rng.laplace(size=length),
+             lambda: rng.uniform(-1.0, 1.0, length), spiked, lambda: np.zeros(length),
+             lambda: np.full(length, rng.uniform(-2.0, 2.0)))
+    return np.array([kinds[i % len(kinds)]() * 10.0 ** rng.uniform(-2, 2) for i in range(n)])
+
+
+def selection_digest():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(47)
+    for rows, length, candidates in SELECTION_CASES:
+        x_calib = rng.standard_normal((rows, length)) * np.exp(rng.uniform(-1.6, 1.6, length))
+        picks = select_weight_coefficient(mixed_groups(rng, SELECTION_GROUPS, length), x_calib,
+                                          candidates)
+        h.update(np.asarray(picks, dtype=np.int64).tobytes())
+    yield "mse selection", short(h)
+
+
 def cli_digest():
     h, kv = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -284,7 +320,7 @@ def cli_digest():
 
 def main_digest() -> int:
     for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest,
-                kv_growth_digest, encoder_ties_digest):
+                kv_growth_digest, encoder_ties_digest, selection_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
