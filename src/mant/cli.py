@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -73,14 +72,27 @@ def _coeff_key(a: int) -> str:
     return "int" if a == INT4_COEFF else str(a)
 
 
-def _emit_json(payload, path: str | None) -> None:
-    """Print ``payload`` as indented JSON and write the same text, plus a
-    newline, to ``path`` when given."""
-    text = json.dumps(payload, indent=2)
-    print(text)
+def _read_json(path: str, parse=json.loads):
+    """``parse`` of the text of ``path``; a JSON syntax error names the file
+    as ``path:line:col``."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Print ``text`` and write it to ``path`` when given."""
+    print(text, end="")
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+
+
+def _emit_json(payload, path: str | None) -> None:
+    _emit(json.dumps(payload, indent=2) + "\n", path)
 
 
 def cmd_fit_grid(args) -> int:
@@ -101,8 +113,8 @@ def cmd_fit_grid(args) -> int:
 
 
 def _quantize_stats(values: np.ndarray, qt, scales: np.ndarray) -> dict:
-    """Errors of the file's tensor ``qt``; fp16 losses of the written ``scales``
-    (:func:`container.write_quantized` has warned of them)."""
+    """Errors of the stored tensor ``qt``; fp16 losses of the unrounded
+    ``scales`` (:func:`container.write_quantized` has warned of them)."""
     underflow, overflow = container.half_losses(scales)
     decoded = qt.dequantize()
     err = decoded - values
@@ -153,12 +165,10 @@ def cmd_quantize(args) -> int:
         qt = quantize_weight_tensor(values, coeffs, axis, group_size)
     else:  # kv
         if args.table:
-            with open(args.table) as fh:
-                table = VarianceTable.from_json(fh.read())
+            table = _read_json(args.table, VarianceTable.from_json)
         else:
             if args.calib_config:
-                with open(args.calib_config) as fh:
-                    calib = CalibrationConfig.from_json(fh.read())
+                calib = _read_json(args.calib_config, CalibrationConfig.from_json)
                 candidates = calib.candidate_set()
                 min_groups = calib.min_groups
             else:
@@ -174,10 +184,8 @@ def cmd_quantize(args) -> int:
             log.info("calibrated variance table from %d groups", groups.shape[0])
         qt = quantize_by_variance(values, table, axis, group_size)
 
-    container.save_quantized(args.out, qt)
-    # stats reflect the file exactly (scales are half precision on disk)
-    stats = _quantize_stats(values, container.load_quantized(args.out), qt.scales)
-    _emit_json(stats, args.stats)
+    stored = container.save_quantized(args.out, qt)
+    _emit_json(_quantize_stats(values, stored, qt.scales), args.stats)
     return EXIT_OK
 
 
@@ -203,16 +211,10 @@ def cmd_gemm_check(args) -> int:
 
 
 def cmd_kv_run(args) -> int:
-    policies = AttentionPolicies(group_size=args.group_size,
-                                 quantize_kv=not args.no_kv_quant)
-    if args.k_table:
-        with open(args.k_table) as fh:
-            policies = dataclasses.replace(policies,
-                                           k_table=VarianceTable.from_json(fh.read()))
-    if args.v_table:
-        with open(args.v_table) as fh:
-            policies = dataclasses.replace(policies,
-                                           v_table=VarianceTable.from_json(fh.read()))
+    k_table, v_table = (_read_json(path, VarianceTable.from_json) if path else None
+                        for path in (args.k_table, args.v_table))
+    policies = AttentionPolicies(group_size=args.group_size, quantize_kv=not args.no_kv_quant,
+                                 k_table=k_table, v_table=v_table)
     report = run_toy_attention(args.prefill, args.steps, args.heads, args.head_dim,
                                policies, seed=args.seed)
     steps = []
@@ -244,11 +246,7 @@ def cmd_kv_run(args) -> int:
 
 
 def _load_workload(path: str) -> list[dict]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     layers = data["layers"] if isinstance(data, dict) else data
     if not isinstance(layers, list) or not layers:
         raise ValueError(f"{path}: workload must contain a non-empty 'layers' list")
@@ -259,21 +257,15 @@ def _load_workload(path: str) -> list[dict]:
 
 
 def _load_sim_config(path: str) -> tuple[str, ArrayConfig, CostModel]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     name = data.pop("name", os.path.basename(path))
     cost_fields = data.pop("cost", {})
     try:
-        config = ArrayConfig(**data)
-        cost = CostModel(**cost_fields)
+        return name, ArrayConfig(**data), CostModel(**cost_fields)
     except TypeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return name, config, cost
 
 
 def _report_rows(comparison: dict):
@@ -309,10 +301,7 @@ def cmd_sim(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -412,7 +401,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

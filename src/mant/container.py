@@ -16,14 +16,17 @@ Quantized container (magic "MNTQ", little-endian):
     byte-aligned (two 4-bit codes per byte, low nibble first).
 
 Raw tensor container (magic "MNTT"):
-    magic 4s, version u16, dtype u8 (0 = float32), ndim u8, dims u64 * ndim,
-    row-major float32 payload.
+    magic 4s, version u16 (currently 1, versioned apart from MNTQ), dtype u8
+    (0 = float32), ndim u8, dims u64 * ndim, row-major float32 payload.
 
 Scales are rounded to IEEE half on write; files round-trip bit-exactly.
+:func:`write_quantized` returns the tensor the file holds, so a caller
+never reads back what it just wrote.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import struct
@@ -47,6 +50,7 @@ from .codec import (
 QUANT_MAGIC = b"MNTQ"
 TENSOR_MAGIC = b"MNTT"
 FORMAT_VERSION = 1
+TENSOR_VERSION = 1
 
 log = logging.getLogger("mant")
 
@@ -97,9 +101,13 @@ def _payload_slots(kind: str, lengths: np.ndarray, group_size: int):
     return (starts[:, None] + np.arange(group_size))[live], live, per_byte * int(group_bytes.sum())
 
 
-def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> None:
+def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     """Serialize a quantized tensor; scales are rounded to IEEE half, with a
-    warning on the ``mant`` logger when some flush to 0 or clamp to 65504."""
+    warning on the ``mant`` logger when some flush to 0 or clamp to 65504.
+
+    Returns the tensor the file holds: ``qt`` with the written half scales,
+    as :func:`read_quantized` would give them (codes, coefficients and
+    levels are ``qt``'s own arrays)."""
     if not 1 <= qt.group_size <= MAX_GROUP_SIZE:
         raise ContainerError(f"group size must be in 1..{MAX_GROUP_SIZE}, got {qt.group_size}")
     underflow, overflow = half_losses(qt.scales)
@@ -125,6 +133,7 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> None:
     fh.write(struct.pack("<B", qt.group_axis))
     fh.write(records.tobytes())
     fh.write(payload)
+    return dataclasses.replace(qt, scales=records["scale"].view(np.float16).astype(np.float64))
 
 
 def read_quantized(fh: BinaryIO) -> QuantizedTensor:
@@ -181,7 +190,7 @@ def write_tensor(fh: BinaryIO, values: np.ndarray) -> None:
     """Serialize a raw float32 tensor."""
     values = np.ascontiguousarray(values, dtype=np.float32)
     fh.write(TENSOR_MAGIC)
-    fh.write(struct.pack("<HBB", FORMAT_VERSION, 0, values.ndim))
+    fh.write(struct.pack("<HBB", TENSOR_VERSION, 0, values.ndim))
     fh.write(struct.pack(f"<{values.ndim}Q", *values.shape))
     fh.write(values.tobytes())
 
@@ -192,23 +201,20 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     if magic != TENSOR_MAGIC:
         raise ContainerError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
     version, dtype_code, ndim = struct.unpack("<HBB", _read_exact(fh, 4))
-    if version != FORMAT_VERSION:
+    if version != TENSOR_VERSION:
         raise ContainerError(f"unsupported container version {version}")
     if dtype_code != 0:
         raise ContainerError(f"unsupported dtype code {dtype_code}")
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim))
-    count = 1
-    for d in shape:
-        count *= d
-    payload = _read_exact(fh, 4 * count)
+    payload = _read_exact(fh, 4 * math.prod(shape))
     if fh.read(1):
         raise ContainerError("trailing bytes after payload")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
 
 
-def save_quantized(path, qt: QuantizedTensor) -> None:
+def save_quantized(path, qt: QuantizedTensor) -> QuantizedTensor:
     with open(path, "wb") as fh:
-        write_quantized(fh, qt)
+        return write_quantized(fh, qt)
 
 
 def load_quantized(path) -> QuantizedTensor:

@@ -76,58 +76,15 @@ def build_grid(a: int) -> MantGrid:
     return MantGrid(coefficient_a=int(a), magnitudes=mags)
 
 
-# Coefficients of Acklam's rational approximation to the inverse normal CDF.
-_PROBIT_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PROBIT_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_PROBIT_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PROBIT_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_PROBIT_P_LOW = 0.02425
-
-
-def _probit_tail(q: float) -> float:
-    c = _PROBIT_C
-    d = _PROBIT_D
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    return num / den
-
-
 def probit(p: float) -> float:
-    """Inverse standard normal CDF.
-
-    Rational approximation (Acklam) refined with one Halley step against the
-    erfc-based CDF; absolute error is well below 1e-9 over (0, 1).
-    """
+    """Inverse standard normal CDF (the standard library's ``inv_cdf``)."""
     p = float(p)
-    if not 0.0 < p < 1.0 or math.isnan(p):
+    if not 0.0 < p < 1.0:   # NaN fails too: inv_cdf would return NaN for it
         raise ValueError(f"probit domain is (0, 1), got {p!r}")
-    if p > 0.5:
-        # reflect into the lower half: 1 - p is exact there, and the CDF
-        # residual below keeps full relative precision only for x <= 0
-        return -_probit_lower(1.0 - p)
-    return _probit_lower(p)
-
-
-def _probit_lower(p: float) -> float:
-    if p < _PROBIT_P_LOW:
-        x = _probit_tail(math.sqrt(-2.0 * math.log(p)))
-    else:
-        a = _PROBIT_A
-        b = _PROBIT_B
-        q = p - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x = num * q / den
-
-    # Halley refinement: e is the CDF residual, u its ratio to the density.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    # imported here: statistics loads decimal and fractions, about 2 MiB of
+    # peak RSS in a process that fits no curve (the kv-decode benchmark's)
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(p)
 
 
 def reference_curve(kind: str, epsilon: float | None = None) -> ReferenceCurve:

@@ -45,6 +45,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; a string or boolean raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """Coefficients a group may be encoded with.
@@ -209,7 +216,8 @@ class VarianceTable:
     @classmethod
     def from_json(cls, text: str) -> "VarianceTable":
         try:
-            entries = tuple((e["a"], float(e["lo"]), float(e["hi"])) for e in json.loads(text))
+            entries = tuple((e["a"], _json_number(e["lo"]), _json_number(e["hi"]))
+                            for e in json.loads(text))
         except (TypeError, KeyError) as exc:   # not a list of objects, or a bad field
             raise ValueError(f'variance table must be a JSON list of {{"a", "lo", "hi"}} '
                              f"objects with numbers: {exc!r}") from exc

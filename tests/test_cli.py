@@ -12,6 +12,7 @@ import pytest
 
 from mant import container
 from mant.cli import main
+from mant.codec import tensor_rows, to_groups
 from mant.kvcache import KvCache
 from mant.selection import table_from_probe_means
 
@@ -241,6 +242,41 @@ class TestQuantize:
         scales = container.load_quantized(out_q).scales
         assert scales[0, 0] == 0.0 and scales[1, 0] == 65504.0 and 0.0 < scales[2, 0] < 65504.0
 
+    @pytest.mark.parametrize("role", ["weight", "activation", "kv"])
+    def test_stats_come_from_the_written_tensor(self, capsys, tmp_path, monkeypatch, role):
+        # columns of 2 groups: one below the fp16 scale range, one above it, two within
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((64, 4)) * [1e-9, 1e9, 1.0, 3.0]
+        tensor, out_q, stats_path = (tmp_path / n for n in ("t.mntt", "q.mntq", "s.json"))
+        container.save_tensor(tensor, values)
+
+        def no_read(fh):
+            raise AssertionError("quantize read its output back")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(container, "read_quantized", no_read)
+            code, _, _ = run_cli(capsys, "quantize", "--tensor", str(tensor), "--role", role,
+                                 "--axis", "0", "--group-size", "32", "--out", str(out_q),
+                                 "--stats", str(stats_path))
+        assert code == 0
+        stats = json.loads(stats_path.read_text())
+        original = container.load_tensor(tensor)
+        loaded = container.load_quantized(out_q)
+        err = loaded.dequantize() - original
+        absmax = np.abs(to_groups(tensor_rows(original, 0), 32)).max(axis=-1)
+        hist = {}
+        if role != "activation":
+            coeffs, counts = np.unique(loaded.coefficients, return_counts=True)
+            hist = {"int" if a == 128 else str(a): int(c) for a, c in zip(coeffs, counts)}
+        assert stats == {
+            "mse": float(np.mean(err ** 2)),
+            "max_abs_error": float(np.max(np.abs(err))),
+            "coefficient_histogram": hist,
+            "scale_underflow": int(np.count_nonzero((loaded.scales == 0) & (absmax > 0))),
+            "scale_overflow": int(np.count_nonzero(loaded.scales == 65504.0)),
+        }
+        assert stats["scale_underflow"] == 2 and stats["scale_overflow"] == 2
+
     def test_stats_no_scale_loss(self, capsys, caplog, tmp_path, weight_file):
         stats_path = tmp_path / "s.json"
         run_cli(capsys, "quantize", "--tensor", str(weight_file), "--role", "activation",
@@ -275,6 +311,17 @@ class TestInProcessRuns:
                                    check=True, stdout=subprocess.DEVNULL)
                 files[where] = out.read_bytes(), stats.read_bytes()
             assert files["in-process"] == files["fresh"]
+
+    def test_usage_error_prints_one_line(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(container.__file__)))
+        missing = tmp_path / "nope.mntt"
+        result = subprocess.run([sys.executable, "-m", "mant.cli", "quantize", "--tensor",
+                                 str(missing), "--role", "weight", "--out",
+                                 str(tmp_path / "q.mntq")],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: [Errno 2] No such file or directory: '{missing}'"]
 
     def test_usage_errors_after_a_run(self, capsys, tmp_path, weight_file):
         base = ["quantize", "--tensor", str(weight_file), "--out", str(tmp_path / "q.mntq")]
@@ -564,22 +611,30 @@ MALFORMED_JSON = [
                                         "v-table": [{"a": 40, "lo": 0.0, "hi": 1.0}]}),
     ("kv-run-v-table-fractional-a", "kv-run", {"k-table": [{"a": 40, "lo": 0.0, "hi": 1.0}],
                                                "v-table": [{"a": 40.7, "lo": 0.0, "hi": 1.0}]}),
+    # range bounds are JSON numbers: "0.5" and true once loaded as 0.5 and 1.0
+    ("quantize-table-string-bounds", "quantize",
+     {"table": [{"a": 0, "lo": "0", "hi": "0.5"}, {"a": 40, "lo": "0.5", "hi": True}]}),
+    ("kv-run-v-table-bool-bound", "kv-run", {"k-table": [{"a": 40, "lo": 0.0, "hi": 1.0}],
+                                             "v-table": [{"a": 40, "lo": 0.0, "hi": True}]}),
 ]
 
 
-@pytest.mark.parametrize("command,files", [case[1:] for case in MALFORMED_JSON],
-                         ids=[case[0] for case in MALFORMED_JSON])
-def test_malformed_json_is_usage_error(capsys, tmp_path, weight_file, command, files):
-    base = {
+def command_argv(command, tmp_path, weight_file):
+    return {
         "sim": ["sim"],
         "quantize": ["quantize", "--tensor", str(weight_file), "--role", "kv", "--axis", "0",
                      "--out", str(tmp_path / "q.mntq")],
         "kv-run": ["kv-run", "--prefill", "8", "--steps", "1", "--heads", "1",
                    "--head-dim", "8", "--group-size", "8"],
     }[command]
+
+
+@pytest.mark.parametrize("command,files", [case[1:] for case in MALFORMED_JSON],
+                         ids=[case[0] for case in MALFORMED_JSON])
+def test_malformed_json_is_usage_error(capsys, tmp_path, weight_file, command, files):
     if command == "sim":
         files = {"workload": WORKLOAD, "config": {"name": "w4"}, **files}
-    argv = list(base)
+    argv = command_argv(command, tmp_path, weight_file)
     for option, payload in files.items():
         path = tmp_path / f"{option}.json"
         path.write_text(json.dumps(payload))
@@ -588,3 +643,30 @@ def test_malformed_json_is_usage_error(capsys, tmp_path, weight_file, command, f
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+# each JSON option with a syntax error, beside valid files for the command's other options
+TABLE = [{"a": 40, "lo": 0.0, "hi": 1.0}]
+JSON_OPTIONS = [
+    ("quantize", "table", {}),
+    ("quantize", "calib-config", {}),
+    ("kv-run", "k-table", {"v-table": TABLE}),
+    ("kv-run", "v-table", {"k-table": TABLE}),
+    ("sim", "workload", {"config": {"name": "w4"}}),
+    ("sim", "config", {"workload": WORKLOAD}),
+]
+
+
+@pytest.mark.parametrize("command,option,files", JSON_OPTIONS,
+                         ids=[case[1] for case in JSON_OPTIONS])
+def test_json_syntax_error_names_its_file(capsys, tmp_path, weight_file, command, option, files):
+    argv = command_argv(command, tmp_path, weight_file)
+    for name, payload in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        argv += [f"--{name}", str(path)]
+    broken = tmp_path / "broken.json"
+    broken.write_text('[\n  {"a": 40 "lo": 0.0}\n]')
+    code, _, err = run_cli(capsys, *argv, f"--{option}", str(broken))
+    assert code == 2
+    assert err.splitlines() == [f"error: {broken}:2:12: Expecting ',' delimiter"]

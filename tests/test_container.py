@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from mant import container
 from mant.cli import main
 from mant.codec import (
     quantize_activation_tensor,
@@ -177,6 +178,17 @@ class TestTensorContainer:
     def test_bad_magic(self):
         with pytest.raises(ContainerError):
             read_tensor(io.BytesIO(b"MNTQ" + b"\x00" * 16))
+
+    def test_version_is_its_own(self, monkeypatch):
+        # an MNTQ version bump leaves MNTT files, written as version 1, readable
+        buf = io.BytesIO()
+        write_tensor(buf, np.ones((2, 3)))
+        assert buf.getvalue()[4:6] == b"\x01\x00"
+        monkeypatch.setattr(container, "FORMAT_VERSION", 2)
+        assert np.array_equal(read_tensor(io.BytesIO(buf.getvalue())), np.ones((2, 3)))
+        buf = io.BytesIO()
+        write_tensor(buf, np.ones((2, 3)))
+        assert buf.getvalue()[4:6] == b"\x01\x00"
 
     def test_truncated_payload(self):
         buf = io.BytesIO()

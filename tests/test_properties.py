@@ -14,6 +14,7 @@ import io
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -499,6 +500,25 @@ def test_container_matches_loop_writer(case, int8):
     half = np.array([ref_half_bits(float(s)) for s in qt.scales.ravel()], dtype=np.uint16)
     assert same_bits(loaded.scales, half.view(np.float16).astype(np.float64).reshape(qt.scales.shape))
     assert ref_write(loaded) == buf.getvalue()
+
+
+@pytest.mark.parametrize("int8", [False, True])
+@pytest.mark.parametrize("factor", [1e-4, 1e4])   # groups of 1e-12 to 1e10
+@SETTINGS
+@given(case=tensors())
+def test_written_tensor_is_the_tensor_read_back(case, int8, factor):
+    # scales below and above the half range, for both kinds
+    values, axis, group_size, coeffs = case
+    values = values * factor
+    qt = quantize_activation_tensor(values, axis, group_size) if int8 \
+        else quantize_weight_tensor(values, coeffs, axis, group_size)
+    buf = io.BytesIO()
+    stored = write_quantized(buf, qt)
+    loaded = read_quantized(io.BytesIO(buf.getvalue()))
+    assert (stored.shape, stored.element_kind, stored.group_axis, stored.group_size) == \
+        (loaded.shape, loaded.element_kind, loaded.group_axis, loaded.group_size)
+    for field in ("codes", "scales", "coefficients", "levels"):
+        assert same_bits(getattr(stored, field), getattr(loaded, field)), field
 
 
 def levels_hold(qt: QuantizedTensor) -> bool:

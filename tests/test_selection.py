@@ -317,6 +317,16 @@ class TestVarianceTable:
         with pytest.raises(ValueError, match="integer in 0..128"):
             VarianceTable.from_json(json.dumps([{"a": a, "lo": 0.0, "hi": 1.0}]))
 
+    @pytest.mark.parametrize("lo,hi", [("0", 1.0), (0.0, "1"), (False, 1.0), (0.0, True),
+                                       (None, 1.0), (0.0, [1.0])])
+    def test_range_bounds_must_be_numbers(self, lo, hi):
+        # float("0.5") and float(True) once loaded such tables as numbers
+        with pytest.raises(ValueError, match="objects with numbers"):
+            VarianceTable.from_json(json.dumps([{"a": 40, "lo": lo, "hi": hi}]))
+
+    def test_integer_range_bounds_accepted(self):
+        assert VarianceTable.from_json('[{"a": 40, "lo": 0, "hi": 1}]').entries == ((40, 0.0, 1.0),)
+
     def test_int4_and_numpy_coefficients_accepted(self):
         assert VarianceTable(((np.int64(5), 0.0, 0.5), (INT4_COEFF, 0.5, 1.0))).lookup(0.7) \
             == INT4_COEFF

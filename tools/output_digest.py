@@ -44,7 +44,11 @@ Each line is a name and the first 16 hex digits of a sha256:
 * ``cli quantize``: the MNTQ files and ``--stats`` JSON of CLI ``quantize``
   runs for the weight, activation and kv roles;
 * ``cli quantize kv table and config``: the same for kv-role runs with a
-  ``--table`` and with a ``--calib-config``.
+  ``--table`` and with a ``--calib-config``;
+* ``fit-grid``: the coefficients ``fit_coefficient`` fits to the four
+  reference curves (NormalFloat at its default epsilon) under ``mae`` and
+  ``mse``;
+* ``fit-grid curves``: the points of those four curves.
 
 The float sums depend on the BLAS build, so digests compare trees on one
 machine; they are not fixed reference values.
@@ -69,6 +73,7 @@ from mant.cli import main
 from mant.container import write_quantized
 from mant.codec import (INT4_COEFF, encode_groups, magnitude_values, quantize_activation_group,
                         quantize_activation_tensor, quantize_weight_group, quantize_weight_tensor)
+from mant.grid import CURVE_KINDS, fit_coefficient, reference_curve
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import CandidateSet, select_weight_coefficient, table_from_probe_means
 
@@ -318,9 +323,20 @@ def cli_digest():
     yield "cli quantize kv table and config", short(kv)
 
 
+def fit_grid_digest():
+    fits, curves = hashlib.sha256(), hashlib.sha256()
+    for kind in CURVE_KINDS:
+        curve = reference_curve(kind)
+        curves.update(curve.points.tobytes())
+        for metric in ("mae", "mse"):
+            fits.update(repr(fit_coefficient(curve, metric)).encode())
+    yield "fit-grid", short(fits)
+    yield "fit-grid curves", short(curves)
+
+
 def main_digest() -> int:
     for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest,
-                kv_growth_digest, encoder_ties_digest, selection_digest):
+                kv_growth_digest, encoder_ties_digest, selection_digest, fit_grid_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
