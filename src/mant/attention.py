@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (DEFAULT_GROUP_SIZE, INT8_COEFF, decode_groups, encode_int8, group_lengths,
+from .codec import (DEFAULT_GROUP_SIZE, encode_int8, group_lengths, quantize_activation_tensor,
                     split_runs, to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .gemm import fused_dot, grouped_dot
@@ -126,13 +126,6 @@ def _softmax(scores: np.ndarray, first: int) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def _int8_roundtrip(vectors: np.ndarray, group_size: int) -> np.ndarray:
-    """Quantize vectors to group-wise INT8 along the last axis and decode them."""
-    codes, scales = encode_int8(to_groups(vectors, group_size))
-    values = decode_groups(codes, INT8_COEFF, scales)
-    return values.reshape(values.shape[:-2] + (-1,))[..., :vectors.shape[-1]]
-
-
 def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused attention scores ``(heads, rows, upto)`` of query rows
     ``(heads, rows, ...)`` against cached keys [0, upto): one
@@ -184,9 +177,9 @@ def _attention_rows(q_rows, store, first: int, scale: float, group_size: int,
         return _weighted_values_fused(p_codes, p_scales, store, upto).swapaxes(0, 1)
     # (heads, upto, head_dim) views of the unquantized store
     k_raw, v_raw = (x[:upto].swapaxes(0, 1) for x in store)
-    q_hat = _int8_roundtrip(q, group_size) if int8 else q
+    q_hat = quantize_activation_tensor(q, 2, group_size).dequantize() if int8 else q
     probs = _softmax((k_raw @ q_hat.swapaxes(1, 2)).swapaxes(1, 2) * scale, first)
-    p_hat = _int8_roundtrip(probs, group_size) if int8 else probs
+    p_hat = quantize_activation_tensor(probs, 2, group_size).dequantize() if int8 else probs
     return (p_hat @ v_raw).swapaxes(0, 1)
 
 

@@ -73,14 +73,16 @@ def _coeff_key(a: int) -> str:
 
 
 def _read_json(path: str, parse=json.loads):
-    """``parse`` of the text of ``path``; a JSON syntax error names the file
-    as ``path:line:col``."""
+    """``parse`` of the text of ``path``; an error of the parser names the
+    file, a JSON syntax error as ``path:line:col``."""
     with open(path) as fh:
         text = fh.read()
     try:
         return parse(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -245,27 +247,23 @@ def cmd_kv_run(args) -> int:
     return EXIT_OK
 
 
-def _load_workload(path: str) -> list[dict]:
-    data = _read_json(path)
-    layers = data["layers"] if isinstance(data, dict) else data
+def _parse_workload(text: str) -> list[dict]:
+    data = json.loads(text)
+    layers = data.get("layers") if isinstance(data, dict) else data
     if not isinstance(layers, list) or not layers:
-        raise ValueError(f"{path}: workload must contain a non-empty 'layers' list")
+        raise ValueError("workload must contain a non-empty 'layers' list")
     for i, layer in enumerate(layers):
         if not isinstance(layer, dict) or "kind" not in layer:
-            raise ValueError(f"{path}: layer {i} must be an object with a 'kind' field")
+            raise ValueError(f"layer {i} must be an object with a 'kind' field")
     return layers
 
 
-def _load_sim_config(path: str) -> tuple[str, ArrayConfig, CostModel]:
-    data = _read_json(path)
+def _parse_sim_config(text: str, default_name: str) -> tuple[str, ArrayConfig, CostModel]:
+    data = json.loads(text)
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    name = data.pop("name", os.path.basename(path))
-    cost_fields = data.pop("cost", {})
-    try:
-        return name, ArrayConfig(**data), CostModel(**cost_fields)
-    except TypeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError("config must be a JSON object")
+    name, cost = data.pop("name", default_name), data.pop("cost", {})
+    return name, ArrayConfig(**data), CostModel(**cost)
 
 
 def _report_rows(comparison: dict):
@@ -289,8 +287,9 @@ def _report_rows(comparison: dict):
 
 
 def cmd_sim(args) -> int:
-    layers = _load_workload(args.workload)
-    configs = [_load_sim_config(path) for path in args.config]
+    layers = _read_json(args.workload, _parse_workload)
+    configs = [_read_json(path, lambda text: _parse_sim_config(text, os.path.basename(path)))
+               for path in args.config]
     comparison = compare_configs(layers, configs)
     if args.format == "json":
         text = json.dumps(comparison, indent=2) + "\n"

@@ -7,9 +7,10 @@ scaling factor and its coefficient as metadata.
 
 Three batched kernels do all the work on zero-padded groups ``(..., G)``
 with per-group metadata ``(...)``: :func:`encode_groups` (4-bit),
-:func:`encode_int8` and :func:`decode_groups`.  Tensor codecs call them
-once per tensor and return a :class:`QuantizedTensor`; the single-group
-functions return a tensor of one group.  A tensor keeps its codes' int16
+:func:`encode_int8` (which rounds by :func:`round_int8`, the one INT8
+rule) and :func:`decode_groups`.  Tensor codecs call them once per tensor
+and return a :class:`QuantizedTensor`; the single-group functions are the
+tensor codecs on a one-group tensor.  A tensor keeps its codes' int16
 pre-scale values (``levels``, see :func:`code_values`), computed once.
 
 Code layout: a 4-bit code is one byte holding ``sign << 3 | magnitude``
@@ -57,12 +58,15 @@ _MIDPOINTS.setflags(write=False)
 
 
 def _mant4_coefficients(coefficients):
-    """Validated 4-bit coefficients (0..127 or INT4_COEFF) as table indices."""
-    if isinstance(coefficients, (int, np.integer)):
+    """Validated 4-bit coefficients (integers in 0..127 or INT4_COEFF) as
+    table indices; booleans, fractions and NaN raise rather than truncate."""
+    if isinstance(coefficients, (int, np.integer)) and not isinstance(coefficients, bool):
         if not 0 <= coefficients <= INT4_COEFF:
             raise ValueError(f"coefficient out of range: {coefficients}")
         return np.intp(coefficients)
     coeffs = np.asarray(coefficients)
+    if coeffs.dtype.kind not in "iuf" or coeffs.dtype.kind == "f" and (np.floor(coeffs) != coeffs).any():
+        raise ValueError(f"coefficients must be integers, got {coefficients!r}")
     bad = (coeffs < 0) | (coeffs > INT4_COEFF)
     if bad.any():
         raise ValueError(f"coefficient out of range: {coeffs[bad].flat[0]}")
@@ -73,7 +77,7 @@ def magnitude_values(a: int) -> np.ndarray:
     """Pre-scale magnitudes indexed by the 3-bit magnitude field."""
     if a == INT8_COEFF:
         raise ValueError("INT8 groups have no 4-bit magnitude table")
-    return _MAGNITUDES[_mant4_coefficients(int(a))]
+    return _MAGNITUDES[_mant4_coefficients(a)]
 
 
 def code_values(codes, coefficients) -> np.ndarray:
@@ -140,16 +144,20 @@ def encode_groups(groups, coefficients):
     return codes, scales
 
 
+def round_int8(scaled) -> np.ndarray:
+    """INT8 codes of pre-scaled values: round half away from zero, clamp to
+    [-127, 127] (never -128).  The clamp moves exactly ``|scaled| >= 127.5``."""
+    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return np.clip(codes, -127, 127).astype(np.int8)
+
+
 def encode_int8(groups):
     """Encode zero-padded groups ``(..., G)`` to symmetric INT8 codes and
-    scales: ``scale = max|group| / 127``, codes round half away from zero
-    and clamp to [-127, 127], so -128 is never emitted."""
+    scales: ``scale = max|group| / 127``, codes by :func:`round_int8`."""
     groups = np.asarray(groups, dtype=np.float64)
     _check_finite(groups)
     scales = np.abs(groups).max(axis=-1, initial=0.0) / 127.0
-    scaled = groups / np.where(scales == 0.0, 1.0, scales)[..., None]
-    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return np.clip(codes, -127, 127).astype(np.int8), scales
+    return round_int8(groups / np.where(scales == 0.0, 1.0, scales)[..., None]), scales
 
 
 def decode_groups(codes, coefficients, scales) -> np.ndarray:
@@ -172,27 +180,27 @@ def _scale_levels(levels, scales) -> np.ndarray:
 
 # -- single-group API ----------------------------------------------------------
 
-def _group_tensor(values, kind: str, coefficient: int, encode) -> QuantizedTensor:
-    """One group of reals as a one-group tensor of ``kind``, encoded by ``encode``."""
+def _group(values) -> np.ndarray:
+    """``values`` as one group: a non-empty 1-D float64 array."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError(f"a group is a 1-D array, got shape {values.shape}")
     if not values.size:
         raise ValueError("the group is empty")
-    codes, scales = encode(values)
-    return QuantizedTensor(values.shape, kind, 0, values.size, codes[None, None],
-                           scales.reshape(1, 1), np.full((1, 1), coefficient, np.uint8))
+    return values
 
 
 def quantize_weight_group(values, a: int) -> QuantizedTensor:
     """One group of reals as a one-group 4-bit tensor on the grid of ``a``;
     see :func:`encode_groups` for the scale and the rounding."""
-    return _group_tensor(values, KIND_MANT4, a, lambda group: encode_groups(group, a))
+    values = _group(values)
+    return quantize_weight_tensor(values, a, 0, values.size)
 
 
 def quantize_activation_group(values) -> QuantizedTensor:
     """One group of reals as a one-group INT8 tensor (see :func:`encode_int8`)."""
-    return _group_tensor(values, KIND_INT8, INT8_COEFF, encode_int8)
+    values = _group(values)
+    return quantize_activation_tensor(values, 0, values.size)
 
 
 def pack_codes(codes) -> bytes:

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import DEFAULT_GROUP_SIZE, QuantizedTensor, _check_finite, quantize_weight_tensor
+from .codec import (DEFAULT_GROUP_SIZE, QuantizedTensor, _check_finite, quantize_weight_tensor,
+                    round_int8)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .selection import VarianceTable, coefficients_from_sums, quantize_by_variance
 
@@ -87,9 +88,10 @@ class ProcessWindow:
     def push(self, values) -> None:
         """Stage one value vector (the channel shape) or rows ``(n,
         *channels)`` that fit in the window.  Non-finite values raise
-        ValueError before anything is staged.  Channels with a zero scale
-        stage zero; values beyond a channel's INT8 range clamp; both bump
-        ``clamp_count``."""
+        ValueError before anything is staged.  A value stages as
+        :func:`codec.round_int8` of ``value / channel scale``, zero on a zero
+        scale; a clamped one (``|value / scale| >= 127.5``) and a nonzero one
+        on a zero scale bump ``clamp_count``."""
         self._check_writable()
         values = np.asarray(values, dtype=np.float64)
         shape = self.channel_scales.shape
@@ -102,10 +104,9 @@ class ProcessWindow:
 
         live = self.channel_scales > 0.0
         scaled = np.divide(rows, self.channel_scales, out=np.zeros_like(rows), where=live)
-        codes = np.where(live, np.sign(scaled) * np.floor(np.abs(scaled) + 0.5), 0.0)
-        self.clamp_count += int(np.count_nonzero(live & (np.abs(codes) > 127))
+        self.clamp_count += int(np.count_nonzero(np.abs(scaled) >= 127.5)
                                 + np.count_nonzero(~live & (rows != 0.0)))
-        codes = np.clip(codes, -127, 127).astype(np.int8)
+        codes = round_int8(scaled)
 
         self.staged[self.fill_count:self.fill_count + rows.shape[0]] = codes
         decoded = codes.astype(np.float64) * self.channel_scales
@@ -169,10 +170,6 @@ class KvCache:
         self.windows: ProcessWindow | None = None
         self._total_v = 0
         self._buffers: dict[str, list[np.ndarray]] = {}
-
-    @property
-    def n_k_groups(self) -> int:
-        return -(-self.head_dim // self.group_size)
 
     @property
     def seq_len(self) -> int:
@@ -283,14 +280,10 @@ class KvCache:
         self.windows.push(v_matrix[flushed:])
         self._total_v = seq
 
-    def v_arrays(self):
-        """Views of the values: codes (blocks, heads, head_dim, G), scales, coeffs."""
-        return tuple(a.swapaxes(0, 1).reshape((-1, self.heads, self.head_dim) + a.shape[2:])
-                     for a in (self.values.codes, self.values.scales, self.values.coefficients))
-
     def v_blocks(self, head: int) -> list[ValueBlock]:
         """One head's flushed blocks, in sequence order."""
-        return [ValueBlock(*block) for block in zip(*(a[:, head] for a in self.v_arrays()))]
+        return [ValueBlock(*block) for block in zip(*(
+            a[head].swapaxes(0, 1) for a in self.values.split_rows(self.heads, self.head_dim)))]
 
     def v_dequantized(self) -> np.ndarray:
         """Reconstructed values (flushed blocks plus staged rows)."""

@@ -274,7 +274,7 @@ def table_from_probe_means(coefficients, probe_means) -> VarianceTable:
     their neighbors; boundaries are clipped ascending so candidates whose
     data is degenerate collapse to an empty range and merge into neighbors.
     """
-    coefficients = tuple(int(a) for a in coefficients)
+    coefficients = CandidateSet(tuple(coefficients), include_int=False).coefficients
     boundaries = list(probe_means)
     if len(boundaries) != len(coefficients) - 1:
         raise ValueError("need one probe mean per adjacent candidate pair")
@@ -314,8 +314,8 @@ def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...
     mean normalized variance per probe becomes the boundary between the
     adjacent candidates.  Requires at least ``min_groups`` groups.
     """
-    coefficients = candidates.coefficients if isinstance(candidates, CandidateSet) \
-        else tuple(int(a) for a in candidates)
+    coefficients = (candidates if isinstance(candidates, CandidateSet)
+                    else CandidateSet(tuple(candidates), include_int=False)).coefficients
     groups = np.ascontiguousarray(calib_groups, dtype=np.float64)
     if groups.ndim != 2:
         raise ValueError("calibration groups must be a (n, group_size) array")

@@ -47,7 +47,23 @@ column tile, outputs write once; bank conflicts are modeled as absent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with no fractional part.
+    Fractions, booleans and non-numbers raise rather than truncate."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+            or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -64,13 +80,16 @@ class ArrayConfig:
     rqu_count: int = 32
 
     def __post_init__(self):
-        if self.weight_bits not in (2, 4, 8):
-            raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
-        for name in ("peg_rows", "peg_cols", "group_size", "divider_latency", "rqu_count"):
+        for name in ("peg_rows", "peg_cols", "weight_bits", "group_size", "divider_latency",
+                     "rqu_count"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.frequency_hz <= 0 or self.dram_bandwidth <= 0:
-            raise ValueError("frequency and bandwidth must be positive")
+        if self.weight_bits not in (2, 4, 8):
+            raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
+        for name in ("frequency_hz", "dram_bandwidth"):
+            if not _number(getattr(self, name), name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     @property
     def logical_rows(self) -> int:
@@ -93,7 +112,7 @@ class CostModel:
     def __post_init__(self):
         for name in ("mac8", "mac4", "mac2", "sac", "rqu",
                      "sram_per_byte", "dram_per_byte", "static_per_cycle"):
-            if getattr(self, name) < 0:
+            if not _number(getattr(self, name), name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
     def mac(self, bits: int) -> float:
@@ -170,6 +189,29 @@ def _resolve(config: ArrayConfig, weight_bits, group_size) -> ArrayConfig:
     return config
 
 
+def _report(label: str, config: ArrayConfig, cost: CostModel, cycles: tuple[int, int, int, int],
+            bytes_moved: dict[str, int], macs: int, rqu_ops: int, buffer_bytes: int) -> SimReport:
+    """A layer's report from its unstalled ``cycles`` (pipeline fill,
+    stream, drain, non-overlapped quantization): the DRAM floor of its
+    traffic, the stall that lifts the stream to the floor, and the energy of
+    its MACs, re-quantization ops, buffer and DRAM bytes."""
+    breakdown = dict(zip(("pipeline_fill", "stream", "drain", "nonoverlapped_quant"), cycles))
+    total_bytes = sum(bytes_moved.values())
+    floor = math.ceil(total_bytes / config.dram_bandwidth)
+    breakdown["stream"] += max(0, floor - sum(breakdown.values()))
+    total = sum(breakdown.values())
+    wb = config.weight_bits
+    energy = {
+        "core": macs * cost.mac(wb) + (macs * cost.sac if wb < 8 else 0.0) + rqu_ops * cost.rqu,
+        "buffer": buffer_bytes * cost.sram_per_byte,
+        "dram": total_bytes * cost.dram_per_byte,
+        "static": total * cost.static_per_cycle,
+    }
+    report = SimReport(label, total, breakdown, energy, bytes_moved, floor)
+    report.check()
+    return report
+
+
 def simulate_gemm(m: int, k: int, n: int, config: ArrayConfig = ArrayConfig(),
                   cost: CostModel = CostModel(), weight_bits: int | None = None,
                   group_size: int | None = None, label: str = "gemm") -> SimReport:
@@ -197,8 +239,7 @@ def simulate_gemm(m: int, k: int, n: int, config: ArrayConfig = ArrayConfig(),
     residual_per_pair = pair * m * max(0, config.divider_latency - k_iters)
     nonoverlapped = (n_pairs - 1) * residual_per_pair + config.divider_latency * m * last_pair_tiles
 
-    wb = config.weight_bits
-    weights_payload = _packed_payload_bytes(k, n, wb, g)
+    weights_payload = _packed_payload_bytes(k, n, config.weight_bits, g)
     weights_meta = _meta_bytes(k, n, g)
     acts_in = m * k + _meta_bytes(k, m, g)
     outs = m * n + _meta_bytes(n, m, g)
@@ -208,29 +249,8 @@ def simulate_gemm(m: int, k: int, n: int, config: ArrayConfig = ArrayConfig(),
         "kv": 0,
         "metadata": weights_meta,
     }
-    total_bytes = sum(bytes_moved.values())
-    floor = math.ceil(total_bytes / config.dram_bandwidth)
-
-    raw = fill + stream + drain + nonoverlapped
-    stall = max(0, floor - raw)
-    stream += stall
-    total = raw + stall
-
-    macs = m * k * n
-    core = macs * cost.mac(wb) + (macs * cost.sac if wb < 8 else 0.0) + m * n * cost.rqu
-    sram = (weights_payload + weights_meta) + acts_in * col_tiles + outs
-    energy = {
-        "core": core,
-        "buffer": sram * cost.sram_per_byte,
-        "dram": total_bytes * cost.dram_per_byte,
-        "static": total * cost.static_per_cycle,
-    }
-    report = SimReport(label, total,
-                       {"pipeline_fill": fill, "stream": stream, "drain": drain,
-                        "nonoverlapped_quant": nonoverlapped},
-                       energy, bytes_moved, floor)
-    report.check()
-    return report
+    return _report(label, config, cost, (fill, stream, drain, nonoverlapped), bytes_moved,
+                   m * k * n, m * n, (weights_payload + weights_meta) + acts_in * col_tiles + outs)
 
 
 def simulate_attention(seq_len: int, heads: int, head_dim: int,
@@ -273,38 +293,15 @@ def simulate_attention(seq_len: int, heads: int, head_dim: int,
         "kv": k_cache + v_cache + new_k + new_v_staged,
         "metadata": kv_meta + new_meta,
     }
-    total_bytes = sum(bytes_moved.values())
-    floor = math.ceil(total_bytes / config.dram_bandwidth)
-
-    raw = fill + stream + drain + nonoverlapped
-    stall = max(0, floor - raw)
-    stream += stall
-    total = raw + stall
-
     rqu_ops = 3 * 2 * heads * head_dim + heads * seq_len + heads * head_dim
-    core = macs * cost.mac(wb) + (macs * cost.sac if wb < 8 else 0.0) + rqu_ops * cost.rqu
-    energy = {
-        "core": core,
-        "buffer": 2 * total_bytes * cost.sram_per_byte,
-        "dram": total_bytes * cost.dram_per_byte,
-        "static": total * cost.static_per_cycle,
-    }
-    report = SimReport(label, total,
-                       {"pipeline_fill": fill, "stream": stream, "drain": drain,
-                        "nonoverlapped_quant": nonoverlapped},
-                       energy, bytes_moved, floor)
-    report.check()
-    return report
+    return _report(label, config, cost, (fill, stream, drain, nonoverlapped), bytes_moved,
+                   macs, rqu_ops, 2 * sum(bytes_moved.values()))
 
 
 def simulate_layer(layer: dict, config: ArrayConfig, cost: CostModel) -> SimReport:
     """Simulate one workload-description entry."""
     def dim(name):
-        value = layer[name]   # an integer, or a float with no fractional part
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"layer field {name!r} must be an integer, got {value!r}")
-        return int(value)
+        return _integer(layer[name], f"layer field {name!r}")
 
     kind = layer.get("kind")
     if kind == "gemm":

@@ -7,11 +7,11 @@ import pytest
 
 from mant.attention import (
     AttentionPolicies,
-    _int8_roundtrip,
     calibration_tables,
     run_toy_attention,
     synthesize_stream,
 )
+from mant.codec import quantize_activation_tensor
 
 
 class TestSynthesizeStream:
@@ -51,11 +51,11 @@ class TestRunToyAttention:
         for s in range(4):
             upto = 64 + s + 1
             for h in range(2):
-                q_hat = _int8_roundtrip(q[64 + s, h], 64)
+                q_hat = quantize_activation_tensor(q[64 + s, h], 0, 64).dequantize()
                 scores = (k[:upto, h] @ q_hat) * scale
                 probs = np.exp(scores - scores.max())
                 probs /= probs.sum()
-                p_hat = _int8_roundtrip(probs, 64)
+                p_hat = quantize_activation_tensor(probs, 0, 64).dequantize()
                 expected[s, h] = p_hat @ v[:upto, h]
         assert np.array_equal(rep.step_outputs, expected)
 

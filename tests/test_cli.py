@@ -543,6 +543,20 @@ class TestSim:
         assert code == 2
         assert ":2:" in err  # line number of the syntax error
 
+    @pytest.mark.parametrize("config,message", [
+        ({"peg_rows": 31.5, "group_size": 63.0, "divider_latency": True},
+         "peg_rows must be an integer, got 31.5"),
+        ({"divider_latency": True}, "divider_latency must be an integer, got True"),
+        ({"cost": {"mac8": "1"}}, "mac8 must be a number, got '1'"),
+    ], ids=["fractions", "boolean", "cost-string"])
+    def test_bad_config_field_names_field_and_file(self, capsys, tmp_path, config, message):
+        workload, _, _ = self.write_configs(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "sim", "--workload", str(workload), "--config", str(bad))
+        assert code == 2
+        assert err.splitlines() == [f"error: {bad}: {message}"]
+
     def test_schema_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"layers": [{"M": 4}]}))
@@ -670,3 +684,28 @@ def test_json_syntax_error_names_its_file(capsys, tmp_path, weight_file, command
     code, _, err = run_cli(capsys, *argv, f"--{option}", str(broken))
     assert code == 2
     assert err.splitlines() == [f"error: {broken}:2:12: Expecting ',' delimiter"]
+
+
+# JSON inputs that parse but fail their schema: the one error line names the file
+SCHEMA_ERRORS = [
+    ("kv-run", "v-table", [{"a": 40, "lo": 0.0, "hi": True}], {"k-table": TABLE},
+     'variance table must be a JSON list of {"a", "lo", "hi"} objects with numbers'),
+    ("sim", "config", {"weight_bits": 3}, {"workload": WORKLOAD},
+     "weight_bits must be 2, 4 or 8, got 3"),
+]
+
+
+@pytest.mark.parametrize("command,option,payload,files,message", SCHEMA_ERRORS,
+                         ids=[case[1] for case in SCHEMA_ERRORS])
+def test_json_schema_error_names_its_file(capsys, tmp_path, weight_file, command, option,
+                                          payload, files, message):
+    argv = command_argv(command, tmp_path, weight_file)
+    for name, content in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(content))
+        argv += [f"--{name}", str(path)]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, *argv, f"--{option}", str(bad))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: {message}")

@@ -125,6 +125,27 @@ class TestQuantizeWeightGroup:
         with pytest.raises(ValueError):
             quantize_weight_group([1.0], 130)
 
+    @pytest.mark.parametrize("a", [40.7, True, np.nan, np.float64(3.2), np.array(True)])
+    def test_non_integer_coefficient_refused(self, a):
+        # a cast once truncated these: 40.7 encoded and stored as 40, True as 1
+        with pytest.raises(ValueError, match="integer"):
+            quantize_weight_group(np.arange(8.0), a)
+
+    def test_non_integer_coefficients_refused_by_every_codec(self):
+        g = np.arange(8.0)
+        for call in (lambda: encode_groups(g, True),
+                     lambda: encode_groups(g[None], np.array([np.nan])),
+                     lambda: quantize_weight_tensor(np.ones((64, 2)), [[40.7], [3.2]]),
+                     lambda: magnitude_values(40.7)):
+            with pytest.raises(ValueError, match="integer"):
+                call()
+
+    def test_integral_float_coefficient_accepted(self):
+        g = np.linspace(-1.0, 1.0, 8)
+        a_float, a_int = quantize_weight_group(g, 40.0), quantize_weight_group(g, 40)
+        assert np.array_equal(a_float.codes, a_int.codes)
+        assert np.array_equal(a_float.coefficients, a_int.coefficients)
+
     def test_int4_grid(self):
         qt = quantize_weight_group([0.0, 3.5, -7.0, 1.0], INT4_COEFF)
         assert qt.scales[0, 0] == 1.0

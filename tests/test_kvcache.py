@@ -188,7 +188,7 @@ def make_cache(heads=2, head_dim=128, group_size=64):
 class TestKvCache:
     def test_k_step_group_count(self):
         cache = make_cache(head_dim=128)
-        assert cache.n_k_groups == 2
+        assert cache.keys.n_groups == 2
         cache.append_k(np.random.default_rng(3).standard_normal((2, 128)))
         assert cache.seq_len == 1
 

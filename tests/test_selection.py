@@ -339,6 +339,14 @@ class TestVarianceTable:
         with pytest.raises(ValueError):
             table_from_probe_means((30, 40, 50), [0.1])
 
+    def test_fractional_coefficients_refused(self):
+        # int(a) once built both tables for a=40
+        groups = np.random.default_rng(4).standard_normal((32, 16))
+        with pytest.raises(ValueError, match="integer"):
+            build_variance_table(groups, (0, 40.7, 90))
+        with pytest.raises(ValueError, match="integer"):
+            table_from_probe_means((0, 40.9), [0.1])
+
 
 class TestCalibrationConfig:
     def test_json_round_trip(self):

@@ -26,6 +26,23 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             CostModel(mac8=-1.0)
 
+    @pytest.mark.parametrize("field", [{"peg_rows": 31.5}, {"group_size": 63.5},
+                                       {"divider_latency": True}, {"rqu_count": "32"}])
+    def test_integer_fields_refuse_fractions_and_booleans(self, field):
+        # peg_rows 31.5 once ran, to 146796.0 total cycles
+        with pytest.raises(ValueError, match=f"{next(iter(field))} must be an integer"):
+            ArrayConfig(**field)
+
+    def test_integral_float_fields_become_ints(self):
+        config = ArrayConfig(peg_rows=32.0, group_size=64.0)
+        assert config == ArrayConfig() and type(config.peg_rows) is int
+        assert simulate_gemm(64, 256, 128, config).to_dict() == simulate_gemm(64, 256, 128).to_dict()
+
+    @pytest.mark.parametrize("value", ["1", None, True])
+    def test_cost_fields_are_numbers(self, value):
+        with pytest.raises(ValueError, match="mac8 must be a number"):
+            CostModel(mac8=value)
+
 
 class TestSimulateGemm:
     def test_weight_container_arithmetic(self):

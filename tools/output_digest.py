@@ -21,7 +21,8 @@ Each line is a name and the first 16 hex digits of a sha256:
   over geometries with tail key groups, then the ``calibration_tables`` JSON
   of two geometries;
 * ``kv stores``: every array of the same caches, in C order: codes, scales
-  and coefficients of ``k_arrays()`` and of ``v_arrays()``, then the staged
+  and coefficients of ``k_arrays()`` and of ``cache.values.split_rows(heads,
+  head_dim)`` moved to ``(blocks, heads, head_dim, ...)``, then the staged
   INT8 rows and the channel scales of the process window;
 * ``kv store growth``: the MNTQ bytes (``container.write_quantized``) of
   ``cache.keys`` and ``cache.values`` of two caches, one with a tail key
@@ -45,6 +46,9 @@ Each line is a name and the first 16 hex digits of a sha256:
   runs for the weight, activation and kv roles;
 * ``cli quantize kv table and config``: the same for kv-role runs with a
   ``--table`` and with a ``--calib-config``;
+* ``sim``: the JSON report (``compare_configs``) and the CSV rows of
+  ``mant sim`` over a gemm/attention/gemm workload under three configs of
+  other weight widths, group sizes, bandwidths and costs;
 * ``fit-grid``: the coefficients ``fit_coefficient`` fits to the four
   reference curves (NormalFloat at its default epsilon) under ``mae`` and
   ``mse``;
@@ -178,10 +182,12 @@ def kv_digests():
         for t in range(prompt, prompt + steps):
             cache.append_k(k[t])
             cache.push_v(v[t])
+        # value arrays in (blocks, heads, head_dim, ...) order
+        v_arrays = [np.moveaxis(a, 2, 0) for a in cache.values.split_rows(heads, head_dim)]
         h.update(cache.k_arrays()[2].tobytes())
-        h.update(cache.v_arrays()[2].tobytes())
+        h.update(v_arrays[2].tobytes())
         window = cache.windows
-        for array in (*cache.k_arrays(), *cache.v_arrays(), window.staged[:window.fill_count],
+        for array in (*cache.k_arrays(), *v_arrays, window.staged[:window.fill_count],
                       window.channel_scales):
             stores.update(array.tobytes())
     for seed, (heads, head_dim, group_size) in enumerate(CALIBRATION_GEOMETRIES):
@@ -323,6 +329,41 @@ def cli_digest():
     yield "cli quantize kv table and config", short(kv)
 
 
+# a gemm/attention/gemm workload: a compute-bound GEMM, a decode step and a
+# bandwidth-bound GEMV, whose floors stall the stream
+SIM_WORKLOAD = {"layers": [
+    {"kind": "gemm", "M": 512, "K": 1000, "N": 700, "label": "proj"},
+    {"kind": "attention", "seq_len": 777, "heads": 8, "head_dim": 96},
+    {"kind": "gemm", "M": 1, "K": 4096, "N": 4096},
+]}
+SIM_CONFIGS = (
+    {"name": "w4"},
+    {"name": "w8 narrow", "weight_bits": 8, "dram_bandwidth": 24.5, "divider_latency": 40},
+    {"name": "w2 g32", "weight_bits": 2, "group_size": 32, "peg_cols": 16, "rqu_count": 8,
+     "cost": {"mac2": 0.3, "dram_per_byte": 13.5}},
+)
+
+
+def sim_digest():
+    """The JSON and CSV reports of ``mant sim`` over SIM_WORKLOAD under SIM_CONFIGS."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, payload in enumerate((SIM_WORKLOAD,) + SIM_CONFIGS):
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(payload, fh)
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["sim", "--workload", paths[0], "--format", fmt]
+                            + [arg for path in paths[1:] for arg in ("--config", path)])
+            if code != 0:
+                raise SystemExit(f"mant sim --format {fmt} exited {code}")
+            h.update(out.getvalue().encode())
+    yield "sim", short(h)
+
+
 def fit_grid_digest():
     fits, curves = hashlib.sha256(), hashlib.sha256()
     for kind in CURVE_KINDS:
@@ -336,7 +377,8 @@ def fit_grid_digest():
 
 def main_digest() -> int:
     for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest,
-                kv_growth_digest, encoder_ties_digest, selection_digest, fit_grid_digest):
+                kv_growth_digest, encoder_ties_digest, selection_digest, sim_digest,
+                fit_grid_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
