@@ -43,7 +43,7 @@ from .selection import (
     quantize_by_variance,
     select_weight_coefficient,
 )
-from .simulator import ArrayConfig, CostModel, compare_configs
+from .simulator import ArrayConfig, CostModel, compare_configs, layer_dimensions
 
 log = logging.getLogger("mant")
 
@@ -253,8 +253,10 @@ def _parse_workload(text: str) -> list[dict]:
     if not isinstance(layers, list) or not layers:
         raise ValueError("workload must contain a non-empty 'layers' list")
     for i, layer in enumerate(layers):
-        if not isinstance(layer, dict) or "kind" not in layer:
-            raise ValueError(f"layer {i} must be an object with a 'kind' field")
+        try:
+            layer_dimensions(layer)
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from exc
     return layers
 
 

@@ -10,8 +10,8 @@ with per-group metadata ``(...)``: :func:`encode_groups` (4-bit),
 :func:`encode_int8` (which rounds by :func:`round_int8`, the one INT8
 rule) and :func:`decode_groups`.  Tensor codecs call them once per tensor
 and return a :class:`QuantizedTensor`; the single-group functions are the
-tensor codecs on a one-group tensor.  A tensor keeps its codes' int16
-pre-scale values (``levels``, see :func:`code_values`), computed once.
+tensor codecs on a one-group tensor.  A tensor keeps one array per code,
+its pre-scale value (``levels``, see :func:`code_values`), and derives codes.
 
 Code layout: a 4-bit code is one byte holding ``sign << 3 | magnitude``
 (sign bit 1 means negative).  Two codes pack into one payload byte, low
@@ -52,20 +52,24 @@ _MAGNITUDES = np.array([build_grid(a).magnitudes for a in range(MAX_COEFFICIENT 
 _CODE_LEVELS = np.concatenate([_MAGNITUDES, -_MAGNITUDES], axis=1).astype(np.int16)
 # Midpoints between adjacent magnitudes: half-integers, so exact.
 _MIDPOINTS = (_MAGNITUDES[:, 1:] + _MAGNITUDES[:, :-1]) / 2
-_MAGNITUDES.setflags(write=False)
-_CODE_LEVELS.setflags(write=False)
-_MIDPOINTS.setflags(write=False)
+# Nibble of every (coefficient, level + _LEVEL_OFFSET): 0xFF (pack_codes refuses it) off the
+# grid and at the edges, where clipped levels land.  Negatives first: INT4's 0 is 0, not 8.
+_LEVEL_OFFSET = int(np.abs(_CODE_LEVELS).max()) + 1
+_CODE_NIBBLES = np.full((len(_CODE_LEVELS), 2 * _LEVEL_OFFSET + 1), 0xFF, dtype=np.uint8)
+for _nibbles in (np.arange(GRID_POINTS, 2 * GRID_POINTS), np.arange(GRID_POINTS)):
+    np.put_along_axis(_CODE_NIBBLES, _CODE_LEVELS[:, _nibbles] + _LEVEL_OFFSET, _nibbles[None], axis=1)
+for _table in (_MAGNITUDES, _CODE_LEVELS, _MIDPOINTS, _CODE_NIBBLES):
+    _table.setflags(write=False)
 
 
 def _mant4_coefficients(coefficients):
     """Validated 4-bit coefficients (integers in 0..127 or INT4_COEFF) as
     table indices; booleans, fractions and NaN raise rather than truncate."""
-    if isinstance(coefficients, (int, np.integer)) and not isinstance(coefficients, bool):
-        if not 0 <= coefficients <= INT4_COEFF:
-            raise ValueError(f"coefficient out of range: {coefficients}")
-        return np.intp(coefficients)
     coeffs = np.asarray(coefficients)
-    if coeffs.dtype.kind not in "iuf" or coeffs.dtype.kind == "f" and (np.floor(coeffs) != coeffs).any():
+    # a sequence that mixes booleans into integers converts to an integer array
+    items = () if isinstance(coefficients, np.ndarray) else np.asarray(coefficients, object).flat
+    if coeffs.dtype.kind not in "iuf" or any(isinstance(c, (bool, np.bool_)) for c in items) \
+            or coeffs.dtype.kind == "f" and (np.floor(coeffs) != coeffs).any():
         raise ValueError(f"coefficients must be integers, got {coefficients!r}")
     bad = (coeffs < 0) | (coeffs > INT4_COEFF)
     if bad.any():
@@ -81,17 +85,13 @@ def magnitude_values(a: int) -> np.ndarray:
 
 
 def code_values(codes, coefficients) -> np.ndarray:
-    """Pre-scale integer values (levels) of codes ``(..., G)`` as int16,
-    under one coefficient for all groups or one per group: uint8 nibbles
+    """Pre-scale integer values (levels) of uint8 nibbles ``(..., G)`` as
+    int16, under one coefficient for all groups or one per group:
     ``sign * (a*m + 2**m)`` on an adaptive grid, ``sign * m`` on the INT4
-    grid; int8 codes (coefficient INT8_COEFF) are their own values."""
+    grid."""
     codes = np.asarray(codes)
-    if codes.dtype == np.int8:
-        if (np.asarray(coefficients) != INT8_COEFF).any():
-            raise ValueError("int8 codes require the INT8 coefficient")
-        return codes.astype(np.int16)
     if codes.dtype != np.uint8:
-        raise ValueError(f"codes must be uint8 nibbles or int8, got {codes.dtype}")
+        raise ValueError(f"codes must be uint8 nibbles, got {codes.dtype}")
     if codes.max(initial=0) > 0xF:
         raise ValueError("codes exceed 4 bits")
     # one flat index into the table gathers faster than a (row, code) pair
@@ -164,9 +164,8 @@ def decode_groups(codes, coefficients, scales) -> np.ndarray:
     """Decode groups ``(..., G)`` back to reals; coefficients and scales hold
     one value for all groups or one per group.
 
-    Each code's :func:`code_values` level times its group's scale: uint8
-    nibbles on the grid of the group's coefficient, int8 codes (coefficient
-    INT8_COEFF) as themselves.  Zero-scale groups decode to zeros.
+    Each uint8 nibble's :func:`code_values` level on its group's grid, times
+    the group's scale.  Zero-scale groups decode to zeros.
     """
     return _scale_levels(code_values(codes, coefficients), scales)
 
@@ -276,23 +275,26 @@ class QuantizedTensor:
     Groups run along ``group_axis`` (the accumulation axis).  Rows are the
     flattened remaining axes in row-major order; group ``g`` of row ``r``
     covers elements ``[g*group_size, min((g+1)*group_size, axis_len))``.
-    ``codes`` is (rows, n_groups, group_size): uint8 nibbles for 4-bit kinds,
-    int8 for INT8, zero-padded past each group's true length; the arrays may be views.
-    ``levels`` is ``code_values(codes, coefficients)``, computed when not given.
+    ``levels`` (rows, n_groups, group_size), the one per-element array, holds
+    int16 :func:`code_values` of 4-bit codes or INT8's int8 codes, and code
+    0's level past each group's true length; the arrays may be views.
     """
 
     shape: tuple[int, ...]
     element_kind: str
     group_axis: int
     group_size: int
-    codes: np.ndarray
+    levels: np.ndarray
     scales: np.ndarray        # (rows, n_groups) float64
     coefficients: np.ndarray  # (rows, n_groups) uint8
-    levels: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.levels is None:
-            self.levels = code_values(self.codes, self.coefficients)
+    @property
+    def codes(self) -> np.ndarray:
+        """``levels`` for INT8, else their uint8 nibbles (0xFF for a level off its grid)."""
+        if self.element_kind == KIND_INT8:
+            return self.levels
+        rows = _mant4_coefficients(self.coefficients)[..., None] * _CODE_NIBBLES.shape[1] + _LEVEL_OFFSET
+        return _CODE_NIBBLES.reshape(-1)[rows + np.clip(self.levels, -_LEVEL_OFFSET, _LEVEL_OFFSET)]
 
     @property
     def axis_length(self) -> int:
@@ -315,7 +317,7 @@ class QuantizedTensor:
                                (self.n_rows, self.n_groups))
 
     def split_rows(self, *row_shape: int):
-        """Views of ``(codes, scales, coefficients)``, rows split into ``row_shape``."""
+        """``(codes, scales, coefficients)``, rows split into ``row_shape`` (views but codes)."""
         return tuple(a.reshape(row_shape + a.shape[1:])
                      for a in (self.codes, self.scales, self.coefficients))
 
@@ -329,7 +331,8 @@ class QuantizedTensor:
 
 def tensor_rows(values, group_axis: int) -> np.ndarray:
     """A tensor's :class:`QuantizedTensor` rows, contiguous float64 ``(n_rows, axis_len)``."""
-    moved = np.moveaxis(np.asarray(values, dtype=np.float64), group_axis, -1)
+    values = np.asarray(values, dtype=np.float64)   # moveaxis costs a few us even as a no-op
+    moved = values if group_axis == values.ndim - 1 else np.moveaxis(values, group_axis, -1)
     return np.ascontiguousarray(moved).reshape(math.prod(moved.shape[:-1]), moved.shape[-1])
 
 
@@ -354,4 +357,4 @@ def quantize_weight_tensor(values, coefficients, group_axis: int = 0,
                                   coefficients)
     coeffs = np.broadcast_to(coefficients, scales.shape).astype(np.uint8)
     return QuantizedTensor(np.shape(values), KIND_MANT4, group_axis, group_size,
-                           codes, scales, coeffs)
+                           code_values(codes, coeffs), scales, coeffs)

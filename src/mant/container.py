@@ -40,7 +40,9 @@ from .codec import (
     KIND_INT8,
     KIND_MANT4,
     MAX_GROUP_SIZE,
+    SIGN_BIT,
     QuantizedTensor,
+    code_values,
     group_lengths,
     pack_codes,
     packed_group_bytes,
@@ -106,8 +108,8 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     warning on the ``mant`` logger when some flush to 0 or clamp to 65504.
 
     Returns the tensor the file holds: ``qt`` with the written half scales,
-    as :func:`read_quantized` would give them (codes, coefficients and
-    levels are ``qt``'s own arrays)."""
+    as :func:`read_quantized` would give them (levels and coefficients are
+    ``qt``'s own arrays).  A 4-bit level off its grid has no code: ValueError."""
     if not 1 <= qt.group_size <= MAX_GROUP_SIZE:
         raise ContainerError(f"group size must be in 1..{MAX_GROUP_SIZE}, got {qt.group_size}")
     underflow, overflow = half_losses(qt.scales)
@@ -120,7 +122,7 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     lengths = group_lengths(qt.axis_length, qt.group_size)
     records["length"] = lengths
     index, live, row_slots = _payload_slots(qt.element_kind, lengths, qt.group_size)
-    slots = np.zeros((qt.n_rows, row_slots), dtype=qt.codes.dtype)
+    slots = np.zeros((qt.n_rows, row_slots), dtype=np.uint8)   # INT8 codes as their bytes
     slots[:, index] = qt.codes[:, live]
     # every row holds an even number of nibbles, so packing the flat array
     # packs each row on its own
@@ -181,8 +183,13 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
     codes[:, live] = slots.reshape(n_rows, row_slots)[:, index]
     if fh.read(1):
         raise ContainerError("trailing bytes after payload")
+    # INT4 code 8 is -0, which the encoder never writes: its level 0 would write back as 0
+    int4 = np.argwhere(coeffs == INT4_COEFF)
+    bad = (codes[tuple(int4.T)] == SIGN_BIT).any(axis=-1)
+    if bad.any():
+        raise ContainerError("group ({},{}) holds INT4 code 8, a negative zero".format(*int4[bad][0]))
     return QuantizedTensor(tuple(int(d) for d in shape), kind, int(group_axis), int(group_size),
-                           codes if kind == KIND_MANT4 else codes.view(np.int8),
+                           code_values(codes, coeffs) if kind == KIND_MANT4 else codes.view(np.int8),
                            scales, coeffs.copy())
 
 

@@ -12,8 +12,8 @@ and the real result of one group is ``(psum1*a + psum2) * (s_x * s_w)``
 
 :func:`fused_dot` forms the integer ``psum1*a + psum2`` of every pair of
 rows in one matmul of the INT8 codes against the right operand's pre-scale
-integer values (``QuantizedTensor.levels``, or INT8 codes, their own
-values), batched over any leading axes (attention stacks its heads there).
+integer values (``QuantizedTensor.levels``, int16, or INT8's int8 codes),
+batched over any leading axes (attention stacks its heads there).
 It is the one kernel for every product of quantized codes.  With |x| <=
 127 and |level| <= 127*7 + 2**7 = 1017, every partial sum of a group of
 length L is an integer of at most L*127*1017, so the matmul is exact in any
@@ -122,7 +122,7 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     float64.
 
     Both operands must be grouped along K with the same group size; one
-    :func:`grouped_dot` over the K groups covers all rows and columns.
+    :func:`grouped_dot` of their levels over the K groups covers all rows and columns.
     """
     if x_q.element_kind != KIND_INT8:
         raise ValueError(f"left operand must be INT8, got {x_q.element_kind}")
@@ -134,7 +134,7 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
         raise ValueError("operands must be grouped along the shared accumulation axis")
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
-    return grouped_dot(x_q.codes, x_q.scales, w_q.levels, w_q.scales,
+    return grouped_dot(x_q.levels, x_q.scales, w_q.levels, w_q.scales,
                        group_lengths(x_q.axis_length, x_q.group_size))
 
 

@@ -142,8 +142,7 @@ class ProcessWindow:
         return block
 
 
-# one head's part of a flushed value block, as views of the store: codes
-# (head_dim, G) uint8, scales and coeffs (head_dim,)
+# one head's flushed value block: derived codes (head_dim, G), store views of scales, coeffs
 ValueBlock = namedtuple("ValueBlock", "codes scales coeffs")
 
 
@@ -192,16 +191,16 @@ class KvCache:
         return self.flushed_tokens + self.window_fill == self._total_v
 
     def _append(self, name: str, new: QuantizedTensor) -> None:
-        """Append ``new`` to the store ``name`` along tensor axis 0: codes,
-        scales, coefficients and levels fill buffers led by the axis that
-        grows (key rows, value blocks), whose capacity doubles when it runs
-        out.  The store views the filled prefix, so a tensor a caller holds
-        keeps its contents."""
+        """Append ``new`` to the store ``name`` along tensor axis 0: levels,
+        scales and coefficients fill buffers led by the axis that grows (key
+        rows, value blocks), whose capacity doubles when it runs out.  The
+        store views the filled prefix, so a tensor a caller holds keeps its
+        contents."""
         old = getattr(self, name)
         axis = 1 if old.group_axis == 0 else 0
-        names = ("codes", "scales", "coefficients", "levels")
+        names = ("levels", "scales", "coefficients")
         parts = [getattr(new, f).swapaxes(0, axis) for f in names]
-        used, size = old.codes.shape[axis], old.codes.shape[axis] + parts[0].shape[0]
+        used, size = old.levels.shape[axis], old.levels.shape[axis] + parts[0].shape[0]
         buffers = self._buffers.get(name)
         if buffers is None or size > len(buffers[0]):
             capacity = max(size, 2 * len(buffers[0])) if buffers else size
@@ -230,7 +229,7 @@ class KvCache:
                                                   self.group_size))
 
     def k_arrays(self):
-        """Views of the keys: codes (seq, heads, n_kgroups, G), scales, coeffs."""
+        """Keys: codes (seq, heads, n_kgroups, G), derived, and views of scales, coeffs."""
         return self.keys.split_rows(self.seq_len, self.heads)
 
     # -- V path ------------------------------------------------------------

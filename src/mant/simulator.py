@@ -298,19 +298,21 @@ def simulate_attention(seq_len: int, heads: int, head_dim: int,
                    macs, rqu_ops, 2 * sum(bytes_moved.values()))
 
 
+def layer_dimensions(layer: dict) -> tuple[int, ...]:
+    """A workload entry's integer dimensions, in its simulate function's order."""
+    names = {"gemm": ("M", "K", "N"), "attention": ("seq_len", "heads", "head_dim")}
+    kind = layer.get("kind") if isinstance(layer, dict) else None
+    if kind not in names:
+        raise ValueError(f"unknown layer kind {kind!r} (expected 'gemm' or 'attention')")
+    return tuple(_integer(layer.get(name), f"layer field {name!r}")
+                 for name in names[kind])
+
+
 def simulate_layer(layer: dict, config: ArrayConfig, cost: CostModel) -> SimReport:
     """Simulate one workload-description entry."""
-    def dim(name):
-        return _integer(layer[name], f"layer field {name!r}")
-
-    kind = layer.get("kind")
-    if kind == "gemm":
-        return simulate_gemm(dim("M"), dim("K"), dim("N"),
-                             config, cost, label=layer.get("label", "gemm"))
-    if kind == "attention":
-        return simulate_attention(dim("seq_len"), dim("heads"), dim("head_dim"), config, cost,
-                                  label=layer.get("label", "attention"))
-    raise ValueError(f"unknown layer kind {kind!r} (expected 'gemm' or 'attention')")
+    dims = layer_dimensions(layer)
+    simulate = simulate_gemm if layer["kind"] == "gemm" else simulate_attention
+    return simulate(*dims, config, cost, label=layer.get("label", layer["kind"]))
 
 
 def simulate_workload(layers: list[dict], config: ArrayConfig = ArrayConfig(),
@@ -319,11 +321,8 @@ def simulate_workload(layers: list[dict], config: ArrayConfig = ArrayConfig(),
     if not layers:
         raise ValueError("workload has no layers")
     reports = [simulate_layer(layer, config, cost) for layer in layers]
-    total = reports[0]
-    for rep in reports[1:]:
-        total = total + rep
-    total.label = "total"
-    return total, reports
+    # a copy: a one-layer workload's layer report keeps its own label
+    return replace(sum(reports[1:], reports[0]), label="total"), reports
 
 
 def compare_configs(layers: list[dict], configs: list[tuple[str, ArrayConfig, CostModel]]):

@@ -557,6 +557,21 @@ class TestSim:
         assert code == 2
         assert err.splitlines() == [f"error: {bad}: {message}"]
 
+    @pytest.mark.parametrize("layer,message", [
+        ({"kind": "gemm", "M": 64.9, "K": 64, "N": 64},
+         "layer field 'M' must be an integer, got 64.9"),
+        ({"kind": "attention", "seq_len": 8, "heads": 1},
+         "layer field 'head_dim' must be an integer, got None"),
+        ({"kind": "conv"}, "unknown layer kind 'conv' (expected 'gemm' or 'attention')"),
+    ], ids=["fraction", "missing", "kind"])
+    def test_bad_layer_names_layer_and_file(self, capsys, tmp_path, layer, message):
+        _, c4, _ = self.write_configs(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"layers": [layer]}))
+        code, _, err = run_cli(capsys, "sim", "--workload", str(bad), "--config", str(c4))
+        assert code == 2
+        assert err.splitlines() == [f"error: {bad}: layer 0: {message}"]
+
     def test_schema_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"layers": [{"M": 4}]}))

@@ -9,6 +9,7 @@ from mant.codec import (
     KIND_INT8,
     KIND_MANT4,
     SIGN_BIT,
+    QuantizedTensor,
     code_values,
     decode_groups,
     encode_groups,
@@ -136,6 +137,9 @@ class TestQuantizeWeightGroup:
         for call in (lambda: encode_groups(g, True),
                      lambda: encode_groups(g[None], np.array([np.nan])),
                      lambda: quantize_weight_tensor(np.ones((64, 2)), [[40.7], [3.2]]),
+                     # a list mixing booleans into integers converts to an int array
+                     lambda: encode_groups(np.ones((2, 8)), [True, 3]),
+                     lambda: quantize_weight_tensor(np.ones((64, 2)), [[3, np.True_]]),
                      lambda: magnitude_values(40.7)):
             with pytest.raises(ValueError, match="integer"):
                 call()
@@ -216,6 +220,32 @@ class TestDequantizeGroup:
         qt = quantize_weight_group(values, 33)
         assert qt.scales[0, 0] == 0.375
         assert np.array_equal(qt.dequantize(), values)
+
+
+class TestCodesOfLevels:
+    """A 4-bit tensor keeps levels; its ``codes`` map them back to nibbles."""
+
+    def test_every_emitted_nibble_under_every_coefficient(self):
+        # the INT4 grid never emits 8 (-0); its level 0 is nibble 0
+        nibbles = np.tile(np.arange(16, dtype=np.uint8), (INT4_COEFF + 1, 1, 1))
+        nibbles[INT4_COEFF, 0, SIGN_BIT] = 0
+        coeffs = np.arange(INT4_COEFF + 1, dtype=np.uint8)[:, None]
+        levels = code_values(nibbles, coeffs)
+        # each group holds its grid's top level, so the encoder emits these nibbles
+        assert np.array_equal(encode_groups(levels, coeffs)[0], nibbles)
+        qt = QuantizedTensor((INT4_COEFF + 1, 16), KIND_MANT4, 1, 16, levels,
+                             np.ones(coeffs.shape), coeffs)
+        codes = qt.codes
+        assert codes.dtype == np.uint8 and np.array_equal(codes, nibbles)
+
+    def test_int8_codes_are_the_levels(self):
+        qt = quantize_activation_tensor(np.arange(-3.0, 4.0), 0, 4)
+        assert qt.codes is qt.levels and qt.levels.dtype == np.int8
+
+    def test_codes_are_read_only(self):
+        qt = quantize_weight_group(np.arange(4.0), 17)
+        with pytest.raises(AttributeError):
+            qt.codes = qt.codes
 
 
 class TestPacking:

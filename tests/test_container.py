@@ -1,5 +1,6 @@
 """Binary container round trips and malformed-input handling."""
 
+import dataclasses
 import io
 import logging
 
@@ -9,6 +10,7 @@ import pytest
 from mant import container
 from mant.cli import main
 from mant.codec import (
+    INT4_COEFF,
     quantize_activation_tensor,
     quantize_weight_tensor,
 )
@@ -128,6 +130,32 @@ class TestQuantizedContainer:
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("high", [False, True])
+    def test_int4_negative_zero_refused(self, high):
+        # (100, 2) in groups of 64: each row's payload is 32 + 18 bytes;
+        # set a nibble of row 1's first group to 8 (-0)
+        w = np.random.default_rng(9).standard_normal((100, 2))
+        offset = 4 + 6 + 2 * 8 + 1 + 5 * 4 + 50 + 3
+        for a in (INT4_COEFF, 40):
+            blob = bytearray(quantized_bytes(quantize_weight_tensor(w, a, 0, 64)))
+            blob[offset] = (blob[offset] & 0x0F) | 0x80 if high else (blob[offset] & 0xF0) | 0x08
+            if a == INT4_COEFF:
+                # its level is 0, whose code is 0: written back, the byte would change
+                with pytest.raises(ContainerError,
+                                   match=r"group \(1,0\) holds INT4 code 8, a negative zero"):
+                    read_quantized(io.BytesIO(bytes(blob)))
+            else:   # on an adaptive grid 8 is -1, a level of its own
+                assert quantized_bytes(read_quantized(io.BytesIO(bytes(blob)))) == bytes(blob)
+
+    @pytest.mark.parametrize("level", [16, -3, 2000, -32768])
+    def test_off_grid_level_refused_on_write(self, level):
+        # the levels of a = 17 are +-1, 19, 38, ...; none of them is `level`
+        qt = quantize_weight_tensor(np.random.default_rng(10).standard_normal((64, 2)), 17, 0, 64)
+        levels = qt.levels.copy()
+        levels[1, 0, 5] = level
+        with pytest.raises(ValueError, match="exceed 4 bits"):
+            write_quantized(io.BytesIO(), dataclasses.replace(qt, levels=levels))
 
     def test_bad_magic(self):
         with pytest.raises(ContainerError):

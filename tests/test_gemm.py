@@ -6,7 +6,6 @@ import pytest
 from mant.codec import (
     INT4_COEFF,
     INT8_COEFF,
-    KIND_INT8,
     KIND_MANT4,
     SIGN_BIT,
     QuantizedTensor,
@@ -220,44 +219,46 @@ class TestGemmInt8:
         assert np.all(out == 0.0)
 
 
-def one_group_tensor(codes, coefficient):
-    """A one-group tensor of ``codes`` (G,) under ``coefficient``."""
-    kind = KIND_INT8 if codes.dtype == np.int8 else KIND_MANT4
-    return QuantizedTensor(codes.shape, kind, 0, codes.size, codes[None, None],
+def one_group_tensor(levels, kind, coefficient):
+    """A one-group tensor of ``levels`` (G,) under ``coefficient``."""
+    return QuantizedTensor(levels.shape, kind, 0, levels.size, levels[None, None],
                            np.ones((1, 1)), np.full((1, 1), coefficient, np.uint8))
 
 
 class TestFusedDot:
     """``fused_dot`` multiplies levels, so a code/coefficient pairing is
-    checked where levels are made: in ``code_values``, and through it when a
-    ``QuantizedTensor`` is built."""
+    checked where levels are made, in ``code_values``, and where codes are
+    derived from levels, in ``QuantizedTensor.codes``."""
 
     def test_int8_codes_under_4bit_coefficient(self):
         codes = np.array([[1, -2]], dtype=np.int8)
-        with pytest.raises(ValueError, match="INT8 coefficient"):
+        with pytest.raises(ValueError, match="uint8 nibbles"):
             code_values(codes, np.array([17]))
-        with pytest.raises(ValueError, match="INT8 coefficient"):
+        with pytest.raises(ValueError, match="uint8 nibbles"):
             code_values(codes, INT4_COEFF)
-        with pytest.raises(ValueError, match="INT8 coefficient"):
-            one_group_tensor(codes[0], 17)
+        # an INT8 level read as a 4-bit level has no code unless it is on the grid
+        assert one_group_tensor(codes[0], KIND_MANT4, 17).codes.tolist() == [[[0, 0xFF]]]
 
     def test_nibbles_under_int8_coefficient(self):
         codes = np.array([[1, 2]], dtype=np.uint8)
         with pytest.raises(ValueError, match="out of range"):
             code_values(codes, INT8_COEFF)
         with pytest.raises(ValueError, match="out of range"):
-            one_group_tensor(codes[0], INT8_COEFF)
+            one_group_tensor(code_values(codes[0], 17), KIND_MANT4, INT8_COEFF).codes
 
     def test_codes_above_four_bits(self):
         with pytest.raises(ValueError, match="exceed 4 bits"):
-            one_group_tensor(np.array([1, 16], dtype=np.uint8), 17)
+            code_values(np.array([1, 16], dtype=np.uint8), 17)
+        # 16 is no level of a = 17 (1, 19, 38, ...), and 2000 none of any grid
+        levels = np.array([1, 16, 2000, -2000], dtype=np.int16)
+        assert one_group_tensor(levels, KIND_MANT4, 17).codes.tolist() == [[[0, 0xFF, 0xFF, 0xFF]]]
 
     @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.int64, np.float64, bool])
     def test_other_code_dtypes(self, dtype):
         codes = np.array([[1, 0]], dtype=dtype)
-        with pytest.raises(ValueError, match="uint8 nibbles or int8"):
+        with pytest.raises(ValueError, match="uint8 nibbles"):
             code_values(codes, INT8_COEFF)
-        with pytest.raises(ValueError, match="uint8 nibbles or int8"):
+        with pytest.raises(ValueError, match="uint8 nibbles"):
             code_values(codes, 17)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.float32,

@@ -331,7 +331,7 @@ class TestStores:
             held.append((old, [a.copy() for a in (old.codes, old.scales, old.coefficients,
                                                    old.levels)], file_bytes(old)))
             cache.append_k(rng.standard_normal((2, 48)))
-            if not np.shares_memory(old.codes, cache.keys.codes):
+            if not np.shares_memory(old.levels, cache.keys.levels):
                 reallocated.append(old.shape[0])
         # the 5-token prompt fills the first buffer; capacity then doubles
         assert reallocated == [5, 10, 20]

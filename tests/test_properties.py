@@ -522,13 +522,20 @@ def test_written_tensor_is_the_tensor_read_back(case, int8, factor):
 
 
 def levels_hold(qt: QuantizedTensor) -> bool:
-    """The tensor's int16 levels are the ``code_values`` of its codes, and a
-    container round trip rebuilds the same levels."""
+    """The tensor's levels and codes agree: the ``code_values`` of a 4-bit
+    tensor's codes are its int16 levels, and an INT8 tensor's codes are its
+    int8 levels, the same array.  A container round trip keeps both."""
     buf = io.BytesIO()
     write_quantized(buf, qt)
     loaded = read_quantized(io.BytesIO(buf.getvalue()))
-    return same_bits(qt.levels, code_values(qt.codes, qt.coefficients)) and \
-        same_bits(loaded.levels, code_values(loaded.codes, loaded.coefficients))
+    for t in (qt, loaded):
+        if t.element_kind == KIND_MANT4:
+            if not (t.levels.dtype == np.int16
+                    and same_bits(code_values(t.codes, t.coefficients), t.levels)):
+                return False
+        elif not (t.codes is t.levels and t.levels.dtype == np.int8):
+            return False
+    return same_bits(loaded.levels, qt.levels)
 
 
 @SETTINGS

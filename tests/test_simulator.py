@@ -168,6 +168,11 @@ class TestWorkloads:
         assert total.total_energy == pytest.approx(sum(r.total_energy for r in reports))
         assert total.total_bytes == sum(r.total_bytes for r in reports)
 
+    def test_one_layer_keeps_its_label(self):
+        total, reports = simulate_workload([{"kind": "gemm", "M": 8, "K": 64, "N": 64}])
+        assert (total.label, reports[0].label) == ("total", "gemm")
+        assert total.total_cycles == reports[0].total_cycles
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             simulate_layer({"kind": "conv"}, ArrayConfig(), CostModel())
