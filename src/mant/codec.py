@@ -6,12 +6,23 @@ activation groups are encoded to symmetric INT8.  Every group carries a
 scaling factor and its coefficient as metadata.
 
 Three batched kernels do all the work on zero-padded groups ``(..., G)``
-with per-group metadata ``(...)``: :func:`encode_groups` (4-bit),
+with per-group metadata ``(...)``: :func:`encode_levels` (4-bit),
 :func:`encode_int8` (which rounds by :func:`round_int8`, the one INT8
 rule) and :func:`decode_groups`.  Tensor codecs call them once per tensor
 and return a :class:`QuantizedTensor`; the single-group functions are the
 tensor codecs on a one-group tensor.  A tensor keeps one array per code,
 its pre-scale value (``levels``, see :func:`code_values`), and derives codes.
+
+The 4-bit encoder rounds ``x = |value| / scale`` to the nearest grid
+magnitude, the smaller one on a tie: the one above as many midpoints as
+``2x`` strictly exceeds.  Doubled midpoints are integers, and an integer
+``p`` is below ``2x`` exactly when it is below ``ceil(2x)``, so one gather
+from a table indexed by coefficient and ``ceil(2x)`` gives each level.
+Each table row covers ``2x <= 3 * top``, the most a subnormal scale's
+rounding allows.  The sign comes from ``value < 0``: ``-0.0`` stays
+positive, a negative value whose ``x`` underflows to 0 keeps its sign, and
+a zero-scale group drops its signs.  :func:`encode_groups` is the same
+encoder in nibbles, derived from the levels.
 
 Code layout: a 4-bit code is one byte holding ``sign << 3 | magnitude``
 (sign bit 1 means negative).  Two codes pack into one payload byte, low
@@ -50,15 +61,33 @@ _MAGNITUDES = np.array([build_grid(a).magnitudes for a in range(MAX_COEFFICIENT 
 # Pre-scale integer value (level) of every (coefficient, nibble) pair:
 # |level| <= 127*7 + 2**7 = 1017.
 _CODE_LEVELS = np.concatenate([_MAGNITUDES, -_MAGNITUDES], axis=1).astype(np.int16)
-# Midpoints between adjacent magnitudes: half-integers, so exact.
-_MIDPOINTS = (_MAGNITUDES[:, 1:] + _MAGNITUDES[:, :-1]) / 2
 # Nibble of every (coefficient, level + _LEVEL_OFFSET): 0xFF (pack_codes refuses it) off the
 # grid and at the edges, where clipped levels land.  Negatives first: INT4's 0 is 0, not 8.
 _LEVEL_OFFSET = int(np.abs(_CODE_LEVELS).max()) + 1
 _CODE_NIBBLES = np.full((len(_CODE_LEVELS), 2 * _LEVEL_OFFSET + 1), 0xFF, dtype=np.uint8)
 for _nibbles in (np.arange(GRID_POINTS, 2 * GRID_POINTS), np.arange(GRID_POINTS)):
     np.put_along_axis(_CODE_NIBBLES, _CODE_LEVELS[:, _nibbles] + _LEVEL_OFFSET, _nibbles[None], axis=1)
-for _table in (_MAGNITUDES, _CODE_LEVELS, _MIDPOINTS, _CODE_NIBBLES):
+
+_TWO_52 = 2.0 ** 52
+
+
+def _ceiling_levels():
+    """Positive level of every (coefficient, ceil(2x)) for a normalized
+    magnitude x, one row per coefficient in one flat table, and each row's
+    start plus 2**52 (see :func:`encode_levels`): the count of doubled
+    midpoints below ceil(2x) indexes the magnitudes.  A scale is within half
+    a subnormal of ``max / top``, so ``2x <= 3 * top`` and a row of
+    3 * top + 1 entries holds every index."""
+    widths = 3 * _MAGNITUDES[:, -1].astype(np.intp) + 1
+    starts = np.cumsum(widths) - widths
+    table = np.empty(widths.sum(), dtype=np.int16)
+    for start, width, mags in zip(starts, widths, _MAGNITUDES):   # row by row keeps imports small
+        table[start:start + width] = mags[np.searchsorted(mags[1:] + mags[:-1], np.arange(width))]
+    return table, starts + _TWO_52
+
+
+_CEILING_LEVELS, _BIASED_ROWS = _ceiling_levels()
+for _table in (_MAGNITUDES, _CODE_LEVELS, _CODE_NIBBLES, _CEILING_LEVELS, _BIASED_ROWS):
     _table.setflags(write=False)
 
 
@@ -106,42 +135,60 @@ def _check_finite(values: np.ndarray) -> None:
 
 # -- batched kernels: groups (..., G) with per-group metadata (...) ---------
 
-def encode_groups(groups, coefficients):
-    """Encode zero-padded groups ``(..., G)`` to 4-bit codes and scales.
+def encode_levels(groups, coefficients):
+    """Encode zero-padded groups ``(..., G)`` to int16 levels and scales.
 
     ``coefficients`` holds one coefficient for all groups, or an array that
     broadcasts to the groups' lead shape ``(...)``, such as one per group or
     ``(options, 1)`` over a stack of candidate options (INT4_COEFF: the
-    plain INT4 grid).  The scale is ``max|group|`` over the
-    top magnitude ``magnitude_values(a)[-1]``.  Each element's magnitude
-    index is the number of midpoints between adjacent magnitudes that
-    ``|value| / scale`` strictly exceeds: the nearest magnitude, the smaller
-    one on ties.  The sign bit is set when negative, except on an INT4 zero.
-    Padding encodes to 0, and a zero-scale group to all zeros.
+    plain INT4 grid).  The scale is ``max|group|`` over the top magnitude
+    ``magnitude_values(a)[-1]``.  Each element takes the magnitude nearest
+    to ``x = |value| / scale``, the smaller one on ties: the one above as
+    many midpoints as ``2x`` strictly exceeds.  Doubled midpoints are
+    integers, so that count is read from a table at ``ceil(2x)``.  The level
+    is negative when the value is, except on an INT4 zero.  Padding encodes
+    to code 0's level, and so does every element of a zero-scale group.
     """
     groups = np.asarray(groups, dtype=np.float64)
-    _check_finite(groups)
     lead = groups.shape[:-1]
     coeffs = _mant4_coefficients(coefficients)
     if coeffs.ndim and coeffs.shape != lead and (
             coeffs.ndim > len(lead)
             or any(c not in (1, n) for c, n in zip(coeffs.shape[::-1], lead[::-1]))):
         raise ValueError(f"coefficients shape {coeffs.shape} does not broadcast to groups {lead}")
-    normalized = np.abs(groups)
-    scales = normalized.max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
+    doubled = np.abs(groups)
+    scales = doubled.max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
+    _check_finite(scales)   # a group's max is inf or NaN where one of its values is
     silent = scales == 0.0
-    normalized /= np.where(silent, 1.0, scales)[..., None]
-    midpoints = _MIDPOINTS[coeffs][..., None, :]
-    codes = np.zeros(groups.shape, dtype=np.uint8)
-    above = np.empty(groups.shape, dtype=bool)
-    for k in range(GRID_POINTS - 1):
-        np.greater(normalized, midpoints[..., k], out=above)
-        codes += above.view(np.uint8)
-    # magnitude 0 of the INT4 grid decodes to exact zero; keep its sign canonical
-    negative = (groups < 0) & ((codes != 0) | (coeffs != INT4_COEFF)[..., None])
-    codes |= negative.view(np.uint8) << 3
-    codes[silent] = 0
-    return codes, scales
+    doubled /= np.where(silent, np.inf, scales)[..., None]
+    doubled *= 2
+    np.ceil(doubled, out=doubled)
+    # ceil(2x) + row start is an integer below 2**52, so adding 2**52 is exact and
+    # leaves it in the low bits: a faster conversion than a float-to-int cast
+    doubled += _BIASED_ROWS[coeffs][..., None]
+    index = doubled.view(np.int64)
+    index -= np.float64(_TWO_52).view(np.int64)
+    levels = np.take(_CEILING_LEVELS, index)
+    # 1 - 2*(value < 0): -0.0 and the values of a zero-scale group stay positive
+    sign = (groups < 0).view(np.int8)
+    if silent.any():
+        sign[np.broadcast_to(silent, lead)] = 0
+    sign *= -2
+    sign += 1
+    levels *= sign
+    return levels, scales
+
+
+def encode_groups(groups, coefficients):
+    """:func:`encode_levels` as uint8 nibbles ``sign << 3 | magnitude`` and scales."""
+    levels, scales = encode_levels(groups, coefficients)
+    return _level_nibbles(levels, coefficients), scales
+
+
+def _level_nibbles(levels, coefficients) -> np.ndarray:
+    """Nibbles of 4-bit levels under their coefficients (0xFF for a level off its grid)."""
+    rows = _mant4_coefficients(coefficients)[..., None] * _CODE_NIBBLES.shape[1] + _LEVEL_OFFSET
+    return _CODE_NIBBLES.reshape(-1)[rows + np.clip(levels, -_LEVEL_OFFSET, _LEVEL_OFFSET)]
 
 
 def round_int8(scaled) -> np.ndarray:
@@ -293,8 +340,7 @@ class QuantizedTensor:
         """``levels`` for INT8, else their uint8 nibbles (0xFF for a level off its grid)."""
         if self.element_kind == KIND_INT8:
             return self.levels
-        rows = _mant4_coefficients(self.coefficients)[..., None] * _CODE_NIBBLES.shape[1] + _LEVEL_OFFSET
-        return _CODE_NIBBLES.reshape(-1)[rows + np.clip(self.levels, -_LEVEL_OFFSET, _LEVEL_OFFSET)]
+        return _level_nibbles(self.levels, self.coefficients)
 
     @property
     def axis_length(self) -> int:
@@ -353,8 +399,14 @@ def quantize_weight_tensor(values, coefficients, group_axis: int = 0,
                            group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a tensor to group-wise 4-bit codes along ``group_axis``, with
     one coefficient for all groups or a (rows, n_groups) array of them."""
-    codes, scales = encode_groups(to_groups(tensor_rows(values, group_axis), group_size),
-                                  coefficients)
+    return _quantize_weight_rows(tensor_rows(values, group_axis), np.shape(values), coefficients,
+                                 group_axis, group_size)
+
+
+def _quantize_weight_rows(rows, shape, coefficients, group_axis: int,
+                          group_size: int) -> QuantizedTensor:
+    """:func:`quantize_weight_tensor` of the tensor of ``shape`` whose
+    :func:`tensor_rows` are ``rows``."""
+    levels, scales = encode_levels(to_groups(rows, group_size), coefficients)
     coeffs = np.broadcast_to(coefficients, scales.shape).astype(np.uint8)
-    return QuantizedTensor(np.shape(values), KIND_MANT4, group_axis, group_size,
-                           code_values(codes, coeffs), scales, coeffs)
+    return QuantizedTensor(shape, KIND_MANT4, group_axis, group_size, levels, scales, coeffs)

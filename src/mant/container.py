@@ -177,10 +177,18 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
 
     index, live, row_slots = _payload_slots(kind, expected, group_size)
     blob = _read_exact(fh, n_rows * packed_group_bytes(kind, row_slots))
-    slots = unpack_codes(blob, n_rows * row_slots) if kind == KIND_MANT4 \
-        else np.frombuffer(blob, dtype=np.uint8)
+    slots = (unpack_codes(blob, n_rows * row_slots) if kind == KIND_MANT4
+             else np.frombuffer(blob, dtype=np.uint8)).reshape(n_rows, row_slots)
+    # an odd-length 4-bit group ends on a pad nibble, which would write back as 0
+    pad = np.ones(row_slots, dtype=bool)
+    pad[index] = False
+    bad = slots[:, pad] != 0
+    if bad.any():
+        r, k = np.argwhere(bad)[0]
+        raise ContainerError(f"group ({r},{np.flatnonzero(expected % 2)[k]}) has pad nibble "
+                             f"{slots[r, pad][k]:#x}, not 0")
     codes = np.zeros((n_rows, n_groups, group_size), dtype=np.uint8)
-    codes[:, live] = slots.reshape(n_rows, row_slots)[:, index]
+    codes[:, live] = slots[:, index]
     if fh.read(1):
         raise ContainerError("trailing bytes after payload")
     # INT4 code 8 is -0, which the encoder never writes: its level 0 would write back as 0

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (INT4_COEFF, QuantizedTensor, decode_groups, encode_groups,
-                    quantize_weight_tensor, split_runs, tensor_rows)
+from .codec import (INT4_COEFF, QuantizedTensor, _quantize_weight_rows, _scale_levels,
+                    encode_levels, split_runs, tensor_rows)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 
 DEFAULT_COEFFICIENTS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
@@ -84,8 +84,7 @@ class CandidateSet:
 
 def reconstruction(values, a) -> np.ndarray:
     """Quantize and dequantize groups ``(..., G)`` with coefficient(s) ``a``."""
-    codes, scales = encode_groups(values, a)
-    return decode_groups(codes, a, scales)
+    return _scale_levels(*encode_levels(values, a))
 
 
 def _scalar_or_array(result: np.ndarray):
@@ -354,4 +353,4 @@ def quantize_by_variance(values, table: VarianceTable, group_axis: int,
     # the empty first part keeps the (rows, 0) shape of an axis with no groups
     coeffs = np.concatenate([np.zeros((len(rows), 0), np.uint8)] + [coefficients_from_sums(
         table, *_group_sums(run)) for run in split_runs(rows, group_size)], axis=-1)
-    return quantize_weight_tensor(values, coeffs, group_axis, group_size)
+    return _quantize_weight_rows(rows, np.shape(values), coeffs, group_axis, group_size)

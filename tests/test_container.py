@@ -148,6 +148,20 @@ class TestQuantizedContainer:
             else:   # on an adaptive grid 8 is -1, a level of its own
                 assert quantized_bytes(read_quantized(io.BytesIO(bytes(blob)))) == bytes(blob)
 
+    @pytest.mark.parametrize("values, group_size, where", [
+        (np.array([0.25, -0.5, 1.0]), 3, r"\(0,0\)"),
+        # (7, 2) in groups of 3: lengths 3, 3 and 1, each ending on a pad nibble;
+        # the file's last byte holds row 1's last group
+        (np.random.default_rng(11).standard_normal((7, 2)), 3, r"\(1,2\)")])
+    def test_nonzero_pad_nibble_refused(self, values, group_size, where):
+        blob = bytearray(quantized_bytes(quantize_weight_tensor(values, 40, 0, group_size)))
+        assert blob[-1] >> 4 == 0
+        if values.ndim == 1:
+            assert blob[-1] == 0x07
+        blob[-1] |= 0xF0   # read back, then written, this nibble would be 0 again
+        with pytest.raises(ContainerError, match=rf"group {where} has pad nibble 0xf, not 0"):
+            read_quantized(io.BytesIO(bytes(blob)))
+
     @pytest.mark.parametrize("level", [16, -3, 2000, -32768])
     def test_off_grid_level_refused_on_write(self, level):
         # the levels of a = 17 are +-1, 19, 38, ...; none of them is `level`

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mant.attention import _attention_rows
@@ -27,6 +27,7 @@ from mant.codec import (
     code_values,
     encode_groups,
     encode_int8,
+    encode_levels,
     group_lengths,
     quantize_activation_tensor,
     quantize_weight_tensor,
@@ -470,6 +471,63 @@ def test_encoder_ties_match_argmin_oracle():
     refs = [ref_weight_group(group, int(a)) for group, a in zip(groups, coeffs)]
     assert same_bits(codes, np.array([ref_codes for ref_codes, _ in refs]))
     assert same_bits(scales, np.array([ref_scale for _, ref_scale in refs]))
+
+
+SUBNORMAL = 2.0 ** -1074
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+# the elements of a group, one strategy per edge of the encoder's table
+EXTREME_REGIMES = (
+    # |v| <= 3 subnormals: max / top rounds to a zero scale on every grid
+    st.integers(-3, 3).map(lambda k: k * SUBNORMAL),
+    # subnormal scales, whose rounding leaves |v| / scale up to 1.5 * top
+    st.integers(-(1 << 14), 1 << 14).map(lambda k: k * SUBNORMAL),
+    signed(st.floats(1e-301, 1e-299)),
+    signed(st.floats(1e299, 1e301)),
+    # 1e300 beside 1e-300: |v| / scale underflows to 0, a negative value's sign stays
+    st.one_of(signed(st.floats(1e299, 1e301)), signed(st.floats(1e-301, 1e-299))),
+    # near an INT4 zero: |v| / scale < 0.5 on the INT4 grid
+    st.one_of(st.just(1.0), signed(st.floats(0.0, 0.07))),
+)
+
+
+@st.composite
+def extreme_groups(draw):
+    """Groups ``(n, G)`` of one regime each, with zeros of both signs among them."""
+    length = draw(st.integers(1, 24))
+    groups = [draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), regime),
+                            min_size=length, max_size=length))
+              for regime in draw(st.lists(st.sampled_from(EXTREME_REGIMES), min_size=1, max_size=4))]
+    return np.array(groups, dtype=np.float64)
+
+
+@SETTINGS
+@given(extreme_groups())
+@example(np.array([[1e300, -1e-300, -0.0, 1e-300, 0.0, -1e300]]))
+@example(np.array([[SUBNORMAL, -SUBNORMAL, -3 * SUBNORMAL, 0.0],
+                   [-2 * SUBNORMAL, 2 * SUBNORMAL, -0.0, 0.0]]))
+# 10 / 7 and 1525 / 1017 round to a scale of one subnormal: |v| / scale exceeds the top
+@example(np.array([[10 * SUBNORMAL, -3 * SUBNORMAL, 7 * SUBNORMAL, -0.0],
+                   [1525 * SUBNORMAL, -1524 * SUBNORMAL, 1000 * SUBNORMAL, -SUBNORMAL]]))
+@example(np.array([[1.0, 0.01, -0.01, -0.0, 0.07, -0.0714]]))
+def test_encoder_extremes_match_nearest_magnitude_oracle(groups):
+    # every group under each of the 129 grids, as the coefficient search stacks them
+    coeffs = np.arange(INT4_COEFF + 1)[:, None]
+    stack = np.broadcast_to(groups, (len(coeffs),) + groups.shape)
+    levels, scales = encode_levels(stack, coeffs)
+    refs = [[ref_weight_group(group, a) for group in groups] for a in range(INT4_COEFF + 1)]
+    ref_codes = np.array([[codes for codes, _ in row] for row in refs])
+    ref_levels = np.array([[np.concatenate([ref_mags(a), -ref_mags(a)])[codes]
+                            for codes, _ in row] for a, row in enumerate(refs)]).astype(np.int16)
+    assert same_bits(levels, ref_levels)
+    assert same_bits(scales, np.array([[scale for _, scale in row] for row in refs]))
+    codes, nibble_scales = encode_groups(stack, coeffs)
+    assert same_bits(codes, ref_codes) and same_bits(nibble_scales, scales)
+    assert same_bits(code_values(codes, coeffs), levels)
 
 
 @SETTINGS

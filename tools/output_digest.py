@@ -4,7 +4,7 @@ Run it on two trees on the same machine and compare the lines:
 
     PYTHONPATH=src python3 tools/output_digest.py
 
-Each line is a name and the first 16 hex digits of a sha256:
+It prints 28 lines, each a name and the first 16 hex digits of a sha256:
 
 * ``attention decode ...`` and ``attention prompt ...``: two lines per
   ``run_toy_attention`` case.  The decode line hashes ``step_outputs``,
@@ -38,6 +38,12 @@ Each line is a name and the first 16 hex digits of a sha256:
   between adjacent magnitudes, the floats either side of each and every
   magnitude, with both signs, at power-of-two and other scales (the groups of
   ``tests/test_properties.py::test_encoder_ties_match_argmin_oracle``);
+* ``encoder extremes``: codes and scales of one ``encode_groups`` call
+  that stacks groups of six under all 129 coefficients: 1e300 beside
+  1e-300 (where ``|v| / scale`` underflows to 0), groups whose scale
+  flushes to 0 with nonzero values of both signs, subnormal scales that
+  leave ``|v| / scale`` past the top magnitude, magnitudes near 1e-300 and
+  1e300, ``-0.0`` and INT4 zeros; the encoder's sign and table bound;
 * ``mse selection``: ``select_weight_coefficient`` picks over about 2,000
   seeded groups (Gaussian, Laplace, uniform, spiked, all-zero and constant)
   of lengths 64, 48, 32 and 1, against 8-, 32- and 64-row calibration sets,
@@ -255,6 +261,39 @@ def encoder_ties_digest():
     yield "encoder ties", short(h)
 
 
+SUBNORMAL = 2.0 ** -1074
+
+
+def encoder_extremes_digest():
+    rng = np.random.default_rng(29)
+
+    def signed(magnitudes):
+        return magnitudes * rng.choice([-1.0, 1.0], magnitudes.shape)
+
+    shape = (16, 6)
+    groups = np.concatenate([
+        np.array([[1e300, -1e-300, -0.0, 1e-300, 0.0, -1e300],   # |v| / scale underflows to 0
+                  [SUBNORMAL, -SUBNORMAL, -3 * SUBNORMAL, 0.0, -0.0, 2 * SUBNORMAL],
+                  # a scale of one subnormal: |v| / scale passes the top
+                  [10 * SUBNORMAL, -3 * SUBNORMAL, 7 * SUBNORMAL, -0.0, 0.0, SUBNORMAL],
+                  [1525 * SUBNORMAL, -1524 * SUBNORMAL, 1000 * SUBNORMAL, -SUBNORMAL, 0.0, -0.0],
+                  [1.0, 0.01, -0.01, -0.0, 0.07, -0.0714]]),   # INT4 zeros
+        rng.integers(-3, 4, shape) * SUBNORMAL,                 # every scale flushes to 0
+        rng.integers(-(1 << 14), 1 << 14, shape) * SUBNORMAL,   # subnormal scales
+        signed(10.0 ** rng.uniform(-301, -299, shape)),
+        signed(10.0 ** rng.uniform(299, 301, shape)),
+        signed(10.0 ** rng.choice([-300.0, 300.0], shape) * rng.uniform(1, 10, shape)),
+        # INT4 zeros: |v| / scale below 0.56 beside a top of 1
+        np.hstack([np.ones((shape[0], 1)), signed(rng.uniform(0, 0.08, (shape[0], shape[1] - 1)))]),
+    ])
+    # every group under every grid, as the coefficient search stacks them
+    coeffs = np.arange(INT4_COEFF + 1)[:, None]
+    codes, scales = encode_groups(np.broadcast_to(groups, (len(coeffs),) + groups.shape), coeffs)
+    h = hashlib.sha256(codes.tobytes())
+    h.update(scales.tobytes())
+    yield "encoder extremes", short(h)
+
+
 # (calibration rows, group length, candidates): each length with and without INT4
 SELECTION_CASES = tuple(
     (rows, length, (CandidateSet(), CandidateSet((0, 10, 30, 60, 120), False))[(r + j) % 2])
@@ -377,8 +416,8 @@ def fit_grid_digest():
 
 def main_digest() -> int:
     for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest,
-                kv_growth_digest, encoder_ties_digest, selection_digest, sim_digest,
-                fit_grid_digest):
+                kv_growth_digest, encoder_ties_digest, encoder_extremes_digest, selection_digest,
+                sim_digest, fit_grid_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
