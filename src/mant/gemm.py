@@ -10,18 +10,27 @@ and the real result of one group is ``(psum1*a + psum2) * (s_x * s_w)``
 (``psum1 * (s_x * s_w)`` for plain-INT4 groups, whose codes decode to
 ``sign * m``); all scale multiplication is deferred to group boundaries.
 
-:func:`fused_dot` forms the integer ``psum1*a + psum2`` of every pair of
-rows in one matmul of the INT8 codes against the right operand's pre-scale
-integer values (``QuantizedTensor.levels``, int16, or INT8's int8 codes),
-batched over any leading axes (attention stacks its heads there).
-It is the one kernel for every product of quantized codes.  With |x| <=
+One matmul forms the integer ``psum1*a + psum2`` of every pair of rows:
+the INT8 codes against the right operand's pre-scale integer values
+(``QuantizedTensor.levels``, int16, or INT8's int8 codes), batched over any
+leading axes (attention stacks its heads there).  It is the one kernel for
+every product of quantized codes; :func:`fused_dot` scales its result for
+one group, :func:`grouped_dot` across groups.  With |x| <=
 127 and |level| <= 127*7 + 2**7 = 1017, every partial sum of a group of
 length L is an integer of at most L*127*1017, so the matmul is exact in any
 summation order: in float32 while that stays below 2**24 (L <= 129), in
 float64 (below 2**53) for longer groups.
-:func:`grouped_dot` owns the fold across groups: it adds one group's
-:func:`fused_dot` at a time, in ascending group order, for ``gemm`` and for
-both attention products.
+:func:`grouped_dot` owns the fold across groups, for ``gemm`` and for both
+attention products.  It works in place: one zeroed float64 accumulator and
+one scale buffer per call, and for each group in ascending order the
+group's exact psums, ``s_x * s_w`` written into the buffer, the buffer
+multiplied by the psums, then added to the accumulator.  The rounding is
+``fused_dot``'s, ``psum * (s_x * s_w)`` added into zeros group by group, so
+every output is the same bits as adding one ``fused_dot`` per group; the
+first group is added too, not copied, so a ``-0.0`` product still sums to
+``+0.0``.  The scale products are outer products of one column of each
+operand's scales; ``gemm`` passes its scales column-major (two small copies
+per call) so that each column is contiguous.
 :func:`fused_group_dot` is the pure-integer scalar path, with psum2 built
 from logical shifts, and :func:`combine` its fold.
 """
@@ -81,6 +90,16 @@ def combine(res: GroupDotResult, a: int, s_x: float, s_w: float) -> float:
     return integer * (s_x * s_w)
 
 
+def _exact_psums(x_codes, w_levels) -> np.ndarray:
+    """The exact integer ``psum1*a + psum2`` of every pair of rows, in
+    float32 while ``L*127*1017 < 2**24`` and in float64 beyond.  ``L`` is a
+    shape entry, a Python int: ``uint16 * 127`` would wrap under NEP 50."""
+    if w_levels.dtype not in (np.int16, np.int8):
+        raise ValueError(f"right operand must be int16 levels or int8 codes, got {w_levels.dtype}")
+    exact = np.float32 if w_levels.shape[-1] * 127 * 1017 < 2 ** 24 else np.float64
+    return np.asarray(x_codes).astype(exact) @ np.swapaxes(w_levels, -1, -2).astype(exact)
+
+
 def fused_dot(x_codes, x_scales, w_levels, w_scales) -> np.ndarray:
     """Fused products of INT8 activation groups with 4-bit or INT8 groups.
 
@@ -93,11 +112,7 @@ def fused_dot(x_codes, x_scales, w_levels, w_scales) -> np.ndarray:
     ``(..., M, N)`` (``(N,)`` for one group): each pair's exact integer
     ``psum1*a + psum2`` times ``x_scale * w_scale``.
     """
-    w_levels = np.asarray(w_levels)
-    if w_levels.dtype not in (np.int16, np.int8):
-        raise ValueError(f"right operand must be int16 levels or int8 codes, got {w_levels.dtype}")
-    exact = np.float32 if w_levels.shape[-1] * 127 * 1017 < 2 ** 24 else np.float64
-    psum = np.asarray(x_codes).astype(exact) @ np.swapaxes(w_levels, -1, -2).astype(exact)
+    psum = _exact_psums(x_codes, np.asarray(w_levels))
     x_scales, w_scales = np.asarray(x_scales), np.asarray(w_scales)
     if np.ndim(x_codes) > 1:   # one scale product per (row, column) pair
         x_scales, w_scales = x_scales[..., None], w_scales[..., None, :]
@@ -107,13 +122,31 @@ def fused_dot(x_codes, x_scales, w_levels, w_scales) -> np.ndarray:
 def grouped_dot(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
     """Sum over groups of :func:`fused_dot`, ``(..., M, N)`` float64, of
     codes and levels ``(..., M|N, n_groups, G)`` with scales ``(..., M|N,
-    n_groups)``.  Group g is cut to ``lengths[g]`` elements; groups add in
-    ascending order into zeros.  The loop is a cache tile: each call
-    converts one group's levels, not the whole operand's."""
-    out = np.zeros(x_codes.shape[:-2] + w_levels.shape[-3:-2])
-    for g, length in enumerate(lengths):
-        out += fused_dot(x_codes[..., g, :length], x_scales[..., g],
-                         w_levels[..., g, :length], w_scales[..., g])
+    n_groups)``; leading axes broadcast.  Group g is cut to ``lengths[g]``
+    elements; groups add in ascending order into zeros, in place (see the
+    module docstring), so the result equals those ``fused_dot`` calls added
+    one by one, bit for bit.  The loop is a cache tile: each group converts
+    only its own levels.
+
+    With one row per batch entry the scale product is a row times one
+    number, a broadcast multiply.  With more rows it is ``einsum``'s outer
+    product: numpy's broadcast multiply buffers the column operand and took
+    twice as long over rows shorter than 4,096, while ``einsum`` costs about
+    2 us more per call, which one-row decode steps would pay per group.
+    """
+    batch = x_codes.shape[:-3]
+    if batch != w_levels.shape[:-3]:   # np.broadcast_shapes alone costs about 4 us
+        batch = np.broadcast_shapes(batch, w_levels.shape[:-3])
+    out = np.zeros(batch + (x_codes.shape[-3], w_levels.shape[-3]))
+    scale = np.empty_like(out)
+    for g, length in enumerate(np.asarray(lengths).tolist()):
+        psum = _exact_psums(x_codes[..., g, :length], w_levels[..., g, :length])
+        if out.shape[-2] == 1:
+            np.multiply(x_scales[..., g, None], w_scales[..., None, :, g], out=scale)
+        else:
+            np.einsum("...i,...j->...ij", x_scales[..., g], w_scales[..., g], out=scale)
+        scale *= psum
+        out += scale
     return out
 
 
@@ -134,8 +167,8 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
         raise ValueError("operands must be grouped along the shared accumulation axis")
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
-    return grouped_dot(x_q.levels, x_q.scales, w_q.levels, w_q.scales,
-                       group_lengths(x_q.axis_length, x_q.group_size))
+    return grouped_dot(x_q.levels, np.asfortranarray(x_q.scales), w_q.levels,
+                       np.asfortranarray(w_q.scales), group_lengths(x_q.axis_length, x_q.group_size))
 
 
 def dequantized_gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:

@@ -10,6 +10,7 @@ from mant.codec import (
     SIGN_BIT,
     QuantizedTensor,
     code_values,
+    group_lengths,
     quantize_activation_tensor,
     quantize_weight_tensor,
 )
@@ -284,7 +285,8 @@ class TestFusedDot:
 class TestExactnessBound:
     """``grouped_dot`` on levels against an oracle that multiplies the
     ``code_values`` levels in float64, at the magnitudes that reach the
-    float32 bound (L * 127 * 1017 < 2**24 up to L = 129)."""
+    float32 bound (L * 127 * 1017 < 2**24 up to L = 129), with lengths as a
+    list and as ``group_lengths``' uint16 array."""
 
     @pytest.mark.parametrize("length", list(range(1, 131)))
     def test_worst_case_magnitudes(self, length):
@@ -309,6 +311,10 @@ class TestExactnessBound:
                 levels[..., g, :].astype(np.float64), -1, -2)
             oracle += psum * (x_scales[..., g][..., None] * w_scales[..., g][..., None, :])
         out = grouped_dot(x_codes, x_scales, levels, w_scales, lengths)
+        assert out.tobytes() == oracle.tobytes()
+        # the uint16 lengths callers pass: a bound computed in uint16 wraps at L = 130
+        out = grouped_dot(x_codes, x_scales, levels, w_scales,
+                          group_lengths(n_groups * length, length))
         assert out.tobytes() == oracle.tobytes()
         assert abs(x_codes[0, 0, 0].astype(np.int64) @ levels[0, 0, 0]) == length * 127 * 1017
 

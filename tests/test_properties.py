@@ -34,7 +34,7 @@ from mant.codec import (
     to_groups,
 )
 from mant.container import read_quantized, write_quantized
-from mant.gemm import combine, fused_dot, fused_group_dot, gemm
+from mant.gemm import combine, fused_dot, fused_group_dot, gemm, grouped_dot
 from mant.grid import build_grid
 from mant.kvcache import KvCache
 from mant.selection import (
@@ -776,6 +776,54 @@ def test_stacked_fused_dot_matches_per_head_calls(heads, m, n, length, seed):
     assert same_bits(stacked[:, 0], np.array([fused_dot(x_codes[h, 0], x_scales[h, 0], levels[h],
                                                         scales[h])
                                               for h in range(heads)]))
+
+
+# scale layouts grouped_dot sees: row-major, column-major (gemm) and transposed
+# views (attention's swapaxes of the key store)
+SCALE_LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+                 "view": lambda a: np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(SCALE_LAYOUTS)),
+       st.sampled_from([((), ()), ((3,), (3,)), ((), (2,)), ((2,), ()), ((2, 1), (3,))]),
+       st.integers(1, 5), st.integers(1, 6), st.integers(0, 3),
+       st.sampled_from([1, 8, 64, 129, 130, 192]), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example("F", ((), ()), 1, 4, 2, 192, True, True, False, 0)
+@example("view", ((2,), (2,)), 3, 5, 0, 64, False, False, False, 1)
+@example("C", ((), (4,)), 3, 5, 2, 8, True, False, False, 4)   # codes (3, 2, 8), levels (4, 5, 2, 8)
+def test_grouped_dot_is_ascending_sum_of_fused_dots(layout, batches, m, n, n_groups, group_size,
+                                                    tail, underflow, int8, seed):
+    """``grouped_dot`` equals its groups' ``fused_dot`` calls added into
+    zeros in ascending order, bit for bit: with leading axes that broadcast,
+    tail groups, no groups, groups past the 129 elements whose products stay
+    exact in float32, and scale products that underflow to 0 against
+    negative psums, where the sum stays ``+0.0``."""
+    rng = np.random.default_rng(seed)
+    x_batch, w_batch = batches
+    x_codes = rng.integers(-127, 128, x_batch + (m, n_groups, group_size)).astype(np.int8)
+    if int8:
+        levels = rng.integers(-127, 128, w_batch + (n, n_groups, group_size)).astype(np.int8)
+    else:
+        codes = rng.integers(0, 16, w_batch + (n, n_groups, group_size)).astype(np.uint8)
+        coeffs = rng.choice(np.arange(INT4_COEFF + 1), w_batch + (n, n_groups)).astype(np.uint8)
+        levels = code_values(codes, coeffs)
+    # scale products near 1e-340 underflow to 0; otherwise they span 1e-16..1e12
+    low, high = (-171, -169) if underflow else (-8, 6)
+    x_scales = SCALE_LAYOUTS[layout](10.0 ** rng.uniform(low, high, x_batch + (m, n_groups)))
+    w_scales = SCALE_LAYOUTS[layout](10.0 ** rng.uniform(low, high, w_batch + (n, n_groups)))
+    lengths = [group_size] * n_groups
+    if tail and n_groups:
+        lengths[-1] = int(rng.integers(1, group_size + 1))
+    expected = np.zeros(np.broadcast_shapes(x_batch, w_batch) + (m, n))
+    for g, length in enumerate(lengths):
+        expected += fused_dot(x_codes[..., g, :length], x_scales[..., g],
+                              levels[..., g, :length], w_scales[..., g])
+    out = grouped_dot(x_codes, x_scales, levels, w_scales, np.array(lengths, dtype=np.uint16))
+    assert same_bits(out, expected)
+    if underflow:
+        assert not np.signbit(out).any() and not out.any()
 
 
 @SETTINGS

@@ -4,7 +4,7 @@ Run it on two trees on the same machine and compare the lines:
 
     PYTHONPATH=src python3 tools/output_digest.py
 
-It prints 28 lines, each a name and the first 16 hex digits of a sha256:
+It prints 29 lines, each a name and the first 16 hex digits of a sha256:
 
 * ``attention decode ...`` and ``attention prompt ...``: two lines per
   ``run_toy_attention`` case.  The decode line hashes ``step_outputs``,
@@ -16,6 +16,12 @@ It prints 28 lines, each a name and the first 16 hex digits of a sha256:
 * ``gemm mant4`` and ``gemm int8``: ``gemm`` outputs over several shapes,
   group sizes with tail groups and zero rows, with mixed 4-bit weights
   (adaptive and INT4 coefficients) and with INT8 weights;
+* ``gemm extremes``: ``gemm`` and ``grouped_dot`` outputs at M = 1, with
+  192-element groups (past the 129 whose products stay exact in float32)
+  and tails, and with rows and columns near 1e-165 whose scale products
+  underflow to 0 against psums of both signs; ``grouped_dot`` takes the
+  scales row-major, column-major and as transposed views, with 4-bit and
+  INT8 right operands, and with the rows split over a leading batch axis;
 * ``kv coefficients``: the key and flushed-value coefficient arrays of
   caches streamed (prefill, then decode steps) under fixed variance tables,
   over geometries with tail key groups, then the ``calibration_tables`` JSON
@@ -81,8 +87,9 @@ from mant.attention import (AttentionPolicies, calibration_tables, run_toy_atten
                             synthesize_stream)
 from mant.cli import main
 from mant.container import write_quantized
-from mant.codec import (INT4_COEFF, encode_groups, magnitude_values, quantize_activation_group,
-                        quantize_activation_tensor, quantize_weight_group, quantize_weight_tensor)
+from mant.codec import (INT4_COEFF, encode_groups, group_lengths, magnitude_values,
+                        quantize_activation_group, quantize_activation_tensor,
+                        quantize_weight_group, quantize_weight_tensor)
 from mant.grid import CURVE_KINDS, fit_coefficient, reference_curve
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import CandidateSet, select_weight_coefficient, table_from_probe_means
@@ -110,6 +117,8 @@ KV_DECODE_MODEL_SEED = 20250226   # bench/workloads.py MODEL_SEED
 # (M, K, N, group size): tails at K % G != 0, one-element groups, M = 1
 GEMM_SHAPES = ((1, 64, 16, 64), (5, 200, 7, 64), (8, 130, 9, 130), (3, 100, 11, 32),
                (4, 37, 5, 1), (16, 384, 48, 64), (2, 257, 3, 128))
+# (M, K, N, group size) of ``gemm extremes``: one row, 192-element groups, tails
+GEMM_EXTREME_SHAPES = ((1, 4096, 64, 64), (1, 400, 9, 192), (24, 400, 9, 192), (8, 130, 5, 64))
 
 # (prompt, decode steps, heads, head_dim, group size): tail key groups at 48/32 and 100/64
 KV_STREAMS = ((40, 90, 3, 48, 32), (70, 130, 2, 100, 64))
@@ -161,6 +170,34 @@ def gemm_digests():
         int8.update(int8_gemm(x_q, quantize_activation_tensor(w, 0, group_size)).tobytes())
     yield "gemm mant4", short(mant4)
     yield "gemm int8", short(int8)
+    yield "gemm extremes", gemm_extremes_digest()
+
+
+def gemm_extremes_digest() -> str:
+    rng = np.random.default_rng(2026)
+    h = hashlib.sha256()
+    for m, k, n, group_size in GEMM_EXTREME_SHAPES:
+        x = rng.standard_normal((m, k))
+        w = rng.standard_normal((k, n))
+        x[0] *= 1e-165      # with w's tiny column, scale products below the
+        w[:, -1] *= 1e-165  # smallest subnormal: each group adds -0.0 or +0.0
+        x_q = quantize_activation_tensor(x, 1, group_size)
+        n_groups = -(-k // group_size)
+        coeffs = rng.choice(np.r_[np.arange(0, 128, 5), 128], (n, n_groups)).astype(np.uint8)
+        lengths = group_lengths(k, group_size)
+        for w_q in (quantize_weight_tensor(w, coeffs, 0, group_size),
+                    quantize_activation_tensor(w, 0, group_size)):
+            h.update(gemm_module.gemm(x_q, w_q).tobytes())
+            for layout in (np.ascontiguousarray, np.asfortranarray,
+                           lambda a: np.ascontiguousarray(a.T).T):
+                h.update(gemm_module.grouped_dot(x_q.levels, layout(x_q.scales), w_q.levels,
+                                                 layout(w_q.scales), lengths).tobytes())
+            if m % 2 == 0:   # two batch entries of m/2 rows each
+                h.update(gemm_module.grouped_dot(
+                    x_q.levels.reshape((2, m // 2) + x_q.levels.shape[1:]),
+                    x_q.scales.reshape(2, m // 2, -1), w_q.levels[None], w_q.scales[None],
+                    lengths).tobytes())
+    return short(h)
 
 
 def kv_growth_digest():
