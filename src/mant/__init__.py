@@ -37,13 +37,7 @@ from .container import (
     write_quantized,
     write_tensor,
 )
-from .gemm import (
-    GroupDotResult,
-    combine,
-    dequantized_gemm,
-    fused_group_dot,
-    gemm,
-)
+from .gemm import dequantized_gemm, gemm
 from .selection import (
     CalibrationConfig,
     CandidateSet,
@@ -70,10 +64,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayConfig", "AttentionPolicies", "CalibrationConfig", "CandidateSet",
     "ContainerError", "CostModel", "DEFAULT_GROUP_SIZE", "DEFAULT_NF_EPSILON",
-    "GroupDotResult", "INT4_COEFF", "INT8_COEFF", "KvCache", "MantGrid", "ProcessWindow",
+    "INT4_COEFF", "INT8_COEFF", "KvCache", "MantGrid", "ProcessWindow",
     "QuantizedTensor", "ReferenceCurve", "SimReport", "ToyAttentionReport", "VarianceTable",
-    "build_grid", "build_variance_table", "combine", "compare_configs", "dequantized_gemm",
-    "fit_coefficient", "fused_group_dot", "gemm", "load_quantized", "load_tensor",
+    "build_grid", "build_variance_table", "compare_configs", "dequantized_gemm",
+    "fit_coefficient", "gemm", "load_quantized", "load_tensor",
     "normalized_variance", "pack_codes", "probit", "quantize_activation_group",
     "quantize_activation_tensor", "quantize_weight_group", "quantize_weight_tensor",
     "read_quantized", "read_tensor", "reference_curve", "run_toy_attention",

@@ -19,7 +19,7 @@ import numpy as np
 from .codec import (DEFAULT_GROUP_SIZE, encode_int8, group_lengths, quantize_activation_tensor,
                     split_runs, to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
-from .gemm import fused_dot, grouped_dot
+from .gemm import grouped_dot
 from .kvcache import KvCache
 from .selection import MIN_CALIBRATION_GROUPS, CandidateSet, VarianceTable, build_variance_table
 
@@ -140,9 +140,9 @@ def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.n
     """Fused probability-value product ``(heads, rows, head_dim)`` of
     probability rows ``(heads, rows, ...)`` over tokens [0, upto): one
     :func:`grouped_dot` over the flushed value blocks' levels on the 4-bit
-    path, then one :func:`fused_dot` over the window's INT8 rows under their
-    channel scales.
-    """
+    path, then one over the window's INT8 rows as a group under their
+    channel scales; the first sum is never ``-0.0``, so the two add up to
+    the bits of one fold over both."""
     group_size, flushed = cache.group_size, cache.flushed_tokens
     # (heads, head_dim, blocks, G): block b is group b of every channel
     v_scales, v_levels = (a.reshape((cache.heads, cache.head_dim) + a.shape[1:])
@@ -151,9 +151,9 @@ def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.n
                       group_lengths(min(upto, flushed), group_size))
     if upto > flushed:
         b, length = flushed // group_size, upto - flushed
-        out += fused_dot(p_codes[:, :, b, :length], p_scales[:, :, b],
-                         cache.windows.staged[:length].transpose(1, 2, 0),
-                         cache.windows.channel_scales)
+        out += grouped_dot(p_codes[:, :, b:b + 1], p_scales[:, :, b:b + 1],
+                           cache.windows.staged[:length].transpose(1, 2, 0)[:, :, None],
+                           cache.windows.channel_scales[:, :, None], (length,))
     return out
 
 

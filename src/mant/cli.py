@@ -292,7 +292,10 @@ def cmd_sim(args) -> int:
     layers = _read_json(args.workload, _parse_workload)
     configs = [_read_json(path, lambda text: _parse_sim_config(text, os.path.basename(path)))
                for path in args.config]
-    comparison = compare_configs(layers, configs)
+    try:
+        comparison = compare_configs(layers, configs)
+    except OverflowError as exc:   # a count past the float range, such as from M = 1e308
+        raise ValueError(f"{args.workload}: workload too large for the model: {exc}") from exc
     if args.format == "json":
         text = json.dumps(comparison, indent=2) + "\n"
     else:

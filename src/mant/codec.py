@@ -5,13 +5,15 @@ adaptive grid (or, via a sentinel coefficient, to plain signed INT4);
 activation groups are encoded to symmetric INT8.  Every group carries a
 scaling factor and its coefficient as metadata.
 
-Three batched kernels do all the work on zero-padded groups ``(..., G)``
-with per-group metadata ``(...)``: :func:`encode_levels` (4-bit),
+Two batched encoders do all the work on zero-padded groups ``(..., G)``
+with per-group metadata ``(...)``: :func:`encode_levels` (4-bit) and
 :func:`encode_int8` (which rounds by :func:`round_int8`, the one INT8
-rule) and :func:`decode_groups`.  Tensor codecs call them once per tensor
-and return a :class:`QuantizedTensor`; the single-group functions are the
-tensor codecs on a one-group tensor.  A tensor keeps one array per code,
-its pre-scale value (``levels``, see :func:`code_values`), and derives codes.
+rule).  Tensor codecs call them once per tensor and return a
+:class:`QuantizedTensor`; the single-group functions are the tensor codecs
+on a one-group tensor.  A tensor keeps one array per code, its pre-scale
+value (``levels``), and decodes by scaling it.  Nibbles exist only at the
+file boundary: ``QuantizedTensor.codes`` for the writer, :func:`code_values`
+for the reader.
 
 The 4-bit encoder rounds ``x = |value| / scale`` to the nearest grid
 magnitude, the smaller one on a tie: the one above as many midpoints as
@@ -21,8 +23,7 @@ from a table indexed by coefficient and ``ceil(2x)`` gives each level.
 Each table row covers ``2x <= 3 * top``, the most a subnormal scale's
 rounding allows.  The sign comes from ``value < 0``: ``-0.0`` stays
 positive, a negative value whose ``x`` underflows to 0 keeps its sign, and
-a zero-scale group drops its signs.  :func:`encode_groups` is the same
-encoder in nibbles, derived from the levels.
+a zero-scale group drops its signs.
 
 Code layout: a 4-bit code is one byte holding ``sign << 3 | magnitude``
 (sign bit 1 means negative).  Two codes pack into one payload byte, low
@@ -49,7 +50,6 @@ INT4_COEFF = 128
 INT8_COEFF = 255
 
 SIGN_BIT = 0x8
-MAGNITUDE_MASK = 0x7
 
 KIND_MANT4 = "mant4"
 KIND_INT8 = "int8"
@@ -179,12 +179,6 @@ def encode_levels(groups, coefficients):
     return levels, scales
 
 
-def encode_groups(groups, coefficients):
-    """:func:`encode_levels` as uint8 nibbles ``sign << 3 | magnitude`` and scales."""
-    levels, scales = encode_levels(groups, coefficients)
-    return _level_nibbles(levels, coefficients), scales
-
-
 def _level_nibbles(levels, coefficients) -> np.ndarray:
     """Nibbles of 4-bit levels under their coefficients (0xFF for a level off its grid)."""
     rows = _mant4_coefficients(coefficients)[..., None] * _CODE_NIBBLES.shape[1] + _LEVEL_OFFSET
@@ -205,16 +199,6 @@ def encode_int8(groups):
     _check_finite(groups)
     scales = np.abs(groups).max(axis=-1, initial=0.0) / 127.0
     return round_int8(groups / np.where(scales == 0.0, 1.0, scales)[..., None]), scales
-
-
-def decode_groups(codes, coefficients, scales) -> np.ndarray:
-    """Decode groups ``(..., G)`` back to reals; coefficients and scales hold
-    one value for all groups or one per group.
-
-    Each uint8 nibble's :func:`code_values` level on its group's grid, times
-    the group's scale.  Zero-scale groups decode to zeros.
-    """
-    return _scale_levels(code_values(codes, coefficients), scales)
 
 
 def _scale_levels(levels, scales) -> np.ndarray:
@@ -238,7 +222,7 @@ def _group(values) -> np.ndarray:
 
 def quantize_weight_group(values, a: int) -> QuantizedTensor:
     """One group of reals as a one-group 4-bit tensor on the grid of ``a``;
-    see :func:`encode_groups` for the scale and the rounding."""
+    see :func:`encode_levels` for the scale and the rounding."""
     values = _group(values)
     return quantize_weight_tensor(values, a, 0, values.size)
 

@@ -27,6 +27,7 @@ never reads back what it just wrote.
 from __future__ import annotations
 
 import dataclasses
+import io
 import logging
 import math
 import struct
@@ -65,6 +66,12 @@ class ContainerError(ValueError):
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
+    """``n`` bytes of seekable ``fh``, refused before the read if fewer are left."""
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if n > left:
+        raise ContainerError(f"truncated container: wanted {n} bytes, {left} left")
     data = fh.read(n)
     if len(data) != n:
         raise ContainerError(f"truncated container: wanted {n} bytes, got {len(data)}")
@@ -175,8 +182,9 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
             r, g = np.argwhere(bad)[0]
             raise ContainerError(f"group ({r},{g}) {name} {values[r, g]} {problem}")
 
+    # the payload is read first: laying out its slots takes a byte or more per code
+    blob = _read_exact(fh, n_rows * int(packed_group_bytes(kind, expected.astype(np.int64)).sum()))
     index, live, row_slots = _payload_slots(kind, expected, group_size)
-    blob = _read_exact(fh, n_rows * packed_group_bytes(kind, row_slots))
     slots = (unpack_codes(blob, n_rows * row_slots) if kind == KIND_MANT4
              else np.frombuffer(blob, dtype=np.uint8)).reshape(n_rows, row_slots)
     # an odd-length 4-bit group ends on a pad nibble, which would write back as 0

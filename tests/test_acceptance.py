@@ -18,7 +18,7 @@ from mant.codec import (
     quantize_weight_group,
     quantize_weight_tensor,
 )
-from mant.gemm import dequantized_gemm, fused_group_dot, gemm
+from mant.gemm import dequantized_gemm, gemm
 from mant.grid import build_grid, fit_coefficient, reference_curve
 from mant.kvcache import ProcessWindow
 from mant.selection import (
@@ -29,6 +29,7 @@ from mant.selection import (
     table_from_probe_means,
 )
 from mant.simulator import simulate_attention, simulate_gemm
+from oracles import fused_group_dot
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

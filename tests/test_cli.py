@@ -572,6 +572,21 @@ class TestSim:
         assert code == 2
         assert err.splitlines() == [f"error: {bad}: layer 0: {message}"]
 
+    @pytest.mark.parametrize("layer,config", [
+        ({"kind": "gemm", "M": 1e308, "K": 64, "N": 64}, {}),
+        ({"kind": "gemm", "M": 64, "K": 64, "N": 64}, {"dram_bandwidth": 1e-308}),
+    ], ids=["bytes", "cycles"])
+    def test_counts_past_float_range_exit_2(self, capsys, tmp_path, layer, config):
+        # the DRAM floor's byte count or cycle count once ended in an OverflowError
+        workload, config_path = tmp_path / "big.json", tmp_path / "c.json"
+        workload.write_text(json.dumps({"layers": [layer]}))
+        config_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "sim", "--workload", str(workload),
+                               "--config", str(config_path))
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {workload}: workload too large for the model: ")
+
     def test_schema_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"layers": [{"M": 4}]}))

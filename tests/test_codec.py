@@ -11,8 +11,7 @@ from mant.codec import (
     SIGN_BIT,
     QuantizedTensor,
     code_values,
-    decode_groups,
-    encode_groups,
+    encode_levels,
     magnitude_values,
     pack_codes,
     quantize_activation_group,
@@ -21,6 +20,7 @@ from mant.codec import (
     quantize_weight_tensor,
     unpack_codes,
 )
+from oracles import encode_nibbles
 
 
 def brute_force_codes(values, a, scale):
@@ -134,11 +134,11 @@ class TestQuantizeWeightGroup:
 
     def test_non_integer_coefficients_refused_by_every_codec(self):
         g = np.arange(8.0)
-        for call in (lambda: encode_groups(g, True),
-                     lambda: encode_groups(g[None], np.array([np.nan])),
+        for call in (lambda: encode_levels(g, True),
+                     lambda: encode_levels(g[None], np.array([np.nan])),
                      lambda: quantize_weight_tensor(np.ones((64, 2)), [[40.7], [3.2]]),
                      # a list mixing booleans into integers converts to an int array
-                     lambda: encode_groups(np.ones((2, 8)), [True, 3]),
+                     lambda: encode_levels(np.ones((2, 8)), [True, 3]),
                      lambda: quantize_weight_tensor(np.ones((64, 2)), [[3, np.True_]]),
                      lambda: magnitude_values(40.7)):
             with pytest.raises(ValueError, match="integer"):
@@ -187,28 +187,37 @@ class TestQuantizeActivationGroup:
             quantize_activation_group([np.inf])
 
 
+def decoded_group(nibbles, a, scale):
+    """The values of one 4-bit group of ``nibbles`` under coefficient ``a``
+    and ``scale``, decoded by ``QuantizedTensor.dequantize``."""
+    qt = QuantizedTensor(nibbles.shape, KIND_MANT4, 0, nibbles.size,
+                         code_values(nibbles, a)[None, None], np.full((1, 1), scale),
+                         np.full((1, 1), a, dtype=np.uint8))
+    return qt.dequantize()
+
+
 class TestDequantizeGroup:
     def test_pre_scale_values(self):
         # sign * (a*m + 2**m): -(17*3 + 8) and +(0 + 1)
         assert code_values(np.array([SIGN_BIT | 3, 0], dtype=np.uint8), 17).tolist() == [-59, 1]
 
     def test_mant_example(self):
-        decoded = decode_groups(np.array([SIGN_BIT | 3], dtype=np.uint8), 17, 0.1)
+        decoded = decoded_group(np.array([SIGN_BIT | 3], dtype=np.uint8), 17, 0.1)
         assert decoded[0] == pytest.approx(-5.9)
 
     def test_zero_scale(self):
-        assert decode_groups(np.array([0], dtype=np.uint8), 40, 0.0)[0] == 0.0
+        assert decoded_group(np.array([0], dtype=np.uint8), 40, 0.0)[0] == 0.0
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
-            decode_groups(np.array([1], dtype=np.int8), 17, 1.0)
+            code_values(np.array([1], dtype=np.int8), 17)
         with pytest.raises(ValueError):
-            decode_groups(np.array([1], dtype=np.uint8), INT8_COEFF, 1.0)
+            code_values(np.array([1], dtype=np.uint8), INT8_COEFF)
 
     def test_oversized_code(self):
         # code 16 must not read the next coefficient's table row
         with pytest.raises(ValueError, match="exceed 4 bits"):
-            decode_groups(np.array([3, 16], dtype=np.uint8), 17, 1.0)
+            code_values(np.array([3, 16], dtype=np.uint8), 17)
 
     def test_fixed_point_exactness(self):
         rng = np.random.default_rng(9)
@@ -232,7 +241,7 @@ class TestCodesOfLevels:
         coeffs = np.arange(INT4_COEFF + 1, dtype=np.uint8)[:, None]
         levels = code_values(nibbles, coeffs)
         # each group holds its grid's top level, so the encoder emits these nibbles
-        assert np.array_equal(encode_groups(levels, coeffs)[0], nibbles)
+        assert np.array_equal(encode_nibbles(levels, coeffs)[0], nibbles)
         qt = QuantizedTensor((INT4_COEFF + 1, 16), KIND_MANT4, 1, 16, levels,
                              np.ones(coeffs.shape), coeffs)
         codes = qt.codes
@@ -331,11 +340,11 @@ class TestEncodeGroupsCoefficientShapes:
     def test_broadcasting_shapes_match_per_group(self, shape):
         coeffs = np.random.default_rng(24).choice([0, 17, 60, INT4_COEFF], shape)
         full = np.broadcast_to(coeffs, self.GROUPS.shape[:-1])
-        for got, want in zip(encode_groups(self.GROUPS, coeffs), encode_groups(self.GROUPS, full)):
+        for got, want in zip(encode_levels(self.GROUPS, coeffs), encode_levels(self.GROUPS, full)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(4,), (3,), (2, 5), (4, 5, 1), (1, 4, 5), (2, 4, 5)])
     def test_other_shapes_rejected(self, shape):
         # (4,) does not broadcast to (4, 5); (1, 4, 5) would broadcast to a larger lead shape
         with pytest.raises(ValueError, match="does not broadcast"):
-            encode_groups(self.GROUPS, np.zeros(shape, dtype=np.uint8))
+            encode_levels(self.GROUPS, np.zeros(shape, dtype=np.uint8))

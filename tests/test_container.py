@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -186,6 +187,53 @@ class TestQuantizedContainer:
         blob = quantized_bytes(quantize_weight_tensor(rng.standard_normal((64, 2)), 17, 0, 64))
         with pytest.raises(ContainerError):
             read_quantized(io.BytesIO(blob + b"\x00"))
+
+
+# headers whose dims (group size 1) claim far more bytes than follow them:
+# 2**40 x 2**40 once overflowed read(); 2**20 x 2**20 claims terabytes
+# below 2**63, which read() on a file would try to allocate
+OVERSIZE_DIMS = [(2 ** 40, 2 ** 40), (2 ** 20, 2 ** 20)]
+
+
+def oversize_header(magic, dims) -> bytes:
+    if magic == container.QUANT_MAGIC:   # 4-bit codes, group size 1, group axis 0
+        return magic + struct.pack("<HBHB2QB", 1, 0, 1, 2, *dims, 0) + b"\x00" * 64
+    return magic + struct.pack("<HBB2Q", 1, 0, 2, *dims) + b"\x00" * 64
+
+
+class TestOversizeHeaders:
+    """A header's byte count is checked against the bytes left in the stream
+    before the read, and fails as a ContainerError."""
+
+    @pytest.mark.parametrize("dims", OVERSIZE_DIMS)
+    @pytest.mark.parametrize("magic,read", [(container.QUANT_MAGIC, read_quantized),
+                                            (container.TENSOR_MAGIC, read_tensor)],
+                             ids=["mntq", "mntt"])
+    def test_reader_refuses(self, magic, read, dims):
+        with pytest.raises(ContainerError, match=r"wanted \d+ bytes, 64 left"):
+            read(io.BytesIO(oversize_header(magic, dims)))
+
+    def test_missing_payload_refused_before_slots(self, monkeypatch):
+        # the slots take a byte or more per code, so a header that claims a payload
+        # the stream lacks fails before they are laid out
+        qt = quantize_weight_tensor(np.ones((64, 3)), 17, 0, 64)
+        blob = quantized_bytes(qt)[:-3 * 32]   # records intact, payload gone
+        monkeypatch.setattr(container, "_payload_slots", lambda *args: pytest.fail("slots"))
+        with pytest.raises(ContainerError, match="wanted 96 bytes, 0 left"):
+            read_quantized(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("dims", OVERSIZE_DIMS)
+    @pytest.mark.parametrize("magic,command", [
+        (container.QUANT_MAGIC, ["dequantize", "--input"]),
+        (container.TENSOR_MAGIC, ["quantize", "--role", "weight", "--tensor"]),
+    ], ids=["dequantize", "quantize"])
+    def test_cli_exits_2(self, tmp_path, capsys, magic, command, dims):
+        path, out = tmp_path / "big.bin", tmp_path / "out.bin"
+        path.write_bytes(oversize_header(magic, dims))
+        assert main(command + [str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: truncated container: wanted")
+        assert not out.exists()
 
 
 class TestRandomizedRoundTrips:

@@ -14,15 +14,8 @@ from mant.codec import (
     quantize_activation_tensor,
     quantize_weight_tensor,
 )
-from mant.gemm import (
-    GroupDotResult,
-    combine,
-    dequantized_gemm,
-    fused_dot,
-    fused_group_dot,
-    gemm,
-    grouped_dot,
-)
+from mant.gemm import dequantized_gemm, gemm, grouped_dot
+from oracles import GroupDotResult, combine, fused_group_dot
 
 
 def multiply_oracle(x, w_nibbles):
@@ -38,6 +31,9 @@ def multiply_oracle(x, w_nibbles):
 
 
 class TestFusedGroupDot:
+    """The scalar two-lane reference (``tests/oracles.py``) against
+    multiplication and the grids' levels."""
+
     def test_worked_example(self):
         res = fused_group_dot([3, -2], [0x1, SIGN_BIT | 3])
         assert (res.psum1, res.psum2) == (9, 22)
@@ -226,8 +222,15 @@ def one_group_tensor(levels, kind, coefficient):
                            np.ones((1, 1)), np.full((1, 1), coefficient, np.uint8))
 
 
+def one_group_dot(x_codes, x_scale, w_levels, w_scales):
+    """``grouped_dot`` of one activation group ``(L,)`` against N groups
+    ``(N, L)``, as ``(N,)``: the window product's form."""
+    return grouped_dot(x_codes[None, None], np.full((1, 1), x_scale), w_levels[:, None],
+                       w_scales[:, None], (x_codes.size,))[0]
+
+
 class TestFusedDot:
-    """``fused_dot`` multiplies levels, so a code/coefficient pairing is
+    """The product multiplies levels, so a code/coefficient pairing is
     checked where levels are made, in ``code_values``, and where codes are
     derived from levels, in ``QuantizedTensor.codes``."""
 
@@ -267,18 +270,18 @@ class TestFusedDot:
     def test_operand_must_be_levels(self, dtype):
         # nibbles are not levels: a silent misread would be a wrong product
         with pytest.raises(ValueError, match="int16 levels or int8 codes"):
-            fused_dot(np.array([1, 1], dtype=np.int8), 1.0, np.array([[1, 2]], dtype=dtype),
-                      np.ones(1))
+            one_group_dot(np.array([1, 1], dtype=np.int8), 1.0, np.array([[1, 2]], dtype=dtype),
+                          np.ones(1))
 
     def test_int8_codes_are_their_own_values(self):
         codes = np.array([[127, -127, 3]], dtype=np.int8)
-        out = fused_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, codes, np.array([0.25]))
+        out = one_group_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, codes, np.array([0.25]))
         assert out[0] == (254 - 127 - 15) * 0.125
 
     def test_levels_of_nibbles(self):
         codes = np.array([[SIGN_BIT | 3, 0, 7]], dtype=np.uint8)
-        out = fused_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, code_values(codes, 17),
-                        np.array([0.25]))
+        out = one_group_dot(np.array([2, 1, -5], dtype=np.int8), 0.5, code_values(codes, 17),
+                            np.array([0.25]))
         assert out[0] == (2 * -59 + 1 * 1 - 5 * (17 * 7 + 128)) * 0.125
 
 
@@ -328,4 +331,4 @@ class TestExactnessBound:
         exact = int(x.astype(np.int64) @ levels[0].astype(np.int64))
         assert (exact > 2 ** 24 and exact % 2 == 1) == (length == 130)
         assert float(np.float32(exact)) != exact or length == 129
-        assert fused_dot(x, 1.0, levels, np.ones(1))[0] == float(exact)
+        assert one_group_dot(x, 1.0, levels, np.ones(1))[0] == float(exact)

@@ -4,10 +4,12 @@ reference loops.
 The reference functions below are the earlier per-group implementations
 (one scalar encoder call per group, struct-packed container records, a
 Python loop per cache token and channel, a scalar dot product per group
-pair, attention head by head and value block by value block).  Every check
-requires exact equality, bit for bit, but one: a block of attention query
-rows matches one-row calls to 1e-12 of its largest output, since softmax
-sums over masked rows add in a different order.
+pair, attention head by head and value block by value block); the scalar
+two-lane dot and the one-group fused product they use are in
+``tests/oracles.py``.  Every check requires exact equality, bit for bit,
+but one: a block of attention query rows matches one-row calls to 1e-12
+of its largest output, since softmax sums over masked rows add in a
+different order.
 """
 
 import io
@@ -25,7 +27,6 @@ from mant.codec import (
     KIND_MANT4,
     QuantizedTensor,
     code_values,
-    encode_groups,
     encode_int8,
     encode_levels,
     group_lengths,
@@ -34,7 +35,7 @@ from mant.codec import (
     to_groups,
 )
 from mant.container import read_quantized, write_quantized
-from mant.gemm import combine, fused_dot, fused_group_dot, gemm, grouped_dot
+from mant.gemm import gemm, grouped_dot
 from mant.grid import build_grid
 from mant.kvcache import KvCache
 from mant.selection import (
@@ -47,6 +48,7 @@ from mant.selection import (
     table_from_probe_means,
     variance_from_sums,
 )
+from oracles import combine, encode_nibbles, fused_dot, fused_group_dot
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -467,7 +469,7 @@ def test_encoder_ties_match_argmin_oracle():
     # every coefficient in one call over more than 16,384 values
     groups, coeffs = tie_groups()
     assert groups.size > 1 << 14
-    codes, scales = encode_groups(groups, coeffs)
+    codes, scales = encode_nibbles(groups, coeffs)
     refs = [ref_weight_group(group, int(a)) for group, a in zip(groups, coeffs)]
     assert same_bits(codes, np.array([ref_codes for ref_codes, _ in refs]))
     assert same_bits(scales, np.array([ref_scale for _, ref_scale in refs]))
@@ -525,7 +527,7 @@ def test_encoder_extremes_match_nearest_magnitude_oracle(groups):
                             for codes, _ in row] for a, row in enumerate(refs)]).astype(np.int16)
     assert same_bits(levels, ref_levels)
     assert same_bits(scales, np.array([[scale for _, scale in row] for row in refs]))
-    codes, nibble_scales = encode_groups(stack, coeffs)
+    codes, nibble_scales = encode_nibbles(stack, coeffs)
     assert same_bits(codes, ref_codes) and same_bits(nibble_scales, scales)
     assert same_bits(code_values(codes, coeffs), levels)
 

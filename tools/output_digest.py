@@ -39,12 +39,12 @@ It prints 29 lines, each a name and the first 16 hex digits of a sha256:
   ``quantize_weight_group`` (adaptive, INT4, all-zero and odd-length groups)
   and ``quantize_activation_group`` results, then of one multi-head
   ``ProcessWindow.flush`` block;
-* ``encoder ties``: codes and scales of one ``encode_groups`` call with
+* ``encoder ties``: codes and scales of one :func:`encode_nibbles` call with
   per-group coefficients over every coefficient's tie groups: its midpoints
   between adjacent magnitudes, the floats either side of each and every
   magnitude, with both signs, at power-of-two and other scales (the groups of
   ``tests/test_properties.py::test_encoder_ties_match_argmin_oracle``);
-* ``encoder extremes``: codes and scales of one ``encode_groups`` call
+* ``encoder extremes``: codes and scales of one :func:`encode_nibbles` call
   that stacks groups of six under all 129 coefficients: 1e300 beside
   1e-300 (where ``|v| / scale`` underflows to 0), groups whose scale
   flushes to 0 with nonzero values of both signs, subnormal scales that
@@ -87,7 +87,7 @@ from mant.attention import (AttentionPolicies, calibration_tables, run_toy_atten
                             synthesize_stream)
 from mant.cli import main
 from mant.container import write_quantized
-from mant.codec import (INT4_COEFF, encode_groups, group_lengths, magnitude_values,
+from mant.codec import (INT4_COEFF, _level_nibbles, encode_levels, group_lengths, magnitude_values,
                         quantize_activation_group, quantize_activation_tensor,
                         quantize_weight_group, quantize_weight_tensor)
 from mant.grid import CURVE_KINDS, fit_coefficient, reference_curve
@@ -282,6 +282,12 @@ def single_group_digest():
 TIE_SCALES = (2.0 ** -30, 0.5, 1.0, 2.0 ** 40, 0.1, 3.7, 1e5 / 3)
 
 
+def encode_nibbles(groups, coefficients):
+    """The 4-bit encoder's output as the nibbles a file stores, and scales."""
+    levels, scales = encode_levels(groups, coefficients)
+    return _level_nibbles(levels, coefficients), scales
+
+
 def encoder_ties_digest():
     groups, coeffs = [], []
     for a in range(INT4_COEFF + 1):
@@ -292,7 +298,7 @@ def encoder_ties_digest():
         for scale in TIE_SCALES:
             groups.append(np.concatenate([targets, -targets]) * scale)
             coeffs.append(a)
-    codes, scales = encode_groups(np.array(groups), np.array(coeffs, dtype=np.uint8))
+    codes, scales = encode_nibbles(np.array(groups), np.array(coeffs, dtype=np.uint8))
     h = hashlib.sha256(codes.tobytes())
     h.update(scales.tobytes())
     yield "encoder ties", short(h)
@@ -325,7 +331,7 @@ def encoder_extremes_digest():
     ])
     # every group under every grid, as the coefficient search stacks them
     coeffs = np.arange(INT4_COEFF + 1)[:, None]
-    codes, scales = encode_groups(np.broadcast_to(groups, (len(coeffs),) + groups.shape), coeffs)
+    codes, scales = encode_nibbles(np.broadcast_to(groups, (len(coeffs),) + groups.shape), coeffs)
     h = hashlib.sha256(codes.tobytes())
     h.update(scales.tobytes())
     yield "encoder extremes", short(h)
