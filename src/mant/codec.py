@@ -254,21 +254,24 @@ def unpack_codes(payload: bytes, count: int) -> np.ndarray:
     return codes[:count]
 
 
-def packed_group_bytes(kind: str, length):
-    """Payload bytes of a group of ``length`` elements (or of each length)."""
-    if kind == KIND_MANT4:
-        return (length + 1) // 2
-    if kind == KIND_INT8:
-        return length
-    raise ValueError(f"unknown element kind {kind!r}")
+def row_payload_bytes(axis_len: int, group_size: int, bits: int) -> int:
+    """Payload bytes of a row of ``axis_len`` codes of ``bits`` bits: its full
+    groups, each padded to whole bytes, then its tail."""
+    full, tail = divmod(axis_len, group_size)
+    return full * -(-group_size * bits // 8) + -(-tail * bits // 8)
 
 
 # -- grouping --------------------------------------------------------------------
 
+def _check_group_size(group_size) -> None:
+    if isinstance(group_size, bool) or not isinstance(group_size, (int, np.integer)) \
+            or not 1 <= group_size <= MAX_GROUP_SIZE:
+        raise ValueError(f"group size must be an integer in 1..{MAX_GROUP_SIZE}, got {group_size!r}")
+
+
 def group_lengths(axis_len: int, group_size: int) -> np.ndarray:
     """True length of each group along an axis of ``axis_len`` elements."""
-    if not isinstance(group_size, (int, np.integer)) or not 1 <= group_size <= MAX_GROUP_SIZE:
-        raise ValueError(f"group size must be an integer in 1..{MAX_GROUP_SIZE}, got {group_size!r}")
+    _check_group_size(group_size)
     n_groups = -(-axis_len // group_size)
     lengths = np.full(n_groups, group_size, dtype=np.uint16)
     lengths[n_groups - 1:] = axis_len - (n_groups - 1) * group_size
@@ -281,7 +284,8 @@ def split_runs(rows, group_size: int) -> list[np.ndarray]:
     length)``, if not empty.  Sums along a run's last axis add each group in
     the order a sum over it alone does; zero padding would change that."""
     rows = np.asarray(rows)
-    n_full = np.count_nonzero(group_lengths(rows.shape[-1], group_size) == group_size)
+    _check_group_size(group_size)
+    n_full = rows.shape[-1] // group_size
     split = n_full * group_size
     runs = (rows[..., :split].reshape(rows.shape[:-1] + (n_full, group_size)),
             rows[..., split:][..., None, :])
@@ -291,7 +295,8 @@ def split_runs(rows, group_size: int) -> list[np.ndarray]:
 def to_groups(rows, group_size: int) -> np.ndarray:
     """Zero-padded groups ``(..., n_groups, G)`` of the last axis of ``rows``."""
     rows = np.asarray(rows, dtype=np.float64)
-    n_groups = group_lengths(rows.shape[-1], group_size).size
+    _check_group_size(group_size)
+    n_groups = -(-rows.shape[-1] // group_size)
     if n_groups * group_size != rows.shape[-1]:
         padded = np.zeros(rows.shape[:-1] + (n_groups * group_size,))
         padded[..., :rows.shape[-1]] = rows

@@ -12,8 +12,9 @@ Quantized container (magic "MNTQ", little-endian):
         scale     u16 (IEEE binary16 bits)
         a         u8
         group_len u16
-    payload: packed codes per group in the same order, each group
-    byte-aligned (two 4-bit codes per byte, low nibble first).
+    payload: each row's full groups, each padded to whole bytes, then its
+    tail (two 4-bit codes per byte, low nibble first, so an odd-length
+    4-bit group ends on a zero pad nibble; INT8 codes one byte each).
 
 Raw tensor container (magic "MNTT"):
     magic 4s, version u16 (currently 1, versioned apart from MNTQ), dtype u8
@@ -46,7 +47,7 @@ from .codec import (
     code_values,
     group_lengths,
     pack_codes,
-    packed_group_bytes,
+    row_payload_bytes,
     unpack_codes,
 )
 
@@ -99,17 +100,6 @@ def half_losses(scales) -> tuple[int, int]:
 _RECORD = np.dtype([("scale", "<u2"), ("a", "u1"), ("length", "<u2")])
 
 
-def _payload_slots(kind: str, lengths: np.ndarray, group_size: int):
-    """Where each group's codes sit in a row's payload, counted in codes
-    (nibbles for 4-bit): the slot of every live (group, position), the
-    live mask over (group, position) and the slots a row spans."""
-    per_byte = 2 if kind == KIND_MANT4 else 1
-    group_bytes = packed_group_bytes(kind, lengths.astype(np.int64))
-    starts = per_byte * (np.cumsum(group_bytes) - group_bytes)
-    live = np.arange(group_size) < lengths[:, None]
-    return (starts[:, None] + np.arange(group_size))[live], live, per_byte * int(group_bytes.sum())
-
-
 def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     """Serialize a quantized tensor; scales are rounded to IEEE half, with a
     warning on the ``mant`` logger when some flush to 0 or clamp to 65504.
@@ -126,11 +116,15 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     records = np.empty(qt.scales.shape, dtype=_RECORD)
     records["scale"] = half_bits(qt.scales)
     records["a"] = qt.coefficients
-    lengths = group_lengths(qt.axis_length, qt.group_size)
-    records["length"] = lengths
-    index, live, row_slots = _payload_slots(qt.element_kind, lengths, qt.group_size)
-    slots = np.zeros((qt.n_rows, row_slots), dtype=np.uint8)   # INT8 codes as their bytes
-    slots[:, index] = qt.codes[:, live]
+    records["length"] = group_lengths(qt.axis_length, qt.group_size)
+    # slots are codes: nibbles for 4-bit, INT8 codes as their bytes
+    bits = 4 if qt.element_kind == KIND_MANT4 else 8
+    width = 8 // bits * row_payload_bytes(qt.group_size, qt.group_size, bits)
+    slots = np.zeros((qt.n_rows, qt.n_groups, width), dtype=np.uint8)
+    slots[:, :, :qt.group_size] = qt.codes
+    slots[:, -1:, qt.axis_length - (qt.n_groups - 1) * qt.group_size:] = 0
+    slots = slots.reshape(qt.n_rows, qt.n_groups * width)
+    slots = slots[:, :8 // bits * row_payload_bytes(qt.axis_length, qt.group_size, bits)]
     # every row holds an even number of nibbles, so packing the flat array
     # packs each row on its own
     payload = pack_codes(slots) if qt.element_kind == KIND_MANT4 else slots.tobytes()
@@ -165,15 +159,18 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
 
     axis_len = shape[group_axis]
     n_groups = -(-axis_len // group_size)
+    tail = axis_len - (n_groups - 1) * group_size
     n_rows = math.prod(d for i, d in enumerate(shape) if i != group_axis)
 
     records = np.frombuffer(_read_exact(fh, _RECORD.itemsize * n_rows * n_groups),
                             dtype=_RECORD).reshape(n_rows, n_groups)
-    expected = group_lengths(axis_len, group_size)
+    lengths = records["length"]
+    bad_length = lengths != group_size
+    bad_length[:, -1:] = lengths[:, -1:] != tail
     scales = records["scale"].view(np.float16).astype(np.float64)
     coeffs = records["a"]
     for bad, name, values, problem in (
-            (records["length"] != expected, "length", records["length"], "inconsistent with dims"),
+            (bad_length, "length", lengths, "inconsistent with dims"),
             # half bits below 0x7C00: sign clear and exponent not all ones
             (records["scale"] >= 0x7C00, "scale", scales, "is not finite and non-negative"),
             (coeffs > INT4_COEFF if kind == KIND_MANT4 else coeffs != INT8_COEFF,
@@ -182,21 +179,24 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
             r, g = np.argwhere(bad)[0]
             raise ContainerError(f"group ({r},{g}) {name} {values[r, g]} {problem}")
 
-    # the payload is read first: laying out its slots takes a byte or more per code
-    blob = _read_exact(fh, n_rows * int(packed_group_bytes(kind, expected.astype(np.int64)).sum()))
-    index, live, row_slots = _payload_slots(kind, expected, group_size)
-    slots = (unpack_codes(blob, n_rows * row_slots) if kind == KIND_MANT4
-             else np.frombuffer(blob, dtype=np.uint8)).reshape(n_rows, row_slots)
+    # the payload is read first: its slots take a byte or more per code
+    bits = 4 if kind == KIND_MANT4 else 8
+    row_bytes = row_payload_bytes(axis_len, group_size, bits)
+    blob = _read_exact(fh, n_rows * row_bytes)
+    width = 8 // bits * row_payload_bytes(group_size, group_size, bits)   # a full group's slots
+    row_slots = 8 // bits * row_bytes
+    slots = np.zeros((n_rows, n_groups * width), dtype=np.uint8)
+    slots[:, :row_slots] = (unpack_codes(blob, n_rows * row_slots) if kind == KIND_MANT4
+                            else np.frombuffer(blob, dtype=np.uint8)).reshape(n_rows, row_slots)
+    slots = slots.reshape(n_rows, n_groups, width)
     # an odd-length 4-bit group ends on a pad nibble, which would write back as 0
-    pad = np.ones(row_slots, dtype=bool)
-    pad[index] = False
-    bad = slots[:, pad] != 0
+    bad = slots[:, :, group_size:].any(axis=-1)
+    bad[:, -1:] = slots[:, -1:, tail:].any(axis=-1)
     if bad.any():
-        r, k = np.argwhere(bad)[0]
-        raise ContainerError(f"group ({r},{np.flatnonzero(expected % 2)[k]}) has pad nibble "
-                             f"{slots[r, pad][k]:#x}, not 0")
-    codes = np.zeros((n_rows, n_groups, group_size), dtype=np.uint8)
-    codes[:, live] = slots[:, index]
+        r, g = np.argwhere(bad)[0]
+        raise ContainerError(f"group ({r},{g}) has pad nibble "
+                             f"{slots[r, g, lengths[r, g]:].max():#x}, not 0")
+    codes = slots[:, :, :group_size]
     if fh.read(1):
         raise ContainerError("trailing bytes after payload")
     # INT4 code 8 is -0, which the encoder never writes: its level 0 would write back as 0

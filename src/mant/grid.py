@@ -68,7 +68,7 @@ def build_grid(a: int) -> MantGrid:
     Raises ValueError unless 0 <= a <= 127 (the coefficient is stored in a
     byte and larger values barely change the normalized shape).
     """
-    if not isinstance(a, (int, np.integer)):
+    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
         raise ValueError(f"coefficient must be an integer, got {a!r}")
     if not 0 <= a <= MAX_COEFFICIENT:
         raise ValueError(f"coefficient out of range [0, {MAX_COEFFICIENT}]: {a}")

@@ -34,9 +34,10 @@ between the two is charged to ``stream`` as a memory stall.  The temporal
 bookkeeping of the value-cache window adds no cycles (it is fully
 pipelined) but does count accumulator energy.
 
-Traffic counts payload plus per-group metadata at 3 bytes (half-precision
-scale + coefficient byte).  The ``metadata`` bucket covers stored tensors
-(weights, KV); streaming activation metadata rides in ``activations``.
+Traffic counts payload, the container's :func:`mant.codec.row_payload_bytes`
+per stored row, plus per-group metadata at 3 bytes (half-precision scale +
+coefficient byte).  The ``metadata`` bucket covers stored tensors (weights,
+KV); streaming activation metadata rides in ``activations``.
 
 Energy is relative (an 8-bit MAC is 1.0 by default); coefficients are
 configurable and documented as synthetic.  Buffer traffic assumes the
@@ -49,6 +50,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+
+from .codec import row_payload_bytes
 
 
 def _integer(value, name: str) -> int:
@@ -168,15 +171,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _packed_payload_bytes(axis_len: int, n_vectors: int, bits: int, group_size: int) -> int:
-    """Container payload bytes of n_vectors rows grouped along axis_len."""
-    full, tail = divmod(axis_len, group_size)
-    per_row = full * _ceil_div(group_size * bits, 8)
-    if tail:
-        per_row += _ceil_div(tail * bits, 8)
-    return n_vectors * per_row
-
-
 def _meta_bytes(axis_len: int, n_vectors: int, group_size: int) -> int:
     return 3 * n_vectors * _ceil_div(axis_len, group_size)
 
@@ -239,7 +233,7 @@ def simulate_gemm(m: int, k: int, n: int, config: ArrayConfig = ArrayConfig(),
     residual_per_pair = pair * m * max(0, config.divider_latency - k_iters)
     nonoverlapped = (n_pairs - 1) * residual_per_pair + config.divider_latency * m * last_pair_tiles
 
-    weights_payload = _packed_payload_bytes(k, n, config.weight_bits, g)
+    weights_payload = n * row_payload_bytes(k, g, config.weight_bits)
     weights_meta = _meta_bytes(k, n, g)
     acts_in = m * k + _meta_bytes(k, m, g)
     outs = m * n + _meta_bytes(n, m, g)
@@ -278,10 +272,10 @@ def simulate_attention(seq_len: int, heads: int, head_dim: int,
     drain = rounds * config.rqu_count
     nonoverlapped = 2 * config.divider_latency  # group scale + element division tail
 
-    k_cache = _packed_payload_bytes(head_dim, heads * seq_len, wb, g)
-    v_cache = _packed_payload_bytes(seq_len, heads * head_dim, wb, g)
+    k_cache = heads * seq_len * row_payload_bytes(head_dim, g, wb)
+    v_cache = heads * head_dim * row_payload_bytes(seq_len, g, wb)
     kv_meta = _meta_bytes(head_dim, heads * seq_len, g) + _meta_bytes(seq_len, heads * head_dim, g)
-    new_k = _packed_payload_bytes(head_dim, heads, wb, g)
+    new_k = heads * row_payload_bytes(head_dim, g, wb)
     new_v_staged = heads * head_dim  # INT8 staging row
     new_meta = _meta_bytes(head_dim, heads, g)
     q_bytes = heads * head_dim + _meta_bytes(head_dim, heads, g)

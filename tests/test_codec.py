@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mant.attention import AttentionPolicies, run_toy_attention
 from mant.codec import (
     INT4_COEFF,
     INT8_COEFF,
@@ -12,12 +13,15 @@ from mant.codec import (
     QuantizedTensor,
     code_values,
     encode_levels,
+    group_lengths,
     magnitude_values,
     pack_codes,
     quantize_activation_group,
     quantize_activation_tensor,
     quantize_weight_group,
     quantize_weight_tensor,
+    split_runs,
+    to_groups,
     unpack_codes,
 )
 from oracles import encode_nibbles
@@ -331,6 +335,20 @@ class TestQuantizedTensor:
     def test_bad_coefficient_shape(self):
         with pytest.raises(ValueError):
             quantize_weight_tensor(np.zeros((64, 2)), np.zeros((3, 3)), 0, 64)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: quantize_weight_tensor(np.ones((40, 2)), 40, 0, g),
+        lambda g: quantize_activation_tensor(np.ones((40, 2)), 0, g),
+        lambda g: group_lengths(40, g),
+        lambda g: split_runs(np.ones((2, 40)), g),
+        lambda g: to_groups(np.ones((2, 40)), g),
+        lambda g: run_toy_attention(8, 1, 1, 8, AttentionPolicies(group_size=g)),
+    ], ids=["weight", "activation", "group_lengths", "split_runs", "to_groups", "attention"])
+    @pytest.mark.parametrize("group_size", [True, 0, 65536, 2.0])
+    def test_bad_group_size_refused(self, call, group_size):
+        # True once passed as a group size of 1 and failed later inside a reshape
+        with pytest.raises(ValueError, match="group size must be an integer in 1..65535"):
+            call(group_size)
 
 
 class TestEncodeGroupsCoefficientShapes:

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import logging
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ class TestQuantizedContainer:
         with pytest.raises(ValueError, match="exceed 4 bits"):
             write_quantized(io.BytesIO(), dataclasses.replace(qt, levels=levels))
 
+    @pytest.mark.parametrize("kind,level", [("mant4", 16), ("mant4", 19), ("mant4", -2000),
+                                            ("int8", 5)])
+    def test_levels_past_the_tail_not_written(self, kind, level):
+        # (101, 2) in groups of 64: the last group of each row holds 37 values, then
+        # code 0's level, which the file does not store; a 4-bit row ends on a pad nibble
+        w = np.random.default_rng(12).standard_normal((101, 2))
+        qt = quantize_weight_tensor(w, 17, 0, 64) if kind == "mant4" \
+            else quantize_activation_tensor(w, 0, 64)
+        levels = qt.levels.copy()
+        levels[:, -1, 37:] = level
+        assert quantized_bytes(dataclasses.replace(qt, levels=levels)) == quantized_bytes(qt)
+
     def test_bad_magic(self):
         with pytest.raises(ContainerError):
             read_quantized(io.BytesIO(b"XXXX" + b"\x00" * 32))
@@ -218,9 +231,23 @@ class TestOversizeHeaders:
         # the stream lacks fails before they are laid out
         qt = quantize_weight_tensor(np.ones((64, 3)), 17, 0, 64)
         blob = quantized_bytes(qt)[:-3 * 32]   # records intact, payload gone
-        monkeypatch.setattr(container, "_payload_slots", lambda *args: pytest.fail("slots"))
+        monkeypatch.setattr(container, "unpack_codes", lambda *args: pytest.fail("slots"))
         with pytest.raises(ContainerError, match="wanted 96 bytes, 0 left"):
             read_quantized(io.BytesIO(blob))
+
+    def test_zero_rows_read_without_per_group_arrays(self):
+        # 27 bytes claiming 2**22 one-element groups per row, but no rows: no
+        # records, no payload, and nothing to allocate per group
+        blob = container.QUANT_MAGIC + struct.pack("<HBHB2QB", 1, 0, 1, 2, 0, 2 ** 22, 1)
+        assert len(blob) == 27
+        tracemalloc.start()
+        try:
+            qt = read_quantized(io.BytesIO(blob))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qt.shape == (0, 2 ** 22) and qt.dequantize().shape == (0, 2 ** 22)
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("dims", OVERSIZE_DIMS)
     @pytest.mark.parametrize("magic,command", [

@@ -43,7 +43,7 @@ class TestBuildGrid:
         assert grid.magnitudes == (1, 19, 38, 59, 84, 117, 166, 247)
         assert grid.max_magnitude == 247
 
-    @pytest.mark.parametrize("bad", [128, -1, 1000])
+    @pytest.mark.parametrize("bad", [128, -1, 1000, True])
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
             build_grid(bad)

@@ -5,9 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from mant import container, simulator
+from mant import container
 from mant.codec import (QuantizedTensor, group_lengths, quantize_activation_group,
-                        quantize_weight_group)
+                        quantize_weight_group, row_payload_bytes)
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import normalized_variance, table_from_probe_means
 
@@ -367,6 +367,6 @@ class TestStores:
         buf = io.BytesIO()
         container.write_quantized(buf, qt)
         header = 4 + 6 + 8 * 3 + 1
-        payload = simulator._packed_payload_bytes(qt.axis_length, qt.n_rows, 4, 32)
+        payload = qt.n_rows * row_payload_bytes(qt.axis_length, 32, 4)
         records = container._RECORD.itemsize * qt.n_rows * qt.n_groups
         assert len(buf.getvalue()) == header + payload + records == size
