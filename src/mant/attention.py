@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (DEFAULT_GROUP_SIZE, encode_int8, group_lengths, quantize_activation_tensor,
-                    split_runs, to_groups)
+from .codec import (DEFAULT_GROUP_SIZE, MAX_GROUP_SIZE, encode_int8, group_lengths,
+                    quantize_activation_tensor, split_runs, to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .gemm import grouped_dot
+from .grid import as_integer
 from .kvcache import KvCache
 from .selection import MIN_CALIBRATION_GROUPS, CandidateSet, VarianceTable, build_variance_table
 
@@ -192,11 +193,11 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
     tables default to ones calibrated on an independent stream (derived
     seed), so the data itself is policy-independent.
     """
-    if prefill_len < 1 or decode_steps < 0 or heads < 1 or head_dim < 1:
-        raise ValueError("invalid geometry")
+    prefill_len, heads, head_dim = (as_integer(value, name, 1) for value, name in (
+        (prefill_len, "prefill_len"), (heads, "heads"), (head_dim, "head_dim")))
+    decode_steps = as_integer(decode_steps, "decode_steps", 0)
     policies = policies or AttentionPolicies()
-    group_size = policies.group_size
-    group_lengths(head_dim, group_size)   # rejects a group size out of range
+    group_size = as_integer(policies.group_size, "group size", 1, MAX_GROUP_SIZE)
 
     rng = np.random.default_rng(seed)
     q_all, k_all, v_all = synthesize_stream(rng, prefill_len + decode_steps, heads, head_dim)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GRID_POINTS, MAX_COEFFICIENT, build_grid
+from .grid import GRID_POINTS, MAX_COEFFICIENT, as_integer, build_grid
 
 DEFAULT_GROUP_SIZE = 64
 MAX_GROUP_SIZE = 0xFFFF  # group lengths are stored as u16
@@ -91,25 +91,16 @@ for _table in (_MAGNITUDES, _CODE_LEVELS, _CODE_NIBBLES, _CEILING_LEVELS, _BIASE
     _table.setflags(write=False)
 
 
-def _mant4_coefficients(coefficients):
-    """Validated 4-bit coefficients (integers in 0..127 or INT4_COEFF) as
-    table indices; booleans, fractions and NaN raise rather than truncate."""
-    coeffs = np.asarray(coefficients)
-    # a sequence that mixes booleans into integers converts to an integer array
-    items = () if isinstance(coefficients, np.ndarray) else np.asarray(coefficients, object).flat
-    if coeffs.dtype.kind not in "iuf" or any(isinstance(c, (bool, np.bool_)) for c in items) \
-            or coeffs.dtype.kind == "f" and (np.floor(coeffs) != coeffs).any():
-        raise ValueError(f"coefficients must be integers, got {coefficients!r}")
-    bad = (coeffs < 0) | (coeffs > INT4_COEFF)
-    if bad.any():
-        raise ValueError(f"coefficient out of range: {coeffs[bad].flat[0]}")
-    return coeffs.astype(np.intp)
+def _mant4_coefficients(coefficients) -> np.ndarray:
+    """4-bit coefficients (0..127, or INT4_COEFF) as intp table indices; a
+    list is checked element by element (as an array, True would be 1)."""
+    if isinstance(coefficients, (list, tuple)):
+        return np.array([_mant4_coefficients(a) for a in coefficients], dtype=np.intp)
+    return np.asarray(as_integer(coefficients, "coefficient", 0, INT4_COEFF))
 
 
 def magnitude_values(a: int) -> np.ndarray:
-    """Pre-scale magnitudes indexed by the 3-bit magnitude field."""
-    if a == INT8_COEFF:
-        raise ValueError("INT8 groups have no 4-bit magnitude table")
+    """Pre-scale magnitudes indexed by the 3-bit magnitude field (none for INT8)."""
     return _MAGNITUDES[_mant4_coefficients(a)]
 
 
@@ -263,15 +254,9 @@ def row_payload_bytes(axis_len: int, group_size: int, bits: int) -> int:
 
 # -- grouping --------------------------------------------------------------------
 
-def _check_group_size(group_size) -> None:
-    if isinstance(group_size, bool) or not isinstance(group_size, (int, np.integer)) \
-            or not 1 <= group_size <= MAX_GROUP_SIZE:
-        raise ValueError(f"group size must be an integer in 1..{MAX_GROUP_SIZE}, got {group_size!r}")
-
-
 def group_lengths(axis_len: int, group_size: int) -> np.ndarray:
     """True length of each group along an axis of ``axis_len`` elements."""
-    _check_group_size(group_size)
+    group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
     n_groups = -(-axis_len // group_size)
     lengths = np.full(n_groups, group_size, dtype=np.uint16)
     lengths[n_groups - 1:] = axis_len - (n_groups - 1) * group_size
@@ -284,7 +269,7 @@ def split_runs(rows, group_size: int) -> list[np.ndarray]:
     length)``, if not empty.  Sums along a run's last axis add each group in
     the order a sum over it alone does; zero padding would change that."""
     rows = np.asarray(rows)
-    _check_group_size(group_size)
+    group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
     n_full = rows.shape[-1] // group_size
     split = n_full * group_size
     runs = (rows[..., :split].reshape(rows.shape[:-1] + (n_full, group_size)),
@@ -295,7 +280,7 @@ def split_runs(rows, group_size: int) -> list[np.ndarray]:
 def to_groups(rows, group_size: int) -> np.ndarray:
     """Zero-padded groups ``(..., n_groups, G)`` of the last axis of ``rows``."""
     rows = np.asarray(rows, dtype=np.float64)
-    _check_group_size(group_size)
+    group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
     n_groups = -(-rows.shape[-1] // group_size)
     if n_groups * group_size != rows.shape[-1]:
         padded = np.zeros(rows.shape[:-1] + (n_groups * group_size,))
@@ -323,6 +308,9 @@ class QuantizedTensor:
     levels: np.ndarray
     scales: np.ndarray        # (rows, n_groups) float64
     coefficients: np.ndarray  # (rows, n_groups) uint8
+
+    def __post_init__(self):
+        self.group_size = as_integer(self.group_size, "group size", 1, MAX_GROUP_SIZE)
 
     @property
     def codes(self) -> np.ndarray:

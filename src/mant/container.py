@@ -41,11 +41,9 @@ from .codec import (
     INT8_COEFF,
     KIND_INT8,
     KIND_MANT4,
-    MAX_GROUP_SIZE,
     SIGN_BIT,
     QuantizedTensor,
     code_values,
-    group_lengths,
     pack_codes,
     row_payload_bytes,
     unpack_codes,
@@ -107,8 +105,6 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     Returns the tensor the file holds: ``qt`` with the written half scales,
     as :func:`read_quantized` would give them (levels and coefficients are
     ``qt``'s own arrays).  A 4-bit level off its grid has no code: ValueError."""
-    if not 1 <= qt.group_size <= MAX_GROUP_SIZE:
-        raise ContainerError(f"group size must be in 1..{MAX_GROUP_SIZE}, got {qt.group_size}")
     underflow, overflow = half_losses(qt.scales)
     if underflow or overflow:
         log.warning("%d group scales flushed to 0 and %d clamped to 65504 in IEEE half",
@@ -116,7 +112,9 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     records = np.empty(qt.scales.shape, dtype=_RECORD)
     records["scale"] = half_bits(qt.scales)
     records["a"] = qt.coefficients
-    records["length"] = group_lengths(qt.axis_length, qt.group_size)
+    # lengths by slices, as the reader checks them: a full group's, then the tail's
+    records["length"] = qt.group_size
+    records["length"][:, -1:] = qt.axis_length - (qt.n_groups - 1) * qt.group_size
     # slots are codes: nibbles for 4-bit, INT8 codes as their bytes
     bits = 4 if qt.element_kind == KIND_MANT4 else 8
     width = 8 // bits * row_payload_bytes(qt.group_size, qt.group_size, bits)

@@ -62,23 +62,49 @@ class ReferenceCurve:
     epsilon: float | None = None
 
 
-def build_grid(a: int) -> MantGrid:
-    """Build the quantization grid for coefficient ``a``.
+def as_integer(value, name: str, low: int, high: int | None = None):
+    """The package's one integer rule: ``value`` as an int if it is an integer
+    in ``low..high`` (``high`` None: unbounded), else ValueError naming
+    ``name``.  An integral float counts (``64.0`` is 64); a boolean, fraction,
+    NaN, inf, list or string does not.  A numeric ndarray, checked in
+    whole-array operations, comes back as an intp array."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            or isinstance(value, (float, np.floating)) and value.is_integer():
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        bad = value < low
+        if high is not None:
+            bad |= value > high
+        if value.dtype.kind == "f":
+            bad |= (np.floor(value) != value) | np.isinf(value)
+        if not bad.any():
+            return value.astype(np.intp)
+        value = value[bad][0].item()
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
-    Raises ValueError unless 0 <= a <= 127 (the coefficient is stored in a
-    byte and larger values barely change the normalized shape).
-    """
-    if isinstance(a, bool) or not isinstance(a, (int, np.integer)):
-        raise ValueError(f"coefficient must be an integer, got {a!r}")
-    if not 0 <= a <= MAX_COEFFICIENT:
-        raise ValueError(f"coefficient out of range [0, {MAX_COEFFICIENT}]: {a}")
-    mags = tuple(int(a) * i + (1 << i) for i in range(GRID_POINTS))
-    return MantGrid(coefficient_a=int(a), magnitudes=mags)
+
+def as_number(value, name: str) -> float:
+    """The package's one number rule: ``value`` as a float if it is a real
+    number (NaN and inf are, for the caller's range check) and not a boolean."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def build_grid(a: int) -> MantGrid:
+    """Build the quantization grid for coefficient ``a``, an integer in
+    0..127 (the coefficient is stored in a byte and larger values barely
+    change the normalized shape)."""
+    a = as_integer(a, "coefficient", 0, MAX_COEFFICIENT)
+    mags = tuple(a * i + (1 << i) for i in range(GRID_POINTS))
+    return MantGrid(coefficient_a=a, magnitudes=mags)
 
 
 def probit(p: float) -> float:
     """Inverse standard normal CDF (the standard library's ``inv_cdf``)."""
-    p = float(p)
+    p = as_number(p, "probit argument")
     if not 0.0 < p < 1.0:   # NaN fails too: inv_cdf would return NaN for it
         raise ValueError(f"probit domain is (0, 1), got {p!r}")
     # imported here: statistics loads decimal and fractions, about 2 MiB of
@@ -107,7 +133,7 @@ def reference_curve(kind: str, epsilon: float | None = None) -> ReferenceCurve:
     if kind == "float":
         return ReferenceCurve("float", _FLOAT4_MAGNITUDES / _FLOAT4_MAGNITUDES[-1])
     if kind == "nf":
-        eps = DEFAULT_NF_EPSILON if epsilon is None else float(epsilon)
+        eps = DEFAULT_NF_EPSILON if epsilon is None else as_number(epsilon, "nf epsilon")
         if not 0.0 < eps < 0.2:
             raise ValueError(f"nf epsilon must be in (0, 0.2), got {eps}")
         quantiles = i * (1.0 - eps) * 0.5 / 7.0 + 0.5

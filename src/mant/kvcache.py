@@ -31,9 +31,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .codec import (DEFAULT_GROUP_SIZE, QuantizedTensor, _check_finite, quantize_weight_tensor,
-                    round_int8)
+from .codec import (DEFAULT_GROUP_SIZE, MAX_GROUP_SIZE, QuantizedTensor, _check_finite,
+                    quantize_weight_tensor, round_int8)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
+from .grid import as_integer
 from .selection import VarianceTable, coefficients_from_sums, quantize_by_variance
 
 
@@ -62,6 +63,7 @@ class ProcessWindow:
     head: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self.group_size = as_integer(self.group_size, "group size", 1, MAX_GROUP_SIZE)
         self.channel_scales = np.asarray(self.channel_scales, dtype=np.float64)
         shape = self.channel_scales.shape
         self.staged = np.zeros((self.group_size,) + shape, dtype=np.int8)
@@ -157,11 +159,9 @@ class KvCache:
 
     def __init__(self, heads: int, head_dim: int, k_table: VarianceTable,
                  v_table: VarianceTable, group_size: int = DEFAULT_GROUP_SIZE):
-        if heads < 1 or head_dim < 1 or group_size < 1:
-            raise ValueError("geometry must be positive")
-        self.heads = heads
-        self.head_dim = head_dim
-        self.group_size = group_size
+        self.heads = heads = as_integer(heads, "heads", 1)
+        self.head_dim = head_dim = as_integer(head_dim, "head_dim", 1)
+        self.group_size = group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
         self.k_table = k_table
         self.v_table = v_table
         self.keys = quantize_by_variance(np.zeros((0, heads, head_dim)), k_table, 2, group_size)

@@ -24,6 +24,7 @@ import numpy as np
 from .codec import (INT4_COEFF, QuantizedTensor, _quantize_weight_rows, _scale_levels,
                     encode_levels, split_runs, tensor_rows)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
+from .grid import MAX_COEFFICIENT, as_integer, as_number
 
 DEFAULT_COEFFICIENTS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 MIN_CALIBRATION_GROUPS = 32
@@ -31,25 +32,6 @@ MIN_CALIBRATION_GROUPS = 32
 # large weights (CHANGES.md): the (options, rows, G) temporaries of larger
 # tiles outgrow the cache, and smaller tiles cost more calls.
 SEARCH_TILE_ROWS = 128
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, not a bool or a fraction: a checked
-    field refuses those rather than truncating them."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _integer(value, name: str) -> int:
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _json_number(value) -> float:
-    """A JSON number as a float; a string or boolean raises ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -65,13 +47,11 @@ class CandidateSet:
     include_int: bool = True
 
     def __post_init__(self):
-        coeffs = tuple(_integer(a, "coefficient") for a in self.coefficients)
+        coeffs = tuple(as_integer(a, "coefficient", 0, MAX_COEFFICIENT) for a in self.coefficients)
         if not coeffs:
             raise ValueError("candidate set is empty")
         if list(coeffs) != sorted(set(coeffs)):
             raise ValueError("coefficients must be strictly ascending")
-        if coeffs[0] < 0 or coeffs[-1] > 127:
-            raise ValueError("coefficients must lie in [0, 127]")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -173,12 +153,11 @@ class VarianceTable:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("variance table is empty")
+        # a group's coefficient is stored as uint8, which would wrap a larger a
+        object.__setattr__(self, "entries", tuple(
+            (as_integer(a, "table coefficient", 0, INT4_COEFF), as_number(lo, "lo"),
+             as_number(hi, "hi")) for a, lo, hi in self.entries))
         coeffs = [e[0] for e in self.entries]
-        for a in coeffs:
-            # a group's coefficient is stored as uint8, which would wrap a larger a
-            if not _is_integer(a) or not 0 <= a <= INT4_COEFF:
-                raise ValueError(f"table coefficient must be an integer in 0..{INT4_COEFF}, "
-                                 f"got {a!r}")
         if coeffs != sorted(coeffs) or len(set(coeffs)) != len(coeffs):
             raise ValueError("table entries must be ordered by ascending coefficient")
         prev_hi = 0.0
@@ -214,10 +193,11 @@ class VarianceTable:
 
     @classmethod
     def from_json(cls, text: str) -> "VarianceTable":
+        data = json.loads(text)
         try:
-            entries = tuple((e["a"], _json_number(e["lo"]), _json_number(e["hi"]))
-                            for e in json.loads(text))
-        except (TypeError, KeyError) as exc:   # not a list of objects, or a bad field
+            entries = tuple((e["a"], as_number(e["lo"], "lo"), as_number(e["hi"], "hi"))
+                            for e in data)
+        except (TypeError, KeyError, ValueError) as exc:   # not a list of objects, or a bad field
             raise ValueError(f'variance table must be a JSON list of {{"a", "lo", "hi"}} '
                              f"objects with numbers: {exc!r}") from exc
         return cls(entries)
@@ -233,7 +213,7 @@ class CalibrationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", self.candidate_set().coefficients)
-        object.__setattr__(self, "min_groups", _integer(self.min_groups, "min_groups"))
+        object.__setattr__(self, "min_groups", as_integer(self.min_groups, "min_groups", 1))
 
     def candidate_set(self) -> CandidateSet:
         return CandidateSet(self.coefficients, include_int=False)
@@ -315,6 +295,7 @@ def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...
     """
     coefficients = (candidates if isinstance(candidates, CandidateSet)
                     else CandidateSet(tuple(candidates), include_int=False)).coefficients
+    min_groups = as_integer(min_groups, "min_groups", 1)
     groups = np.ascontiguousarray(calib_groups, dtype=np.float64)
     if groups.ndim != 2:
         raise ValueError("calibration groups must be a (n, group_size) array")

@@ -48,25 +48,10 @@ column tile, outputs write once; bank conflicts are modeled as absent.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 from .codec import row_payload_bytes
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: an integer, or a float with no fractional part.
-    Fractions, booleans and non-numbers raise rather than truncate."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) \
-            or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _number(value, name: str):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
+from .grid import as_integer, as_number
 
 
 @dataclass(frozen=True)
@@ -85,13 +70,11 @@ class ArrayConfig:
     def __post_init__(self):
         for name in ("peg_rows", "peg_cols", "weight_bits", "group_size", "divider_latency",
                      "rqu_count"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, 1))
         if self.weight_bits not in (2, 4, 8):
             raise ValueError(f"weight_bits must be 2, 4 or 8, got {self.weight_bits}")
         for name in ("frequency_hz", "dram_bandwidth"):
-            if not _number(getattr(self, name), name) > 0:
+            if not as_number(getattr(self, name), name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     @property
@@ -115,7 +98,7 @@ class CostModel:
     def __post_init__(self):
         for name in ("mac8", "mac4", "mac2", "sac", "rqu",
                      "sram_per_byte", "dram_per_byte", "static_per_cycle"):
-            if not _number(getattr(self, name), name) >= 0:
+            if not as_number(getattr(self, name), name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
     def mac(self, bits: int) -> float:
@@ -210,8 +193,7 @@ def simulate_gemm(m: int, k: int, n: int, config: ArrayConfig = ArrayConfig(),
                   cost: CostModel = CostModel(), weight_bits: int | None = None,
                   group_size: int | None = None, label: str = "gemm") -> SimReport:
     """Model one M x K x N GEMM with quantized weights of ``weight_bits``."""
-    if min(m, k, n) < 1:
-        raise ValueError("gemm dims must be >= 1")
+    m, k, n = (as_integer(d, name, 1) for d, name in ((m, "M"), (k, "K"), (n, "N")))
     config = _resolve(config, weight_bits, group_size)
     rows = config.logical_rows
     cols = config.peg_cols
@@ -257,8 +239,8 @@ def simulate_attention(seq_len: int, heads: int, head_dim: int,
     bandwidth-bound; the DRAM floor covers both cache reads, the new K/V
     writes, and the probability/output vectors.
     """
-    if min(seq_len, heads, head_dim) < 1:
-        raise ValueError("attention geometry must be positive")
+    seq_len, heads, head_dim = (as_integer(d, name, 1) for d, name in (
+        (seq_len, "seq_len"), (heads, "heads"), (head_dim, "head_dim")))
     config = _resolve(config, weight_bits, group_size)
     rows = config.logical_rows
     cols = config.peg_cols
@@ -298,7 +280,7 @@ def layer_dimensions(layer: dict) -> tuple[int, ...]:
     kind = layer.get("kind") if isinstance(layer, dict) else None
     if kind not in names:
         raise ValueError(f"unknown layer kind {kind!r} (expected 'gemm' or 'attention')")
-    return tuple(_integer(layer.get(name), f"layer field {name!r}")
+    return tuple(as_integer(layer.get(name), f"layer field {name!r}", 1)
                  for name in names[kind])
 
 

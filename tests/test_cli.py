@@ -545,8 +545,8 @@ class TestSim:
 
     @pytest.mark.parametrize("config,message", [
         ({"peg_rows": 31.5, "group_size": 63.0, "divider_latency": True},
-         "peg_rows must be an integer, got 31.5"),
-        ({"divider_latency": True}, "divider_latency must be an integer, got True"),
+         "peg_rows must be an integer >= 1, got 31.5"),
+        ({"divider_latency": True}, "divider_latency must be an integer >= 1, got True"),
         ({"cost": {"mac8": "1"}}, "mac8 must be a number, got '1'"),
     ], ids=["fractions", "boolean", "cost-string"])
     def test_bad_config_field_names_field_and_file(self, capsys, tmp_path, config, message):
@@ -559,11 +559,14 @@ class TestSim:
 
     @pytest.mark.parametrize("layer,message", [
         ({"kind": "gemm", "M": 64.9, "K": 64, "N": 64},
-         "layer field 'M' must be an integer, got 64.9"),
+         "layer field 'M' must be an integer >= 1, got 64.9"),
         ({"kind": "attention", "seq_len": 8, "heads": 1},
-         "layer field 'head_dim' must be an integer, got None"),
+         "layer field 'head_dim' must be an integer >= 1, got None"),
         ({"kind": "conv"}, "unknown layer kind 'conv' (expected 'gemm' or 'attention')"),
-    ], ids=["fraction", "missing", "kind"])
+        # refused as the file is parsed, no longer by simulate_gemm without the file's name
+        ({"kind": "gemm", "M": 0, "K": 64, "N": 64},
+         "layer field 'M' must be an integer >= 1, got 0"),
+    ], ids=["fraction", "missing", "kind", "zero"])
     def test_bad_layer_names_layer_and_file(self, capsys, tmp_path, layer, message):
         _, c4, _ = self.write_configs(tmp_path)
         bad = tmp_path / "bad.json"

@@ -24,7 +24,21 @@ from mant.codec import (
     to_groups,
     unpack_codes,
 )
+from mant.kvcache import KvCache, ProcessWindow
+from mant.selection import table_from_probe_means
 from oracles import encode_nibbles
+
+# every entry point that takes a group size, called with group size g
+GROUP_SIZE_CALLS = {
+    "weight": lambda g: quantize_weight_tensor(np.ones((40, 2)), 40, 0, g),
+    "activation": lambda g: quantize_activation_tensor(np.ones((40, 2)), 0, g),
+    "group_lengths": lambda g: group_lengths(40, g),
+    "split_runs": lambda g: split_runs(np.ones((2, 40)), g),
+    "to_groups": lambda g: to_groups(np.ones((2, 40)), g),
+    "attention": lambda g: run_toy_attention(8, 1, 1, 8, AttentionPolicies(group_size=g)),
+    "kvcache": lambda g: KvCache(1, 8, *[table_from_probe_means((0, 40), [0.1])] * 2, g),
+    "window": lambda g: ProcessWindow(np.ones(3), g),
+}
 
 
 def brute_force_codes(values, a, scale):
@@ -130,7 +144,8 @@ class TestQuantizeWeightGroup:
         with pytest.raises(ValueError):
             quantize_weight_group([1.0], 130)
 
-    @pytest.mark.parametrize("a", [40.7, True, np.nan, np.float64(3.2), np.array(True)])
+    @pytest.mark.parametrize("a", [40.7, True, np.nan, np.float64(3.2), np.array(True), np.inf,
+                                   np.True_, "40"])
     def test_non_integer_coefficient_refused(self, a):
         # a cast once truncated these: 40.7 encoded and stored as 40, True as 1
         with pytest.raises(ValueError, match="integer"):
@@ -336,19 +351,23 @@ class TestQuantizedTensor:
         with pytest.raises(ValueError):
             quantize_weight_tensor(np.zeros((64, 2)), np.zeros((3, 3)), 0, 64)
 
-    @pytest.mark.parametrize("call", [
-        lambda g: quantize_weight_tensor(np.ones((40, 2)), 40, 0, g),
-        lambda g: quantize_activation_tensor(np.ones((40, 2)), 0, g),
-        lambda g: group_lengths(40, g),
-        lambda g: split_runs(np.ones((2, 40)), g),
-        lambda g: to_groups(np.ones((2, 40)), g),
-        lambda g: run_toy_attention(8, 1, 1, 8, AttentionPolicies(group_size=g)),
-    ], ids=["weight", "activation", "group_lengths", "split_runs", "to_groups", "attention"])
-    @pytest.mark.parametrize("group_size", [True, 0, 65536, 2.0])
+    @pytest.mark.parametrize("call", GROUP_SIZE_CALLS.values(), ids=GROUP_SIZE_CALLS.keys())
+    @pytest.mark.parametrize("group_size", [True, 0, 65536, 2.5, np.nan, "2"])
     def test_bad_group_size_refused(self, call, group_size):
         # True once passed as a group size of 1 and failed later inside a reshape
         with pytest.raises(ValueError, match="group size must be an integer in 1..65535"):
             call(group_size)
+
+    @pytest.mark.parametrize("call", GROUP_SIZE_CALLS.values(), ids=GROUP_SIZE_CALLS.keys())
+    def test_integral_float_group_size_accepted(self, call):
+        # 2.0 is the integer 2, and what is built from it holds the int
+        as_float, as_int = call(2.0), call(2)
+        assert type(getattr(as_float, "group_size", 2)) is int
+        arrays = {QuantizedTensor: lambda r: [r.levels, r.scales], KvCache: lambda r: [],
+                  ProcessWindow: lambda r: [r.staged], list: list,
+                  np.ndarray: lambda r: [r]}.get(type(as_int), lambda r: [r.step_outputs])
+        pairs = zip(arrays(as_float), arrays(as_int), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 class TestEncodeGroupsCoefficientShapes:

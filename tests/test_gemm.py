@@ -245,9 +245,9 @@ class TestFusedDot:
 
     def test_nibbles_under_int8_coefficient(self):
         codes = np.array([[1, 2]], dtype=np.uint8)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="integer in 0..128, got 255"):
             code_values(codes, INT8_COEFF)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="integer in 0..128, got 255"):
             one_group_tensor(code_values(codes[0], 17), KIND_MANT4, INT8_COEFF).codes
 
     def test_codes_above_four_bits(self):

@@ -1,14 +1,20 @@
 """Grid construction, probit accuracy, reference curves, coefficient fits."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from mant import grid
 from mant.grid import (
     DEFAULT_NF_EPSILON,
     approximation_error,
+    as_integer,
+    as_number,
     build_grid,
     fit_coefficient,
     normalized_grid_curve,
@@ -43,7 +49,7 @@ class TestBuildGrid:
         assert grid.magnitudes == (1, 19, 38, 59, 84, 117, 166, 247)
         assert grid.max_magnitude == 247
 
-    @pytest.mark.parametrize("bad", [128, -1, 1000, True])
+    @pytest.mark.parametrize("bad", [128, -1, 1000, True, np.True_, np.nan, "17", 127.5])
     def test_out_of_range(self, bad):
         with pytest.raises(ValueError):
             build_grid(bad)
@@ -52,12 +58,64 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(17.5)
 
+    def test_integral_float_is_its_integer(self):
+        assert build_grid(17.0) == build_grid(np.int8(17)) == build_grid(17)
+        assert type(build_grid(17.0).coefficient_a) is int
+
     def test_strictly_increasing_all_coefficients(self):
         for a in range(128):
             mags = build_grid(a).magnitudes
             assert mags[0] == 1
             assert all(m2 > m1 for m1, m2 in zip(mags, mags[1:]))
             assert mags[7] == 7 * a + 128
+
+
+class TestInputRules:
+    """The one integer rule and the one number rule every entry point calls."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.uint8(3), np.float32(3.0)])
+    def test_integers_become_ints(self, value):
+        assert as_integer(value, "n", 0, 5) == 3 and type(as_integer(value, "n", 0, 5)) is int
+
+    @pytest.mark.parametrize("value", [True, np.True_, 2.5, np.nan, np.inf, "3", None, [3], 6, -1])
+    def test_everything_else_is_refused(self, value):
+        with pytest.raises(ValueError, match=r"n must be an integer in 0\.\.5, got "):
+            as_integer(value, "n", 0, 5)
+
+    def test_no_upper_bound(self):
+        assert as_integer(2 ** 70, "n", 1) == 2 ** 70
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
+            as_integer(0, "n", 1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.float64])
+    def test_arrays_become_intp_arrays(self, dtype):
+        out = as_integer(np.array([[0, 5], [3, 1]], dtype=dtype), "n", 0, 5)
+        assert out.dtype == np.intp and out.tolist() == [[0, 5], [3, 1]]
+
+    @pytest.mark.parametrize("array,shown", [
+        (np.array([1, 6, 7]), "6"), (np.array([0.0, 2.5]), "2.5"), (np.array([np.inf]), "inf"),
+        (np.array([True]), "array"), (np.array(["1"]), "array")])
+    def test_arrays_name_the_first_bad_element(self, array, shown):
+        with pytest.raises(ValueError, match=f"got {shown}"):
+            as_integer(array, "n", 0, 5)
+
+    @pytest.mark.parametrize("value", [True, np.False_, "1.0", None, [1.0]])
+    def test_numbers_refuse_booleans_and_strings(self, value):
+        with pytest.raises(ValueError, match="x must be a number"):
+            as_number(value, "x")
+
+    def test_numbers_become_floats(self):
+        assert [as_number(v, "x") for v in (2, np.float32(0.5), np.int8(-1))] == [2.0, 0.5, -1.0]
+        assert math.isnan(as_number(math.nan, "x"))
+
+    def test_only_the_two_rules_test_for_booleans(self):
+        # a boolean test outside them is a second integer or number rule
+        rules = [inspect.getsourcelines(rule) for rule in (as_integer, as_number)]
+        allowed = {("grid.py", start + i) for lines, start in rules for i in range(len(lines))}
+        found = {(path.name, n) for path in sorted(Path(grid.__file__).parent.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"isinstance\(.*bool", line)}
+        assert found and found <= allowed, sorted(found - allowed)
 
 
 class TestProbit:

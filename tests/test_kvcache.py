@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mant import container
+from mant.attention import run_toy_attention
 from mant.codec import (QuantizedTensor, group_lengths, quantize_activation_group,
                         quantize_weight_group, row_payload_bytes)
 from mant.kvcache import KvCache, ProcessWindow
@@ -295,6 +296,27 @@ class TestKvCache:
             cache.append_k(np.zeros((3, 64)))
         with pytest.raises(ValueError):
             KvCache(0, 64, TABLE, TABLE)
+
+    @pytest.mark.parametrize("name,call", [
+        ("heads", lambda v: KvCache(v, 64, TABLE, TABLE)),
+        ("head_dim", lambda v: KvCache(2, v, TABLE, TABLE)),
+        ("group size", lambda v: KvCache(2, 64, TABLE, TABLE, v)),
+        ("prefill_len", lambda v: run_toy_attention(v, 1, 1, 8)),
+        ("decode_steps", lambda v: run_toy_attention(8, v, 1, 8)),
+        ("heads", lambda v: run_toy_attention(8, 1, v, 8)),
+        ("head_dim", lambda v: run_toy_attention(8, 1, 1, v)),
+    ])
+    @pytest.mark.parametrize("value", [True, 2.5, -1, np.nan, "2"])
+    def test_geometry_must_be_integers(self, name, call, value):
+        # KvCache(True, ...) once failed inside numpy with a TypeError, and
+        # run_toy_attention(8, True, 1, 8) ran one decode step
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(value)
+
+    def test_integral_float_geometry_accepted(self):
+        cache = KvCache(2.0, 64.0, TABLE, TABLE, 32.0)
+        assert [type(x) for x in (cache.heads, cache.head_dim, cache.group_size)] == [int] * 3
+        assert run_toy_attention(8.0, 1.0, 1.0, 8.0).step_outputs.shape == (1, 1, 8)
 
 
 class TestStores:

@@ -40,6 +40,7 @@ from mant.grid import build_grid
 from mant.kvcache import KvCache
 from mant.selection import (
     CandidateSet,
+    VarianceTable,
     build_variance_table,
     normalized_variance,
     quantize_by_variance,
@@ -48,6 +49,7 @@ from mant.selection import (
     table_from_probe_means,
     variance_from_sums,
 )
+from mant.simulator import ArrayConfig, simulate_gemm
 from oracles import combine, encode_nibbles, fused_dot, fused_group_dot
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -880,3 +882,35 @@ def test_attention_block_matches_one_row_calls(heads, geometry, prompt, steps, s
         rows = np.concatenate([_attention_rows(q[r:r + 1], kv, first + r, scale, group_size,
                                                int8) for r in range(len(q))])
         assert np.max(np.abs(block - rows)) <= 1e-12 * np.max(np.abs(rows)), first
+
+
+# -- one integer rule -----------------------------------------------------------
+
+# entry points that take an integer (each in range for 1..127), called with v
+INTEGER_ENTRY_POINTS = {
+    "build_grid": lambda v: build_grid(v),
+    "CandidateSet": lambda v: CandidateSet((v,)),
+    "VarianceTable": lambda v: VarianceTable(((v, 0.0, 1.0),)),
+    "group_lengths": lambda v: group_lengths(300, v),
+    "ArrayConfig": lambda v: ArrayConfig(peg_rows=v),
+    "simulate_gemm": lambda v: simulate_gemm(v, 256, 128),
+}
+
+
+@SETTINGS
+@given(st.one_of(st.integers(1, 127), st.integers(1, 127).map(float),
+                 st.integers(1, 127).map(np.int64), st.floats(1, 127).filter(lambda x: x % 1),
+                 st.sampled_from([True, False, np.True_, np.False_, np.nan, np.inf, -np.inf,
+                                  "40", None])))
+def test_every_entry_point_refuses_the_same_inputs(value):
+    # an integer, or an integral float, is accepted everywhere and nothing else anywhere
+    accepted = {}
+    for name, call in INTEGER_ENTRY_POINTS.items():
+        try:
+            call(value)
+            accepted[name] = True
+        except ValueError:
+            accepted[name] = False
+    integral = isinstance(value, (int, float, np.int64)) and not isinstance(value, bool) \
+        and float(value).is_integer()
+    assert accepted == dict.fromkeys(INTEGER_ENTRY_POINTS, integral)

@@ -42,10 +42,13 @@ class TestCandidateSet:
         with pytest.raises(ValueError):
             CandidateSet((0, 130))
         # a fraction or a bool is refused, not truncated to an integer
-        for coeffs in ((0, 40.7), (0, 40.0), (True, 40), (0, "40")):
+        for coeffs in ((0, 40.7), (True, 40), (0, "40"), (0, np.inf), (np.True_, 40)):
             with pytest.raises(ValueError, match="integer"):
                 CandidateSet(coeffs)
-        assert CandidateSet((np.int64(0), 40)).coefficients == (0, 40)
+        # an integral float is its integer, and the set holds the int
+        for coeffs in ((np.int64(0), 40), (0, 40.0)):
+            assert [type(a) for a in CandidateSet(coeffs).coefficients] == [int, int]
+            assert CandidateSet(coeffs).coefficients == (0, 40)
 
 
 class TestSelectWeightCoefficient:
@@ -309,7 +312,7 @@ class TestVarianceTable:
         with pytest.raises(ValueError):
             VarianceTable(())
 
-    @pytest.mark.parametrize("a", [-1, 129, 256, 300, 40.7, 40.0, True, "40", None])
+    @pytest.mark.parametrize("a", [-1, 129, 256, 300, 40.7, True, "40", None, np.nan, np.inf])
     def test_coefficient_must_be_an_integer_in_range(self, a):
         # a group's coefficient is stored as uint8: 300 would wrap to 44, 256 to 0
         with pytest.raises(ValueError, match="integer in 0..128"):
@@ -324,6 +327,19 @@ class TestVarianceTable:
         with pytest.raises(ValueError, match="objects with numbers"):
             VarianceTable.from_json(json.dumps([{"a": 40, "lo": lo, "hi": hi}]))
 
+    def test_integral_float_coefficient_accepted(self):
+        table = VarianceTable(((5, 0.0, 0.5), (40.0, 0.5, 1.0)))
+        assert table.entries == ((5, 0.0, 0.5), (40, 0.5, 1.0)) and type(table.entries[1][0]) is int
+        assert table.lookup(0.7) == 40 and '"a": 40,' in table.to_json()
+        loaded = VarianceTable.from_json('[{"a": 40.0, "lo": 0, "hi": 1}]')
+        assert loaded.entries == ((40, 0.0, 1.0),)
+
+    @pytest.mark.parametrize("lo,hi", [("0", 1.0), (0.0, "1"), (False, 1.0), (0.0, True)])
+    def test_built_range_bounds_must_be_numbers(self, lo, hi):
+        # VarianceTable(((40, 0.0, "1"),)) once failed comparing a string with a float
+        with pytest.raises(ValueError, match="must be a number"):
+            VarianceTable(((40, lo, hi),))
+
     def test_integer_range_bounds_accepted(self):
         assert VarianceTable.from_json('[{"a": 40, "lo": 0, "hi": 1}]').entries == ((40, 0.0, 1.0),)
 
@@ -334,6 +350,12 @@ class TestVarianceTable:
     def test_insufficient_calibration(self):
         with pytest.raises(ValueError):
             build_variance_table(np.zeros((4, 16)), CandidateSet(include_int=False))
+
+    @pytest.mark.parametrize("min_groups", [0, -3, 8.9, True])
+    def test_min_groups_must_be_a_positive_integer(self, min_groups):
+        # min_groups=0 once calibrated an even-split table on no groups
+        with pytest.raises(ValueError, match="min_groups must be an integer >= 1"):
+            build_variance_table(np.zeros((0, 64)), (0, 40, 80), min_groups=min_groups)
 
     def test_probe_mean_count_check(self):
         with pytest.raises(ValueError):
@@ -357,7 +379,8 @@ class TestCalibrationConfig:
 
     @pytest.mark.parametrize("fields", [{"coefficients": (0, 40.7)},
                                         {"coefficients": (0, True)},
-                                        {"min_groups": 8.9}, {"min_groups": True}])
+                                        {"min_groups": 8.9}, {"min_groups": True},
+                                        {"min_groups": 0}, {"min_groups": -3}])
     def test_non_integers_refused(self, fields):
         # CalibrationConfig((0, 40.7), 8.9) once meant coefficients (0, 40) and 8 groups
         with pytest.raises(ValueError, match="integer"):

@@ -12,6 +12,16 @@ from mant.simulator import (
     simulate_workload,
 )
 
+# the integer dimensions of the two simulate functions, each called with value v
+DIMENSIONS = {
+    "M": lambda v: simulate_gemm(v, 256, 128),
+    "K": lambda v: simulate_gemm(64, v, 128),
+    "N": lambda v: simulate_gemm(64, 256, v),
+    "seq_len": lambda v: simulate_attention(v, 8, 64),
+    "heads": lambda v: simulate_attention(1024, v, 64),
+    "head_dim": lambda v: simulate_attention(1024, 8, v),
+}
+
 
 class TestArrayConfig:
     @pytest.mark.parametrize("bits,rows", [(8, 32), (4, 64), (2, 128)])
@@ -27,18 +37,25 @@ class TestArrayConfig:
             CostModel(mac8=-1.0)
 
     @pytest.mark.parametrize("field", [{"peg_rows": 31.5}, {"group_size": 63.5},
-                                       {"divider_latency": True}, {"rqu_count": "32"}])
+                                       {"divider_latency": True}, {"rqu_count": "32"},
+                                       {"M": 64.5}, {"M": True}, {"K": float("nan")}, {"N": "128"},
+                                       {"N": 0}, {"seq_len": 1024.5}, {"heads": True},
+                                       {"head_dim": float("inf")}])
     def test_integer_fields_refuse_fractions_and_booleans(self, field):
-        # peg_rows 31.5 once ran, to 146796.0 total cycles
-        with pytest.raises(ValueError, match=f"{next(iter(field))} must be an integer"):
-            ArrayConfig(**field)
+        # peg_rows 31.5 once ran, to 146796.0 total cycles; M 64.5 to 4056.0, and M True as 1
+        (name, value), = field.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DIMENSIONS[name](value) if name in DIMENSIONS else ArrayConfig(**field)
 
     def test_integral_float_fields_become_ints(self):
         config = ArrayConfig(peg_rows=32.0, group_size=64.0)
         assert config == ArrayConfig() and type(config.peg_rows) is int
         assert simulate_gemm(64, 256, 128, config).to_dict() == simulate_gemm(64, 256, 128).to_dict()
+        assert simulate_gemm(64.0, 256.0, 128.0).to_dict() == simulate_gemm(64, 256, 128).to_dict()
+        assert simulate_attention(1024.0, 8.0, 64.0).to_dict() \
+            == simulate_attention(1024, 8, 64).to_dict()
 
-    @pytest.mark.parametrize("value", ["1", None, True])
+    @pytest.mark.parametrize("value", ["1", None, True, [1.0]])
     def test_cost_fields_are_numbers(self, value):
         with pytest.raises(ValueError, match="mac8 must be a number"):
             CostModel(mac8=value)
