@@ -69,6 +69,7 @@ for _nibbles in (np.arange(GRID_POINTS, 2 * GRID_POINTS), np.arange(GRID_POINTS)
     np.put_along_axis(_CODE_NIBBLES, _CODE_LEVELS[:, _nibbles] + _LEVEL_OFFSET, _nibbles[None], axis=1)
 
 _TWO_52 = 2.0 ** 52
+_TWO_52_BITS = np.float64(_TWO_52).view(np.int64)
 
 
 def _ceiling_levels():
@@ -87,7 +88,8 @@ def _ceiling_levels():
 
 
 _CEILING_LEVELS, _BIASED_ROWS = _ceiling_levels()
-for _table in (_MAGNITUDES, _CODE_LEVELS, _CODE_NIBBLES, _CEILING_LEVELS, _BIASED_ROWS):
+_TOPS = _MAGNITUDES[:, -1].copy()
+for _table in (_MAGNITUDES, _CODE_LEVELS, _CODE_NIBBLES, _CEILING_LEVELS, _BIASED_ROWS, _TOPS):
     _table.setflags(write=False)
 
 
@@ -147,23 +149,33 @@ def encode_levels(groups, coefficients):
             coeffs.ndim > len(lead)
             or any(c not in (1, n) for c, n in zip(coeffs.shape[::-1], lead[::-1]))):
         raise ValueError(f"coefficients shape {coeffs.shape} does not broadcast to groups {lead}")
+    return _encode_levels(groups, coeffs)
+
+
+def _encode_levels(groups, coeffs, levels=None, scales=None):
+    """:func:`encode_levels` of float64 groups under coefficients already
+    known to be 4-bit (a variance table's, or checked), written into
+    ``levels`` and ``scales`` when given (such as a store's next rows)."""
     doubled = np.abs(groups)
-    scales = doubled.max(axis=-1, initial=0.0) / _MAGNITUDES[coeffs, -1]
+    scales = np.divide(np.maximum.reduce(doubled, axis=-1, initial=0.0), _TOPS.take(coeffs),
+                       out=scales)
     _check_finite(scales)   # a group's max is inf or NaN where one of its values is
-    silent = scales == 0.0
-    doubled /= np.where(silent, np.inf, scales)[..., None]
+    silent = None if scales.all() else scales == 0.0
+    doubled /= (scales if silent is None else np.where(silent, np.inf, scales))[..., None]
     doubled *= 2
     np.ceil(doubled, out=doubled)
     # ceil(2x) + row start is an integer below 2**52, so adding 2**52 is exact and
     # leaves it in the low bits: a faster conversion than a float-to-int cast
-    doubled += _BIASED_ROWS[coeffs][..., None]
+    doubled += _BIASED_ROWS.take(coeffs)[..., None]
     index = doubled.view(np.int64)
-    index -= np.float64(_TWO_52).view(np.int64)
-    levels = np.take(_CEILING_LEVELS, index)
+    index -= _TWO_52_BITS
+    # every index is in range (see _ceiling_levels), and mode "clip" lets take
+    # write into `levels` without buffering
+    levels = np.take(_CEILING_LEVELS, index, out=levels, mode="clip")
     # 1 - 2*(value < 0): -0.0 and the values of a zero-scale group stay positive
     sign = (groups < 0).view(np.int8)
-    if silent.any():
-        sign[np.broadcast_to(silent, lead)] = 0
+    if silent is not None:
+        sign[np.broadcast_to(silent, groups.shape[:-1])] = 0
     sign *= -2
     sign += 1
     levels *= sign
@@ -179,8 +191,8 @@ def _level_nibbles(levels, coefficients) -> np.ndarray:
 def round_int8(scaled) -> np.ndarray:
     """INT8 codes of pre-scaled values: round half away from zero, clamp to
     [-127, 127] (never -128).  The clamp moves exactly ``|scaled| >= 127.5``."""
-    codes = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return np.clip(codes, -127, 127).astype(np.int8)
+    codes = np.minimum(np.floor(np.abs(scaled) + 0.5), 127.0)
+    return np.copysign(codes, scaled).astype(np.int8)
 
 
 def encode_int8(groups):
@@ -376,14 +388,8 @@ def quantize_weight_tensor(values, coefficients, group_axis: int = 0,
                            group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a tensor to group-wise 4-bit codes along ``group_axis``, with
     one coefficient for all groups or a (rows, n_groups) array of them."""
-    return _quantize_weight_rows(tensor_rows(values, group_axis), np.shape(values), coefficients,
-                                 group_axis, group_size)
-
-
-def _quantize_weight_rows(rows, shape, coefficients, group_axis: int,
-                          group_size: int) -> QuantizedTensor:
-    """:func:`quantize_weight_tensor` of the tensor of ``shape`` whose
-    :func:`tensor_rows` are ``rows``."""
-    levels, scales = encode_levels(to_groups(rows, group_size), coefficients)
+    levels, scales = encode_levels(to_groups(tensor_rows(values, group_axis), group_size),
+                                   coefficients)
     coeffs = np.broadcast_to(coefficients, scales.shape).astype(np.uint8)
-    return QuantizedTensor(shape, KIND_MANT4, group_axis, group_size, levels, scales, coeffs)
+    return QuantizedTensor(np.shape(values), KIND_MANT4, group_axis, group_size, levels, scales,
+                           coeffs)

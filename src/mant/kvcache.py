@@ -8,34 +8,34 @@ values go through a two-phase process window: each decode step stages the
 vector as INT8 (channel-wise scales fixed at prefill) and updates running
 max / sum / sum-of-squares per channel, and when the window holds a full
 group the staged rows are re-encoded to 4-bit codes using a coefficient
-picked from the streaming variance.  Keys (from each group's sums over its
-true length), prompt values and window flushes all pick coefficients
-through :func:`selection.coefficients_from_sums`.
+picked from the streaming variance.  One process window stages the values
+of all heads.
 
 The keys and the flushed values are 4-bit ``(tokens, heads, head_dim)``
-:class:`QuantizedTensor` s grouped along axis 2 and 0, built by
-:func:`selection.quantize_by_variance` (keys, prompt values) or
-:meth:`ProcessWindow.flush` (a full window as one ``(group_size, heads,
-head_dim)`` block) and appended along axis 0 in place by
-:meth:`KvCache._append`: their arrays view the filled prefix of buffers
-whose capacity doubles when it runs out.  The value arrays stay
-block-major, so each block is one contiguous operand of the value
-product.  One process window stages the values of all heads.
+:class:`QuantizedTensor` s grouped along axis 2 and 0, whose arrays view
+the filled prefix of buffers led by the axis that grows (key rows, value
+blocks).  Every write takes one route, :meth:`KvCache._write`: a key row,
+a prompt's keys and full value blocks, and a full window pick their
+coefficients from their groups' sums (:func:`selection.coefficients_from_sums`),
+and the batched encoder writes levels and scales straight into the
+buffers' next rows.  The value arrays stay block-major, so each block is
+one contiguous operand of the value product.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (DEFAULT_GROUP_SIZE, MAX_GROUP_SIZE, QuantizedTensor, _check_finite,
-                    quantize_weight_tensor, round_int8)
+from .codec import (DEFAULT_GROUP_SIZE, KIND_MANT4, MAX_GROUP_SIZE, QuantizedTensor,
+                    _check_finite, _encode_levels, round_int8, tensor_rows, to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .grid import as_integer
-from .selection import VarianceTable, coefficients_from_sums, quantize_by_variance
+from .selection import (VarianceTable, coefficients_from_sums, quantize_by_variance,
+                        row_coefficients)
 
 
 @dataclass
@@ -45,7 +45,8 @@ class ProcessWindow:
     ``channel_scales`` sets the channel shape: ``(channels,)`` for one head,
     ``(heads, head_dim)`` for all heads of a cache.  The window holds up to
     ``group_size`` INT8 rows ``(group_size, *channels)`` plus per-channel
-    running statistics of their dequantized values.  ``window[h]`` is head
+    running statistics of their dequantized values; the channel scales are
+    fixed when the window is made.  ``window[h]`` is head
     ``h`` of a multi-head window, for reading: its arrays are read-only views
     of this window's, its counters a copy (``clamp_count`` counts the whole
     window), and ``push`` and ``flush`` on it raise ValueError.  ``flush``
@@ -64,10 +65,16 @@ class ProcessWindow:
 
     def __post_init__(self):
         self.group_size = as_integer(self.group_size, "group size", 1, MAX_GROUP_SIZE)
-        self.channel_scales = np.asarray(self.channel_scales, dtype=np.float64)
+        # a read-only copy: the divisors below are made from it once
+        self.channel_scales = np.array(self.channel_scales, dtype=np.float64)
+        self.channel_scales.setflags(write=False)
         shape = self.channel_scales.shape
         self.staged = np.zeros((self.group_size,) + shape, dtype=np.int8)
         self.running_max, self.sum_v, self.sum_v2 = (np.zeros(shape) for _ in range(3))
+        # a value over an infinite divisor stages as 0, as a zero-scale channel's must
+        silent = self.channel_scales == 0.0
+        self._divisors = np.where(silent, np.inf, self.channel_scales)
+        self._silent = silent if silent.any() else None
 
     def __getitem__(self, head: int) -> ProcessWindow:
         view = copy.copy(self)
@@ -100,23 +107,33 @@ class ProcessWindow:
         if values.shape not in (shape, values.shape[:1] + shape):
             raise ValueError(f"expected rows of {shape} channels, got {values.shape}")
         _check_finite(values)
-        rows = values.reshape((-1,) + shape)
-        if self.fill_count + rows.shape[0] > self.group_size:
+        self._stage(values.reshape((-1,) + shape))
+
+    def _stage(self, rows: np.ndarray) -> None:
+        """:meth:`push` of finite float64 rows ``(n, *channels)``."""
+        if self.fill_count + len(rows) > self.group_size:
             raise ValueError("process window is full; flush before pushing")
-
-        live = self.channel_scales > 0.0
-        scaled = np.divide(rows, self.channel_scales, out=np.zeros_like(rows), where=live)
-        self.clamp_count += int(np.count_nonzero(np.abs(scaled) >= 127.5)
-                                + np.count_nonzero(~live & (rows != 0.0)))
+        scaled = rows / self._divisors
+        self.clamp_count += int(np.count_nonzero(np.abs(scaled) >= 127.5))
+        if self._silent is not None:
+            self.clamp_count += int(np.count_nonzero(rows[:, self._silent]))
         codes = round_int8(scaled)
-
-        self.staged[self.fill_count:self.fill_count + rows.shape[0]] = codes
-        decoded = codes.astype(np.float64) * self.channel_scales
-        np.maximum(self.running_max, np.abs(decoded).max(axis=0, initial=0.0), out=self.running_max)
-        # running sums add row by row, in the order the rows arrive
-        self.sum_v[...] = np.add.accumulate(np.concatenate([self.sum_v[None], decoded]))[-1]
-        self.sum_v2[...] = np.add.accumulate(np.concatenate([self.sum_v2[None], decoded * decoded]))[-1]
-        self.fill_count += rows.shape[0]
+        self.staged[self.fill_count:self.fill_count + len(rows)] = codes
+        decoded = codes * self.channel_scales
+        # running sums add row by row, in the order the rows arrive: one row
+        # is one add, which rounds as the accumulation does
+        if len(rows) == 1:
+            row = decoded[0]
+            np.maximum(self.running_max, np.abs(row), out=self.running_max)
+            self.sum_v += row
+            self.sum_v2 += row * row
+        else:
+            np.maximum(self.running_max, np.abs(decoded).max(axis=0, initial=0.0),
+                       out=self.running_max)
+            self.sum_v[...] = np.add.accumulate(np.concatenate([self.sum_v[None], decoded]))[-1]
+            self.sum_v2[...] = np.add.accumulate(np.concatenate([self.sum_v2[None],
+                                                                 decoded * decoded]))[-1]
+        self.fill_count += len(rows)
 
     def staged_dequantized(self) -> np.ndarray:
         """Real values of the staged rows, shape (fill_count, *channels)."""
@@ -131,17 +148,25 @@ class ProcessWindow:
         the codes from re-encoding the dequantized staged column.  The
         window resets afterwards.
         """
+        rows, coeffs = self._drain(table)
+        levels, scales = _encode_levels(to_groups(rows, self.group_size), coeffs)
+        return QuantizedTensor(self.staged.shape, KIND_MANT4, 0, self.group_size, levels, scales,
+                               coeffs)
+
+    def _drain(self, table: VarianceTable) -> tuple[np.ndarray, np.ndarray]:
+        """The full window's :func:`codec.tensor_rows` ``(channels,
+        group_size)`` of dequantized staged values and their coefficients
+        ``(channels, 1)``; the window resets."""
         self._check_writable()
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
         coeffs = coefficients_from_sums(table, self.sum_v, self.sum_v2, self.group_size,
                                         self.running_max)
-        block = quantize_weight_tensor(self.staged_dequantized(), coeffs.reshape(-1, 1), 0,
-                                       self.group_size)
+        rows = tensor_rows(self.staged_dequantized(), 0)
         self.fill_count = 0
         self.staged[:] = 0
         self.running_max[:] = self.sum_v[:] = self.sum_v2[:] = 0.0
-        return block
+        return rows, coeffs.reshape(-1, 1)
 
 
 # one head's flushed value block: derived codes (head_dim, G), store views of scales, coeffs
@@ -190,43 +215,54 @@ class KvCache:
         """Flushed tokens plus window fill must equal all value tokens seen."""
         return self.flushed_tokens + self.window_fill == self._total_v
 
-    def _append(self, name: str, new: QuantizedTensor) -> None:
-        """Append ``new`` to the store ``name`` along tensor axis 0: levels,
-        scales and coefficients fill buffers led by the axis that grows (key
-        rows, value blocks), whose capacity doubles when it runs out.  The
-        store views the filled prefix, so a tensor a caller holds keeps its
-        contents."""
-        old = getattr(self, name)
-        axis = 1 if old.group_axis == 0 else 0
-        names = ("levels", "scales", "coefficients")
-        parts = [getattr(new, f).swapaxes(0, axis) for f in names]
-        used, size = old.levels.shape[axis], old.levels.shape[axis] + parts[0].shape[0]
+    def _write(self, name: str, rows: np.ndarray, coefficients: np.ndarray, tokens: int) -> None:
+        """Encode the groups of :func:`codec.tensor_rows` ``rows`` under
+        their table-made ``coefficients`` straight into the next rows of the
+        buffers behind the store ``name``, which then holds ``tokens`` more
+        tokens.
+
+        The buffers hold levels, scales and coefficients in the store's
+        layout, with spare capacity along the axis that grows (key rows,
+        value blocks); that axis leads in memory, and the capacity doubles
+        when it runs out.  The store views the filled prefix, so a tensor a
+        caller holds keeps its contents, and an encode that raises leaves
+        the store as it was."""
+        store = getattr(self, name)
+        groups = to_groups(rows, self.group_size)
+        axis = 1 if store.group_axis == 0 else 0
+        used = store.levels.shape[axis]
+        size = used + groups.shape[axis]
+        lead = (slice(None),) * axis
         buffers = self._buffers.get(name)
-        if buffers is None or size > len(buffers[0]):
-            capacity = max(size, 2 * len(buffers[0])) if buffers else size
-            buffers = [np.empty((capacity,) + p.shape[1:], p.dtype) for p in parts]
-            for buffer, f in zip(buffers, names):
-                buffer[:used] = getattr(old, f).swapaxes(0, axis)
+        if buffers is None or size > buffers[0].shape[axis]:
+            capacity = max(size, 2 * buffers[0].shape[axis]) if buffers else size
+            filled = (store.levels, store.scales, store.coefficients)
+            buffers = [np.empty((capacity,) + a.swapaxes(0, axis).shape[1:], a.dtype)
+                       .swapaxes(0, axis) for a in filled]
+            for buffer, a in zip(buffers, filled):
+                buffer[lead + (slice(used),)] = a
             self._buffers[name] = buffers
-        for buffer, part in zip(buffers, parts):
-            buffer[used:size] = part
-        views = {f: buffer[:size].swapaxes(0, axis) for f, buffer in zip(names, buffers)}
-        setattr(self, name, replace(old, shape=(old.shape[0] + new.shape[0],) + old.shape[1:],
-                                    **views))
+        levels, scales, coeffs = [buffer[lead + (slice(used, size),)] for buffer in buffers]
+        _encode_levels(groups, coefficients, levels, scales)
+        coeffs[...] = coefficients
+        setattr(self, name, QuantizedTensor(
+            (store.shape[0] + tokens,) + store.shape[1:], KIND_MANT4, store.group_axis,
+            self.group_size, *[buffer[lead + (slice(size),)] for buffer in buffers]))
 
     # -- K path ------------------------------------------------------------
 
     def append_k(self, k_vector) -> None:
         """Quantize one key vector (heads, head_dim) and append it.
 
-        Per group: one pass accumulates max, sum and sum of squares, the
-        variance lookup picks the coefficient, and the group is encoded.
+        Per group: max, sum and sum of squares give the variance, the table
+        lookup the coefficient, and the group is encoded into the key
+        store's next row.  Non-finite input raises ValueError and leaves the
+        cache as it was.
         """
         k_vector = np.asarray(k_vector, dtype=np.float64)
         if k_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {k_vector.shape}")
-        self._append("keys", quantize_by_variance(k_vector[None], self.k_table, 2,
-                                                  self.group_size))
+        self._write("keys", k_vector, row_coefficients(self.k_table, k_vector, self.group_size), 1)
 
     def k_arrays(self):
         """Keys: codes (seq, heads, n_kgroups, G), derived, and views of scales, coeffs."""
@@ -245,10 +281,11 @@ class KvCache:
         v_vector = np.asarray(v_vector, dtype=np.float64)
         if v_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {v_vector.shape}")
-        self.windows.push(v_vector)
+        _check_finite(v_vector)
+        self.windows._stage(v_vector[None])
         self._total_v += 1
         if self.windows.is_full:
-            self._append("values", self.windows.flush(self.v_table))
+            self._write("values", *self.windows._drain(self.v_table), self.group_size)
             return True
         return False
 
@@ -259,24 +296,30 @@ class KvCache:
         columns are split into full sequence blocks encoded directly
         (variance computed from the complete group); a trailing partial block
         enters the process window, whose channel scales are the per-channel
-        absolute maxima of the prefill values.  Non-finite input raises
-        ValueError and leaves the cache empty.
+        absolute maxima of the prefill values.  An empty prompt, one of
+        another geometry and non-finite input raise ValueError and leave the
+        cache empty.
         """
         k_matrix = np.asarray(k_matrix, dtype=np.float64)
         v_matrix = np.asarray(v_matrix, dtype=np.float64)
-        if k_matrix.shape != v_matrix.shape or k_matrix.ndim != 3:
-            raise ValueError("prefill expects matching (seq, heads, head_dim) tensors")
+        shape = (self.heads, self.head_dim)
+        if k_matrix.shape != v_matrix.shape or k_matrix.shape[1:] != shape:
+            raise ValueError(f"prefill expects matching (seq, {self.heads}, {self.head_dim}) "
+                             f"tensors, got {k_matrix.shape} and {v_matrix.shape}")
+        if not len(k_matrix):
+            raise ValueError("prefill expects at least one token")
         if self.seq_len or self._total_v:
             raise ValueError("prefill must run on an empty cache")
         _check_finite(k_matrix)
         _check_finite(v_matrix)
-        self._append("keys", quantize_by_variance(k_matrix, self.k_table, 2, self.group_size))
+        seq = len(k_matrix)
+        rows = k_matrix.reshape(-1, self.head_dim)
+        self._write("keys", rows, row_coefficients(self.k_table, rows, self.group_size), seq)
         self.windows = ProcessWindow(np.max(np.abs(v_matrix), axis=0) / 127.0, self.group_size)
-        seq = v_matrix.shape[0]
         flushed = seq - seq % self.group_size
-        self._append("values", quantize_by_variance(v_matrix[:flushed], self.v_table, 0,
-                                                    self.group_size))
-        self.windows.push(v_matrix[flushed:])
+        rows = tensor_rows(v_matrix[:flushed], 0)
+        self._write("values", rows, row_coefficients(self.v_table, rows, self.group_size), flushed)
+        self.windows._stage(v_matrix[flushed:])
         self._total_v = seq
 
     def v_blocks(self, head: int) -> list[ValueBlock]:

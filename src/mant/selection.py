@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (INT4_COEFF, QuantizedTensor, _quantize_weight_rows, _scale_levels,
-                    encode_levels, split_runs, tensor_rows)
+from .codec import (INT4_COEFF, KIND_MANT4, QuantizedTensor, _encode_levels, _scale_levels,
+                    encode_levels, split_runs, tensor_rows, to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .grid import MAX_COEFFICIENT, as_integer, as_number
 
@@ -116,8 +116,8 @@ def weight_space_error(values, a):
 def _group_sums(values):
     """Sum, sum of squares, length and absolute maximum of groups ``(..., G)``."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    return (values.sum(axis=-1), (values * values).sum(axis=-1), values.shape[-1],
-            np.max(np.abs(values), axis=-1, initial=0.0))
+    return (np.add.reduce(values, axis=-1), np.add.reduce(values * values, axis=-1),
+            values.shape[-1], np.maximum.reduce(np.abs(values), axis=-1, initial=0.0))
 
 
 def variance_from_sums(total, total_sq, count, absmax):
@@ -125,12 +125,22 @@ def variance_from_sums(total, total_sq, count, absmax):
     groups from their sums over ``count`` elements and absolute maxima; 0
     for an all-zero or empty group.  The mean is squared by a multiply,
     which rounds once; the C library's ``pow`` sometimes rounds otherwise."""
-    total, total_sq, absmax = (np.asarray(x, dtype=np.float64) for x in (total, total_sq, absmax))
+    absmax = np.asarray(absmax, dtype=np.float64)
+    var = np.asarray(_variance(total, total_sq, count, absmax))
+    # np.clip(var, 0, 1) with NaN kept, in place: two ufuncs cost less than its wrapper
+    np.minimum(1.0, np.maximum(0.0, var, out=var), out=var)
+    np.copyto(var, 0.0, where=(absmax == 0.0) | np.equal(count, 0))
+    return _scalar_or_array(var)
+
+
+def _variance(total, total_sq, count, absmax):
+    """:func:`variance_from_sums` before its clip and its zeros: NaN or inf
+    where ``absmax`` or ``count`` is 0."""
+    total = np.asarray(total, dtype=np.float64)
+    total_sq = np.asarray(total_sq, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = total / count
-        var = (total_sq / count - mean * mean) / (absmax * absmax)
-    var = np.where((absmax == 0.0) | (np.asarray(count) == 0), 0.0, np.clip(var, 0.0, 1.0))
-    return _scalar_or_array(var)
+        return (total_sq / count - mean * mean) / (absmax * absmax)
 
 
 def normalized_variance(values):
@@ -170,16 +180,18 @@ class VarianceTable:
         if self.entries[0][1] != 0.0 or self.entries[-1][2] != 1.0:
             raise ValueError("table ranges must cover [0, 1]")
         object.__setattr__(self, "_coeffs", np.array([e[0] for e in self.entries]))
-        object.__setattr__(self, "_his", np.array([e[2] for e in self.entries]))
+        his = np.array([e[2] for e in self.entries[:-1]])
+        object.__setattr__(self, "_edges", np.where(his == 0.0, -np.inf, his))
 
     def lookup(self, variance):
         """Coefficient whose range contains ``variance`` (total on [0, 1]);
         an array of variances gives an array of coefficients."""
-        v = np.clip(np.asarray(variance, dtype=np.float64), 0.0, 1.0)
         # the ranges tile [0, 1] in order, so the first range with hi > v
-        # contains v; v = 1 (or NaN) falls through to the last entry
-        index = np.searchsorted(self._his, v, side="right")
-        return _scalar_or_array(self._coeffs[np.minimum(index, len(self.entries) - 1)])
+        # contains v: its index counts the upper edges at or below v.  Leaving
+        # out the last edge puts v >= 1 and NaN in the last range, and an edge
+        # of 0 read as -inf counts for v < 0 as for v = 0, so no clip is needed
+        index = np.searchsorted(self._edges, np.asarray(variance, dtype=np.float64), side="right")
+        return _scalar_or_array(self._coeffs[index])
 
     def range_of(self, a: int) -> tuple[float, float]:
         for coeff, lo, hi in self.entries:
@@ -315,10 +327,18 @@ def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...
 
 
 def coefficients_from_sums(table: VarianceTable, total, total_sq, count, absmax) -> np.ndarray:
-    """Real-time coefficient choice (uint8) of groups from their sums, as in
-    :func:`variance_from_sums`; an all-zero group takes the smallest."""
-    coeffs = table.lookup(variance_from_sums(total, total_sq, count, absmax))
-    return np.where(np.asarray(absmax) == 0.0, table.entries[0][0], coeffs).astype(np.uint8)
+    """Real-time coefficient choice (uint8) of groups from their sums: the
+    range of their :func:`variance_from_sums`, which the lookup finds without
+    the clip; an empty group reads variance 0, and an all-zero group takes
+    the smallest coefficient."""
+    absmax = np.asarray(absmax, dtype=np.float64)
+    coeffs = np.asarray(table.lookup(_variance(total, total_sq, count, absmax)), dtype=np.uint8)
+    empty = np.equal(count, 0)
+    if empty.any():
+        np.copyto(coeffs, table.lookup(0.0), where=empty)
+    if not absmax.all():
+        np.copyto(coeffs, table.entries[0][0], where=absmax == 0.0)
+    return coeffs
 
 
 def select_by_variance(group, table: VarianceTable):
@@ -326,12 +346,24 @@ def select_by_variance(group, table: VarianceTable):
     return _scalar_or_array(coefficients_from_sums(table, *_group_sums(group)))
 
 
+def row_coefficients(table: VarianceTable, rows, group_size: int) -> np.ndarray:
+    """:func:`coefficients_from_sums` of the groups along the last axis of
+    ``rows`` ``(n, axis_len)``, each from its sums over its true length
+    (:func:`codec.split_runs`): uint8 ``(n, n_groups)``."""
+    runs = [coefficients_from_sums(table, *_group_sums(run)) for run in split_runs(rows, group_size)]
+    if len(runs) == 1:
+        return runs[0]
+    # the empty first part keeps the (n, 0) shape of an axis with no groups
+    return np.concatenate([np.zeros((len(rows), 0), np.uint8)] + runs, axis=-1)
+
+
 def quantize_by_variance(values, table: VarianceTable, group_axis: int,
                          group_size: int) -> QuantizedTensor:
     """A 4-bit tensor grouped along ``group_axis``, each group's coefficient from
-    :func:`coefficients_from_sums` of its sums over its true length (:func:`codec.split_runs`)."""
+    :func:`row_coefficients`.  A table's coefficients are 4-bit by construction,
+    so the encoder takes them unchecked."""
     rows = tensor_rows(values, group_axis)
-    # the empty first part keeps the (rows, 0) shape of an axis with no groups
-    coeffs = np.concatenate([np.zeros((len(rows), 0), np.uint8)] + [coefficients_from_sums(
-        table, *_group_sums(run)) for run in split_runs(rows, group_size)], axis=-1)
-    return _quantize_weight_rows(rows, np.shape(values), coeffs, group_axis, group_size)
+    coeffs = row_coefficients(table, rows, group_size)
+    levels, scales = _encode_levels(to_groups(rows, group_size), coeffs)
+    return QuantizedTensor(np.shape(values), KIND_MANT4, group_axis, group_size, levels, scales,
+                           coeffs)

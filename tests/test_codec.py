@@ -25,7 +25,7 @@ from mant.codec import (
     unpack_codes,
 )
 from mant.kvcache import KvCache, ProcessWindow
-from mant.selection import table_from_probe_means
+from mant.selection import VarianceTable, quantize_by_variance, table_from_probe_means
 from oracles import encode_nibbles
 
 # every entry point that takes a group size, called with group size g
@@ -162,6 +162,22 @@ class TestQuantizeWeightGroup:
                      lambda: magnitude_values(40.7)):
             with pytest.raises(ValueError, match="integer"):
                 call()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+    @pytest.mark.parametrize("a", [129, 200, 255])
+    def test_out_of_range_coefficient_arrays_refused(self, a, dtype):
+        # the KV cache encodes a variance table's coefficients unchecked; what
+        # a caller passes is still checked, and a table checks its own
+        coeffs = np.array([[5, a]], dtype=dtype)
+        message = f"^coefficient must be an integer in 0..128, got {a}$"
+        with pytest.raises(ValueError, match=message):
+            encode_levels(np.ones((1, 2, 8)), coeffs)
+        with pytest.raises(ValueError, match=message):
+            quantize_weight_tensor(np.ones((16, 1)), coeffs, 0, 8)
+        with pytest.raises(ValueError, match=f"^table coefficient must be an integer in 0..128, "
+                                             rf"got .*\b{a}\b"):
+            quantize_by_variance(np.ones((16, 1)), VarianceTable(
+                tuple(zip(coeffs[0], (0.0, 0.5), (0.5, 1.0)))), 0, 8)
 
     def test_integral_float_coefficient_accepted(self):
         g = np.linspace(-1.0, 1.0, 8)

@@ -157,6 +157,29 @@ class TestProcessWindow:
         assert w.fill_count == 0 and not w[0].staged.any()
 
 
+    def test_one_row_pushes_equal_one_multi_row_push(self):
+        # a one-row push adds its row to the running sums with one add, an
+        # n-row push accumulates them row by row: the bits must agree
+        rng = np.random.default_rng(19)
+        scales = rng.uniform(0.005, 0.03, (3, 6))
+        scales[1, 2] = scales[0, 5] = 0.0   # silent channels
+        rows = rng.standard_normal((8, 3, 6)) * 10.0 ** rng.uniform(-2, 1, (8, 1, 1))
+        rows[2, 0, 0] = 50.0                 # clamps: 50 / scale >= 127.5
+        rows[5, 1, 2] = 0.4                  # lost on a silent channel
+        one, many = ProcessWindow(scales, 8), ProcessWindow(scales, 8)
+        for row in rows:
+            one.push(row)
+        many.push(rows)
+        for name in ("staged", "running_max", "sum_v", "sum_v2"):
+            assert getattr(one, name).tobytes() == getattr(many, name).tobytes(), name
+        assert one.clamp_count == many.clamp_count >= 2
+        assert type(one.clamp_count) is int and type(many.clamp_count) is int
+        # staging divides by divisors made once from the channel scales
+        scales[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            one.channel_scales[0, 0] = 1.0
+        assert one.channel_scales[0, 0] != 1.0
+
     def test_head_view_is_read_only(self):
         # a view that could flush would zero head 0 in the shared arrays but
         # reset only its own fill count, so the window's next flush would
@@ -241,6 +264,50 @@ class TestKvCache:
         cache.prefill(data, data)
         with pytest.raises(ValueError):
             cache.prefill(data, data)
+
+    @pytest.mark.parametrize("k_shape,v_shape", [
+        ((3, 2, 7), (3, 2, 7)), ((3, 3, 8), (3, 3, 8)), ((0, 2, 8), (0, 2, 8)),
+        ((3, 2, 8), (4, 2, 8)), ((2, 8), (2, 8)), ((3, 2, 8, 1), (3, 2, 8, 1))])
+    def test_prefill_refuses_another_geometry_or_an_empty_prompt(self, k_shape, v_shape):
+        # a (3, 2, 7) prompt once wrote keys labelled (3, 2, 8) before numpy
+        # failed, and the half-written cache then refused every prompt
+        rng = np.random.default_rng(21)
+        cache = KvCache(2, 8, TABLE, TABLE, 4)
+        with pytest.raises(ValueError, match="prefill expects"):
+            cache.prefill(rng.standard_normal(k_shape), rng.standard_normal(v_shape))
+        assert cache.seq_len == 0 and cache.windows is None and cache.total_v_tokens == 0
+        assert cache.flushed_tokens == 0 and "keys" not in cache._buffers
+        cache.prefill(rng.standard_normal((3, 2, 8)), rng.standard_normal((3, 2, 8)))
+        assert cache.seq_len == 3 and cache.window_fill == 3 and cache.conservation_holds()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refused_append_k_leaves_the_cache_as_it_was(self, bad):
+        rng = np.random.default_rng(22)
+        cache, clean = make_cache(heads=2, head_dim=48, group_size=32), make_cache(2, 48, 32)
+        prompt = rng.standard_normal((5, 2, 48))
+        for c in (cache, clean):
+            c.prefill(prompt, prompt)
+        for t, k in enumerate(rng.standard_normal((12, 2, 48))):
+            if t in (0, 3):   # at t = 0 the buffers are full and an append grows them
+                keys, rows = cache.keys, cache.seq_len * cache.heads
+                arrays = [a.copy() for a in (keys.levels, keys.scales, keys.coefficients)]
+                filled = [buffer[:rows].copy() for buffer in cache._buffers["keys"]]
+                refused = k.copy()
+                refused[1, 40] = bad   # in head 1's tail group
+                with pytest.raises(ValueError, match="non-finite"):
+                    cache.append_k(refused)
+                assert cache.seq_len == keys.shape[0] and cache.keys is keys
+                for got, want in zip((keys.levels, keys.scales, keys.coefficients), arrays):
+                    assert got.tobytes() == want.tobytes()
+                for buffer, want in zip(cache._buffers["keys"], filled):
+                    assert buffer[:rows].tobytes() == want.tobytes()
+            cache.append_k(k)
+            clean.append_k(k)
+        # each later key landed in the row the refused one would have taken
+        for got, want in zip((cache.keys.levels, cache.keys.scales, cache.keys.coefficients),
+                             (clean.keys.levels, clean.keys.scales, clean.keys.coefficients)):
+            assert got.tobytes() == want.tobytes()
+        assert cache.keys.shape == clean.keys.shape == (17, 2, 48)
 
     def test_push_before_prefill(self):
         cache = make_cache(heads=1, head_dim=64)

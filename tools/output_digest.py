@@ -4,7 +4,7 @@ Run it on two trees on the same machine and compare the lines:
 
     PYTHONPATH=src python3 tools/output_digest.py
 
-It prints 29 lines, each a name and the first 16 hex digits of a sha256:
+It prints 30 lines, each a name and the first 16 hex digits of a sha256:
 
 * ``attention decode ...`` and ``attention prompt ...``: two lines per
   ``run_toy_attention`` case.  The decode line hashes ``step_outputs``,
@@ -30,6 +30,8 @@ It prints 29 lines, each a name and the first 16 hex digits of a sha256:
   and coefficients of ``k_arrays()`` and of ``cache.values.split_rows(heads,
   head_dim)`` moved to ``(blocks, heads, head_dim, ...)``, then the staged
   INT8 rows and the channel scales of the process window;
+* ``kv window``: the open process window of the same caches: its running
+  maxima, sums and sums of squares, then ``repr(clamp_count)``;
 * ``kv store growth``: the MNTQ bytes (``container.write_quantized``) of
   ``cache.keys`` and ``cache.values`` of two caches, one with a tail key
   group, whose decode steps grow the keys past 4x the prompt (two
@@ -217,7 +219,7 @@ def kv_growth_digest():
 
 
 def kv_digests():
-    h, stores = hashlib.sha256(), hashlib.sha256()
+    h, stores, windows = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for seed, (prompt, steps, heads, head_dim, group_size) in enumerate(KV_STREAMS):
         _, k, v = synthesize_stream(np.random.default_rng(seed), prompt + steps, heads, head_dim)
         cache = KvCache(heads, head_dim, KV_TABLE, KV_TABLE, group_size)
@@ -233,11 +235,15 @@ def kv_digests():
         for array in (*cache.k_arrays(), *v_arrays, window.staged[:window.fill_count],
                       window.channel_scales):
             stores.update(array.tobytes())
+        for array in (window.running_max, window.sum_v, window.sum_v2):
+            windows.update(array.tobytes())
+        windows.update(repr(window.clamp_count).encode())
     for seed, (heads, head_dim, group_size) in enumerate(CALIBRATION_GEOMETRIES):
         for table in calibration_tables(np.random.default_rng(seed), heads, head_dim, group_size):
             h.update(table.to_json().encode())
     yield "kv coefficients", short(h)
     yield "kv stores", short(stores)
+    yield "kv window", short(windows)
 
 
 # (length, coefficient or None for INT8, all zero): odd lengths, INT4 (128), zero groups
