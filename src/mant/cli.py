@@ -117,7 +117,7 @@ def cmd_fit_grid(args) -> int:
 def _quantize_stats(values: np.ndarray, qt, scales: np.ndarray) -> dict:
     """Errors of the stored tensor ``qt``; fp16 losses of the unrounded
     ``scales`` (:func:`container.write_quantized` has warned of them)."""
-    underflow, overflow = container.half_losses(scales)
+    _, underflow, overflow = container.half_scales(scales)
     decoded = qt.dequantize()
     err = decoded - values
     hist: dict[str, int] = {}
@@ -403,6 +403,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            # a real-valued flag (every float here is one) must be finite
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,21 +77,17 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     return data
 
 
-def half_bits(scales) -> np.ndarray:
-    """IEEE binary16 bit patterns of scales (round to nearest, clamp to finite)."""
-    with np.errstate(over="ignore"):
-        half = np.asarray(scales, dtype=np.float64).astype(np.float16)
-    return np.where(np.isinf(half), np.copysign(np.float16(65504.0), half), half).view(np.uint16)
-
-
-def half_losses(scales) -> tuple[int, int]:
-    """Counts of scales IEEE half cannot hold: nonzero scales that round to
-    0 (underflow) and scales that clamp to 65504 (overflow)."""
+def half_scales(scales) -> tuple[np.ndarray, int, int]:
+    """IEEE binary16 bit patterns of scales (round to nearest, clamp to
+    finite), then the counts of scales IEEE half cannot hold: nonzero scales
+    that round to 0 (underflow) and scales that clamp to 65504 (overflow)."""
     scales = np.asarray(scales, dtype=np.float64)
     with np.errstate(over="ignore"):
         half = scales.astype(np.float16)
+    overflow = np.isinf(half)
+    bits = np.where(overflow, np.copysign(np.float16(65504.0), half), half).view(np.uint16)
     underflow = np.count_nonzero((half == 0) & (scales != 0.0))
-    return int(underflow), int(np.count_nonzero(np.isinf(half)))
+    return bits, int(underflow), int(np.count_nonzero(overflow))
 
 
 # One metadata record per group, packed: fp16 scale bits, coefficient, length.
@@ -105,22 +101,24 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     Returns the tensor the file holds: ``qt`` with the written half scales,
     as :func:`read_quantized` would give them (levels and coefficients are
     ``qt``'s own arrays).  A 4-bit level off its grid has no code: ValueError."""
-    underflow, overflow = half_losses(qt.scales)
+    records = np.empty(qt.scales.shape, dtype=_RECORD)
+    records["scale"], underflow, overflow = half_scales(qt.scales)
+    records["a"] = qt.coefficients
+    # lengths by slices, as the reader checks them: a full group's, then the tail's
+    tail = qt.axis_length - (qt.n_groups - 1) * qt.group_size
+    records["length"] = qt.group_size
+    records["length"][:, -1:] = tail
+    # a file the reader would refuse is not written
+    scales = _record_scales(records, qt.element_kind, qt.group_size, tail)
     if underflow or overflow:
         log.warning("%d group scales flushed to 0 and %d clamped to 65504 in IEEE half",
                     underflow, overflow)
-    records = np.empty(qt.scales.shape, dtype=_RECORD)
-    records["scale"] = half_bits(qt.scales)
-    records["a"] = qt.coefficients
-    # lengths by slices, as the reader checks them: a full group's, then the tail's
-    records["length"] = qt.group_size
-    records["length"][:, -1:] = qt.axis_length - (qt.n_groups - 1) * qt.group_size
     # slots are codes: nibbles for 4-bit, INT8 codes as their bytes
     bits = 4 if qt.element_kind == KIND_MANT4 else 8
     width = 8 // bits * row_payload_bytes(qt.group_size, qt.group_size, bits)
     slots = np.zeros((qt.n_rows, qt.n_groups, width), dtype=np.uint8)
     slots[:, :, :qt.group_size] = qt.codes
-    slots[:, -1:, qt.axis_length - (qt.n_groups - 1) * qt.group_size:] = 0
+    slots[:, -1:, tail:] = 0
     slots = slots.reshape(qt.n_rows, qt.n_groups * width)
     slots = slots[:, :8 // bits * row_payload_bytes(qt.axis_length, qt.group_size, bits)]
     # every row holds an even number of nibbles, so packing the flat array
@@ -134,7 +132,28 @@ def write_quantized(fh: BinaryIO, qt: QuantizedTensor) -> QuantizedTensor:
     fh.write(struct.pack("<B", qt.group_axis))
     fh.write(records.tobytes())
     fh.write(payload)
-    return dataclasses.replace(qt, scales=records["scale"].view(np.float16).astype(np.float64))
+    return dataclasses.replace(qt, scales=scales)
+
+
+def _record_scales(records: np.ndarray, kind: str, group_size: int, tail: int) -> np.ndarray:
+    """The float64 scales of metadata records ``(n_rows, n_groups)``, whose
+    last group holds ``tail`` values; ContainerError names the first group
+    whose length, scale or coefficient :func:`read_quantized` refuses."""
+    lengths = records["length"]
+    bad_length = lengths != group_size
+    bad_length[:, -1:] = lengths[:, -1:] != tail
+    scales = records["scale"].view(np.float16).astype(np.float64)
+    coeffs = records["a"]
+    for bad, name, values, problem in (
+            (bad_length, "length", lengths, "inconsistent with dims"),
+            # half bits below 0x7C00: sign clear and exponent not all ones
+            (records["scale"] >= 0x7C00, "scale", scales, "is not finite and non-negative"),
+            (coeffs > INT4_COEFF if kind == KIND_MANT4 else coeffs != INT8_COEFF,
+             "coefficient", coeffs, f"does not fit {kind} codes")):
+        if bad.any():
+            r, g = np.argwhere(bad)[0]
+            raise ContainerError(f"group ({r},{g}) {name} {values[r, g]} {problem}")
+    return scales
 
 
 def read_quantized(fh: BinaryIO) -> QuantizedTensor:
@@ -162,20 +181,8 @@ def read_quantized(fh: BinaryIO) -> QuantizedTensor:
 
     records = np.frombuffer(_read_exact(fh, _RECORD.itemsize * n_rows * n_groups),
                             dtype=_RECORD).reshape(n_rows, n_groups)
-    lengths = records["length"]
-    bad_length = lengths != group_size
-    bad_length[:, -1:] = lengths[:, -1:] != tail
-    scales = records["scale"].view(np.float16).astype(np.float64)
-    coeffs = records["a"]
-    for bad, name, values, problem in (
-            (bad_length, "length", lengths, "inconsistent with dims"),
-            # half bits below 0x7C00: sign clear and exponent not all ones
-            (records["scale"] >= 0x7C00, "scale", scales, "is not finite and non-negative"),
-            (coeffs > INT4_COEFF if kind == KIND_MANT4 else coeffs != INT8_COEFF,
-             "coefficient", coeffs, f"does not fit {kind} codes")):
-        if bad.any():
-            r, g = np.argwhere(bad)[0]
-            raise ContainerError(f"group ({r},{g}) {name} {values[r, g]} {problem}")
+    scales = _record_scales(records, kind, group_size, tail)
+    lengths, coeffs = records["length"], records["a"]
 
     # the payload is read first: its slots take a byte or more per code
     bits = 4 if kind == KIND_MANT4 else 8

@@ -5,11 +5,11 @@ new key vector completes its groups (along the head dimension) immediately,
 while a new value vector contributes one element to every group running
 along the sequence axis.  Keys are therefore encoded spatially per step;
 values go through a two-phase process window: each decode step stages the
-vector as INT8 (channel-wise scales fixed at prefill) and updates running
-max / sum / sum-of-squares per channel, and when the window holds a full
-group the staged rows are re-encoded to 4-bit codes using a coefficient
-picked from the streaming variance.  One process window stages the values
-of all heads.
+vector as INT8 (channel-wise scales fixed at prefill), and when the window
+holds a full group the staged rows are re-encoded to 4-bit codes using a
+coefficient picked from their variance.  The window's statistics are the
+running max, sum and sum of squares of its staged rows in arrival order,
+read from those rows.  One process window stages the values of all heads.
 
 The keys and the flushed values are 4-bit ``(tokens, heads, head_dim)``
 :class:`QuantizedTensor` s grouped along axis 2 and 0, whose arrays view
@@ -25,6 +25,7 @@ one contiguous operand of the value product.
 from __future__ import annotations
 
 import copy
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -38,19 +39,33 @@ from .selection import (VarianceTable, coefficients_from_sums, quantize_by_varia
                         row_coefficients)
 
 
+def _statistics(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-channel max of ``|value|``, sum and sum of squares of rows ``(n,
+    *channels)``, each sum added row by row in arrival order from +0.0."""
+    shape = values.shape[1:]
+    flat = values.reshape(len(values), math.prod(shape))
+    # numpy adds along an axis that is not the fast one in memory a row at a time
+    # (its pairwise sum runs along the fast axis only): with the squares beside
+    # the values, a C-order row has two columns or more, even on one channel
+    pairs = np.concatenate([flat, flat * flat], axis=1,
+                           out=np.empty((len(flat), 2 * flat.shape[1])))
+    sums = np.add.reduce(pairs, axis=0, initial=0.0)
+    return np.abs(flat).max(axis=0, initial=0.0).reshape(shape), *sums.reshape((2,) + shape)
+
+
 @dataclass
 class ProcessWindow:
     """Staging window of a value stream.
 
     ``channel_scales`` sets the channel shape: ``(channels,)`` for one head,
-    ``(heads, head_dim)`` for all heads of a cache.  The window holds up to
-    ``group_size`` INT8 rows ``(group_size, *channels)`` plus per-channel
-    running statistics of their dequantized values; the channel scales are
-    fixed when the window is made.  ``window[h]`` is head
-    ``h`` of a multi-head window, for reading: its arrays are read-only views
-    of this window's, its counters a copy (``clamp_count`` counts the whole
-    window), and ``push`` and ``flush`` on it raise ValueError.  ``flush``
-    is only legal when the window is full, and resets every counter.
+    ``(heads, head_dim)`` for all heads of a cache; they are fixed when the
+    window is made, and one not finite or with its sign bit set raises
+    ValueError.  The window holds up to ``group_size`` INT8 rows ``(group_size,
+    *channels)``; ``running_max``, ``sum_v`` and ``sum_v2`` are read from them.
+    ``window[h]`` is head ``h`` of a multi-head window, for reading: its arrays
+    are read-only views of this window's, its counters a copy (``clamp_count``
+    counts the whole window), and ``push`` and ``flush`` on it raise
+    ValueError.  ``flush`` is only legal when the window is full, and resets it.
     """
 
     channel_scales: np.ndarray
@@ -58,31 +73,28 @@ class ProcessWindow:
     fill_count: int = field(default=0, init=False)
     clamp_count: int = field(default=0, init=False)
     staged: np.ndarray = field(init=False)
-    running_max: np.ndarray = field(init=False)
-    sum_v: np.ndarray = field(init=False)
-    sum_v2: np.ndarray = field(init=False)
     head: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.group_size = as_integer(self.group_size, "group size", 1, MAX_GROUP_SIZE)
         # a read-only copy: the divisors below are made from it once
-        self.channel_scales = np.array(self.channel_scales, dtype=np.float64)
-        self.channel_scales.setflags(write=False)
-        shape = self.channel_scales.shape
-        self.staged = np.zeros((self.group_size,) + shape, dtype=np.int8)
-        self.running_max, self.sum_v, self.sum_v2 = (np.zeros(shape) for _ in range(3))
+        self.channel_scales = scales = np.array(self.channel_scales, dtype=np.float64)
+        # the container's rule for a scale; a NaN one would stage silent zeros
+        bad = ~np.isfinite(scales) | np.signbit(scales)
+        if bad.any():
+            raise ValueError(f"channel scale {scales[bad][0]} is not finite and non-negative")
+        scales.setflags(write=False)
+        self.staged = np.zeros((self.group_size,) + scales.shape, dtype=np.int8)
         # a value over an infinite divisor stages as 0, as a zero-scale channel's must
-        silent = self.channel_scales == 0.0
-        self._divisors = np.where(silent, np.inf, self.channel_scales)
+        silent = scales == 0.0
+        self._divisors = np.where(silent, np.inf, scales)
         self._silent = silent if silent.any() else None
 
     def __getitem__(self, head: int) -> ProcessWindow:
         view = copy.copy(self)
         view.head, view.staged = head, self.staged[:, head]
-        for name in ("channel_scales", "running_max", "sum_v", "sum_v2"):
-            setattr(view, name, getattr(self, name)[head])
-        for name in ("staged", "channel_scales", "running_max", "sum_v", "sum_v2"):
-            getattr(view, name).setflags(write=False)
+        view.channel_scales = self.channel_scales[head]
+        view.staged.setflags(write=False)
         return view
 
     def _check_writable(self) -> None:
@@ -93,6 +105,10 @@ class ProcessWindow:
     @property
     def is_full(self) -> bool:
         return self.fill_count == self.group_size
+
+    running_max = property(lambda self: _statistics(self.staged_dequantized())[0])
+    sum_v = property(lambda self: _statistics(self.staged_dequantized())[1])
+    sum_v2 = property(lambda self: _statistics(self.staged_dequantized())[2])
 
     def push(self, values) -> None:
         """Stage one value vector (the channel shape) or rows ``(n,
@@ -117,22 +133,7 @@ class ProcessWindow:
         self.clamp_count += int(np.count_nonzero(np.abs(scaled) >= 127.5))
         if self._silent is not None:
             self.clamp_count += int(np.count_nonzero(rows[:, self._silent]))
-        codes = round_int8(scaled)
-        self.staged[self.fill_count:self.fill_count + len(rows)] = codes
-        decoded = codes * self.channel_scales
-        # running sums add row by row, in the order the rows arrive: one row
-        # is one add, which rounds as the accumulation does
-        if len(rows) == 1:
-            row = decoded[0]
-            np.maximum(self.running_max, np.abs(row), out=self.running_max)
-            self.sum_v += row
-            self.sum_v2 += row * row
-        else:
-            np.maximum(self.running_max, np.abs(decoded).max(axis=0, initial=0.0),
-                       out=self.running_max)
-            self.sum_v[...] = np.add.accumulate(np.concatenate([self.sum_v[None], decoded]))[-1]
-            self.sum_v2[...] = np.add.accumulate(np.concatenate([self.sum_v2[None],
-                                                                 decoded * decoded]))[-1]
+        self.staged[self.fill_count:self.fill_count + len(rows)] = round_int8(scaled)
         self.fill_count += len(rows)
 
     def staged_dequantized(self) -> np.ndarray:
@@ -143,7 +144,7 @@ class ProcessWindow:
         """Convert the full window to a 4-bit ``(group_size, *channels)``
         tensor grouped along axis 0, one group per channel.
 
-        Per channel the normalized variance comes from the running sums
+        Per channel the normalized variance comes from the staged rows' sums
         (``var(x/c) == var(x)/c**2``), the coefficient from the table, and
         the codes from re-encoding the dequantized staged column.  The
         window resets afterwards.
@@ -154,19 +155,17 @@ class ProcessWindow:
                                coeffs)
 
     def _drain(self, table: VarianceTable) -> tuple[np.ndarray, np.ndarray]:
-        """The full window's :func:`codec.tensor_rows` ``(channels,
-        group_size)`` of dequantized staged values and their coefficients
-        ``(channels, 1)``; the window resets."""
+        """The full window's rows ``(channels, group_size)``, a transposed view of
+        its one dequantize, and their coefficients ``(channels, 1)``; the window resets."""
         self._check_writable()
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
-        coeffs = coefficients_from_sums(table, self.sum_v, self.sum_v2, self.group_size,
-                                        self.running_max)
-        rows = tensor_rows(self.staged_dequantized(), 0)
+        values = self.staged_dequantized()
+        absmax, total, total_sq = _statistics(values)
+        coeffs = coefficients_from_sums(table, total, total_sq, self.group_size, absmax)
         self.fill_count = 0
         self.staged[:] = 0
-        self.running_max[:] = self.sum_v[:] = self.sum_v2[:] = 0.0
-        return rows, coeffs.reshape(-1, 1)
+        return values.reshape(self.group_size, -1).T, coeffs.reshape(-1, 1)
 
 
 # one head's flushed value block: derived codes (head_dim, G), store views of scales, coeffs

@@ -600,6 +600,24 @@ class TestSim:
         assert "layer 0" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [("kv-run", "--min-cosine"),
+                                           ("gemm-check", "--threshold"),
+                                           ("gen-tensor", "--std")])
+def test_non_finite_real_flag_is_usage_error(capsys, tmp_path, command, flag, value):
+    # NaN would pass every cosine gate, fail every threshold and fill a tensor
+    out = tmp_path / "out.json"
+    args = {"kv-run": ["--prefill", "8", "--steps", "1", "--heads", "1", "--head-dim", "8"],
+            "gemm-check": ["--x", "", "--w", ""],
+            "gen-tensor": ["--shape", "4x4"]}[command]
+    if command == "gemm-check":
+        args[1::2] = map(str, TestGemmCheck().make_pair(tmp_path))
+    code, stdout, err = run_cli(capsys, command, *args, f"{flag}={value}", "--out", str(out))
+    assert code == 2
+    assert err.splitlines() == [f"error: {flag} must be finite, got {float(value)}"]
+    assert stdout == "" and not out.exists()
+
+
 class TestGenTensor:
     def test_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.mntt", tmp_path / "b.mntt"

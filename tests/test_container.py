@@ -133,6 +133,28 @@ class TestQuantizedContainer:
         assert match in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,scale,coefficient,match", [
+        ("mant4", np.nan, None, "scale nan is not finite"),
+        ("mant4", -1.0, None, "scale -1.0 is not finite and non-negative"),
+        ("mant4", -0.0, None, "scale -0.0 is not finite"),
+        ("int8", np.nan, None, "scale nan is not finite"),
+        ("int8", None, 0, "coefficient 0 does not fit int8"),
+    ])
+    def test_write_refuses_what_read_refuses(self, kind, scale, coefficient, match):
+        # the writer checks its records as the reader does, before its first byte
+        w = np.random.default_rng(8).standard_normal((100, 2))
+        qt = quantize_weight_tensor(w, 40, 0, 64) if kind == "mant4" \
+            else quantize_activation_tensor(w, 0, 64)
+        scales, coeffs = qt.scales.copy(), qt.coefficients.copy()
+        if scale is not None:
+            scales[1, 0] = scale
+        if coefficient is not None:
+            coeffs[1, 0] = coefficient
+        buf = io.BytesIO()
+        with pytest.raises(ContainerError, match=rf"group \(1,0\) {match}"):
+            write_quantized(buf, dataclasses.replace(qt, scales=scales, coefficients=coeffs))
+        assert buf.getvalue() == b""
+
     @pytest.mark.parametrize("high", [False, True])
     def test_int4_negative_zero_refused(self, high):
         # (100, 2) in groups of 64: each row's payload is 32 + 18 bytes;

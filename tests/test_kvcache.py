@@ -204,6 +204,62 @@ class TestProcessWindow:
         block = w.flush(TABLE)
         assert (block.split_rows(3, 6)[1][0] > 0).all() and w.fill_count == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3, -0.0])
+    def test_channel_scale_not_finite_or_negative_refused(self, bad):
+        # a NaN or infinite scale staged its channel as zeros without a clamp,
+        # then failed the flush; a negative one staged codes of the wrong sign
+        scales = np.full((2, 3), 0.01)
+        scales[1, 2] = bad
+        with pytest.raises(ValueError, match=f"channel scale {bad} is not finite and non-negative"):
+            ProcessWindow(scales, 4)
+        ProcessWindow(np.abs(np.nan_to_num(scales, posinf=0.0, neginf=0.0)), 4)
+
+    @pytest.mark.parametrize("shape", [(1,), (6,), (3, 6)])
+    def test_statistics_are_the_staged_rows_sums_in_arrival_order(self, shape):
+        # the statistics equal a float64 accumulation from +0.0 of the staged
+        # rows, one row at a time, after every push and after a flush
+        rng = np.random.default_rng(23)
+        scales = rng.uniform(0.001, 0.05, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        if len(scales.ravel()) > 1:
+            scales.ravel()[::4] = 0.0   # silent channels
+        w = ProcessWindow(scales, 64)
+        names = ("running_max", "sum_v", "sum_v2")
+        for _ in range(2):
+            for name in names:
+                got = getattr(w, name)
+                assert got.shape == shape and got.tobytes() == np.zeros(shape).tobytes(), name
+            for t in range(64):
+                w.push(rng.standard_normal(shape) * (scales + 1e-3) * rng.uniform(0, 130))
+                expected = []
+                for column in w.staged_dequantized().reshape(t + 1, -1).T.tolist():
+                    absmax = total = total_sq = 0.0
+                    for x in column:
+                        absmax, total, total_sq = max(absmax, abs(x)), total + x, total_sq + x * x
+                    expected.append((absmax, total, total_sq))
+                for name, want in zip(names, np.array(expected).T):
+                    got = getattr(w, name)
+                    assert got.shape == shape and got.tobytes() == want.tobytes(), (name, t)
+            w.flush(TABLE)
+
+    def test_push_v_block_equals_window_flush(self):
+        rng = np.random.default_rng(24)
+        cache = KvCache(3, 6, TABLE, TABLE, 16)
+        prompt = rng.standard_normal((21, 3, 6))
+        prompt[:, 1, 2] = 0.0   # a silent channel
+        cache.prefill(prompt, prompt)
+        window = ProcessWindow(cache.windows.channel_scales, 16)
+        window.push(prompt[16:])
+        for v in rng.standard_normal((11, 3, 6)) * 1.5:
+            window.push(v)
+            flushed = cache.push_v(v)
+        assert flushed and window.is_full
+        block = window.flush(TABLE)
+        values = cache.values
+        for got, want in ((values.levels[:, -1], block.levels[:, 0]),
+                          (values.scales[:, -1], block.scales[:, 0]),
+                          (values.coefficients[:, -1], block.coefficients[:, 0])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def make_cache(heads=2, head_dim=128, group_size=64):
     return KvCache(heads, head_dim, TABLE, TABLE, group_size)
