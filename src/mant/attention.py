@@ -19,7 +19,7 @@ import numpy as np
 from .codec import (DEFAULT_GROUP_SIZE, MAX_GROUP_SIZE, encode_int8, group_lengths,
                     quantize_activation_tensor, split_runs, to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
-from .gemm import grouped_dot
+from .gemm import _fold, grouped_dot
 from .grid import as_integer
 from .kvcache import KvCache
 from .selection import MIN_CALIBRATION_GROUPS, CandidateSet, VarianceTable, build_variance_table
@@ -129,27 +129,28 @@ def _softmax(scores: np.ndarray, first: int) -> np.ndarray:
 
 def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused attention scores ``(heads, rows, upto)`` of query rows
-    ``(heads, rows, ...)`` against cached keys [0, upto): one
-    :func:`grouped_dot` over the key groups' levels, heads batched."""
+    ``(heads, rows, ...)`` against cached keys [0, upto): one fold
+    (:func:`gemm.grouped_dot`) over the key groups' float32 operands, heads
+    batched."""
     k_scales, k_levels = (a.reshape((cache.seq_len, cache.heads) + a.shape[1:])[:upto]
-                          .swapaxes(0, 1) for a in (cache.keys.scales, cache.keys.levels))
-    return grouped_dot(q_codes, q_scales, k_levels, k_scales,
-                       group_lengths(cache.head_dim, cache.group_size))
+                          .swapaxes(0, 1) for a in (cache.keys.scales, cache.operands["keys"]))
+    return _fold(q_codes, q_scales, k_levels, k_scales,
+                 group_lengths(cache.head_dim, cache.group_size))
 
 
 def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused probability-value product ``(heads, rows, head_dim)`` of
-    probability rows ``(heads, rows, ...)`` over tokens [0, upto): one
-    :func:`grouped_dot` over the flushed value blocks' levels on the 4-bit
-    path, then one over the window's INT8 rows as a group under their
-    channel scales; the first sum is never ``-0.0``, so the two add up to
-    the bits of one fold over both."""
+    probability rows ``(heads, rows, ...)`` over tokens [0, upto): one fold
+    (:func:`gemm.grouped_dot`) over the flushed value blocks' float32
+    operands on the 4-bit path, then one over the window's INT8 rows as a
+    group under their channel scales; the first sum is never ``-0.0``, so
+    the two add up to the bits of one fold over both."""
     group_size, flushed = cache.group_size, cache.flushed_tokens
     # (heads, head_dim, blocks, G): block b is group b of every channel
     v_scales, v_levels = (a.reshape((cache.heads, cache.head_dim) + a.shape[1:])
-                          for a in (cache.values.scales, cache.values.levels))
-    out = grouped_dot(p_codes, p_scales, v_levels, v_scales,
-                      group_lengths(min(upto, flushed), group_size))
+                          for a in (cache.values.scales, cache.operands["values"]))
+    out = _fold(p_codes, p_scales, v_levels, v_scales,
+                group_lengths(min(upto, flushed), group_size))
     if upto > flushed:
         b, length = flushed // group_size, upto - flushed
         out += grouped_dot(p_codes[:, :, b:b + 1], p_scales[:, :, b:b + 1],

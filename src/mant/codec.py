@@ -126,6 +126,14 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("input contains non-finite values")
 
 
+def check_scales(scales: np.ndarray, name: str = "scale") -> None:
+    """Raise ValueError unless every scale is finite with its sign bit clear,
+    the container's rule for a scale (``-0.0`` is refused too)."""
+    bad = ~np.isfinite(scales) | np.signbit(scales)
+    if bad.any():
+        raise ValueError(f"{name} {scales[bad][0]} is not finite and non-negative")
+
+
 # -- batched kernels: groups (..., G) with per-group metadata (...) ---------
 
 def encode_levels(groups, coefficients):
@@ -357,7 +365,9 @@ class QuantizedTensor:
                      for a in (self.codes, self.scales, self.coefficients))
 
     def dequantize(self) -> np.ndarray:
-        """Reconstruct the full real-valued tensor."""
+        """Reconstruct the full real-valued tensor; a scale that is not
+        finite or has its sign bit set raises ValueError."""
+        check_scales(self.scales)
         groups = _scale_levels(self.levels, self.scales)
         rows = groups.reshape(self.n_rows, self.n_groups * self.group_size)
         return _rows_to_tensor(np.ascontiguousarray(rows[:, :self.axis_length]),

@@ -21,28 +21,51 @@ beyond.
 
 :func:`grouped_dot` is the one fold of those products, for ``gemm`` and
 for all three attention products (key groups, flushed value blocks, and
-the V window's INT8 rows as one group).  It works in place: one zeroed
-float64 accumulator and one scale buffer per call; for each group in
-ascending order, ``s_x * s_w`` into the buffer, times the psums, added to
-the accumulator.  The first group is added too, not copied, so a ``-0.0``
-product still sums to ``+0.0``.  ``gemm`` passes its scales column-major
-(two small copies per call) so that each scale column, an input of the
-outer product, is contiguous.
+the V window's INT8 rows as one group).  Its body, ``_fold``, also takes
+float32 copies of the levels, which hold the same integers: the KV cache
+keeps one beside each store (``KvCache.operands``), filled once when a
+row is written, so a decode step converts nothing it has converted
+before.  The fold works in place: one zeroed float64 accumulator, and for
+each group in ascending order ``s_x * s_w`` times the psums added to it.
+The first group is added too, not copied, so a ``-0.0`` product still
+sums to ``+0.0``.
+
+A one-row product (``M == 1``, every decode step) of operands that need
+no conversion (the cache's float32 copies, groups of at most 129) takes
+the psums of all its full-length groups from one batched matmul, the
+group axis as a batch axis, and their scale products from one multiply;
+the adds stay one ``out += term`` per group in ascending order, so the
+bits are those of the per-group loop (``np.add.reduce`` along the group
+axis would not keep them: where that axis is the fast one in memory,
+numpy sums it pairwise).  Products of more rows, and operands that
+convert (int16 or int8 levels, or float32 copies of groups longer than
+129, which widen to float64), go one group at a time, a cache tile: one
+conversion of a whole weight allocates it again, and a 4096x4096
+``gemm`` at M = 1 took 34 ms and 69 MiB of temporaries that way against
+21 ms and 3 MiB.  ``gemm`` passes its scales column-major (two small
+copies per call) so that each scale column, an input of the outer
+product, is contiguous.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import KIND_INT8, QuantizedTensor, group_lengths
+from .codec import KIND_INT8, QuantizedTensor, check_scales, group_lengths
+
+
+def _exact_dtype(length: int):
+    """float32 while ``length*127*1017 < 2**24``, float64 beyond.  ``length``
+    is a shape entry, a Python int: ``uint16 * 127`` would wrap under NEP 50."""
+    return np.float32 if length * 127 * 1017 < 2 ** 24 else np.float64
 
 
 def _exact_psums(x_codes, w_levels) -> np.ndarray:
     """The exact integer ``psum1*a + psum2`` of every pair of rows, in
-    float32 while ``L*127*1017 < 2**24`` and in float64 beyond.  ``L`` is a
-    shape entry, a Python int: ``uint16 * 127`` would wrap under NEP 50."""
-    exact = np.float32 if w_levels.shape[-1] * 127 * 1017 < 2 ** 24 else np.float64
-    return x_codes.astype(exact) @ np.swapaxes(w_levels, -1, -2).astype(exact)
+    :func:`_exact_dtype` of their length; a float32 operand of float32
+    psums is used as it is."""
+    exact = _exact_dtype(w_levels.shape[-1])
+    return x_codes.astype(exact, copy=False) @ w_levels.swapaxes(-1, -2).astype(exact, copy=False)
 
 
 def grouped_dot(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
@@ -52,25 +75,44 @@ def grouped_dot(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
     int8 INT8 codes; any other dtype, uint8 nibbles among them, raises
     ValueError.  Group g is cut to ``lengths[g]`` elements, and each pair's
     exact ``psum1*a + psum2`` times ``x_scale * w_scale`` adds in ascending
-    group order into zeros, in place (see the module docstring).  The loop
-    is a cache tile: each group converts only its own levels.
+    group order into zeros, in place (see the module docstring)."""
+    if w_levels.dtype not in (np.int16, np.int8):
+        raise ValueError(f"right operand must be int16 levels or int8 codes, got {w_levels.dtype}")
+    return _fold(x_codes, x_scales, w_levels, w_scales, lengths)
+
+
+def _fold(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
+    """:func:`grouped_dot` of levels of any dtype that holds them exactly,
+    such as the KV cache's float32 operands.
 
     With one row per batch entry the scale product is a row times one
     number, a broadcast multiply.  With more rows it is ``einsum``'s outer
     product: numpy's broadcast multiply buffers the column operand and took
     twice as long over rows shorter than 4,096, while ``einsum`` costs about
-    2 us more per call, which one-row decode steps would pay per group.
+    2 us more per call.
     """
-    if w_levels.dtype not in (np.int16, np.int8):
-        raise ValueError(f"right operand must be int16 levels or int8 codes, got {w_levels.dtype}")
     batch = x_codes.shape[:-3]
     if batch != w_levels.shape[:-3]:   # np.broadcast_shapes alone costs about 4 us
         batch = np.broadcast_shapes(batch, w_levels.shape[:-3])
     out = np.zeros(batch + (x_codes.shape[-3], w_levels.shape[-3]))
+    lengths = np.asarray(lengths).tolist()
+    one_row, full, size = out.shape[-2] == 1, 0, w_levels.shape[-1]
+    # operands already in their exact dtype give the leading full-length groups at
+    # once, their axis moved before the rows; others convert one group at a time
+    if one_row and w_levels.dtype == _exact_dtype(size):
+        full = next((g for g, length in enumerate(lengths) if length != size), len(lengths))
+    if full:
+        terms = (x_scales[..., 0, :full, None, None]
+                 * w_scales[..., :full].swapaxes(-1, -2)[..., None, :])
+        terms *= _exact_psums(x_codes[..., :full, :size].swapaxes(-3, -2),
+                              w_levels[..., :full, :].swapaxes(-3, -2))
+        for g in range(full):
+            out += terms[..., g, :, :]
     scale = np.empty_like(out)
-    for g, length in enumerate(np.asarray(lengths).tolist()):
+    for g in range(full, len(lengths)):
+        length = lengths[g]
         psum = _exact_psums(x_codes[..., g, :length], w_levels[..., g, :length])
-        if out.shape[-2] == 1:
+        if one_row:
             np.multiply(x_scales[..., g, None], w_scales[..., None, :, g], out=scale)
         else:
             np.einsum("...i,...j->...ij", x_scales[..., g], w_scales[..., g], out=scale)
@@ -85,6 +127,7 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
 
     Both operands must be grouped along K with the same group size; one
     :func:`grouped_dot` of their levels over the K groups covers all rows and columns.
+    A scale that is not finite or has its sign bit set raises ValueError.
     """
     if x_q.element_kind != KIND_INT8:
         raise ValueError(f"left operand must be INT8, got {x_q.element_kind}")
@@ -96,6 +139,8 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
         raise ValueError("operands must be grouped along the shared accumulation axis")
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
+    check_scales(x_q.scales)
+    check_scales(w_q.scales)
     return grouped_dot(x_q.levels, np.asfortranarray(x_q.scales), w_q.levels,
                        np.asfortranarray(w_q.scales), group_lengths(x_q.axis_length, x_q.group_size))
 

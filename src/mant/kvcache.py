@@ -18,8 +18,12 @@ blocks).  Every write takes one route, :meth:`KvCache._write`: a key row,
 a prompt's keys and full value blocks, and a full window pick their
 coefficients from their groups' sums (:func:`selection.coefficients_from_sums`),
 and the batched encoder writes levels and scales straight into the
-buffers' next rows.  The value arrays stay block-major, so each block is
-one contiguous operand of the value product.
+buffers' next rows.  A fourth buffer holds float32 copies of the levels
+(``operands``), filled from the rows just encoded, so attention's products
+read each stored level as a matmul operand without converting it again;
+at 4 heads x 64 they raise the resident bytes per token from 1,096 to
+3,144.  The value arrays stay block-major, so each block is one contiguous
+operand of the value product.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (DEFAULT_GROUP_SIZE, KIND_MANT4, MAX_GROUP_SIZE, QuantizedTensor,
-                    _check_finite, _encode_levels, round_int8, tensor_rows, to_groups)
+                    _check_finite, _encode_levels, check_scales, round_int8, tensor_rows,
+                    to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .grid import as_integer
 from .selection import (VarianceTable, coefficients_from_sums, quantize_by_variance,
@@ -79,10 +84,7 @@ class ProcessWindow:
         self.group_size = as_integer(self.group_size, "group size", 1, MAX_GROUP_SIZE)
         # a read-only copy: the divisors below are made from it once
         self.channel_scales = scales = np.array(self.channel_scales, dtype=np.float64)
-        # the container's rule for a scale; a NaN one would stage silent zeros
-        bad = ~np.isfinite(scales) | np.signbit(scales)
-        if bad.any():
-            raise ValueError(f"channel scale {scales[bad][0]} is not finite and non-negative")
+        check_scales(scales, "channel scale")   # a NaN one would stage silent zeros
         scales.setflags(write=False)
         self.staged = np.zeros((self.group_size,) + scales.shape, dtype=np.int8)
         # a value over an infinite divisor stages as 0, as a zero-scale channel's must
@@ -190,6 +192,9 @@ class KvCache:
         self.v_table = v_table
         self.keys = quantize_by_variance(np.zeros((0, heads, head_dim)), k_table, 2, group_size)
         self.values = quantize_by_variance(np.zeros((0, heads, head_dim)), v_table, 0, group_size)
+        # float32 copies of the stores' levels, the operands of attention's products
+        self.operands = {name: getattr(self, name).levels.astype(np.float32)
+                         for name in ("keys", "values")}
         self.windows: ProcessWindow | None = None
         self._total_v = 0
         self._buffers: dict[str, list[np.ndarray]] = {}
@@ -220,12 +225,14 @@ class KvCache:
         buffers behind the store ``name``, which then holds ``tokens`` more
         tokens.
 
-        The buffers hold levels, scales and coefficients in the store's
-        layout, with spare capacity along the axis that grows (key rows,
-        value blocks); that axis leads in memory, and the capacity doubles
-        when it runs out.  The store views the filled prefix, so a tensor a
-        caller holds keeps its contents, and an encode that raises leaves
-        the store as it was."""
+        The buffers hold levels, scales, coefficients and float32 copies of
+        the levels (``operands[name]``) in the store's layout, with spare
+        capacity along the axis that grows (key rows, value blocks); that
+        axis leads in memory, and the capacity doubles when it runs out.
+        The copies are filled from the levels just encoded.  The store and
+        its operands view the filled prefix, so a tensor a caller holds
+        keeps its contents, and an encode that raises leaves both as they
+        were."""
         store = getattr(self, name)
         groups = to_groups(rows, self.group_size)
         axis = 1 if store.group_axis == 0 else 0
@@ -235,18 +242,21 @@ class KvCache:
         buffers = self._buffers.get(name)
         if buffers is None or size > buffers[0].shape[axis]:
             capacity = max(size, 2 * buffers[0].shape[axis]) if buffers else size
-            filled = (store.levels, store.scales, store.coefficients)
+            filled = (store.levels, store.scales, store.coefficients, self.operands[name])
             buffers = [np.empty((capacity,) + a.swapaxes(0, axis).shape[1:], a.dtype)
                        .swapaxes(0, axis) for a in filled]
             for buffer, a in zip(buffers, filled):
                 buffer[lead + (slice(used),)] = a
             self._buffers[name] = buffers
-        levels, scales, coeffs = [buffer[lead + (slice(used, size),)] for buffer in buffers]
+        levels, scales, coeffs, operands = [buffer[lead + (slice(used, size),)]
+                                            for buffer in buffers]
         _encode_levels(groups, coefficients, levels, scales)
         coeffs[...] = coefficients
+        operands[...] = levels
+        *arrays, self.operands[name] = [buffer[lead + (slice(size),)] for buffer in buffers]
         setattr(self, name, QuantizedTensor(
             (store.shape[0] + tokens,) + store.shape[1:], KIND_MANT4, store.group_axis,
-            self.group_size, *[buffer[lead + (slice(size),)] for buffer in buffers]))
+            self.group_size, *arrays))
 
     # -- K path ------------------------------------------------------------
 

@@ -7,11 +7,15 @@ import pytest
 
 from mant.attention import (
     AttentionPolicies,
+    _scores_fused,
+    _weighted_values_fused,
     calibration_tables,
     run_toy_attention,
     synthesize_stream,
 )
-from mant.codec import quantize_activation_tensor
+from mant.codec import group_lengths, quantize_activation_tensor
+from mant.kvcache import KvCache
+from mant.selection import table_from_probe_means
 
 
 class TestSynthesizeStream:
@@ -89,3 +93,83 @@ class TestRunToyAttention:
         policies = AttentionPolicies(k_table=k_table, v_table=v_table)
         rep = run_toy_attention(64, 4, 1, 64, policies, seed=6)
         assert rep.step_cosine.min() > 0.95
+
+
+def loop_fold(x_codes, x_scales, w_levels, w_scales, lengths):
+    """The fused product folded one group at a time, in ascending order:
+    each group's exact psums (float64) times ``x_scale * w_scale``, added
+    into zeros."""
+    batch = np.broadcast_shapes(x_codes.shape[:-3], w_levels.shape[:-3])
+    out = np.zeros(batch + (x_codes.shape[-3], w_levels.shape[-3]))
+    for g, length in enumerate(lengths):
+        psum = (x_codes[..., g, :length].astype(np.float64)
+                @ w_levels[..., g, :length].astype(np.float64).swapaxes(-1, -2))
+        out += x_scales[..., g][..., None] * w_scales[..., g][..., None, :] * psum
+    return out
+
+
+class TestFusedProducts:
+    """Attention's products read the cache's float32 operands, and a one-row
+    product takes its full groups' psums from one batched matmul; both give
+    the bits of a per-group fold over the int16 levels."""
+
+    TABLE = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+
+    @staticmethod
+    def reference_scores(cache, q_codes, q_scales, upto):
+        k_scales, k_levels = (a.reshape((cache.seq_len, cache.heads) + a.shape[1:])[:upto]
+                              .swapaxes(0, 1) for a in (cache.keys.scales, cache.keys.levels))
+        return loop_fold(q_codes, q_scales, k_levels, k_scales,
+                         group_lengths(cache.head_dim, cache.group_size))
+
+    @staticmethod
+    def reference_values(cache, p_codes, p_scales, upto):
+        group_size, flushed = cache.group_size, cache.flushed_tokens
+        v_scales, v_levels = (a.reshape((cache.heads, cache.head_dim) + a.shape[1:])
+                              for a in (cache.values.scales, cache.values.levels))
+        out = loop_fold(p_codes, p_scales, v_levels, v_scales,
+                        group_lengths(min(upto, flushed), group_size))
+        if upto > flushed:   # the window's INT8 rows, one group under the channel scales
+            b, length = flushed // group_size, upto - flushed
+            out += loop_fold(p_codes[:, :, b:b + 1], p_scales[:, :, b:b + 1],
+                             cache.windows.staged[:length].transpose(1, 2, 0)[:, :, None],
+                             cache.windows.channel_scales[:, :, None], (length,))
+        return out
+
+    @pytest.mark.parametrize("heads, head_dim, group_size, prompt, steps", [
+        (2, 1, 8, 75, 12),      # head_dim 1, 9 to 10 value blocks
+        (2, 100, 64, 70, 4),    # key groups of 64 and a 36-element tail
+        (2, 64, 192, 400, 4),   # G = 192: float64 psums
+        (3, 16, 8, 50, 3),
+    ])
+    def test_products_equal_a_per_group_fold(self, heads, head_dim, group_size, prompt, steps):
+        rng = np.random.default_rng([heads, head_dim, group_size])
+        cache = KvCache(heads, head_dim, self.TABLE, self.TABLE, group_size)
+        k, v = (rng.standard_normal((prompt + steps, heads, head_dim)) for _ in range(2))
+        cache.prefill(k[:prompt], v[:prompt])
+
+        def codes(rows, length):
+            n_groups = -(-length // group_size)
+            return (rng.integers(-127, 128, (heads, rows, n_groups, group_size), dtype=np.int8),
+                    rng.random((heads, rows, n_groups)))
+
+        def check(rows, upto):
+            q_codes, q_scales = codes(rows, head_dim)
+            p_codes, p_scales = codes(rows, upto)
+            for got, want in ((_scores_fused(q_codes, q_scales, cache, upto),
+                               self.reference_scores(cache, q_codes, q_scales, upto)),
+                              (_weighted_values_fused(p_codes, p_scales, cache, upto),
+                               self.reference_values(cache, p_codes, p_scales, upto))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        flushed = cache.flushed_tokens
+        # prompt blocks of 32 rows and single rows whose causal cut falls inside
+        # a flushed block (the last value group is a tail) or at its end
+        for upto in (flushed - group_size // 2, flushed):
+            check(32, upto)
+            check(1, upto)
+        for t in range(prompt, prompt + steps):   # decode steps: every block and the window
+            cache.append_k(k[t])
+            cache.push_v(v[t])
+            check(1, t + 1)
+        assert cache.flushed_tokens >= (9 * group_size if head_dim == 1 else group_size)

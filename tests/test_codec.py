@@ -1,5 +1,7 @@
 """Group codecs: encoding, decoding, packing, error bounds, tensors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,15 @@ class TestQuantizedTensor:
         assert qt.n_groups == 2 and qt.n_rows == 6
         err = np.abs(qt.dequantize() - w)
         assert err.max() < 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -0.0])
+    def test_dequantize_refuses_a_scale_not_finite_or_negative(self, bad):
+        # one NaN scale once decoded to 64 NaN values without an error
+        qt = quantize_weight_tensor(np.random.default_rng(14).standard_normal((128, 4)), 25)
+        scales = qt.scales.copy()
+        scales[2, 1] = bad
+        with pytest.raises(ValueError, match=f"scale {bad} is not finite and non-negative"):
+            dataclasses.replace(qt, scales=scales).dequantize()
 
     def test_short_final_group(self):
         rng = np.random.default_rng(13)

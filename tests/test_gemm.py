@@ -1,5 +1,7 @@
 """Fused integer GEMM: partial-sum identities, oracles, grouping contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,18 @@ class TestGemm:
         xq, wq = random_operands(rng, 2, 64, 2)
         with pytest.raises(ValueError, match="left operand must be INT8"):
             gemm(wq, xq)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, -0.0])
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_scale_not_finite_or_negative_refused(self, bad, operand):
+        # one NaN weight scale once gave a NaN output column without an error
+        rng = np.random.default_rng(12)
+        operands = list(random_operands(rng, 2, 128, 4))
+        scales = operands[operand].scales.copy()
+        scales[1, 1 - operand] = bad
+        operands[operand] = dataclasses.replace(operands[operand], scales=scales)
+        with pytest.raises(ValueError, match=f"scale {bad} is not finite and non-negative"):
+            gemm(*operands)
 
     def test_activation_scale_linearity(self):
         rng = np.random.default_rng(11)

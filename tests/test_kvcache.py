@@ -365,6 +365,42 @@ class TestKvCache:
             assert got.tobytes() == want.tobytes()
         assert cache.keys.shape == clean.keys.shape == (17, 2, 48)
 
+    def test_operands_are_the_levels_as_float32(self):
+        rng = np.random.default_rng(23)
+        cache = make_cache(heads=2, head_dim=48, group_size=16)
+
+        def check():
+            for name in ("keys", "values"):
+                levels, operands = getattr(cache, name).levels, cache.operands[name]
+                assert operands.dtype == np.float32 and operands.shape == levels.shape
+                assert operands.tobytes() == levels.astype(np.float32).tobytes()
+
+        check()
+        prompt = rng.standard_normal((20, 2, 48))   # one value block and 4 staged rows
+        cache.prefill(prompt, prompt)
+        check()
+        buffers = {name: [cache._buffers[name][0]] for name in ("keys", "values")}
+        refused_full = 0
+        for k in rng.standard_normal((60, 2, 48)):
+            operands, snapshot = cache.operands["keys"], cache.operands["keys"].copy()
+            refused_full += cache._buffers["keys"][0].shape[0] == operands.shape[0]
+            refused = k.copy()
+            refused[1, 40] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                cache.append_k(refused)
+            assert cache.operands["keys"] is operands
+            assert operands.tobytes() == snapshot.tobytes()
+            cache.append_k(k)
+            check()
+            cache.push_v(k)
+            check()
+            for name, seen in buffers.items():
+                if cache._buffers[name][0] is not seen[-1]:
+                    seen.append(cache._buffers[name][0])
+        # the keys' buffers grew twice and the values' twice (three flushes)
+        assert cache.flushed_tokens == 80 and refused_full >= 2
+        assert len(buffers["keys"]) >= 3 and len(buffers["values"]) >= 3
+
     def test_push_before_prefill(self):
         cache = make_cache(heads=1, head_dim=64)
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ Run it on two trees on the same machine and compare the lines:
 
     PYTHONPATH=src python3 tools/output_digest.py
 
-It prints 30 lines, each a name and the first 16 hex digits of a sha256:
+It prints 32 lines, each a name and the first 16 hex digits of a sha256:
 
 * ``attention decode ...`` and ``attention prompt ...``: two lines per
   ``run_toy_attention`` case.  The decode line hashes ``step_outputs``,
@@ -12,7 +12,9 @@ It prints 30 lines, each a name and the first 16 hex digits of a sha256:
   then ``repr((flush_steps, clamp_count))``; the prompt line hashes
   ``prefill_outputs`` and ``reference_prefill``, then
   ``repr(prefill_cosine)``.  One case runs value groups of 192 tokens,
-  longer than the 129 whose products stay exact in float32;
+  longer than the 129 whose products stay exact in float32, and one runs
+  head_dim 1 over 75 value blocks, where a fold that summed the group axis
+  pairwise instead of in ascending order would move the decode line;
 * ``gemm mant4`` and ``gemm int8``: ``gemm`` outputs over several shapes,
   group sizes with tail groups and zero rows, with mixed 4-bit weights
   (adaptive and INT4 coefficients) and with INT8 weights;
@@ -113,6 +115,9 @@ ATTENTION_CASES = (
      339489570),
     ("(200,400,2,64) G=192 fixed tables seed 11", (200, 400, 2, 64),
      {"group_size": 192, "k_table": KV_TABLE, "v_table": KV_TABLE}, 11),
+    # head_dim 1 and 75 value blocks: a fold that summed the group axis
+    # pairwise (numpy does along a fast axis) would move the decode line
+    ("(600,30,1,1) G=8 seed 2", (600, 30, 1, 1), {"group_size": 8}, 2),
 )
 KV_DECODE_MODEL_SEED = 20250226   # bench/workloads.py MODEL_SEED
 
