@@ -318,7 +318,9 @@ class QuantizedTensor:
     covers elements ``[g*group_size, min((g+1)*group_size, axis_len))``.
     ``levels`` (rows, n_groups, group_size), the one per-element array, holds
     int16 :func:`code_values` of 4-bit codes or INT8's int8 codes, and code
-    0's level past each group's true length; the arrays may be views.
+    0's level past each group's true length; the arrays may be views.  A
+    weight that ``gemm`` has multiplied keeps its matmul operand
+    (:func:`gemm.weight_operand`) in ``_operand``.
     """
 
     shape: tuple[int, ...]

@@ -25,10 +25,10 @@ the V window's INT8 rows as one group).  Its body, ``_fold``, also takes
 float32 copies of the levels, which hold the same integers: the KV cache
 keeps one beside each store (``KvCache.operands``), filled once when a
 row is written, so a decode step converts nothing it has converted
-before.  The fold works in place: one zeroed float64 accumulator, and for
-each group in ascending order ``s_x * s_w`` times the psums added to it.
-The first group is added too, not copied, so a ``-0.0`` product still
-sums to ``+0.0``.
+before, and ``gemm`` keeps one on each weight (below).  The fold works in
+place: one zeroed float64 accumulator, and for each group in ascending
+order ``s_x * s_w`` times the psums added to it.  The first group is
+added too, not copied, so a ``-0.0`` product still sums to ``+0.0``.
 
 A one-row product (``M == 1``, every decode step) of operands that need
 no conversion (the cache's float32 copies, groups of at most 129) takes
@@ -39,12 +39,21 @@ bits are those of the per-group loop (``np.add.reduce`` along the group
 axis would not keep them: where that axis is the fast one in memory,
 numpy sums it pairwise).  Products of more rows, and operands that
 convert (int16 or int8 levels, or float32 copies of groups longer than
-129, which widen to float64), go one group at a time, a cache tile: one
-conversion of a whole weight allocates it again, and a 4096x4096
-``gemm`` at M = 1 took 34 ms and 69 MiB of temporaries that way against
-21 ms and 3 MiB.  ``gemm`` passes its scales column-major (two small
-copies per call) so that each scale column, an input of the outer
-product, is contiguous.
+129, which widen to float64), go one group at a time, a cache tile.
+
+A weight is static, so ``gemm`` converts its levels once, not per call:
+:func:`weight_operand` is a read-only ``(n_groups, G, N)`` copy of a
+weight's levels in :func:`_exact_dtype` of G, built on the tensor's first
+``gemm`` and kept on it for every later one.  Its K groups are
+C-contiguous ``(G, N)`` blocks, matmul operands with nothing to convert,
+and at M = 1 the one-row batched path above takes them all at once.  It
+costs 4 bytes per weight element (8 for groups longer than 129), and a
+4096x4096 weight takes 45-85 ms to build, in 256-column tiles: one
+transposing ``astype`` of the whole weight took 130-200 ms.  It is tied
+to the ``levels`` object: a tensor whose ``levels`` is rebound builds a
+new one, while levels changed in place leave it stale.  ``gemm`` passes
+its scales column-major (two small copies per call) so that each scale
+column, an input of the outer product, is contiguous.
 """
 
 from __future__ import annotations
@@ -68,16 +77,23 @@ def _exact_psums(x_codes, w_levels) -> np.ndarray:
     return x_codes.astype(exact, copy=False) @ w_levels.swapaxes(-1, -2).astype(exact, copy=False)
 
 
+def _check_operands(x_codes, w_levels) -> None:
+    """Refuse operands whose integers the fold's exactness bound does not cover."""
+    if x_codes.dtype != np.int8:
+        raise ValueError(f"left operand must be int8 codes, got {x_codes.dtype}")
+    if w_levels.dtype not in (np.int16, np.int8):
+        raise ValueError(f"right operand must be int16 levels or int8 codes, got {w_levels.dtype}")
+
+
 def grouped_dot(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
     """Fused products ``(..., M, N)`` float64 of INT8 codes and right-operand
     levels ``(..., M|N, n_groups, G)`` with scales ``(..., M|N, n_groups)``;
-    leading axes broadcast.  The levels are int16 levels of 4-bit codes or
-    int8 INT8 codes; any other dtype, uint8 nibbles among them, raises
-    ValueError.  Group g is cut to ``lengths[g]`` elements, and each pair's
-    exact ``psum1*a + psum2`` times ``x_scale * w_scale`` adds in ascending
-    group order into zeros, in place (see the module docstring)."""
-    if w_levels.dtype not in (np.int16, np.int8):
-        raise ValueError(f"right operand must be int16 levels or int8 codes, got {w_levels.dtype}")
+    leading axes broadcast.  The codes are int8, the levels int16 levels of
+    4-bit codes or int8 INT8 codes; any other dtype, uint8 nibbles among
+    them, raises ValueError.  Group g is cut to ``lengths[g]`` elements, and
+    each pair's exact ``psum1*a + psum2`` times ``x_scale * w_scale`` adds in
+    ascending group order into zeros, in place (see the module docstring)."""
+    _check_operands(x_codes, w_levels)
     return _fold(x_codes, x_scales, w_levels, w_scales, lengths)
 
 
@@ -121,13 +137,36 @@ def _fold(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
     return out
 
 
+OPERAND_TILE = 256   # weight rows per step of the operand build, its transposes cache-sized
+
+
+def weight_operand(w_q: QuantizedTensor) -> np.ndarray:
+    """The read-only ``(n_groups, G, rows)`` copy of ``w_q.levels`` in
+    :func:`_exact_dtype` of G that ``gemm`` multiplies, built on the first
+    call and kept on ``w_q`` while its ``levels`` stay the same object."""
+    levels = w_q.levels
+    cached = w_q.__dict__.get("_operand")
+    if cached is not None and cached[0] is levels:
+        return cached[1]
+    rows, n_groups, size = levels.shape
+    operand = np.empty((n_groups, size, rows), _exact_dtype(size))
+    for start in range(0, rows, OPERAND_TILE):
+        tile = slice(start, start + OPERAND_TILE)
+        operand[..., tile] = levels[tile].transpose(1, 2, 0)
+    operand.setflags(write=False)
+    w_q._operand = (levels, operand)
+    return operand
+
+
 def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     """Fused INT8 x (4-bit or INT8) matrix multiply, (M,K) x (K,N) -> (M,N)
     float64.
 
     Both operands must be grouped along K with the same group size; one
-    :func:`grouped_dot` of their levels over the K groups covers all rows and columns.
-    A scale that is not finite or has its sign bit set raises ValueError.
+    :func:`grouped_dot` fold over the K groups, of the codes against the
+    weight's :func:`weight_operand`, covers all rows and columns.  Levels of
+    another dtype, or a scale that is not finite or has its sign bit set,
+    raise ValueError before any operand is built.
     """
     if x_q.element_kind != KIND_INT8:
         raise ValueError(f"left operand must be INT8, got {x_q.element_kind}")
@@ -139,10 +178,12 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
         raise ValueError("operands must be grouped along the shared accumulation axis")
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
+    _check_operands(x_q.levels, w_q.levels)
     check_scales(x_q.scales)
     check_scales(w_q.scales)
-    return grouped_dot(x_q.levels, np.asfortranarray(x_q.scales), w_q.levels,
-                       np.asfortranarray(w_q.scales), group_lengths(x_q.axis_length, x_q.group_size))
+    # the fold reads the operand's (N, n_groups, G) view; each group's transpose is contiguous
+    return _fold(x_q.levels, np.asfortranarray(x_q.scales), weight_operand(w_q).transpose(2, 0, 1),
+                 np.asfortranarray(w_q.scales), group_lengths(x_q.axis_length, x_q.group_size))
 
 
 def dequantized_gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:

@@ -40,8 +40,7 @@ from .codec import (DEFAULT_GROUP_SIZE, KIND_MANT4, MAX_GROUP_SIZE, QuantizedTen
                     to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .grid import as_integer
-from .selection import (VarianceTable, coefficients_from_sums, quantize_by_variance,
-                        row_coefficients)
+from .selection import VarianceTable, coefficients_from_sums, row_coefficients
 
 
 def _statistics(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,14 +189,22 @@ class KvCache:
         self.group_size = group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
         self.k_table = k_table
         self.v_table = v_table
-        self.keys = quantize_by_variance(np.zeros((0, heads, head_dim)), k_table, 2, group_size)
-        self.values = quantize_by_variance(np.zeros((0, heads, head_dim)), v_table, 0, group_size)
+        # empty stores: no key rows of ceil(head_dim / G) groups, and no value blocks
+        self.keys = self._empty_store(2, (0, -(-head_dim // group_size)))
+        self.values = self._empty_store(0, (heads * head_dim, 0))
         # float32 copies of the stores' levels, the operands of attention's products
         self.operands = {name: getattr(self, name).levels.astype(np.float32)
                          for name in ("keys", "values")}
         self.windows: ProcessWindow | None = None
         self._total_v = 0
         self._buffers: dict[str, list[np.ndarray]] = {}
+
+    def _empty_store(self, group_axis: int, rows_groups: tuple[int, int]) -> QuantizedTensor:
+        """A store of no tokens grouped along ``group_axis``, its arrays led by
+        ``rows_groups``: what encoding ``(0, heads, head_dim)`` would give."""
+        return QuantizedTensor((0, self.heads, self.head_dim), KIND_MANT4, group_axis,
+                               self.group_size, np.zeros(rows_groups + (self.group_size,), np.int16),
+                               np.zeros(rows_groups), np.zeros(rows_groups, np.uint8))
 
     @property
     def seq_len(self) -> int:

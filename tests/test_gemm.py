@@ -1,6 +1,8 @@
 """Fused integer GEMM: partial-sum identities, oracles, grouping contracts."""
 
 import dataclasses
+import importlib
+import io
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from mant.codec import (
     quantize_activation_tensor,
     quantize_weight_tensor,
 )
-from mant.gemm import dequantized_gemm, gemm, grouped_dot
+from mant.cli import main
+from mant.container import read_quantized, write_quantized
+from mant.gemm import _exact_dtype, dequantized_gemm, gemm, grouped_dot, weight_operand
 from oracles import GroupDotResult, combine, fused_group_dot
 
 
@@ -203,6 +207,69 @@ class TestGemm:
         scaled = QuantizedTensor(xq.shape, xq.element_kind, xq.group_axis, xq.group_size,
                                  xq.codes, xq.scales * 4.0, xq.coefficients)
         assert np.array_equal(gemm(scaled, wq), base * 4.0)
+
+
+class TestOperands:
+    """The dtypes ``gemm`` and ``grouped_dot`` take, and the weight operand
+    ``gemm`` builds once and keeps."""
+
+    @pytest.mark.parametrize("rebuild", [lambda c: c + 0.5, lambda c: c.astype(np.int16) * 20,
+                                         lambda c: c.astype(np.uint8)],
+                             ids=["float64", "int16", "uint8"])
+    def test_left_operand_must_be_int8_codes(self, rebuild):
+        # each went through silently once: a half code, codes past the fold's
+        # |x| <= 127 bound, and a wrapped sign all gave a wrong product
+        rng = np.random.default_rng(14)
+        xq, wq = random_operands(rng, 3, 100, 4)
+        bad = dataclasses.replace(xq, levels=rebuild(xq.levels))
+        with pytest.raises(ValueError, match="left operand must be int8 codes"):
+            gemm(bad, wq)
+        with pytest.raises(ValueError, match="left operand must be int8 codes"):
+            grouped_dot(bad.levels, bad.scales, wq.levels, wq.scales, group_lengths(100, 64))
+
+    @pytest.mark.parametrize("rebuild", [lambda w: w.codes, lambda w: w.levels.astype(np.float32),
+                                         lambda w: w.levels.astype(np.float64)],
+                             ids=["uint8 nibbles", "float32", "float64"])
+    def test_right_operand_rule_holds_through_the_operand(self, rebuild):
+        # a float32 copy of the levels is no weight's levels, so not its own operand
+        rng = np.random.default_rng(15)
+        xq, wq = random_operands(rng, 3, 100, 4)
+        bad = dataclasses.replace(wq, levels=rebuild(wq))
+        with pytest.raises(ValueError, match="int16 levels or int8 codes"):
+            gemm(xq, bad)
+        assert "_operand" not in vars(bad)
+
+    def test_operand_is_made_once_and_tied_to_the_levels(self):
+        rng = np.random.default_rng(16)
+        xq, wq = random_operands(rng, 2, 200, 5)
+        assert "_operand" not in vars(wq)   # quantizing builds none
+        gemm(xq, wq)
+        operand = weight_operand(wq)
+        assert operand.shape == (4, 64, 5) and operand.dtype == _exact_dtype(64)
+        assert not operand.flags.writeable and operand.flags.c_contiguous
+        assert weight_operand(wq) is operand
+        copy = dataclasses.replace(wq, levels=wq.levels.copy())
+        assert weight_operand(copy) is not operand
+        assert np.array_equal(weight_operand(copy), operand)
+        wq.levels = wq.levels.copy()   # a rebound levels object builds anew
+        assert weight_operand(wq) is not operand
+
+    def test_reading_or_quantizing_builds_no_operand(self, tmp_path, monkeypatch):
+        gemm_module = importlib.import_module("mant.gemm")   # the package's `gemm` is the function
+        rng = np.random.default_rng(17)
+        _, wq = random_operands(rng, 1, 130, 3)
+        buf = io.BytesIO()
+        write_quantized(buf, wq)
+        buf.seek(0)
+        assert "_operand" not in vars(read_quantized(buf))
+
+        def refuse(w_q):
+            raise AssertionError("an operand was built")
+        monkeypatch.setattr(gemm_module, "weight_operand", refuse)
+        tensor = tmp_path / "t.mntt"
+        assert main(["gen-tensor", "--shape", "130x3", "--seed", "1", "--out", str(tensor)]) == 0
+        assert main(["quantize", "--tensor", str(tensor), "--role", "weight",
+                     "--out", str(tmp_path / "w.mntq")]) == 0
 
 
 class TestGemmInt8:

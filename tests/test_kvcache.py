@@ -10,7 +10,7 @@ from mant.attention import run_toy_attention
 from mant.codec import (QuantizedTensor, group_lengths, quantize_activation_group,
                         quantize_weight_group, row_payload_bytes)
 from mant.kvcache import KvCache, ProcessWindow
-from mant.selection import normalized_variance, table_from_probe_means
+from mant.selection import normalized_variance, quantize_by_variance, table_from_probe_means
 
 TABLE = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
 
@@ -480,6 +480,20 @@ class TestKvCache:
 
 class TestStores:
     """Keys and flushed values are QuantizedTensors the container writes as they are."""
+
+    @pytest.mark.parametrize("heads,head_dim,group_size", [(3, 100, 64), (2, 48, 32)])
+    def test_empty_stores_are_an_encode_of_no_tokens(self, heads, head_dim, group_size):
+        # built directly, they match encoding (0, heads, head_dim) under the tables
+        cache = KvCache(heads, head_dim, TABLE, TABLE, group_size)
+        for name, axis in (("keys", 2), ("values", 0)):
+            want = quantize_by_variance(np.zeros((0, heads, head_dim)), TABLE, axis, group_size)
+            got = getattr(cache, name)
+            assert (got.shape, got.element_kind, got.group_axis, got.group_size) == \
+                (want.shape, want.element_kind, want.group_axis, want.group_size)
+            arrays = [(getattr(got, f), getattr(want, f)) for f in ("levels", "scales", "coefficients")]
+            arrays.append((cache.operands[name], want.levels.astype(np.float32)))
+            for a, b in arrays:
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
     def test_values_round_trip_through_container(self):
         rng = np.random.default_rng(14)

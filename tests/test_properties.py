@@ -35,7 +35,7 @@ from mant.codec import (
     to_groups,
 )
 from mant.container import read_quantized, write_quantized
-from mant.gemm import gemm, grouped_dot
+from mant.gemm import _exact_dtype, gemm, grouped_dot, weight_operand
 from mant.grid import build_grid
 from mant.kvcache import KvCache
 from mant.selection import (
@@ -320,8 +320,7 @@ def ref_gemm_int8(x_q: QuantizedTensor, y_q: QuantizedTensor) -> np.ndarray:
     out = np.zeros((x_q.shape[0], y_q.shape[1]))
     x_codes = x_q.codes.astype(np.float64)
     y_codes = y_q.codes.astype(np.float64)  # (N, n_groups, G)
-    for g in range(x_q.n_groups):
-        length = int(x_q.group_lengths[0, g])
+    for g, length in enumerate(group_lengths(x_q.axis_length, x_q.group_size).tolist()):
         psum = x_codes[:, g, :length] @ y_codes[:, g, :length].T
         out += psum * (x_q.scales[:, g][:, None] * y_q.scales[:, g][None, :])
     return out
@@ -745,6 +744,34 @@ def test_gemm_of_int8_weights_matches_int8_group_loop(m, k, n, group_size, seed)
     x_q = quantize_activation_tensor(x, 1, group_size)
     w_q = quantize_activation_tensor(w, 0, group_size)
     assert same_bits(gemm(x_q, w_q), ref_gemm_int8(x_q, w_q))
+
+
+@SETTINGS
+@given(st.one_of(st.just(0), st.just(1), st.integers(2, 6)), st.sampled_from((1, 64, 129, 130, 192)),
+       st.integers(1, 3), st.integers(0, 191), st.integers(1, 5),
+       st.sampled_from(("adaptive", "int4", "int8")), st.integers(0, 2 ** 32 - 1))
+@example(1, 192, 3, 100, 3, "adaptive", 0)   # float64 operand, a tail that multiplies in float32
+@example(1, 129, 2, 0, 4, "int4", 1)         # the one-row batch over float32 groups
+@example(0, 64, 2, 5, 2, "int8", 2)
+def test_gemm_reuses_its_weight_operand(m, group_size, n_groups, short, n, weights, seed):
+    # K = n_groups * G minus a tail's shortfall; each product taken twice on one tensor
+    k = max(1, n_groups * group_size - short % group_size)
+    rng = np.random.default_rng(seed)
+    x_q = quantize_activation_tensor(rng.standard_normal((m, k)), 1, group_size)
+    w = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-4, 4, (1, n))
+    if weights == "int8":
+        w_q, ref = quantize_activation_tensor(w, 0, group_size), ref_gemm_int8
+    else:
+        coeffs = rng.choice(np.arange(INT4_COEFF + 1), (n, n_groups)).astype(np.uint8)
+        if weights == "int4":
+            coeffs[rng.random(coeffs.shape) < 0.75] = INT4_COEFF
+        w_q, ref = quantize_weight_tensor(w, coeffs[:, :-(-k // group_size)], 0, group_size), ref_gemm
+    want = ref(x_q, w_q)
+    assert same_bits(gemm(x_q, w_q), want)
+    operand = weight_operand(w_q)
+    assert same_bits(gemm(x_q, w_q), want)
+    assert weight_operand(w_q) is operand and not operand.flags.writeable
+    assert same_bits(operand, w_q.levels.transpose(1, 2, 0).astype(_exact_dtype(group_size)))
 
 
 @SETTINGS

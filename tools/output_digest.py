@@ -4,7 +4,7 @@ Run it on two trees on the same machine and compare the lines:
 
     PYTHONPATH=src python3 tools/output_digest.py
 
-It prints 32 lines, each a name and the first 16 hex digits of a sha256:
+It prints 33 lines, each a name and the first 16 hex digits of a sha256:
 
 * ``attention decode ...`` and ``attention prompt ...``: two lines per
   ``run_toy_attention`` case.  The decode line hashes ``step_outputs``,
@@ -24,6 +24,10 @@ It prints 32 lines, each a name and the first 16 hex digits of a sha256:
   underflow to 0 against psums of both signs; ``grouped_dot`` takes the
   scales row-major, column-major and as transposed views, with 4-bit and
   INT8 right operands, and with the rows split over a leading batch axis;
+* ``gemm reuse``: ``gemm`` of one 384x384 weight, its groups under the 16
+  weight options in equal shares (INT4 included), at M = 1, 64 and 200,
+  each product taken twice on the same tensor, so a product of a weight
+  that ``gemm`` has used before is hashed beside its first;
 * ``kv coefficients``: the key and flushed-value coefficient arrays of
   caches streamed (prefill, then decode steps) under fixed variance tables,
   over geometries with tail key groups, then the ``calibration_tables`` JSON
@@ -127,6 +131,10 @@ GEMM_SHAPES = ((1, 64, 16, 64), (5, 200, 7, 64), (8, 130, 9, 130), (3, 100, 11, 
 # (M, K, N, group size) of ``gemm extremes``: one row, 192-element groups, tails
 GEMM_EXTREME_SHAPES = ((1, 4096, 64, 64), (1, 400, 9, 192), (24, 400, 9, 192), (8, 130, 5, 64))
 
+# ``gemm reuse``: a prompt-ingest projection (bench/workloads.py) under its 16 weight options
+REUSE_DIM, REUSE_ROWS = 384, (1, 64, 200)
+WEIGHT_OPTIONS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, INT4_COEFF)
+
 # (prompt, decode steps, heads, head_dim, group size): tail key groups at 48/32 and 100/64
 KV_STREAMS = ((40, 90, 3, 48, 32), (70, 130, 2, 100, 64))
 # (prompt, decode steps, heads, head_dim, group size): the keys grow past 4x
@@ -178,6 +186,20 @@ def gemm_digests():
     yield "gemm mant4", short(mant4)
     yield "gemm int8", short(int8)
     yield "gemm extremes", gemm_extremes_digest()
+    yield "gemm reuse", gemm_reuse_digest()
+
+
+def gemm_reuse_digest() -> str:
+    rng = np.random.default_rng(2027)
+    d = REUSE_DIM
+    coeffs = rng.permutation(np.resize(np.asarray(WEIGHT_OPTIONS, np.uint8), d * d // 64))
+    w_q = quantize_weight_tensor(rng.standard_normal((d, d)), coeffs.reshape(d, d // 64), 0, 64)
+    h = hashlib.sha256()
+    for m in REUSE_ROWS:
+        x_q = quantize_activation_tensor(rng.standard_normal((m, d)), 1, 64)
+        for _ in range(2):
+            h.update(gemm_module.gemm(x_q, w_q).tobytes())
+    return short(h)
 
 
 def gemm_extremes_digest() -> str:
