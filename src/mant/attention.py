@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (DEFAULT_GROUP_SIZE, MAX_GROUP_SIZE, encode_int8, group_lengths,
-                    quantize_activation_tensor, split_runs, to_groups)
+from .codec import (DEFAULT_GROUP_SIZE, MAX_GROUP_SIZE, encode_int8, quantize_activation_tensor,
+                    split_runs, to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
-from .gemm import _fold, grouped_dot
+from .gemm import _fold
 from .grid import as_integer
 from .kvcache import KvCache
 from .selection import MIN_CALIBRATION_GROUPS, CandidateSet, VarianceTable, build_variance_table
@@ -127,36 +127,36 @@ def _softmax(scores: np.ndarray, first: int) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
+def _cut(codes: np.ndarray, length: int) -> np.ndarray:
+    """INT8 ``codes`` of rows ``(..., ceil(length / G), G)``, zero past
+    ``length``: a copy when the last group is short, the array itself when not."""
+    tail = length - (codes.shape[-2] - 1) * codes.shape[-1]
+    if tail < codes.shape[-1]:
+        codes = codes.copy()
+        codes[..., -1, tail:] = 0
+    return codes
+
+
 def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused attention scores ``(heads, rows, upto)`` of query rows
-    ``(heads, rows, ...)`` against cached keys [0, upto): one fold
-    (:func:`gemm.grouped_dot`) over the key groups' float32 operands, heads
-    batched."""
-    k_scales, k_levels = (a.reshape((cache.seq_len, cache.heads) + a.shape[1:])[:upto]
-                          .swapaxes(0, 1) for a in (cache.keys.scales, cache.operands["keys"]))
-    return _fold(q_codes, q_scales, k_levels, k_scales,
-                 group_lengths(cache.head_dim, cache.group_size))
+    ``(heads, rows, n_kgroups, G)`` against cached keys [0, upto): one fold
+    (:func:`gemm.grouped_dot`) over the keys' group-major float32 levels,
+    heads batched.  The codes are cut to head_dim (:func:`_cut`), so every
+    group folds at full length: key padding holds finite levels."""
+    return _fold(_cut(q_codes, cache.head_dim), q_scales, *cache.key_operands(upto),
+                 (cache.group_size,) * q_codes.shape[-2])
 
 
 def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
     """Fused probability-value product ``(heads, rows, head_dim)`` of
-    probability rows ``(heads, rows, ...)`` over tokens [0, upto): one fold
-    (:func:`gemm.grouped_dot`) over the flushed value blocks' float32
-    operands on the 4-bit path, then one over the window's INT8 rows as a
-    group under their channel scales; the first sum is never ``-0.0``, so
-    the two add up to the bits of one fold over both."""
-    group_size, flushed = cache.group_size, cache.flushed_tokens
-    # (heads, head_dim, blocks, G): block b is group b of every channel
-    v_scales, v_levels = (a.reshape((cache.heads, cache.head_dim) + a.shape[1:])
-                          for a in (cache.values.scales, cache.operands["values"]))
-    out = _fold(p_codes, p_scales, v_levels, v_scales,
-                group_lengths(min(upto, flushed), group_size))
-    if upto > flushed:
-        b, length = flushed // group_size, upto - flushed
-        out += grouped_dot(p_codes[:, :, b:b + 1], p_scales[:, :, b:b + 1],
-                           cache.windows.staged[:length].transpose(1, 2, 0)[:, :, None],
-                           cache.windows.channel_scales[:, :, None], (length,))
-    return out
+    probability rows ``(heads, rows, ceil(upto / G), G)`` over tokens [0,
+    upto): one fold (:func:`gemm.grouped_dot`) over the value blocks' float32
+    levels, the flushed 4-bit blocks and then the open block, whose staged
+    INT8 rows are one group under the window's channel scales.  The codes
+    are cut to upto (:func:`_cut`), so every group folds at full length:
+    slots past upto hold finite levels, or zeros past the window's rows."""
+    return _fold(_cut(p_codes, upto), p_scales, *cache.value_operands(upto),
+                 (cache.group_size,) * p_codes.shape[-2])
 
 
 def _attention_rows(q_rows, store, first: int, scale: float, group_size: int,

@@ -134,6 +134,12 @@ def check_scales(scales: np.ndarray, name: str = "scale") -> None:
         raise ValueError(f"{name} {scales[bad][0]} is not finite and non-negative")
 
 
+def misfit_coefficients(kind: str, coefficients) -> np.ndarray:
+    """Where ``coefficients`` do not fit ``kind`` codes, the container's rule:
+    above INT4_COEFF for 4-bit codes, anything but INT8_COEFF for INT8."""
+    return coefficients > INT4_COEFF if kind == KIND_MANT4 else coefficients != INT8_COEFF
+
+
 # -- batched kernels: groups (..., G) with per-group metadata (...) ---------
 
 def encode_levels(groups, coefficients):
@@ -160,13 +166,11 @@ def encode_levels(groups, coefficients):
     return _encode_levels(groups, coeffs)
 
 
-def _encode_levels(groups, coeffs, levels=None, scales=None):
+def _encode_levels(groups, coeffs):
     """:func:`encode_levels` of float64 groups under coefficients already
-    known to be 4-bit (a variance table's, or checked), written into
-    ``levels`` and ``scales`` when given (such as a store's next rows)."""
+    known to be 4-bit (a variance table's, or checked)."""
     doubled = np.abs(groups)
-    scales = np.divide(np.maximum.reduce(doubled, axis=-1, initial=0.0), _TOPS.take(coeffs),
-                       out=scales)
+    scales = np.maximum.reduce(doubled, axis=-1, initial=0.0) / _TOPS.take(coeffs)
     _check_finite(scales)   # a group's max is inf or NaN where one of its values is
     silent = None if scales.all() else scales == 0.0
     doubled /= (scales if silent is None else np.where(silent, np.inf, scales))[..., None]
@@ -177,9 +181,8 @@ def _encode_levels(groups, coeffs, levels=None, scales=None):
     doubled += _BIASED_ROWS.take(coeffs)[..., None]
     index = doubled.view(np.int64)
     index -= _TWO_52_BITS
-    # every index is in range (see _ceiling_levels), and mode "clip" lets take
-    # write into `levels` without buffering
-    levels = np.take(_CEILING_LEVELS, index, out=levels, mode="clip")
+    # every index is in range (see _ceiling_levels), and mode "clip" skips the check
+    levels = np.take(_CEILING_LEVELS, index, mode="clip")
     # 1 - 2*(value < 0): -0.0 and the values of a zero-scale group stay positive
     sign = (groups < 0).view(np.int8)
     if silent is not None:
@@ -366,10 +369,19 @@ class QuantizedTensor:
         return tuple(a.reshape(row_shape + a.shape[1:])
                      for a in (self.codes, self.scales, self.coefficients))
 
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct the full real-valued tensor; a scale that is not
-        finite or has its sign bit set raises ValueError."""
+    def check_metadata(self) -> None:
+        """Raise ValueError on a scale that is not finite or has its sign bit
+        set, or a coefficient that does not fit the codes (the container's rules)."""
         check_scales(self.scales)
+        bad = misfit_coefficients(self.element_kind, self.coefficients)
+        if bad.any():
+            raise ValueError(f"coefficient {self.coefficients[bad][0]} does not fit "
+                             f"{self.element_kind} codes")
+
+    def dequantize(self) -> np.ndarray:
+        """Reconstruct the full real-valued tensor; metadata that
+        :meth:`check_metadata` refuses raises ValueError."""
+        self.check_metadata()
         groups = _scale_levels(self.levels, self.scales)
         rows = groups.reshape(self.n_rows, self.n_groups * self.group_size)
         return _rows_to_tensor(np.ascontiguousarray(rows[:, :self.axis_length]),

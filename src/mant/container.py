@@ -38,12 +38,12 @@ import numpy as np
 
 from .codec import (
     INT4_COEFF,
-    INT8_COEFF,
     KIND_INT8,
     KIND_MANT4,
     SIGN_BIT,
     QuantizedTensor,
     code_values,
+    misfit_coefficients,
     pack_codes,
     row_payload_bytes,
     unpack_codes,
@@ -148,8 +148,8 @@ def _record_scales(records: np.ndarray, kind: str, group_size: int, tail: int) -
             (bad_length, "length", lengths, "inconsistent with dims"),
             # half bits below 0x7C00: sign clear and exponent not all ones
             (records["scale"] >= 0x7C00, "scale", scales, "is not finite and non-negative"),
-            (coeffs > INT4_COEFF if kind == KIND_MANT4 else coeffs != INT8_COEFF,
-             "coefficient", coeffs, f"does not fit {kind} codes")):
+            (misfit_coefficients(kind, coeffs), "coefficient", coeffs,
+             f"does not fit {kind} codes")):
         if bad.any():
             r, g = np.argwhere(bad)[0]
             raise ContainerError(f"group ({r},{g}) {name} {values[r, g]} {problem}")

@@ -20,18 +20,17 @@ float32 while that stays below 2**24 (L <= 129), in float64 (below 2**53)
 beyond.
 
 :func:`grouped_dot` is the one fold of those products, for ``gemm`` and
-for all three attention products (key groups, flushed value blocks, and
-the V window's INT8 rows as one group).  Its body, ``_fold``, also takes
-float32 copies of the levels, which hold the same integers: the KV cache
-keeps one beside each store (``KvCache.operands``), filled once when a
-row is written, so a decode step converts nothing it has converted
-before, and ``gemm`` keeps one on each weight (below).  The fold works in
-place: one zeroed float64 accumulator, and for each group in ascending
-order ``s_x * s_w`` times the psums added to it.  The first group is
-added too, not copied, so a ``-0.0`` product still sums to ``+0.0``.
+both attention products (key groups; value blocks, the V window's INT8
+rows the last one).  Its body, ``_fold``, also takes float32 levels, which
+hold the same integers: the KV cache stores its levels only so, and
+``gemm`` keeps a copy on each weight (below), so no product converts what
+it converted before.  The fold works in place: one zeroed float64
+accumulator, and for each group in ascending order ``s_x * s_w`` times the
+psums added to it.  The first group is added too, not copied, so a
+``-0.0`` product still sums to ``+0.0``.
 
 A one-row product (``M == 1``, every decode step) of operands that need
-no conversion (the cache's float32 copies, groups of at most 129) takes
+no conversion (the cache's float32 levels, groups of at most 129) takes
 the psums of all its full-length groups from one batched matmul, the
 group axis as a batch axis, and their scale products from one multiply;
 the adds stay one ``out += term`` per group in ascending order, so the
@@ -47,9 +46,8 @@ weight's levels in :func:`_exact_dtype` of G, built on the tensor's first
 ``gemm`` and kept on it for every later one.  Its K groups are
 C-contiguous ``(G, N)`` blocks, matmul operands with nothing to convert,
 and at M = 1 the one-row batched path above takes them all at once.  It
-costs 4 bytes per weight element (8 for groups longer than 129), and a
-4096x4096 weight takes 45-85 ms to build, in 256-column tiles: one
-transposing ``astype`` of the whole weight took 130-200 ms.  It is tied
+costs 4 bytes per weight element (8 for groups longer than 129) and is
+built in 256-column tiles, whose transposes stay in cache.  It is tied
 to the ``levels`` object: a tensor whose ``levels`` is rebound builds a
 new one, while levels changed in place leave it stale.  ``gemm`` passes
 its scales column-major (two small copies per call) so that each scale
@@ -60,7 +58,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import KIND_INT8, QuantizedTensor, check_scales, group_lengths
+from .codec import KIND_INT8, QuantizedTensor, group_lengths
 
 
 def _exact_dtype(length: int):
@@ -165,8 +163,8 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     Both operands must be grouped along K with the same group size; one
     :func:`grouped_dot` fold over the K groups, of the codes against the
     weight's :func:`weight_operand`, covers all rows and columns.  Levels of
-    another dtype, or a scale that is not finite or has its sign bit set,
-    raise ValueError before any operand is built.
+    another dtype, or metadata that :meth:`QuantizedTensor.check_metadata`
+    refuses, raise ValueError before any operand is built.
     """
     if x_q.element_kind != KIND_INT8:
         raise ValueError(f"left operand must be INT8, got {x_q.element_kind}")
@@ -179,8 +177,8 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     if x_q.group_size != w_q.group_size:
         raise ValueError(f"group size mismatch: {x_q.group_size} vs {w_q.group_size}")
     _check_operands(x_q.levels, w_q.levels)
-    check_scales(x_q.scales)
-    check_scales(w_q.scales)
+    x_q.check_metadata()
+    w_q.check_metadata()
     # the fold reads the operand's (N, n_groups, G) view; each group's transpose is contiguous
     return _fold(x_q.levels, np.asfortranarray(x_q.scales), weight_operand(w_q).transpose(2, 0, 1),
                  np.asfortranarray(w_q.scales), group_lengths(x_q.axis_length, x_q.group_size))

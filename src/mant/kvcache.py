@@ -11,19 +11,21 @@ coefficient picked from their variance.  The window's statistics are the
 running max, sum and sum of squares of its staged rows in arrival order,
 read from those rows.  One process window stages the values of all heads.
 
-The keys and the flushed values are 4-bit ``(tokens, heads, head_dim)``
-:class:`QuantizedTensor` s grouped along axis 2 and 0, whose arrays view
-the filled prefix of buffers led by the axis that grows (key rows, value
-blocks).  Every write takes one route, :meth:`KvCache._write`: a key row,
-a prompt's keys and full value blocks, and a full window pick their
-coefficients from their groups' sums (:func:`selection.coefficients_from_sums`),
-and the batched encoder writes levels and scales straight into the
-buffers' next rows.  A fourth buffer holds float32 copies of the levels
-(``operands``), filled from the rows just encoded, so attention's products
-read each stored level as a matmul operand without converting it again;
-at 4 heads x 64 they raise the resident bytes per token from 1,096 to
-3,144.  The value arrays stay block-major, so each block is one contiguous
-operand of the value product.
+The cache stores what attention reads, once, in the order it reads it:
+each store holds one per-element array, the float32 levels that
+attention's products take as matmul operands, beside float64 scales and
+uint8 coefficients of the same layout, and counters say how much is
+filled.  Keys are group-major ``(heads, n_kgroups, tokens, G)``; values
+are block-major ``(blocks + 1, heads * head_dim, G)``, and the slot after
+the flushed blocks, the open block, holds the window's staged INT8 rows
+under its channel scales, so the value product is one fold over all of
+them.  Every write takes one route, :meth:`KvCache._write`: a key row, a
+prompt's keys and full value blocks, and a full window pick their
+coefficients from their groups' sums
+(:func:`selection.coefficients_from_sums`), encode once and land, as
+float32, in the next slots.  ``keys`` and ``values`` are 4-bit ``(tokens, heads,
+head_dim)`` :class:`QuantizedTensor` s grouped along axis 2 and 0, built
+with int16 levels on read.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ class ProcessWindow:
     ``window[h]`` is head ``h`` of a multi-head window, for reading: its arrays
     are read-only views of this window's, its counters a copy (``clamp_count``
     counts the whole window), and ``push`` and ``flush`` on it raise
-    ValueError.  ``flush`` is only legal when the window is full, and resets it.
+    ValueError, as they do on a :class:`KvCache`'s window, whose rows the
+    cache also keeps in its value operand.  ``flush`` is only legal when the
+    window is full, and resets it.
     """
 
     channel_scales: np.ndarray
@@ -78,6 +82,7 @@ class ProcessWindow:
     clamp_count: int = field(default=0, init=False)
     staged: np.ndarray = field(init=False)
     head: int | None = field(default=None, init=False, repr=False)
+    owned: bool = field(default=False, init=False, repr=False)   # a KvCache writes it
 
     def __post_init__(self):
         self.group_size = as_integer(self.group_size, "group size", 1, MAX_GROUP_SIZE)
@@ -102,6 +107,9 @@ class ProcessWindow:
         if self.head is not None:
             raise ValueError(f"window[{self.head}] is a read-only head view; push to and "
                              "flush the whole window")
+        if self.owned:
+            raise ValueError("a KvCache's window takes values through the cache's push_v "
+                             "and prefill")
 
     @property
     def is_full(self) -> bool:
@@ -126,16 +134,17 @@ class ProcessWindow:
         _check_finite(values)
         self._stage(values.reshape((-1,) + shape))
 
-    def _stage(self, rows: np.ndarray) -> None:
-        """:meth:`push` of finite float64 rows ``(n, *channels)``."""
+    def _stage(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`push` of finite float64 rows ``(n, *channels)``; returns their codes."""
         if self.fill_count + len(rows) > self.group_size:
             raise ValueError("process window is full; flush before pushing")
         scaled = rows / self._divisors
         self.clamp_count += int(np.count_nonzero(np.abs(scaled) >= 127.5))
         if self._silent is not None:
             self.clamp_count += int(np.count_nonzero(rows[:, self._silent]))
-        self.staged[self.fill_count:self.fill_count + len(rows)] = round_int8(scaled)
+        codes = self.staged[self.fill_count:self.fill_count + len(rows)] = round_int8(scaled)
         self.fill_count += len(rows)
+        return codes
 
     def staged_dequantized(self) -> np.ndarray:
         """Real values of the staged rows, shape (fill_count, *channels)."""
@@ -150,6 +159,7 @@ class ProcessWindow:
         the codes from re-encoding the dequantized staged column.  The
         window resets afterwards.
         """
+        self._check_writable()
         rows, coeffs = self._drain(table)
         levels, scales = _encode_levels(to_groups(rows, self.group_size), coeffs)
         return QuantizedTensor(self.staged.shape, KIND_MANT4, 0, self.group_size, levels, scales,
@@ -158,7 +168,6 @@ class ProcessWindow:
     def _drain(self, table: VarianceTable) -> tuple[np.ndarray, np.ndarray]:
         """The full window's rows ``(channels, group_size)``, a transposed view of
         its one dequantize, and their coefficients ``(channels, 1)``; the window resets."""
-        self._check_writable()
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
         values = self.staged_dequantized()
@@ -179,7 +188,8 @@ class KvCache:
     Keys are grouped along the head dimension and encoded completely at
     every step; values are grouped along the sequence axis through one
     process window over all heads.  Coefficients come from per-role
-    variance tables.
+    variance tables.  Writes go through :meth:`append_k`, :meth:`push_v`
+    and :meth:`prefill`; the cache's window refuses ``push`` and ``flush``.
     """
 
     def __init__(self, heads: int, head_dim: int, k_table: VarianceTable,
@@ -189,30 +199,22 @@ class KvCache:
         self.group_size = group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
         self.k_table = k_table
         self.v_table = v_table
-        # empty stores: no key rows of ceil(head_dim / G) groups, and no value blocks
-        self.keys = self._empty_store(2, (0, -(-head_dim // group_size)))
-        self.values = self._empty_store(0, (heads * head_dim, 0))
-        # float32 copies of the stores' levels, the operands of attention's products
-        self.operands = {name: getattr(self, name).levels.astype(np.float32)
-                         for name in ("keys", "values")}
+        # [float32 levels, scales, coefficients]: keys group-major with no token
+        # slots, values block-major with one slot, the open block
+        self._k, self._v = ([np.zeros(lead + (group_size,), np.float32), np.zeros(lead),
+                             np.zeros(lead, np.uint8)]
+                            for lead in ((heads, -(-head_dim // group_size), 0),
+                                         (1, heads * head_dim)))
         self.windows: ProcessWindow | None = None
-        self._total_v = 0
-        self._buffers: dict[str, list[np.ndarray]] = {}
-
-    def _empty_store(self, group_axis: int, rows_groups: tuple[int, int]) -> QuantizedTensor:
-        """A store of no tokens grouped along ``group_axis``, its arrays led by
-        ``rows_groups``: what encoding ``(0, heads, head_dim)`` would give."""
-        return QuantizedTensor((0, self.heads, self.head_dim), KIND_MANT4, group_axis,
-                               self.group_size, np.zeros(rows_groups + (self.group_size,), np.int16),
-                               np.zeros(rows_groups), np.zeros(rows_groups, np.uint8))
+        self._tokens = self._blocks = self._total_v = 0
 
     @property
     def seq_len(self) -> int:
-        return self.keys.shape[0]
+        return self._tokens
 
     @property
     def flushed_tokens(self) -> int:
-        return self.values.shape[0]
+        return self._blocks * self.group_size
 
     @property
     def window_fill(self) -> int:
@@ -226,44 +228,69 @@ class KvCache:
         """Flushed tokens plus window fill must equal all value tokens seen."""
         return self.flushed_tokens + self.window_fill == self._total_v
 
-    def _write(self, name: str, rows: np.ndarray, coefficients: np.ndarray, tokens: int) -> None:
-        """Encode the groups of :func:`codec.tensor_rows` ``rows`` under
-        their table-made ``coefficients`` straight into the next rows of the
-        buffers behind the store ``name``, which then holds ``tokens`` more
-        tokens.
+    @property
+    def keys(self) -> QuantizedTensor:
+        """The keys, a 4-bit ``(seq_len, heads, head_dim)`` tensor grouped along
+        axis 2: int16 levels and copies of the scales and coefficients."""
+        levels, scales, coeffs = (
+            np.moveaxis(a[:, :, :self._tokens], 2, 0).astype(dtype, order="C")
+            .reshape((-1,) + a.shape[1:2] + a.shape[3:])
+            for a, dtype in zip(self._k, (np.int16, np.float64, np.uint8)))
+        return QuantizedTensor((self._tokens, self.heads, self.head_dim), KIND_MANT4, 2,
+                               self.group_size, levels, scales, coeffs)
 
-        The buffers hold levels, scales, coefficients and float32 copies of
-        the levels (``operands[name]``) in the store's layout, with spare
-        capacity along the axis that grows (key rows, value blocks); that
-        axis leads in memory, and the capacity doubles when it runs out.
-        The copies are filled from the levels just encoded.  The store and
-        its operands view the filled prefix, so a tensor a caller holds
-        keeps its contents, and an encode that raises leaves both as they
-        were."""
-        store = getattr(self, name)
-        groups = to_groups(rows, self.group_size)
-        axis = 1 if store.group_axis == 0 else 0
-        used = store.levels.shape[axis]
-        size = used + groups.shape[axis]
+    @property
+    def values(self) -> QuantizedTensor:
+        """The flushed values, a 4-bit ``(flushed_tokens, heads, head_dim)``
+        tensor grouped along axis 0: int16 levels, block-major in memory, and
+        views of the scales and coefficients of slots never written again."""
+        levels, scales, coeffs = (a[:self._blocks].swapaxes(0, 1) for a in self._v)
+        return QuantizedTensor((self.flushed_tokens, self.heads, self.head_dim), KIND_MANT4, 0,
+                               self.group_size, levels.astype(np.int16), scales, coeffs)
+
+    def key_operands(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
+        """Float32 levels ``(heads, upto, n_kgroups, G)`` and scales ``(heads,
+        upto, n_kgroups)`` of the filled key slots [0, upto), group-major views."""
+        return tuple(a[:, :, :min(upto, self._tokens)].swapaxes(1, 2) for a in self._k[:2])
+
+    def value_operands(self, upto: int) -> tuple[np.ndarray, np.ndarray]:
+        """Float32 levels ``(heads, head_dim, n, G)`` and scales ``(heads,
+        head_dim, n)`` of the ``n = ceil(upto / G)`` filled blocks that hold tokens
+        [0, upto), flushed or open (zero past the window's rows), block-major views."""
+        n = min(-(-upto // self.group_size), self._blocks + 1)
+        return tuple(a[:n].swapaxes(0, 1).reshape((self.heads, self.head_dim, n) + a.shape[2:])
+                     for a in self._v[:2])
+
+    def _write(self, name: str, rows: np.ndarray, coefficients: np.ndarray) -> None:
+        """Encode the groups of :func:`codec.tensor_rows` ``rows`` under their
+        table-made ``coefficients`` and place the levels (as float32), scales
+        and coefficients in the next slots of the store ``name``: key rows
+        ``(tokens * heads, head_dim)`` fill token slots (axis 2 of the
+        group-major key buffers), value rows ``(heads * head_dim, blocks * G)``
+        block slots (axis 0 of the block-major value buffers).  Buffers short of
+        them (and of the open block, for values) first grow in the list to
+        twice their capacity or the need; the open block then takes zeros and
+        the window's channel scales.  The encode runs before anything is
+        placed, so one that raises leaves the cache as it was."""
+        levels, scales = _encode_levels(to_groups(rows, self.group_size), coefficients)
+        keys = name == "keys"
+        buffers, axis, used = (self._k, 2, self._tokens) if keys else (self._v, 0, self._blocks)
+        arrays = [a.reshape((-1, self.heads) + a.shape[1:]).swapaxes(0, 1).swapaxes(1, 2)
+                  if keys else a.swapaxes(0, 1) for a in (levels, scales, coefficients)]
+        size = used + arrays[1].shape[axis]
+        capacity, need = buffers[0].shape[axis], size + (not keys)
         lead = (slice(None),) * axis
-        buffers = self._buffers.get(name)
-        if buffers is None or size > buffers[0].shape[axis]:
-            capacity = max(size, 2 * buffers[0].shape[axis]) if buffers else size
-            filled = (store.levels, store.scales, store.coefficients, self.operands[name])
-            buffers = [np.empty((capacity,) + a.swapaxes(0, axis).shape[1:], a.dtype)
-                       .swapaxes(0, axis) for a in filled]
-            for buffer, a in zip(buffers, filled):
-                buffer[lead + (slice(used),)] = a
-            self._buffers[name] = buffers
-        levels, scales, coeffs, operands = [buffer[lead + (slice(used, size),)]
-                                            for buffer in buffers]
-        _encode_levels(groups, coefficients, levels, scales)
-        coeffs[...] = coefficients
-        operands[...] = levels
-        *arrays, self.operands[name] = [buffer[lead + (slice(size),)] for buffer in buffers]
-        setattr(self, name, QuantizedTensor(
-            (store.shape[0] + tokens,) + store.shape[1:], KIND_MANT4, store.group_axis,
-            self.group_size, *arrays))
+        for i, old in enumerate(buffers if need > capacity else ()):
+            buffers[i] = np.empty(old.shape[:axis] + (max(need, 2 * capacity),)
+                                  + old.shape[axis + 1:], old.dtype)
+            buffers[i][lead + (slice(used),)] = old[lead + (slice(used),)]
+        for buffer, array in zip(buffers, arrays):
+            buffer[lead + (slice(used, size),)] = array
+        if keys:
+            self._tokens = size
+        else:
+            self._blocks = size
+            buffers[0][size], buffers[1][size] = 0.0, self.windows.channel_scales.reshape(-1)
 
     # -- K path ------------------------------------------------------------
 
@@ -272,19 +299,26 @@ class KvCache:
 
         Per group: max, sum and sum of squares give the variance, the table
         lookup the coefficient, and the group is encoded into the key
-        store's next row.  Non-finite input raises ValueError and leaves the
-        cache as it was.
+        buffers' next token slot.  Non-finite input raises ValueError and
+        leaves the cache as it was.
         """
         k_vector = np.asarray(k_vector, dtype=np.float64)
         if k_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {k_vector.shape}")
-        self._write("keys", k_vector, row_coefficients(self.k_table, k_vector, self.group_size), 1)
+        self._write("keys", k_vector, row_coefficients(self.k_table, k_vector, self.group_size))
 
     def k_arrays(self):
-        """Keys: codes (seq, heads, n_kgroups, G), derived, and views of scales, coeffs."""
+        """Keys: codes (seq, heads, n_kgroups, G), scales, coeffs, all derived."""
         return self.keys.split_rows(self.seq_len, self.heads)
 
     # -- V path ------------------------------------------------------------
+
+    def _stage(self, rows: np.ndarray) -> None:
+        """Stage finite value rows ``(n, heads, head_dim)`` in the window and
+        their INT8 codes, as float32, in the open block."""
+        start = self.windows.fill_count
+        codes = self.windows._stage(rows).reshape(len(rows), self.heads * self.head_dim)
+        self._v[0][self._blocks, :, start:start + len(rows)] = codes.T
 
     def push_v(self, v_vector) -> bool:
         """Stage one value vector (heads, head_dim); flush the window into
@@ -298,12 +332,12 @@ class KvCache:
         if v_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {v_vector.shape}")
         _check_finite(v_vector)
-        self.windows._stage(v_vector[None])
+        self._stage(v_vector[None])
         self._total_v += 1
-        if self.windows.is_full:
-            self._write("values", *self.windows._drain(self.v_table), self.group_size)
-            return True
-        return False
+        if not self.windows.is_full:
+            return False
+        self._write("values", *self.windows._drain(self.v_table))
+        return True
 
     def prefill(self, k_matrix, v_matrix) -> None:
         """Quantize a whole prompt at once.
@@ -328,22 +362,17 @@ class KvCache:
             raise ValueError("prefill must run on an empty cache")
         _check_finite(k_matrix)
         _check_finite(v_matrix)
-        seq = len(k_matrix)
+        seq, group_size = len(k_matrix), self.group_size
         rows = k_matrix.reshape(-1, self.head_dim)
-        self._write("keys", rows, row_coefficients(self.k_table, rows, self.group_size), seq)
-        self.windows = ProcessWindow(np.max(np.abs(v_matrix), axis=0) / 127.0, self.group_size)
-        flushed = seq - seq % self.group_size
-        rows = tensor_rows(v_matrix[:flushed], 0)
-        self._write("values", rows, row_coefficients(self.v_table, rows, self.group_size), flushed)
-        self.windows._stage(v_matrix[flushed:])
+        self._write("keys", rows, row_coefficients(self.k_table, rows, group_size))
+        self.windows = ProcessWindow(np.max(np.abs(v_matrix), axis=0) / 127.0, group_size)
+        self.windows.owned = True
+        rows = tensor_rows(v_matrix[:seq - seq % group_size], 0)
+        self._write("values", rows, row_coefficients(self.v_table, rows, group_size))
+        self._stage(v_matrix[self.flushed_tokens:])
         self._total_v = seq
 
     def v_blocks(self, head: int) -> list[ValueBlock]:
         """One head's flushed blocks, in sequence order."""
         return [ValueBlock(*block) for block in zip(*(
             a[head].swapaxes(0, 1) for a in self.values.split_rows(self.heads, self.head_dim)))]
-
-    def v_dequantized(self) -> np.ndarray:
-        """Reconstructed values (flushed blocks plus staged rows)."""
-        staged = [] if self.windows is None else [self.windows.staged_dequantized()]
-        return np.concatenate([self.values.dequantize()] + staged)

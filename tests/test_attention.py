@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mant.attention import (
     AttentionPolicies,
@@ -136,6 +138,28 @@ class TestFusedProducts:
                              cache.windows.channel_scales[:, :, None], (length,))
         return out
 
+    def assert_products(self, cache, rng, rows, upto):
+        """Both fused products of random INT8 rows against the cache's tokens
+        [0, upto) equal, bit for bit, the per-group fold over the stores'
+        int16 levels and the window's INT8 rows.  The codes past the rows'
+        length are random too: the products must leave them out, and leave
+        the caller's arrays as they were."""
+        def codes(length):
+            n_groups = -(-length // cache.group_size)
+            return (rng.integers(-127, 128, (cache.heads, rows, n_groups, cache.group_size),
+                                 dtype=np.int8),
+                    rng.random((cache.heads, rows, n_groups)))
+
+        q_codes, q_scales = codes(cache.head_dim)
+        p_codes, p_scales = codes(upto)
+        before = q_codes.tobytes() + p_codes.tobytes()
+        for got, want in ((_scores_fused(q_codes, q_scales, cache, upto),
+                           self.reference_scores(cache, q_codes, q_scales, upto)),
+                          (_weighted_values_fused(p_codes, p_scales, cache, upto),
+                           self.reference_values(cache, p_codes, p_scales, upto))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert q_codes.tobytes() + p_codes.tobytes() == before
+
     @pytest.mark.parametrize("heads, head_dim, group_size, prompt, steps", [
         (2, 1, 8, 75, 12),      # head_dim 1, 9 to 10 value blocks
         (2, 100, 64, 70, 4),    # key groups of 64 and a 36-element tail
@@ -147,29 +171,37 @@ class TestFusedProducts:
         cache = KvCache(heads, head_dim, self.TABLE, self.TABLE, group_size)
         k, v = (rng.standard_normal((prompt + steps, heads, head_dim)) for _ in range(2))
         cache.prefill(k[:prompt], v[:prompt])
-
-        def codes(rows, length):
-            n_groups = -(-length // group_size)
-            return (rng.integers(-127, 128, (heads, rows, n_groups, group_size), dtype=np.int8),
-                    rng.random((heads, rows, n_groups)))
-
-        def check(rows, upto):
-            q_codes, q_scales = codes(rows, head_dim)
-            p_codes, p_scales = codes(rows, upto)
-            for got, want in ((_scores_fused(q_codes, q_scales, cache, upto),
-                               self.reference_scores(cache, q_codes, q_scales, upto)),
-                              (_weighted_values_fused(p_codes, p_scales, cache, upto),
-                               self.reference_values(cache, p_codes, p_scales, upto))):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
         flushed = cache.flushed_tokens
         # prompt blocks of 32 rows and single rows whose causal cut falls inside
         # a flushed block (the last value group is a tail) or at its end
         for upto in (flushed - group_size // 2, flushed):
-            check(32, upto)
-            check(1, upto)
+            self.assert_products(cache, rng, 32, upto)
+            self.assert_products(cache, rng, 1, upto)
         for t in range(prompt, prompt + steps):   # decode steps: every block and the window
             cache.append_k(k[t])
             cache.push_v(v[t])
-            check(1, t + 1)
+            self.assert_products(cache, rng, 1, t + 1)
         assert cache.flushed_tokens >= (9 * group_size if head_dim == 1 else group_size)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.integers(1, 130), st.sampled_from([1, 8, 64, 192]),
+           st.integers(0, 2), st.integers(1, 192), st.integers(1, 4), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_products_equal_a_per_group_fold_at_every_step(self, heads, head_dim, group_size,
+                                                           blocks, rest, flushes, extra, seed):
+        # prompts of whole blocks and a partial one, then decode steps past
+        # up to four flushes (at most 200 steps); the key buffers start at the
+        # prompt's length and double, the value buffers double as blocks flush
+        rest = min(rest, group_size)
+        prompt = blocks * group_size + rest
+        steps = group_size - rest + extra + min(flushes - 1, 200 // group_size) * group_size
+        rng = np.random.default_rng(seed)
+        cache = KvCache(heads, head_dim, self.TABLE, self.TABLE, group_size)
+        k, v = rng.standard_normal((2, prompt + steps, heads, head_dim)) * rng.uniform(0.1, 10)
+        cache.prefill(k[:prompt], v[:prompt])
+        self.assert_products(cache, rng, 4, prompt)
+        for t in range(prompt, prompt + steps):
+            cache.append_k(k[t])
+            cache.push_v(v[t])
+            self.assert_products(cache, rng, 1, t + 1)
+        assert cache.flushed_tokens > blocks * group_size

@@ -1,6 +1,7 @@
 """Group codecs: encoding, decoding, packing, error bounds, tensors."""
 
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mant.codec import (
     to_groups,
     unpack_codes,
 )
+from mant.container import write_quantized
 from mant.kvcache import KvCache, ProcessWindow
 from mant.selection import VarianceTable, quantize_by_variance, table_from_probe_means
 from oracles import encode_nibbles
@@ -335,6 +337,23 @@ class TestQuantizedTensor:
         scales[2, 1] = bad
         with pytest.raises(ValueError, match=f"scale {bad} is not finite and non-negative"):
             dataclasses.replace(qt, scales=scales).dequantize()
+
+    @pytest.mark.parametrize("kind,bad", [(KIND_INT8, 0), (KIND_INT8, INT4_COEFF),
+                                          (KIND_INT8, 254), (KIND_MANT4, INT4_COEFF + 1),
+                                          (KIND_MANT4, INT8_COEFF)])
+    def test_dequantize_refuses_a_coefficient_the_codes_do_not_fit(self, kind, bad):
+        # an INT8 tensor with coefficient 0 once dequantized, while
+        # write_quantized refused it
+        values = np.random.default_rng(15).standard_normal((128, 4))
+        qt = (quantize_activation_tensor(values, 0) if kind == KIND_INT8
+              else quantize_weight_tensor(values, 25))
+        coeffs = qt.coefficients.copy()
+        coeffs[3, 1] = bad
+        refused = dataclasses.replace(qt, coefficients=coeffs)
+        with pytest.raises(ValueError, match=f"coefficient {bad} does not fit {kind} codes"):
+            refused.dequantize()
+        with pytest.raises(ValueError, match=f"coefficient {bad} does not fit {kind} codes"):
+            write_quantized(io.BytesIO(), refused)
 
     def test_short_final_group(self):
         rng = np.random.default_rng(13)

@@ -200,6 +200,18 @@ class TestGemm:
         with pytest.raises(ValueError, match=f"scale {bad} is not finite and non-negative"):
             gemm(*operands)
 
+    @pytest.mark.parametrize("operand,bad", [(0, 0), (0, INT4_COEFF), (1, INT4_COEFF + 1)])
+    def test_coefficient_the_codes_do_not_fit_refused(self, operand, bad):
+        # INT8 activations with coefficient 0 once multiplied, while
+        # write_quantized refused the same tensor
+        rng = np.random.default_rng(13)
+        operands = list(random_operands(rng, 2, 128, 4))
+        coeffs = operands[operand].coefficients.copy()
+        coeffs[1, 1 - operand] = bad
+        operands[operand] = dataclasses.replace(operands[operand], coefficients=coeffs)
+        with pytest.raises(ValueError, match=f"coefficient {bad} does not fit"):
+            gemm(*operands)
+
     def test_activation_scale_linearity(self):
         rng = np.random.default_rng(11)
         xq, wq = random_operands(rng, 4, 64, 4)

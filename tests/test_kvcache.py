@@ -332,7 +332,8 @@ class TestKvCache:
         with pytest.raises(ValueError, match="prefill expects"):
             cache.prefill(rng.standard_normal(k_shape), rng.standard_normal(v_shape))
         assert cache.seq_len == 0 and cache.windows is None and cache.total_v_tokens == 0
-        assert cache.flushed_tokens == 0 and "keys" not in cache._buffers
+        # nothing was written: the key buffers hold no token slot yet
+        assert cache.flushed_tokens == 0 and all(a.size == 0 for a in cache._k)
         cache.prefill(rng.standard_normal((3, 2, 8)), rng.standard_normal((3, 2, 8)))
         assert cache.seq_len == 3 and cache.window_fill == 3 and cache.conservation_holds()
 
@@ -345,18 +346,19 @@ class TestKvCache:
             c.prefill(prompt, prompt)
         for t, k in enumerate(rng.standard_normal((12, 2, 48))):
             if t in (0, 3):   # at t = 0 the buffers are full and an append grows them
-                keys, rows = cache.keys, cache.seq_len * cache.heads
-                arrays = [a.copy() for a in (keys.levels, keys.scales, keys.coefficients)]
-                filled = [buffer[:rows].copy() for buffer in cache._buffers["keys"]]
+                keys, seq = cache.keys, cache.seq_len
+                filled = [buffer[:, :, :seq].copy() for buffer in cache._k]
                 refused = k.copy()
                 refused[1, 40] = bad   # in head 1's tail group
                 with pytest.raises(ValueError, match="non-finite"):
                     cache.append_k(refused)
-                assert cache.seq_len == keys.shape[0] and cache.keys is keys
-                for got, want in zip((keys.levels, keys.scales, keys.coefficients), arrays):
+                assert cache.seq_len == keys.shape[0] == seq
+                for got, want in zip((cache.keys.levels, cache.keys.scales,
+                                      cache.keys.coefficients),
+                                     (keys.levels, keys.scales, keys.coefficients)):
                     assert got.tobytes() == want.tobytes()
-                for buffer, want in zip(cache._buffers["keys"], filled):
-                    assert buffer[:rows].tobytes() == want.tobytes()
+                for buffer, want in zip(cache._k, filled):
+                    assert buffer[:, :, :seq].tobytes() == want.tobytes()
             cache.append_k(k)
             clean.append_k(k)
         # each later key landed in the row the refused one would have taken
@@ -366,40 +368,79 @@ class TestKvCache:
         assert cache.keys.shape == clean.keys.shape == (17, 2, 48)
 
     def test_operands_are_the_levels_as_float32(self):
+        # the cache holds one per-element array per store, the float32 levels
+        # attention reads: keys group-major, flushed values block-major, and
+        # after them the open block, the window's staged INT8 rows under its
+        # channel scales
         rng = np.random.default_rng(23)
         cache = make_cache(heads=2, head_dim=48, group_size=16)
 
         def check():
-            for name in ("keys", "values"):
-                levels, operands = getattr(cache, name).levels, cache.operands[name]
-                assert operands.dtype == np.float32 and operands.shape == levels.shape
-                assert operands.tobytes() == levels.astype(np.float32).tobytes()
+            keys, values = cache.keys, cache.values
+            k_levels, k_scales = cache.key_operands(cache.seq_len)
+            assert k_levels.dtype == np.float32 and k_levels.shape == (2, cache.seq_len, 3, 16)
+            assert np.array_equal(k_levels.swapaxes(0, 1).reshape(keys.levels.shape),
+                                  keys.levels)
+            assert k_scales.swapaxes(0, 1).reshape(keys.scales.shape).tobytes() == \
+                keys.scales.tobytes()
+            blocks = cache.flushed_tokens // 16
+            v_levels, v_scales = cache.value_operands(cache.flushed_tokens + 16)
+            assert v_levels.dtype == np.float32 and v_levels.shape == (2, 48, blocks + 1, 16)
+            assert np.array_equal(v_levels[:, :, :blocks].reshape(values.levels.shape),
+                                  values.levels)
+            assert v_scales[:, :, :blocks].reshape(values.scales.shape).tobytes() == \
+                np.ascontiguousarray(values.scales).tobytes()
+            if cache.windows is not None:
+                window = cache.windows
+                assert np.array_equal(v_levels[:, :, blocks, :window.fill_count],
+                                      window.staged[:window.fill_count].transpose(1, 2, 0))
+                assert not v_levels[:, :, blocks, window.fill_count:].any()
+                assert v_scales[:, :, blocks].tobytes() == window.channel_scales.tobytes()
 
         check()
         prompt = rng.standard_normal((20, 2, 48))   # one value block and 4 staged rows
         cache.prefill(prompt, prompt)
         check()
-        buffers = {name: [cache._buffers[name][0]] for name in ("keys", "values")}
+        buffers = {name: [getattr(cache, name)[0]] for name in ("_k", "_v")}
         refused_full = 0
         for k in rng.standard_normal((60, 2, 48)):
-            operands, snapshot = cache.operands["keys"], cache.operands["keys"].copy()
-            refused_full += cache._buffers["keys"][0].shape[0] == operands.shape[0]
+            seq = cache.seq_len
+            snapshot = cache._k[0][:, :, :seq].copy()
+            refused_full += cache._k[0].shape[2] == seq
             refused = k.copy()
             refused[1, 40] = np.nan
             with pytest.raises(ValueError, match="non-finite"):
                 cache.append_k(refused)
-            assert cache.operands["keys"] is operands
-            assert operands.tobytes() == snapshot.tobytes()
+            assert cache.seq_len == seq
+            assert cache._k[0][:, :, :seq].tobytes() == snapshot.tobytes()
             cache.append_k(k)
             check()
             cache.push_v(k)
             check()
             for name, seen in buffers.items():
-                if cache._buffers[name][0] is not seen[-1]:
-                    seen.append(cache._buffers[name][0])
+                if getattr(cache, name)[0] is not seen[-1]:
+                    seen.append(getattr(cache, name)[0])
         # the keys' buffers grew twice and the values' twice (three flushes)
         assert cache.flushed_tokens == 80 and refused_full >= 2
-        assert len(buffers["keys"]) >= 3 and len(buffers["values"]) >= 3
+        assert len(buffers["_k"]) >= 3 and len(buffers["_v"]) >= 3
+
+    def test_window_refuses_writes_that_bypass_the_cache(self):
+        # the open block of the value operand mirrors the window's rows, so a
+        # direct push or flush would leave attention reading other rows
+        rng = np.random.default_rng(17)
+        cache = make_cache(heads=2, head_dim=4, group_size=8)
+        cache.prefill(*rng.standard_normal((2, 6, 2, 4)))
+        cache.push_v(rng.standard_normal((2, 4)))
+        staged, operands = cache.windows.staged.copy(), cache.value_operands(8)[0].copy()
+        with pytest.raises(ValueError, match="push_v"):
+            cache.windows.push(rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match="push_v"):
+            cache.windows.flush(TABLE)
+        with pytest.raises(ValueError, match="read-only"):
+            cache.windows[1].push(rng.standard_normal(4))
+        assert cache.window_fill == 7 and np.array_equal(cache.windows.staged, staged)
+        assert np.array_equal(cache.value_operands(8)[0], operands)
+        assert cache.push_v(rng.standard_normal((2, 4))) and cache.flushed_tokens == 8
 
     def test_push_before_prefill(self):
         cache = make_cache(heads=1, head_dim=64)
@@ -411,7 +452,8 @@ class TestKvCache:
         cache = make_cache(heads=1, head_dim=64, group_size=32)
         v = rng.standard_normal((64, 1, 64))
         cache.prefill(v.copy(), v.copy())
-        decoded = cache.v_dequantized()
+        decoded = np.concatenate([cache.values.dequantize(),
+                                  cache.windows.staged_dequantized()])
         # flushed blocks are 4-bit: coarse but bounded; staged rows INT8
         assert np.max(np.abs(decoded - v)) < np.max(np.abs(v)) * 0.5
         assert decoded.shape == v.shape
@@ -446,7 +488,7 @@ class TestKvCache:
     def test_empty_cache_dequantizes(self):
         cache = make_cache(heads=2, head_dim=48, group_size=32)
         assert cache.keys.dequantize().shape == (0, 2, 48)
-        assert cache.v_dequantized().shape == (0, 2, 48)
+        assert cache.values.dequantize().shape == (0, 2, 48)
         assert cache.v_blocks(1) == [] and cache.conservation_holds()
 
     def test_geometry_checks(self):
@@ -491,7 +533,6 @@ class TestStores:
             assert (got.shape, got.element_kind, got.group_axis, got.group_size) == \
                 (want.shape, want.element_kind, want.group_axis, want.group_size)
             arrays = [(getattr(got, f), getattr(want, f)) for f in ("levels", "scales", "coefficients")]
-            arrays.append((cache.operands[name], want.levels.astype(np.float32)))
             for a, b in arrays:
                 assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
@@ -525,8 +566,9 @@ class TestStores:
             old = cache.keys
             held.append((old, [a.copy() for a in (old.codes, old.scales, old.coefficients,
                                                    old.levels)], file_bytes(old)))
+            buffer = cache._k[0]
             cache.append_k(rng.standard_normal((2, 48)))
-            if not np.shares_memory(old.levels, cache.keys.levels):
+            if cache._k[0] is not buffer:
                 reallocated.append(old.shape[0])
         # the 5-token prompt fills the first buffer; capacity then doubles
         assert reallocated == [5, 10, 20]
@@ -542,16 +584,40 @@ class TestStores:
         cache.prefill(rng.standard_normal((4, 2, 16)), rng.standard_normal((4, 2, 16)))
         held, reallocated = [], []
         for _ in range(40):
-            old = cache.values
+            old, buffer = cache.values, cache._v[0]
             if cache.push_v(rng.standard_normal((2, 16))):
                 held.append((old, file_bytes(old)))
-                if not np.shares_memory(old.levels, cache.values.levels):
+                if cache._v[0] is not buffer:
                     reallocated.append(old.shape[0] // 4)
             cache.append_k(rng.standard_normal((2, 16)))
-        assert reallocated == [1, 2, 4, 8] and cache.values.shape == (44, 2, 16)
+        # the buffers keep a slot past the flushed blocks, the open block: the
+        # prompt's block and that slot fill the first buffer, then it doubles
+        assert reallocated == [1, 3, 7] and cache.values.shape == (44, 2, 16)
         assert cache.values.levels.swapaxes(0, 1).flags.c_contiguous
         for old, data in held:
             assert file_bytes(old) == data
+
+    def test_resident_bytes_per_token(self):
+        # one per-element array per store, float32 levels: at 4 heads x 64
+        # the filled slots of every array the cache holds come to 2,124 B a
+        # token after a 192 + 384 stream, against 3,144 B with int16 levels
+        # beside float32 copies
+        rng = np.random.default_rng(25)
+        cache = KvCache(4, 64, TABLE, TABLE, 64)
+        k, v = rng.standard_normal((2, 576, 4, 64))
+        cache.prefill(k[:192], v[:192])
+        for t in range(192, 576):
+            cache.append_k(k[t])
+            cache.push_v(v[t])
+        blocks, fill = cache.flushed_tokens // 64, cache.window_fill
+        held = [a[:, :, :cache.seq_len] for a in cache._k] + [a[:blocks] for a in cache._v]
+        held += [cache._v[0][blocks, :, :fill]] + [a[blocks] for a in cache._v[1:]]
+        assert sum(a.nbytes for a in held) / cache.seq_len <= 2200
+        # no int16 level buffer is held, by the cache or its window
+        arrays = [a for owner in (cache, cache.windows) for value in vars(owner).values()
+                  for a in (value if isinstance(value, list) else [value])
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 6 and not any(a.dtype == np.int16 for a in arrays)
 
     @pytest.mark.parametrize("store,size", [("keys", 8739), ("values", 8099)])
     def test_file_size_is_header_payload_and_records(self, store, size):

@@ -4,7 +4,7 @@ Run it on two trees on the same machine and compare the lines:
 
     PYTHONPATH=src python3 tools/output_digest.py
 
-It prints 33 lines, each a name and the first 16 hex digits of a sha256:
+It prints 34 lines, each a name and the first 16 hex digits of a sha256:
 
 * ``attention decode ...`` and ``attention prompt ...``: two lines per
   ``run_toy_attention`` case.  The decode line hashes ``step_outputs``,
@@ -38,6 +38,10 @@ It prints 33 lines, each a name and the first 16 hex digits of a sha256:
   INT8 rows and the channel scales of the process window;
 * ``kv window``: the open process window of the same caches: its running
   maxima, sums and sums of squares, then ``repr(clamp_count)``;
+* ``kv attention rows``: the bits of ``_attention_rows`` (fused, INT8
+  queries and probabilities) over caches of a tail key group, 192-token
+  value groups, head_dim 1 and three heads, for the prompt in blocks of 32
+  query rows and then every decode step, across at least one flush;
 * ``kv store growth``: the MNTQ bytes (``container.write_quantized``) of
   ``cache.keys`` and ``cache.values`` of two caches, one with a tail key
   group, whose decode steps grow the keys past 4x the prompt (two
@@ -91,8 +95,8 @@ import tempfile
 
 import numpy as np
 
-from mant.attention import (AttentionPolicies, calibration_tables, run_toy_attention,
-                            synthesize_stream)
+from mant.attention import (AttentionPolicies, _attention_rows, calibration_tables,
+                            run_toy_attention, synthesize_stream)
 from mant.cli import main
 from mant.container import write_quantized
 from mant.codec import (INT4_COEFF, _level_nibbles, encode_levels, group_lengths, magnitude_values,
@@ -140,6 +144,10 @@ KV_STREAMS = ((40, 90, 3, 48, 32), (70, 130, 2, 100, 64))
 # (prompt, decode steps, heads, head_dim, group size): the keys grow past 4x
 # the prompt and at least 4 windows flush; a tail key group at 40/16
 KV_GROWTH = ((20, 70, 3, 40, 16), (64, 200, 2, 64, 32))
+# (prompt, decode steps, heads, head_dim, group size) of ``kv attention rows``: each
+# stream's decode steps flush the window at least once
+KV_ATTENTION = ((70, 80, 2, 100, 64), (200, 190, 2, 64, 192), (75, 20, 2, 1, 8),
+                (50, 20, 3, 16, 8))
 # (heads, head_dim, group size) of the calibrated tables
 CALIBRATION_GEOMETRIES = ((2, 48, 32), (2, 100, 64))
 
@@ -243,6 +251,23 @@ def kv_growth_digest():
             write_quantized(buf, store)
             h.update(buf.getvalue())
     yield "kv store growth", short(h)
+
+
+def kv_attention_digest():
+    h = hashlib.sha256()
+    for seed, (prompt, steps, heads, head_dim, group_size) in enumerate(KV_ATTENTION, 13):
+        q, k, v = synthesize_stream(np.random.default_rng(seed), prompt + steps, heads, head_dim)
+        cache = KvCache(heads, head_dim, KV_TABLE, KV_TABLE, group_size)
+        cache.prefill(k[:prompt], v[:prompt])
+        scale = 1.0 / np.sqrt(head_dim)
+        for start in range(0, prompt, 32):
+            rows = q[start:min(start + 32, prompt)]
+            h.update(_attention_rows(rows, cache, start + 1, scale, group_size).tobytes())
+        for t in range(prompt, prompt + steps):
+            cache.append_k(k[t])
+            cache.push_v(v[t])
+            h.update(_attention_rows(q[t:t + 1], cache, t + 1, scale, group_size).tobytes())
+    yield "kv attention rows", short(h)
 
 
 def kv_digests():
@@ -492,8 +517,8 @@ def fit_grid_digest():
 
 def main_digest() -> int:
     for gen in (attention_digests, gemm_digests, kv_digests, single_group_digest, cli_digest,
-                kv_growth_digest, encoder_ties_digest, encoder_extremes_digest, selection_digest,
-                sim_digest, fit_grid_digest):
+                kv_growth_digest, kv_attention_digest, encoder_ties_digest,
+                encoder_extremes_digest, selection_digest, sim_digest, fit_grid_digest):
         for name, digest in gen():
             print(f"{digest}  {name}")
     return 0
