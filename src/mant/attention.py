@@ -118,13 +118,17 @@ def _row_cosines(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _softmax(scores: np.ndarray, first: int) -> np.ndarray:
-    """Softmax of scores ``(heads, rows, upto)`` along the last axis, in
-    which row r sees only tokens [0, first + r); one row needs no mask."""
+    """Softmax of float64 scores ``(heads, rows, upto)`` along the last axis,
+    in which row r sees only tokens [0, first + r); one row needs no mask.
+    It works in place on ``scores``, or on the masked copy, whose C order
+    the sums' pairwise bits depend on."""
     if scores.shape[1] > 1:
         visible = np.arange(scores.shape[2]) < first + np.arange(scores.shape[1])[:, None]
         scores = np.where(visible, scores, -np.inf)
-    exps = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    return exps / exps.sum(axis=-1, keepdims=True)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _cut(codes: np.ndarray, length: int) -> np.ndarray:

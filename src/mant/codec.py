@@ -122,7 +122,10 @@ def code_values(codes, coefficients) -> np.ndarray:
 
 
 def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
+    """Raise ValueError unless every value is finite, warning of nothing: the
+    largest ``|value|`` is inf or NaN where one is.  Groups are checked on
+    their ``max|x|``, a reduction that has already met any such value."""
+    if not np.maximum.reduce(np.abs(values), axis=None, initial=0.0) < np.inf:
         raise ValueError("input contains non-finite values")
 
 
@@ -169,9 +172,16 @@ def encode_levels(groups, coefficients):
 def _encode_levels(groups, coeffs):
     """:func:`encode_levels` of float64 groups under coefficients already
     known to be 4-bit (a variance table's, or checked)."""
-    doubled = np.abs(groups)
-    scales = np.maximum.reduce(doubled, axis=-1, initial=0.0) / _TOPS.take(coeffs)
-    _check_finite(scales)   # a group's max is inf or NaN where one of its values is
+    magnitudes = np.abs(groups)
+    absmax = np.maximum.reduce(magnitudes, axis=-1, initial=0.0)
+    _check_finite(absmax)
+    return _encode_magnitudes(groups, magnitudes, absmax, coeffs)
+
+
+def _encode_magnitudes(groups, doubled, absmax, coeffs):
+    """:func:`_encode_levels` of finite groups from their ``|x|``, a float64
+    array it overwrites, and their ``max|x|``."""
+    scales = absmax / _TOPS.take(coeffs)
     silent = None if scales.all() else scales == 0.0
     doubled /= (scales if silent is None else np.where(silent, np.inf, scales))[..., None]
     doubled *= 2
@@ -182,7 +192,7 @@ def _encode_levels(groups, coeffs):
     index = doubled.view(np.int64)
     index -= _TWO_52_BITS
     # every index is in range (see _ceiling_levels), and mode "clip" skips the check
-    levels = np.take(_CEILING_LEVELS, index, mode="clip")
+    levels = _CEILING_LEVELS.take(index, mode="clip")
     # 1 - 2*(value < 0): -0.0 and the values of a zero-scale group stay positive
     sign = (groups < 0).view(np.int8)
     if silent is not None:
@@ -202,17 +212,30 @@ def _level_nibbles(levels, coefficients) -> np.ndarray:
 def round_int8(scaled) -> np.ndarray:
     """INT8 codes of pre-scaled values: round half away from zero, clamp to
     [-127, 127] (never -128).  The clamp moves exactly ``|scaled| >= 127.5``."""
-    codes = np.minimum(np.floor(np.abs(scaled) + 0.5), 127.0)
-    return np.copysign(codes, scaled).astype(np.int8)
+    return _round_magnitudes(np.abs(scaled, dtype=np.float64), scaled)
+
+
+def _round_magnitudes(magnitudes, signs) -> np.ndarray:
+    """:func:`round_int8` of the values with float64 ``magnitudes``, which it
+    rounds in place, and the signs of ``signs``."""
+    magnitudes += 0.5
+    np.floor(magnitudes, out=magnitudes)
+    np.minimum(magnitudes, 127.0, out=magnitudes)
+    return np.copysign(magnitudes, signs, out=magnitudes).astype(np.int8)
 
 
 def encode_int8(groups):
     """Encode zero-padded groups ``(..., G)`` to symmetric INT8 codes and
-    scales: ``scale = max|group| / 127``, codes by :func:`round_int8`."""
+    scales: ``scale = max|group| / 127``, codes by :func:`round_int8` of
+    ``group / scale`` (``group`` on a zero scale), in place on ``|group|``:
+    IEEE division is symmetric in sign, so ``|v| / scale == |v / scale|``."""
     groups = np.asarray(groups, dtype=np.float64)
-    _check_finite(groups)
-    scales = np.abs(groups).max(axis=-1, initial=0.0) / 127.0
-    return round_int8(groups / np.where(scales == 0.0, 1.0, scales)[..., None]), scales
+    magnitudes = np.abs(groups)
+    absmax = np.maximum.reduce(magnitudes, axis=-1, initial=0.0)
+    _check_finite(absmax)
+    scales = absmax / 127.0
+    magnitudes /= (scales if scales.all() else np.where(scales == 0.0, 1.0, scales))[..., None]
+    return _round_magnitudes(magnitudes, groups), scales
 
 
 def _scale_levels(levels, scales) -> np.ndarray:

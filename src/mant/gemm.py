@@ -32,13 +32,16 @@ psums added to it.  The first group is added too, not copied, so a
 A one-row product (``M == 1``, every decode step) of operands that need
 no conversion (the cache's float32 levels, groups of at most 129) takes
 the psums of all its full-length groups from one batched matmul, the
-group axis as a batch axis, and their scale products from one multiply;
-the adds stay one ``out += term`` per group in ascending order, so the
-bits are those of the per-group loop (``np.add.reduce`` along the group
-axis would not keep them: where that axis is the fast one in memory,
-numpy sums it pairwise).  Products of more rows, and operands that
-convert (int16 or int8 levels, or float32 copies of groups longer than
-129, which widen to float64), go one group at a time, a cache tile.
+group axis as a batch axis, and their scale products from one multiply
+into a C-order ``(..., groups, 1, N)`` array.  Its adds keep the bits of
+the per-group loop by this rule: numpy sums an axis pairwise only when it
+is the inner loop, the fast axis in memory.  With N > 1 that is the N
+axis, so one ``np.add.reduce`` over the group axis, from an initial +0.0,
+adds the groups one after another in ascending order; with N = 1 the
+group axis would be the inner loop, and the adds stay one ``out += term``
+per group.  Products of more rows, and operands that convert (int16 or
+int8 levels, or float32 copies of groups longer than 129, which widen to
+float64), go one group at a time, a cache tile.
 
 A weight is static, so ``gemm`` converts its levels once, not per call:
 :func:`weight_operand` is a read-only ``(n_groups, G, N)`` copy of a
@@ -116,13 +119,17 @@ def _fold(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
     if one_row and w_levels.dtype == _exact_dtype(size):
         full = next((g for g, length in enumerate(lengths) if length != size), len(lengths))
     if full:
-        terms = (x_scales[..., 0, :full, None, None]
-                 * w_scales[..., :full].swapaxes(-1, -2)[..., None, :])
+        # in C order whatever the scales' layouts: the group axis is not the fast one
+        terms = np.multiply(x_scales[..., 0, :full, None, None],
+                            w_scales[..., :full].swapaxes(-1, -2)[..., None, :], order="C")
         terms *= _exact_psums(x_codes[..., :full, :size].swapaxes(-3, -2),
                               w_levels[..., :full, :].swapaxes(-3, -2))
-        for g in range(full):
-            out += terms[..., g, :, :]
-    scale = np.empty_like(out)
+        if out.shape[-1] > 1:   # so numpy's inner loop runs along N, adding groups in order
+            np.add.reduce(terms, axis=-3, out=out, initial=0.0)
+        else:
+            for g in range(full):
+                out += terms[..., g, :, :]
+    scale = np.empty_like(out) if full < len(lengths) else None
     for g in range(full, len(lengths)):
         length = lengths[g]
         psum = _exact_psums(x_codes[..., g, :length], w_levels[..., g, :length])

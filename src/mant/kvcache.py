@@ -38,25 +38,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (DEFAULT_GROUP_SIZE, KIND_MANT4, MAX_GROUP_SIZE, QuantizedTensor,
-                    _check_finite, _encode_levels, check_scales, round_int8, tensor_rows,
+                    _check_finite, _encode_levels, _round_magnitudes, check_scales, tensor_rows,
                     to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .grid import as_integer
-from .selection import VarianceTable, coefficients_from_sums, row_coefficients
+from .selection import VarianceTable, _encode_by_variance, _summable, coefficients_from_sums
 
 
 def _statistics(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-channel max of ``|value|``, sum and sum of squares of rows ``(n,
-    *channels)``, each sum added row by row in arrival order from +0.0."""
+    *channels)``, each sum added row by row in arrival order from +0.0.  A
+    channel whose max lies outside [2**-500, 2**500] reads all three of the
+    channel scaled by the power of two that brings its max into [0.5, 1)
+    (:func:`selection._summable`), whose sums neither overflow nor underflow."""
     shape = values.shape[1:]
     flat = values.reshape(len(values), math.prod(shape))
+    channels, absmax = _summable(flat.T, np.abs(flat).max(axis=0, initial=0.0))
+    flat = channels.T
     # numpy adds along an axis that is not the fast one in memory a row at a time
     # (its pairwise sum runs along the fast axis only): with the squares beside
     # the values, a C-order row has two columns or more, even on one channel
     pairs = np.concatenate([flat, flat * flat], axis=1,
                            out=np.empty((len(flat), 2 * flat.shape[1])))
     sums = np.add.reduce(pairs, axis=0, initial=0.0)
-    return np.abs(flat).max(axis=0, initial=0.0).reshape(shape), *sums.reshape((2,) + shape)
+    return absmax.reshape(shape), *sums.reshape((2,) + shape)
 
 
 @dataclass
@@ -67,7 +72,8 @@ class ProcessWindow:
     ``(heads, head_dim)`` for all heads of a cache; they are fixed when the
     window is made, and one not finite or with its sign bit set raises
     ValueError.  The window holds up to ``group_size`` INT8 rows ``(group_size,
-    *channels)``; ``running_max``, ``sum_v`` and ``sum_v2`` are read from them.
+    *channels)``; ``running_max``, ``sum_v`` and ``sum_v2`` are read from them
+    (of a channel beyond [2**-500, 2**500] scaled, see :func:`_statistics`).
     ``window[h]`` is head ``h`` of a multi-head window, for reading: its arrays
     are read-only views of this window's, its counters a copy (``clamp_count``
     counts the whole window), and ``push`` and ``flush`` on it raise
@@ -139,10 +145,12 @@ class ProcessWindow:
         if self.fill_count + len(rows) > self.group_size:
             raise ValueError("process window is full; flush before pushing")
         scaled = rows / self._divisors
-        self.clamp_count += int(np.count_nonzero(np.abs(scaled) >= 127.5))
+        magnitudes = np.abs(scaled)
+        self.clamp_count += int(np.count_nonzero(magnitudes >= 127.5))
         if self._silent is not None:
             self.clamp_count += int(np.count_nonzero(rows[:, self._silent]))
-        codes = self.staged[self.fill_count:self.fill_count + len(rows)] = round_int8(scaled)
+        codes = self.staged[self.fill_count:self.fill_count + len(rows)] = _round_magnitudes(
+            magnitudes, scaled)
         self.fill_count += len(rows)
         return codes
 
@@ -160,22 +168,24 @@ class ProcessWindow:
         window resets afterwards.
         """
         self._check_writable()
-        rows, coeffs = self._drain(table)
-        levels, scales = _encode_levels(to_groups(rows, self.group_size), coeffs)
-        return QuantizedTensor(self.staged.shape, KIND_MANT4, 0, self.group_size, levels, scales,
-                               coeffs)
+        return QuantizedTensor(self.staged.shape, KIND_MANT4, 0, self.group_size,
+                               *self._drain(table))
 
-    def _drain(self, table: VarianceTable) -> tuple[np.ndarray, np.ndarray]:
-        """The full window's rows ``(channels, group_size)``, a transposed view of
-        its one dequantize, and their coefficients ``(channels, 1)``; the window resets."""
+    def _drain(self, table: VarianceTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Levels ``(channels, 1, group_size)``, scales and coefficients
+        ``(channels, 1)`` of the full window's channels, encoded from its one
+        dequantize; the window resets."""
         if not self.is_full:
             raise ValueError(f"flush requires a full window, have {self.fill_count}/{self.group_size}")
         values = self.staged_dequantized()
         absmax, total, total_sq = _statistics(values)
-        coeffs = coefficients_from_sums(table, total, total_sq, self.group_size, absmax)
+        coeffs = coefficients_from_sums(table, total, total_sq, self.group_size,
+                                        absmax).reshape(-1, 1)
+        levels, scales = _encode_levels(to_groups(values.reshape(self.group_size, -1).T,
+                                                  self.group_size), coeffs)
         self.fill_count = 0
         self.staged[:] = 0
-        return values.reshape(self.group_size, -1).T, coeffs.reshape(-1, 1)
+        return levels, scales, coeffs
 
 
 # one head's flushed value block: derived codes (head_dim, G), store views of scales, coeffs
@@ -261,18 +271,18 @@ class KvCache:
         return tuple(a[:n].swapaxes(0, 1).reshape((self.heads, self.head_dim, n) + a.shape[2:])
                      for a in self._v[:2])
 
-    def _write(self, name: str, rows: np.ndarray, coefficients: np.ndarray) -> None:
-        """Encode the groups of :func:`codec.tensor_rows` ``rows`` under their
-        table-made ``coefficients`` and place the levels (as float32), scales
-        and coefficients in the next slots of the store ``name``: key rows
-        ``(tokens * heads, head_dim)`` fill token slots (axis 2 of the
-        group-major key buffers), value rows ``(heads * head_dim, blocks * G)``
-        block slots (axis 0 of the block-major value buffers).  Buffers short of
-        them (and of the open block, for values) first grow in the list to
-        twice their capacity or the need; the open block then takes zeros and
-        the window's channel scales.  The encode runs before anything is
-        placed, so one that raises leaves the cache as it was."""
-        levels, scales = _encode_levels(to_groups(rows, self.group_size), coefficients)
+    def _write(self, name: str, levels: np.ndarray, scales: np.ndarray,
+               coefficients: np.ndarray) -> None:
+        """Place the encoded groups of :func:`codec.tensor_rows` rows, their
+        levels (as float32), scales and coefficients, in the next slots of the
+        store ``name``: key rows ``(tokens * heads, head_dim)`` fill token slots
+        (axis 2 of the group-major key buffers), value rows ``(heads *
+        head_dim, blocks * G)`` block slots (axis 0 of the block-major value
+        buffers).  Buffers short of them (and of the open block, for values)
+        first grow in the list to twice their capacity or the need; the open
+        block then takes zeros and the window's channel scales.  Callers
+        encode before they write, so an encode that raises leaves the cache
+        as it was."""
         keys = name == "keys"
         buffers, axis, used = (self._k, 2, self._tokens) if keys else (self._v, 0, self._blocks)
         arrays = [a.reshape((-1, self.heads) + a.shape[1:]).swapaxes(0, 1).swapaxes(1, 2)
@@ -305,7 +315,7 @@ class KvCache:
         k_vector = np.asarray(k_vector, dtype=np.float64)
         if k_vector.shape != (self.heads, self.head_dim):
             raise ValueError(f"expected ({self.heads}, {self.head_dim}), got {k_vector.shape}")
-        self._write("keys", k_vector, row_coefficients(self.k_table, k_vector, self.group_size))
+        self._write("keys", *_encode_by_variance(self.k_table, k_vector, self.group_size))
 
     def k_arrays(self):
         """Keys: codes (seq, heads, n_kgroups, G), scales, coeffs, all derived."""
@@ -360,15 +370,14 @@ class KvCache:
             raise ValueError("prefill expects at least one token")
         if self.seq_len or self._total_v:
             raise ValueError("prefill must run on an empty cache")
-        _check_finite(k_matrix)
-        _check_finite(v_matrix)
+        _check_finite(v_matrix)   # the keys' encode refuses theirs before the write
         seq, group_size = len(k_matrix), self.group_size
-        rows = k_matrix.reshape(-1, self.head_dim)
-        self._write("keys", rows, row_coefficients(self.k_table, rows, group_size))
+        self._write("keys", *_encode_by_variance(self.k_table, k_matrix.reshape(-1, self.head_dim),
+                                                 group_size))
         self.windows = ProcessWindow(np.max(np.abs(v_matrix), axis=0) / 127.0, group_size)
         self.windows.owned = True
         rows = tensor_rows(v_matrix[:seq - seq % group_size], 0)
-        self._write("values", rows, row_coefficients(self.v_table, rows, group_size))
+        self._write("values", *_encode_by_variance(self.v_table, rows, group_size))
         self._stage(v_matrix[self.flushed_tokens:])
         self._total_v = seq
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (INT4_COEFF, KIND_MANT4, QuantizedTensor, _encode_levels, _scale_levels,
-                    encode_levels, split_runs, tensor_rows, to_groups)
+from .codec import (INT4_COEFF, KIND_MANT4, QuantizedTensor, _check_finite,
+                    _encode_magnitudes, _scale_levels, encode_levels, group_lengths, tensor_rows,
+                    to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .grid import MAX_COEFFICIENT, as_integer, as_number
 
@@ -113,11 +114,42 @@ def weight_space_error(values, a):
     return _scalar_or_array(np.mean(delta ** 2, axis=-1))
 
 
+# Sums are formed of groups whose max|x| lies in this range, where neither a
+# sum of squares (G <= 2**16 squares below 2**1000) overflows nor a square of
+# the max underflows.
+_SUMMABLE = (2.0 ** -500, 2.0 ** 500)
+
+
+def _summable(groups, absmax):
+    """Groups ``(..., G)`` and their ``max|x|``, each nonzero group whose max
+    lies outside :data:`_SUMMABLE` scaled by the power of two that brings its
+    max into [0.5, 1): an exact scaling that every step of the normalized
+    variance commutes with, so such a group reads the bits it reads at
+    ordinary magnitudes.  The arguments themselves when every max lies
+    inside, and so is finite and nonzero (two reductions)."""
+    low, high = _SUMMABLE
+    if (low <= np.minimum.reduce(absmax, axis=None, initial=high)
+            and np.maximum.reduce(absmax, axis=None, initial=low) <= high):
+        return groups, absmax
+    mantissas, exponents = np.frexp(absmax)
+    outside = ((absmax < low) & (absmax != 0.0)) | (absmax > high)
+    return (np.ldexp(groups, np.where(outside, -exponents, 0)[..., None]),
+            np.where(outside, mantissas, absmax))
+
+
+def _sums(values, squares=None):
+    """Sum and sum of squares of groups ``(..., G)``, each added pairwise
+    along its axis; the squares go to ``squares`` when it is given."""
+    return (np.add.reduce(values, axis=-1),
+            np.add.reduce(np.multiply(values, values, out=squares), axis=-1))
+
+
 def _group_sums(values):
-    """Sum, sum of squares, length and absolute maximum of groups ``(..., G)``."""
+    """Sum, sum of squares, length and absolute maximum of groups ``(..., G)``
+    (of a group outside :data:`_SUMMABLE` scaled, see :func:`_summable`)."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    return (np.add.reduce(values, axis=-1), np.add.reduce(values * values, axis=-1),
-            values.shape[-1], np.maximum.reduce(np.abs(values), axis=-1, initial=0.0))
+    values, absmax = _summable(values, np.maximum.reduce(np.abs(values), axis=-1, initial=0.0))
+    return (*_sums(values), values.shape[-1], absmax)
 
 
 def variance_from_sums(total, total_sq, count, absmax):
@@ -126,7 +158,8 @@ def variance_from_sums(total, total_sq, count, absmax):
     for an all-zero or empty group.  The mean is squared by a multiply,
     which rounds once; the C library's ``pow`` sometimes rounds otherwise."""
     absmax = np.asarray(absmax, dtype=np.float64)
-    var = np.asarray(_variance(total, total_sq, count, absmax))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = np.asarray(_variance(total, total_sq, count, absmax))
     # np.clip(var, 0, 1) with NaN kept, in place: two ufuncs cost less than its wrapper
     np.minimum(1.0, np.maximum(0.0, var, out=var), out=var)
     np.copyto(var, 0.0, where=(absmax == 0.0) | np.equal(count, 0))
@@ -134,13 +167,11 @@ def variance_from_sums(total, total_sq, count, absmax):
 
 
 def _variance(total, total_sq, count, absmax):
-    """:func:`variance_from_sums` before its clip and its zeros: NaN or inf
-    where ``absmax`` or ``count`` is 0."""
-    total = np.asarray(total, dtype=np.float64)
-    total_sq = np.asarray(total_sq, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = total / count
-        return (total_sq / count - mean * mean) / (absmax * absmax)
+    """:func:`variance_from_sums` before its clip and its zeros: NaN or inf,
+    and a numpy warning unless the caller silences it, where ``absmax`` or
+    ``count`` is 0 or a sum is not finite."""
+    mean = np.asarray(total, dtype=np.float64) / count
+    return (np.asarray(total_sq, dtype=np.float64) / count - mean * mean) / (absmax * absmax)
 
 
 def normalized_variance(values):
@@ -190,7 +221,7 @@ class VarianceTable:
         # contains v: its index counts the upper edges at or below v.  Leaving
         # out the last edge puts v >= 1 and NaN in the last range, and an edge
         # of 0 read as -inf counts for v < 0 as for v = 0, so no clip is needed
-        index = np.searchsorted(self._edges, np.asarray(variance, dtype=np.float64), side="right")
+        index = self._edges.searchsorted(np.asarray(variance, dtype=np.float64), side="right")
         return _scalar_or_array(self._coeffs[index])
 
     def range_of(self, a: int) -> tuple[float, float]:
@@ -332,7 +363,9 @@ def coefficients_from_sums(table: VarianceTable, total, total_sq, count, absmax)
     the clip; an empty group reads variance 0, and an all-zero group takes
     the smallest coefficient."""
     absmax = np.asarray(absmax, dtype=np.float64)
-    coeffs = np.asarray(table.lookup(_variance(total, total_sq, count, absmax)), dtype=np.uint8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        variance = _variance(total, total_sq, count, absmax)
+    coeffs = np.asarray(table.lookup(variance), dtype=np.uint8)
     empty = np.equal(count, 0)
     if empty.any():
         np.copyto(coeffs, table.lookup(0.0), where=empty)
@@ -346,24 +379,46 @@ def select_by_variance(group, table: VarianceTable):
     return _scalar_or_array(coefficients_from_sums(table, *_group_sums(group)))
 
 
-def row_coefficients(table: VarianceTable, rows, group_size: int) -> np.ndarray:
-    """:func:`coefficients_from_sums` of the groups along the last axis of
-    ``rows`` ``(n, axis_len)``, each from its sums over its true length
-    (:func:`codec.split_runs`): uint8 ``(n, n_groups)``."""
-    runs = [coefficients_from_sums(table, *_group_sums(run)) for run in split_runs(rows, group_size)]
-    if len(runs) == 1:
-        return runs[0]
-    # the empty first part keeps the (n, 0) shape of an axis with no groups
-    return np.concatenate([np.zeros((len(rows), 0), np.uint8)] + runs, axis=-1)
+def _encode_by_variance(table: VarianceTable, rows, group_size: int):
+    """4-bit levels, scales and coefficients ``(n, n_groups)`` of the groups
+    along the last axis of float64 ``rows`` ``(n, axis_len)``, each
+    coefficient by :func:`coefficients_from_sums` from its group's sums over
+    its true length (zero padding would move a pairwise sum).  One pass of
+    ``|x|``, max and sums feeds the lookup and the encoder, which takes the
+    max as it is and ``|x|`` again in the same buffer.  Non-finite input
+    raises ValueError on the maxima, before any arithmetic that can warn.
+    Maxima that :func:`_summable` leaves as they are need no ``np.errstate``:
+    their variances are finite."""
+    groups = to_groups(rows, group_size)
+    magnitudes = np.abs(groups)
+    absmax = np.maximum.reduce(magnitudes, axis=-1, initial=0.0)
+    summed, summed_max = _summable(groups, absmax)   # only compares the maxima
+    in_range = summed_max is absmax
+    if not in_range:
+        _check_finite(absmax)
+    # the squares borrow the buffer of |x|: one temporary of the groups' size
+    total, total_sq = _sums(summed, squares=magnitudes)
+    size = groups.shape[-1]
+    tail = rows.shape[-1] % size
+    count = size
+    if tail:
+        total[..., -1], total_sq[..., -1] = _sums(summed[..., -1, :tail])
+        count = group_lengths(rows.shape[-1], size)
+    if in_range:
+        coeffs = table.lookup(_variance(total, total_sq, count, absmax)).astype(np.uint8)
+    else:
+        coeffs = coefficients_from_sums(table, total, total_sq, count, summed_max)
+    np.abs(groups, out=magnitudes)
+    return (*_encode_magnitudes(groups, magnitudes, absmax, coeffs), coeffs)
 
 
 def quantize_by_variance(values, table: VarianceTable, group_axis: int,
                          group_size: int) -> QuantizedTensor:
     """A 4-bit tensor grouped along ``group_axis``, each group's coefficient from
-    :func:`row_coefficients`.  A table's coefficients are 4-bit by construction,
-    so the encoder takes them unchecked."""
-    rows = tensor_rows(values, group_axis)
-    coeffs = row_coefficients(table, rows, group_size)
-    levels, scales = _encode_levels(to_groups(rows, group_size), coeffs)
+    :func:`coefficients_from_sums` of its sums (:func:`_encode_by_variance`).  A
+    table's coefficients are 4-bit by construction, so the encoder takes them
+    unchecked."""
+    levels, scales, coeffs = _encode_by_variance(table, tensor_rows(values, group_axis),
+                                                 group_size)
     return QuantizedTensor(np.shape(values), KIND_MANT4, group_axis, group_size, levels, scales,
                            coeffs)

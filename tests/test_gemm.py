@@ -20,7 +20,7 @@ from mant.codec import (
 )
 from mant.cli import main
 from mant.container import read_quantized, write_quantized
-from mant.gemm import _exact_dtype, dequantized_gemm, gemm, grouped_dot, weight_operand
+from mant.gemm import _exact_dtype, _fold, dequantized_gemm, gemm, grouped_dot, weight_operand
 from oracles import GroupDotResult, combine, fused_group_dot
 
 
@@ -425,3 +425,57 @@ class TestExactnessBound:
         assert (exact > 2 ** 24 and exact % 2 == 1) == (length == 130)
         assert float(np.float32(exact)) != exact or length == 129
         assert one_group_dot(x, 1.0, levels, np.ones(1))[0] == float(exact)
+
+
+def ascending_fold(x_codes, x_scales, levels, w_scales):
+    """The one-row product as a per-group loop: ``out += psum * (s_x * s_w)``
+    for each full group in ascending order, the psums exact in float64."""
+    out = np.zeros(np.broadcast_shapes(x_codes.shape[:-3], levels.shape[:-3])
+                   + (x_codes.shape[-3], levels.shape[-3]))
+    for g in range(levels.shape[-2]):
+        psum = x_codes[..., g, :].astype(np.float64) @ levels[..., g, :].astype(np.float64) \
+            .swapaxes(-1, -2)
+        out += psum * (x_scales[..., g][..., None] * w_scales[..., g][..., None, :])
+    return out
+
+
+class TestOneRowFold:
+    """At M = 1 the fold of float32 operands (the KV cache's levels, a weight's
+    operand) takes the psums of its full groups from one batched matmul and
+    adds their terms in ascending group order: one ``np.add.reduce`` over the
+    group axis where that axis is not numpy's inner loop (N > 1), a loop at
+    N = 1.  Over 9 or more groups a pairwise sum gives other bits."""
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("n_groups", [9, 17])
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_adds_in_ascending_group_order(self, n, n_groups, batch):
+        rng = np.random.default_rng([n, n_groups, len(batch)])
+        size = 64
+        x_codes = rng.integers(-127, 128, batch + (1, n_groups, size), dtype=np.int8)
+        levels = code_values(rng.integers(0, 16, batch + (n, n_groups, size), dtype=np.uint8),
+                             rng.integers(0, 128, batch + (n, n_groups)))
+        # scales over twelve decades: the order of the adds shows in the bits
+        x_scales = 10.0 ** rng.uniform(-6, 6, batch + (1, n_groups))
+        w_scales = 10.0 ** rng.uniform(-6, 6, batch + (n, n_groups))
+        want = ascending_fold(x_codes, x_scales, levels, w_scales)
+        got = _fold(x_codes, x_scales, levels.astype(np.float32), w_scales, [size] * n_groups)
+        assert got.tobytes() == want.tobytes()
+        # the same terms summed pairwise (the group axis made the inner loop) differ
+        # somewhere among 64 columns; over one or two they may agree by chance
+        psums = np.einsum("...mgi,...ngi->...mng", x_codes.astype(np.float64),
+                          levels.astype(np.float64))
+        terms = psums * (x_scales[..., :, None, :] * w_scales[..., None, :, :])
+        pairwise = np.add.reduce(np.ascontiguousarray(terms), axis=-1)
+        assert n < 64 or pairwise.tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_gemm_of_one_row_adds_in_ascending_group_order(self, n):
+        rng = np.random.default_rng(n)
+        n_groups, size = 9, 64
+        x = rng.standard_normal((1, n_groups * size)) * 10.0 ** rng.uniform(-6, 6, n_groups * size)
+        w = rng.standard_normal((n_groups * size, n)) * 10.0 ** rng.uniform(-6, 6, (n_groups * size, 1))
+        x_q = quantize_activation_tensor(x, 1, size)
+        w_q = quantize_weight_tensor(w, 40, 0, size)
+        want = ascending_fold(x_q.levels, x_q.scales, w_q.levels, w_q.scales)
+        assert gemm(x_q, w_q).tobytes() == want.tobytes()

@@ -367,6 +367,36 @@ class TestKvCache:
             assert got.tobytes() == want.tobytes()
         assert cache.keys.shape == clean.keys.shape == (17, 2, 48)
 
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_extreme_magnitudes_take_the_coefficients_of_ordinary_ones(self, shift):
+        # keys (one by one and as a prompt, with tail groups), prompt value blocks
+        # and window flushes of a stream scaled by 2**shift, whose plain sums of
+        # squares underflow or overflow, encode as the stream itself does
+        rng = np.random.default_rng(41)
+        heads, head_dim, group_size = 2, 40, 16
+        k, v = rng.standard_normal((2, 4 * group_size, heads, head_dim))
+        prompt = group_size + 5
+        caches = []
+        for factor in (1.0, 2.0 ** shift):
+            cache = make_cache(heads, head_dim, group_size)
+            cache.prefill(k[:prompt] * factor, v[:prompt] * factor)
+            for t in range(prompt, len(k)):
+                cache.append_k(k[t] * factor)
+                cache.push_v(v[t] * factor)
+            caches.append(cache)
+        ordinary, extreme = caches
+        assert extreme.flushed_tokens == 4 * group_size   # a prompt block and three flushes
+        for store in ("keys", "values"):
+            want, got = getattr(ordinary, store), getattr(extreme, store)
+            assert len(np.unique(want.coefficients)) > 1
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            assert got.levels.tobytes() == want.levels.tobytes()
+            assert got.scales.tobytes() == (want.scales * 2.0 ** shift).tobytes()
+        for axis in (0, 2):
+            want = quantize_by_variance(k, TABLE, axis, group_size)
+            got = quantize_by_variance(k * 2.0 ** shift, TABLE, axis, group_size)
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+
     def test_operands_are_the_levels_as_float32(self):
         # the cache holds one per-element array per store, the float32 levels
         # attention reads: keys group-major, flushed values block-major, and

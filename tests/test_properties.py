@@ -14,6 +14,7 @@ different order.
 
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from mant.codec import (
     group_lengths,
     quantize_activation_tensor,
     quantize_weight_tensor,
+    round_int8,
     to_groups,
 )
 from mant.container import read_quantized, write_quantized
@@ -543,6 +545,74 @@ def test_activation_tensor_matches_group_loop(case):
     assert same_bits(qt.scales, scales)
     assert same_bits(qt.group_lengths, lengths)
     assert same_bits(qt.dequantize(), ref_dequantize(qt))
+
+
+def int8_rule(groups):
+    """:func:`encode_int8`'s rule as its docstring states it: ``scale =
+    max|group| / 127`` and codes ``round_int8(group / scale)``, a zero scale
+    dividing by 1."""
+    scales = np.abs(groups).max(axis=-1, initial=0.0) / 127.0
+    return round_int8(groups / np.where(scales == 0.0, 1.0, scales)[..., None]), scales
+
+
+@st.composite
+def near_ties(draw, length):
+    """A group under a drawn top magnitude whose other values lie at, or one ulp
+    either side of, ``(k + 0.5) * scale``: exact ties where the scale is a
+    power of two, near ones where it is not."""
+    top = draw(st.one_of(st.sampled_from([127.0, 127.0 * 2.0 ** -40, 127.0 * 2.0 ** 40]),
+                         st.floats(1e-3, 1e3)))
+    scale = top / 127.0
+    values = [top]
+    for k in draw(st.lists(st.integers(0, 126), min_size=length - 1, max_size=length - 1)):
+        tie = (k + 0.5) * scale
+        value = draw(st.sampled_from([np.nextafter(tie, 0.0), tie, np.nextafter(tie, np.inf)]))
+        values.append(-value if draw(st.booleans()) else value)
+    return draw(st.permutations(values))
+
+
+@st.composite
+def int8_edge_groups(draw):
+    """Groups ``(n, G)`` of one regime each: zeros of both signs, near ties,
+    the encoder regimes of :data:`EXTREME_REGIMES` past the INT4 one (scales
+    that round to zero, subnormal scales, magnitudes near 1e-300 and 1e300)."""
+    length = draw(st.integers(1, 24))
+    groups = []
+    for regime in draw(st.lists(st.sampled_from(["zeros", "ties", 0, 1, 2, 3, 4]),
+                                min_size=1, max_size=4)):
+        if regime == "ties":
+            groups.append(draw(near_ties(length)))
+            continue
+        elements = st.nothing() if regime == "zeros" else EXTREME_REGIMES[regime]
+        groups.append(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), elements),
+                                    min_size=length, max_size=length)))
+    return np.array(groups, dtype=np.float64)
+
+
+@SETTINGS
+@given(int8_edge_groups())
+@example(np.array([[-0.0, 0.0, -0.0], [0.0, 0.0, 0.0]]))
+@example(np.array([[127.0, 0.5, -np.nextafter(0.5, 0.0), np.nextafter(126.5, np.inf), -126.5,
+                    np.nextafter(2.5, 0.0), -0.0]]))
+@example(np.array([[127 * SUBNORMAL, -63 * SUBNORMAL, 64 * SUBNORMAL],
+                   [63 * SUBNORMAL, -SUBNORMAL, 0.0]]))
+def test_int8_encoder_is_its_rounding_rule(groups):
+    codes, scales = encode_int8(groups)
+    want_codes, want_scales = int8_rule(groups)
+    assert same_bits(codes, want_codes) and same_bits(scales, want_scales)
+    # and the rule is the per-group loop's round half away from zero
+    refs = [ref_int8_group(group) for group in groups]
+    assert same_bits(codes, np.array([c for c, _ in refs]).reshape(codes.shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_int8_encoder_refuses_non_finite_input_without_a_warning(bad):
+    groups = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
+    groups[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_int8(groups)
 
 
 @SETTINGS

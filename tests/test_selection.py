@@ -175,6 +175,27 @@ class TestNormalizedVariance:
         for c in (1e-6, 0.5, 3.0, 1e6):
             assert abs(normalized_variance(g * c) - v) < 1e-12
 
+    @pytest.mark.parametrize("shift", [-1060, -600, 600, 1000])
+    def test_extreme_magnitudes_read_the_variance_of_ordinary_ones(self, shift):
+        # squares of a max below 2**-500 underflow and above 2**500 overflow; a
+        # group there is summed scaled by a power of two, exactly, so it reads
+        # the bits of the same group at ordinary magnitudes (2**-1060 leaves
+        # subnormals, which lose bits on the way down: only the range is checked)
+        rng = np.random.default_rng(abs(shift))
+        groups = rng.standard_normal((6, 64))
+        groups[1] = 0.0
+        extreme = groups * 2.0 ** shift
+        table = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+        variances = normalized_variance(extreme)
+        assert np.all((variances >= 0.0) & (variances <= 1.0))
+        if shift != -1060:
+            assert variances.tobytes() == normalized_variance(groups).tobytes()
+            assert list(select_by_variance(extreme, table)) == \
+                list(select_by_variance(groups, table))
+        # a group in range beside them keeps its bits
+        mixed = np.concatenate([extreme, groups[:1]])
+        assert normalized_variance(mixed)[-1] == normalized_variance(groups[0])
+
     def test_streaming_matches_two_pass(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal(64) * 100
