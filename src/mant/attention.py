@@ -5,8 +5,8 @@ wholesale and the prompt attends in blocks of query rows under a causal
 mask, each decode step runs the spatial K path and the two-phase V window
 and attends as a one-row block, queries and softmax probabilities are
 quantized to group-wise INT8 along their accumulation axes, and softmax
-stays in real arithmetic.  A full-precision reference trace runs alongside
-for error reporting.
+stays in real arithmetic.  The full-precision reference trace, for error
+reporting, is computed in 32-row blocks apart from the decode steps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class AttentionPolicies:
 
 @dataclass
 class ToyAttentionReport:
-    """Quantized outputs, the FP reference trace, and per-step errors."""
+    """Quantized outputs, the FP reference trace, and per-step errors.  The
+    trace's rows match a per-row float64 computation to 1e-12 of the row max."""
 
     prefill_outputs: np.ndarray       # (prefill_len, heads, head_dim)
     reference_prefill: np.ndarray
@@ -196,7 +197,9 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
 
     Inputs come from :func:`synthesize_stream` under ``seed``; variance
     tables default to ones calibrated on an independent stream (derived
-    seed), so the data itself is policy-independent.
+    seed), so the data itself is policy-independent.  The reference trace
+    comes first, in 32-row blocks of the prompt and then of the decode rows,
+    so a decode step only writes its key and value and attends one row.
     """
     prefill_len, heads, head_dim = (as_integer(value, name, 1) for value, name in (
         (prefill_len, "prefill_len"), (heads, "heads"), (head_dim, "head_dim")))
@@ -205,10 +208,19 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
     group_size = as_integer(policies.group_size, "group size", 1, MAX_GROUP_SIZE)
 
     rng = np.random.default_rng(seed)
-    q_all, k_all, v_all = synthesize_stream(rng, prefill_len + decode_steps, heads, head_dim)
+    total = prefill_len + decode_steps
+    q_all, k_all, v_all = synthesize_stream(rng, total, heads, head_dim)
     scale = 1.0 / math.sqrt(head_dim)
+    # query row blocks [a, b), the prompt's and the decode rows'; row t sees tokens [0, t]
+    prompt, decode = ([(a, min(a + _PROMPT_BLOCK_ROWS, stop))
+                       for a in range(start, stop, _PROMPT_BLOCK_ROWS)]
+                      for start, stop in ((0, prefill_len), (prefill_len, total)))
+    # the synthesized stream serves as the unquantized store
+    store = ref_store = (k_all, v_all)
+    ref_prefill, ref_steps = np.split(np.concatenate([
+        _attention_rows(q_all[a:b], ref_store, a + 1, scale, group_size, int8=False)
+        for a, b in prompt + decode]), [prefill_len])
 
-    cache = None
     if policies.quantize_kv:
         if policies.k_table is not None and policies.v_table is not None:
             k_table, v_table = policies.k_table, policies.v_table
@@ -217,34 +229,22 @@ def run_toy_attention(prefill_len: int, decode_steps: int, heads: int, head_dim:
             k_default, v_default = calibration_tables(table_rng, heads, head_dim, group_size)
             k_table = policies.k_table or k_default
             v_table = policies.v_table or v_default
-        cache = KvCache(heads, head_dim, k_table, v_table, group_size)
+        store = cache = KvCache(heads, head_dim, k_table, v_table, group_size)
         cache.prefill(k_all[:prefill_len], v_all[:prefill_len])
-    # the synthesized stream serves as the unquantized store
-    ref_store = (k_all, v_all)
-    store = cache if policies.quantize_kv else ref_store
-    out = np.zeros((2, prefill_len + decode_steps, heads, head_dim))   # quantized, reference
-
-    def attend(start, stop):
-        """Both outputs of query rows [start, stop); row t sees tokens [0, t]."""
-        q_rows = q_all[start:stop]
-        out[0, start:stop] = _attention_rows(q_rows, store, start + 1, scale, group_size)
-        out[1, start:stop] = _attention_rows(q_rows, ref_store, start + 1, scale, group_size,
-                                             int8=False)
-
-    for start in range(0, prefill_len, _PROMPT_BLOCK_ROWS):
-        attend(start, min(start + _PROMPT_BLOCK_ROWS, prefill_len))
+    prefill_out = np.concatenate([_attention_rows(q_all[a:b], store, a + 1, scale, group_size)
+                                  for a, b in prompt])
+    step_out = np.zeros((decode_steps, heads, head_dim))
     flush_steps: list[int] = []
-    for s, t in enumerate(range(prefill_len, prefill_len + decode_steps)):
+    for s, t in enumerate(range(prefill_len, total)):
         if policies.quantize_kv:
             cache.append_k(k_all[t])
             if cache.push_v(v_all[t]):
                 flush_steps.append(s)
-        attend(t, t + 1)
+        step_out[s] = _attention_rows(q_all[t:t + 1], store, t + 1, scale, group_size)[0]
 
-    (prefill_out, step_out), (ref_prefill, ref_steps) = (np.split(x, [prefill_len]) for x in out)
     cosines = _row_cosines(step_out, ref_steps)
     mses = np.mean((step_out - ref_steps) ** 2, axis=(1, 2))
     prefill_cos = float(np.mean(_row_cosines(prefill_out, ref_prefill)))
-    clamp = cache.windows.clamp_count if cache is not None else 0
+    clamp = cache.windows.clamp_count if policies.quantize_kv else 0
     return ToyAttentionReport(prefill_out, ref_prefill, step_out, ref_steps,
                               cosines, mses, prefill_cos, flush_steps, clamp)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mant import attention
 from mant.attention import (
     AttentionPolicies,
+    _attention_rows,
     _scores_fused,
     _weighted_values_fused,
     calibration_tables,
@@ -95,6 +97,68 @@ class TestRunToyAttention:
         policies = AttentionPolicies(k_table=k_table, v_table=v_table)
         rep = run_toy_attention(64, 4, 1, 64, policies, seed=6)
         assert rep.step_cosine.min() > 0.95
+
+
+class TestReferenceTrace:
+    """The FP reference trace comes from causal blocks of 32 query rows,
+    computed apart from the decode steps: the prompt's rows bit for bit as
+    the prompt's blocks give them, the decode rows to float64 rounding of the
+    one-row products each decode step once computed."""
+
+    TABLE = table_from_probe_means((0, 20, 40, 80, 120), [0.05, 0.11, 0.15, 0.25])
+
+    @pytest.mark.parametrize("quantize_kv", [True, False])
+    @pytest.mark.parametrize("group_size", [32, 64])
+    @pytest.mark.parametrize("steps", [0, 1, 31, 32, 33, 70])
+    @pytest.mark.parametrize("prefill", [33, 64, 70])
+    def test_reference_matches_per_row_oracle(self, prefill, steps, group_size, quantize_kv):
+        heads, head_dim, seed = 2, 64, prefill + steps
+        policies = AttentionPolicies(group_size, quantize_kv, self.TABLE, self.TABLE)
+        rep = run_toy_attention(prefill, steps, heads, head_dim, policies, seed=seed)
+        q, k, v = synthesize_stream(np.random.default_rng(seed), prefill + steps, heads, head_dim)
+        scale = 1 / math.sqrt(head_dim)
+        prompt = np.concatenate([
+            _attention_rows(q[a:min(a + 32, prefill)], (k, v), a + 1, scale, group_size,
+                            int8=False)
+            for a in range(0, prefill, 32)])
+        assert rep.reference_prefill.tobytes() == prompt.tobytes()
+        # the per-step oracle: each step's quantized row, then its reference row alone
+        cache = KvCache(heads, head_dim, self.TABLE, self.TABLE, group_size)
+        cache.prefill(k[:prefill], v[:prefill])
+        store = cache if quantize_kv else (k, v)
+        rows = np.zeros((2, steps, heads, head_dim))
+        for s, t in enumerate(range(prefill, prefill + steps)):
+            cache.append_k(k[t])
+            cache.push_v(v[t])
+            rows[0, s] = _attention_rows(q[t:t + 1], store, t + 1, scale, group_size)[0]
+            rows[1, s] = _attention_rows(q[t:t + 1], (k, v), t + 1, scale, group_size,
+                                         int8=False)[0]
+        assert rep.step_outputs.tobytes() == rows[0].tobytes()
+        assert rep.reference_steps.shape == rows[1].shape
+        row_max = np.abs(rows[1]).max(axis=(1, 2))
+        assert np.all(np.abs(rep.reference_steps - rows[1]).max(axis=(1, 2)) <= 1e-12 * row_max)
+
+    def test_no_reference_arithmetic_in_a_decode_step(self, monkeypatch):
+        # a decode step runs from one decode-time append_k to the next, as
+        # the benchmark times it; no (k, v) store product may fall inside one
+        events = []
+        append_k, attention_rows = KvCache.append_k, attention._attention_rows
+
+        def marked_append_k(cache, k_vector):
+            events.append("step")
+            return append_k(cache, k_vector)
+
+        def recorded_attention_rows(q_rows, store, *args, **kwargs):
+            events.append("cache" if isinstance(store, KvCache) else "reference")
+            return attention_rows(q_rows, store, *args, **kwargs)
+
+        monkeypatch.setattr(KvCache, "append_k", marked_append_k)
+        monkeypatch.setattr(attention, "_attention_rows", recorded_attention_rows)
+        rep = run_toy_attention(96, 100, 1, 64, seed=4)
+        assert rep.flush_steps == [31, 95]
+        steps = [i for i, event in enumerate(events) if event == "step"]
+        assert len(steps) == 100 and events.count("reference") > 0
+        assert "reference" not in events[steps[0]:steps[-1]]
 
 
 def loop_fold(x_codes, x_scales, w_levels, w_scales, lengths):

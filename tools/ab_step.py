@@ -12,11 +12,17 @@ by stream (old first on even streams, new first on odd ones), so drift of
 the machine's speed falls on both.  A decode step runs from one decode-time
 ``KvCache.append_k`` call to the next, as the benchmark times it.
 
-Each stream's ``step_outputs`` and ``reference_steps`` must be equal, bit
-for bit, on both trees.  The last lines print each tree's median step time
-over all steps, and the share of streams in which the new tree's median
-step was the faster one.  A 25-s benchmark run drifts by tens of percent on
-a busy machine; interleaved streams in one process resolve a few percent.
+Each stream's ``step_outputs``, ``prefill_outputs`` and ``flush_steps`` must
+be equal, bit for bit, on both trees; its ``reference_steps`` must agree as
+the benchmark checks them, each row within 1e-9 of the row's largest
+magnitude (the full-precision reference may be computed in another order).
+Each stream prints both trees' median step and whole ``run_toy_attention``
+call, so a change that only moves work out of the steps shows in the
+second.  The last lines print each tree's median step time over all steps
+and median call time over all streams, and the share of streams in which
+the new tree's median step was the faster one.  A 25-s benchmark run drifts
+by tens of percent on a busy machine; interleaved streams in one process
+resolve a few percent.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import numpy as np  # noqa: E402
 PREFILL, DECODE, HEADS, HEAD_DIM, GROUP = 192, 384, 4, 64, 64
 MODEL_SEED = 20250226   # bench/workloads.py's MODEL_SEED
 CALIB_LENGTH = 128
+REFERENCE_TOL = 1e-9    # bench/workloads.py's check of reference_steps, per row
 
 
 def load_tree(src: str, name: str):
@@ -86,13 +93,31 @@ class StepClock:
         cls.append_k, cls.prefill = timed_append_k, flagged_prefill
 
     def run(self, attention, policies, seed: int):
-        """One stream: its report and its decode-step times in ns.  The last
-        step ends when ``run_toy_attention`` returns, which adds its report's
-        small arithmetic to that step alone."""
+        """One stream: its report, its decode-step times and its whole call's
+        time, in ns.  The last step ends when ``run_toy_attention`` returns,
+        which adds its report's small arithmetic to that step alone."""
         self.steps, self.last = [], None
+        start = perf_counter_ns()
         report = attention.run_toy_attention(PREFILL, DECODE, HEADS, HEAD_DIM, policies, seed=seed)
-        self.steps.append(perf_counter_ns() - self.last)
-        return report, self.steps
+        end = perf_counter_ns()
+        self.steps.append(end - self.last)
+        return report, self.steps, end - start
+
+
+def differences(old, new) -> list[str]:
+    """The fields in which two streams' reports differ: the quantized
+    outputs and flush steps bit for bit, the reference rows beyond
+    :data:`REFERENCE_TOL` of each row's largest magnitude."""
+    bad = [name for name in ("step_outputs", "prefill_outputs")
+           if getattr(old, name).shape != getattr(new, name).shape
+           or getattr(old, name).tobytes() != getattr(new, name).tobytes()]
+    if old.flush_steps != new.flush_steps:
+        bad.append("flush_steps")
+    ref_old, ref_new = (r.reference_steps.reshape(len(r.reference_steps), -1) for r in (old, new))
+    if ref_old.shape != ref_new.shape or not np.all(
+            np.abs(ref_new - ref_old).max(axis=1) <= REFERENCE_TOL * np.abs(ref_old).max(axis=1)):
+        bad.append("reference_steps")
+    return bad
 
 
 def main(argv=None) -> int:
@@ -116,26 +141,31 @@ def main(argv=None) -> int:
 
     seeds = np.random.default_rng(args.seed).integers(0, 2 ** 31, args.streams)
     times = {"old": [], "new": []}
+    calls = {"old": [], "new": []}
     wins = 0
     for i, seed in enumerate(seeds):
         order = trees if i % 2 == 0 else trees[::-1]
         reports, medians = {}, {}
         for label, attention, clock, policies, _ in order:
-            reports[label], steps = clock.run(attention, policies, int(seed))
+            reports[label], steps, call = clock.run(attention, policies, int(seed))
             times[label] += steps
+            calls[label].append(call)
             medians[label] = statistics.median(steps)
-        for field in ("step_outputs", "reference_steps"):
-            old, new = (getattr(reports[label], field) for label in ("old", "new"))
-            if old.shape != new.shape or old.tobytes() != new.tobytes():
-                raise SystemExit(f"error: stream {i} (seed {seed}): {field} differ")
+        bad = differences(reports["old"], reports["new"])
+        if bad:
+            raise SystemExit(f"error: stream {i} (seed {seed}): {', '.join(bad)} differ")
         wins += medians["new"] < medians["old"]
         print(f"stream {i:2d} seed {seed:10d}: median step old {medians['old'] / 1e3:8.1f} us, "
-              f"new {medians['new'] / 1e3:8.1f} us")
+              f"new {medians['new'] / 1e3:8.1f} us; call old {calls['old'][-1] / 1e6:7.1f} ms, "
+              f"new {calls['new'][-1] / 1e6:7.1f} ms")
     old, new = (statistics.median(times[label]) / 1e3 for label in ("old", "new"))
     print(f"median decode step: old {old:.1f} us, new {new:.1f} us ({new / old - 1:+.1%}), "
           f"{len(times['old'])} steps each")
+    old, new = (statistics.median(calls[label]) / 1e6 for label in ("old", "new"))
+    print(f"median run_toy_attention call: old {old:.1f} ms, new {new:.1f} ms "
+          f"({new / old - 1:+.1%}), {len(seeds)} calls each")
     print(f"new tree faster in {wins} of {len(seeds)} streams ({wins / len(seeds):.0%}); "
-          "outputs equal in every stream")
+          "quantized outputs equal and references within tolerance in every stream")
     return 0
 
 
