@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import (DEFAULT_GROUP_SIZE, MAX_GROUP_SIZE, encode_int8, quantize_activation_tensor,
-                    split_runs, to_groups)
+                    to_groups)
 from .codec import quantize_activation_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .gemm import _fold
 from .grid import as_integer
 from .kvcache import KvCache
-from .selection import MIN_CALIBRATION_GROUPS, CandidateSet, VarianceTable, build_variance_table
+from .selection import (MIN_CALIBRATION_GROUPS, CandidateSet, VarianceTable, build_variance_table,
+                        calibration_groups)
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,7 @@ def calibration_tables(rng: np.random.Generator, heads: int, head_dim: int,
     """
     candidates = CandidateSet(include_int=False)
     _, k, v = synthesize_stream(rng, length, heads, head_dim)
-    # key groups in (token, head, group) order: the full groups, or the
-    # short rows when no group is full
-    k_runs = split_runs(k, group_size)[0]
-    k_groups = k_runs.reshape(-1, k_runs.shape[-1])
+    k_groups = calibration_groups(k, group_size)   # in (token, head, group) order
     # value groups in (block, head, channel) order
     blocks = length // group_size
     if blocks * heads * head_dim < MIN_CALIBRATION_GROUPS:
@@ -142,26 +140,19 @@ def _cut(codes: np.ndarray, length: int) -> np.ndarray:
     return codes
 
 
-def _scores_fused(q_codes, q_scales, cache: KvCache, upto: int) -> np.ndarray:
-    """Fused attention scores ``(heads, rows, upto)`` of query rows
-    ``(heads, rows, n_kgroups, G)`` against cached keys [0, upto): one fold
-    (:func:`gemm.grouped_dot`) over the keys' group-major float32 levels,
-    heads batched.  The codes are cut to head_dim (:func:`_cut`), so every
-    group folds at full length: key padding holds finite levels."""
-    return _fold(_cut(q_codes, cache.head_dim), q_scales, *cache.key_operands(upto),
-                 (cache.group_size,) * q_codes.shape[-2])
-
-
-def _weighted_values_fused(p_codes, p_scales, cache: KvCache, upto: int) -> np.ndarray:
-    """Fused probability-value product ``(heads, rows, head_dim)`` of
-    probability rows ``(heads, rows, ceil(upto / G), G)`` over tokens [0,
-    upto): one fold (:func:`gemm.grouped_dot`) over the value blocks' float32
-    levels, the flushed 4-bit blocks and then the open block, whose staged
-    INT8 rows are one group under the window's channel scales.  The codes
-    are cut to upto (:func:`_cut`), so every group folds at full length:
-    slots past upto hold finite levels, or zeros past the window's rows."""
-    return _fold(_cut(p_codes, upto), p_scales, *cache.value_operands(upto),
-                 (cache.group_size,) * p_codes.shape[-2])
+def _fused(codes, scales, levels, level_scales, length: int) -> np.ndarray:
+    """Fused product ``(heads, rows, N)`` of INT8 rows ``(heads, rows,
+    n_groups, G)`` against a cache's float32 operands, heads batched: one
+    fold (:func:`gemm.grouped_dot`) over the group-major key groups
+    (:meth:`KvCache.key_operands`, ``length`` head_dim), or over the value
+    blocks, flushed and then open, whose staged INT8 rows are one group under
+    the window's channel scales (:meth:`KvCache.value_operands`, ``length``
+    the tokens attended).  The codes are cut to ``length`` (:func:`_cut`), so
+    every group folds at full length: key padding and value slots past the
+    last token hold finite levels, and the open block zeros past the
+    window's rows."""
+    return _fold(_cut(codes, length), scales, levels, level_scales,
+                 (codes.shape[-1],) * codes.shape[-2])
 
 
 def _attention_rows(q_rows, store, first: int, scale: float, group_size: int,
@@ -179,9 +170,10 @@ def _attention_rows(q_rows, store, first: int, scale: float, group_size: int,
     q = q_rows.swapaxes(0, 1)   # (heads, rows, head_dim)
     if isinstance(store, KvCache):
         q_codes, q_scales = encode_int8(to_groups(q, group_size))
-        probs = _softmax(_scores_fused(q_codes, q_scales, store, upto) * scale, first)
+        scores = _fused(q_codes, q_scales, *store.key_operands(upto), store.head_dim)
+        probs = _softmax(scores * scale, first)
         p_codes, p_scales = encode_int8(to_groups(probs, group_size))
-        return _weighted_values_fused(p_codes, p_scales, store, upto).swapaxes(0, 1)
+        return _fused(p_codes, p_scales, *store.value_operands(upto), upto).swapaxes(0, 1)
     # (heads, upto, head_dim) views of the unquantized store
     k_raw, v_raw = (x[:upto].swapaxes(0, 1) for x in store)
     q_hat = quantize_activation_tensor(q, 2, group_size).dequantize() if int8 else q

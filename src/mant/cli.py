@@ -27,7 +27,6 @@ from .codec import (
     group_lengths,
     quantize_activation_tensor,
     quantize_weight_tensor,
-    split_runs,
     tensor_rows,
 )
 from .gemm import dequantized_gemm, gemm
@@ -40,6 +39,7 @@ from .selection import (
     MIN_CALIBRATION_GROUPS,
     VarianceTable,
     build_variance_table,
+    calibration_groups,
     quantize_by_variance,
     select_weight_coefficient,
 )
@@ -177,9 +177,7 @@ def cmd_quantize(args) -> int:
                 candidates = CandidateSet(_parse_candidates(args.candidates).coefficients,
                                           include_int=False)
                 min_groups = None
-            # the full groups, or the short rows when no group is full
-            first = split_runs(rows, group_size)[0]
-            groups = first.reshape(-1, first.shape[-1])
+            groups = calibration_groups(rows, group_size)
             if min_groups is None:
                 min_groups = min(MIN_CALIBRATION_GROUPS, groups.shape[0])
             table = build_variance_table(groups, candidates, min_groups=min_groups)

@@ -309,20 +309,6 @@ def group_lengths(axis_len: int, group_size: int) -> np.ndarray:
     return lengths
 
 
-def split_runs(rows, group_size: int) -> list[np.ndarray]:
-    """The groups along the last axis of ``rows`` as contiguous runs of equal
-    length: the full groups ``(..., n_full, G)`` and the tail ``(..., 1,
-    length)``, if not empty.  Sums along a run's last axis add each group in
-    the order a sum over it alone does; zero padding would change that."""
-    rows = np.asarray(rows)
-    group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
-    n_full = rows.shape[-1] // group_size
-    split = n_full * group_size
-    runs = (rows[..., :split].reshape(rows.shape[:-1] + (n_full, group_size)),
-            rows[..., split:][..., None, :])
-    return [np.ascontiguousarray(run) for run in runs if run.shape[-2] and run.shape[-1]]
-
-
 def to_groups(rows, group_size: int) -> np.ndarray:
     """Zero-padded groups ``(..., n_groups, G)`` of the last axis of ``rows``."""
     rows = np.asarray(rows, dtype=np.float64)
@@ -346,7 +332,8 @@ class QuantizedTensor:
     int16 :func:`code_values` of 4-bit codes or INT8's int8 codes, and code
     0's level past each group's true length; the arrays may be views.  A
     weight that ``gemm`` has multiplied keeps its matmul operand
-    (:func:`gemm.weight_operand`) in ``_operand``.
+    (:func:`gemm.weight_operand`) in ``_operand``, and its ``levels`` are
+    read-only from then on: ``dataclasses.replace`` gives a tensor new ones.
     """
 
     shape: tuple[int, ...]

@@ -9,52 +9,25 @@ against INT8 activations splits into two integer partial sums:
 and the real result of one group is ``(psum1*a + psum2) * (s_x * s_w)``
 (``psum1 * (s_x * s_w)`` for plain-INT4 groups, whose codes decode to
 ``sign * m``); all scale multiplication is deferred to group boundaries.
-
 One matmul per group forms the integer ``psum1*a + psum2`` of every pair
 of rows: the INT8 codes against the right operand's pre-scale integer
-values (``QuantizedTensor.levels``, int16, or INT8's int8 codes), batched
-over any leading axes (attention stacks its heads there).  With |x| <= 127
-and |level| <= 127*7 + 2**7 = 1017, a group of length L sums to an integer
-of at most L*127*1017, so the matmul is exact in any summation order: in
-float32 while that stays below 2**24 (L <= 129), in float64 (below 2**53)
-beyond.
+values (``QuantizedTensor.levels``), batched over any leading axes.
 
-:func:`grouped_dot` is the one fold of those products, for ``gemm`` and
-both attention products (key groups; value blocks, the V window's INT8
-rows the last one).  Its body, ``_fold``, also takes float32 levels, which
-hold the same integers: the KV cache stores its levels only so, and
-``gemm`` keeps a copy on each weight (below), so no product converts what
-it converted before.  The fold works in place: one zeroed float64
-accumulator, and for each group in ascending order ``s_x * s_w`` times the
-psums added to it.  The first group is added too, not copied, so a
-``-0.0`` product still sums to ``+0.0``.
+Exactness: with |x| <= 127 and |level| <= 127*7 + 2**7 = 1017, a group of
+length L sums to an integer of at most L*127*1017, so the matmul is exact
+in any summation order: in float32 while that stays below 2**24 (L <= 129),
+in float64 (below 2**53) beyond.
 
-A one-row product (``M == 1``, every decode step) of operands that need
-no conversion (the cache's float32 levels, groups of at most 129) takes
-the psums of all its full-length groups from one batched matmul, the
-group axis as a batch axis, and their scale products from one multiply
-into a C-order ``(..., groups, 1, N)`` array.  Its adds keep the bits of
-the per-group loop by this rule: numpy sums an axis pairwise only when it
-is the inner loop, the fast axis in memory.  With N > 1 that is the N
-axis, so one ``np.add.reduce`` over the group axis, from an initial +0.0,
-adds the groups one after another in ascending order; with N = 1 the
-group axis would be the inner loop, and the adds stay one ``out += term``
-per group.  Products of more rows, and operands that convert (int16 or
-int8 levels, or float32 copies of groups longer than 129, which widen to
-float64), go one group at a time, a cache tile.
-
-A weight is static, so ``gemm`` converts its levels once, not per call:
-:func:`weight_operand` is a read-only ``(n_groups, G, N)`` copy of a
-weight's levels in :func:`_exact_dtype` of G, built on the tensor's first
-``gemm`` and kept on it for every later one.  Its K groups are
-C-contiguous ``(G, N)`` blocks, matmul operands with nothing to convert,
-and at M = 1 the one-row batched path above takes them all at once.  It
-costs 4 bytes per weight element (8 for groups longer than 129) and is
-built in 256-column tiles, whose transposes stay in cache.  It is tied
-to the ``levels`` object: a tensor whose ``levels`` is rebound builds a
-new one, while levels changed in place leave it stale.  ``gemm`` passes
-its scales column-major (two small copies per call) so that each scale
-column, an input of the outer product, is contiguous.
+Fold order: :func:`grouped_dot` is the one fold of those products, for
+``gemm`` and both attention products.  Into one zeroed float64
+accumulator, each group in ascending order adds its psums times
+``s_x * s_w``; the first group is added too, not copied, so a ``-0.0``
+product still sums to ``+0.0``.  A one-row product may take the psums of
+all its full-length groups from one batched matmul and keep those bits:
+numpy sums an axis pairwise only when it is the inner loop, the fast axis
+in memory, so with N > 1 one ``np.add.reduce`` over the group axis of a
+C-order ``(..., groups, 1, N)`` array, from an initial +0.0, adds the
+groups one after another; with N = 1 each group is one ``out += term``.
 """
 
 from __future__ import annotations
@@ -100,13 +73,10 @@ def grouped_dot(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
 
 def _fold(x_codes, x_scales, w_levels, w_scales, lengths) -> np.ndarray:
     """:func:`grouped_dot` of levels of any dtype that holds them exactly,
-    such as the KV cache's float32 operands.
-
-    With one row per batch entry the scale product is a row times one
-    number, a broadcast multiply.  With more rows it is ``einsum``'s outer
-    product: numpy's broadcast multiply buffers the column operand and took
-    twice as long over rows shorter than 4,096, while ``einsum`` costs about
-    2 us more per call.
+    such as the KV cache's float32 operands.  With one row per batch entry
+    the scale product is a row times one number, a broadcast multiply; with
+    more rows it is ``einsum``'s outer product, faster over short rows
+    (CHANGES.md).
     """
     batch = x_codes.shape[:-3]
     if batch != w_levels.shape[:-3]:   # np.broadcast_shapes alone costs about 4 us
@@ -148,11 +118,16 @@ OPERAND_TILE = 256   # weight rows per step of the operand build, its transposes
 def weight_operand(w_q: QuantizedTensor) -> np.ndarray:
     """The read-only ``(n_groups, G, rows)`` copy of ``w_q.levels`` in
     :func:`_exact_dtype` of G that ``gemm`` multiplies, built on the first
-    call and kept on ``w_q`` while its ``levels`` stay the same object."""
+    call and kept on ``w_q`` while its ``levels`` stay the same object.  The
+    build marks ``levels`` read-only, so an in-place write through it, which
+    would leave the copy stale, raises ValueError (a write through another
+    view of its memory is not seen); new levels (``dataclasses.replace``)
+    build a new copy."""
     levels = w_q.levels
     cached = w_q.__dict__.get("_operand")
     if cached is not None and cached[0] is levels:
         return cached[1]
+    levels.setflags(write=False)
     rows, n_groups, size = levels.shape
     operand = np.empty((n_groups, size, rows), _exact_dtype(size))
     for start in range(0, rows, OPERAND_TILE):
@@ -186,7 +161,8 @@ def gemm(x_q: QuantizedTensor, w_q: QuantizedTensor) -> np.ndarray:
     _check_operands(x_q.levels, w_q.levels)
     x_q.check_metadata()
     w_q.check_metadata()
-    # the fold reads the operand's (N, n_groups, G) view; each group's transpose is contiguous
+    # the fold reads the operand's (N, n_groups, G) view, each group's transpose
+    # contiguous, and column-major scales, each column of an outer product contiguous
     return _fold(x_q.levels, np.asfortranarray(x_q.scales), weight_operand(w_q).transpose(2, 0, 1),
                  np.asfortranarray(w_q.scales), group_lengths(x_q.axis_length, x_q.group_size))
 

@@ -21,18 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (INT4_COEFF, KIND_MANT4, QuantizedTensor, _check_finite,
-                    _encode_magnitudes, _scale_levels, encode_levels, group_lengths, tensor_rows,
-                    to_groups)
+from .codec import (INT4_COEFF, KIND_MANT4, MAX_GROUP_SIZE, QuantizedTensor, _check_finite,
+                    _encode_magnitudes, _scale_levels, encode_levels, group_lengths,
+                    tensor_rows, to_groups)
 from .codec import quantize_weight_group  # noqa: F401  (unused; bench/spans.py patches it)
 from .grid import MAX_COEFFICIENT, as_integer, as_number
 
 DEFAULT_COEFFICIENTS = (0, 5, 10, 17, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120)
 MIN_CALIBRATION_GROUPS = 32
-# Groups per stacked search in select_weight_coefficient, set by a sweep on
-# large weights (CHANGES.md): the (options, rows, G) temporaries of larger
-# tiles outgrow the cache, and smaller tiles cost more calls.
-SEARCH_TILE_ROWS = 128
+# Elements of one tile's (options, rows, G) stack in :func:`_best_options`, set
+# by a sweep on large weights (CHANGES.md): larger stacks outgrow the cache, and
+# smaller tiles cost more calls.  16 weight options at G = 64 take 128 rows.
+SEARCH_TILE_ELEMENTS = 128 * 16 * 64
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,31 @@ def _scalar_or_array(result: np.ndarray):
     return result.item() if result.ndim == 0 else result
 
 
+def _best_options(groups, options, error) -> np.ndarray:
+    """Index into the coefficient array ``options`` of each group's best
+    option: the least ``error(delta)`` for float64 groups ``(n, G)``, where
+    ``error`` maps the ``(options, rows, G)`` stack ``delta =
+    reconstruction(stack, options[:, None]) - tile`` of a tile of rows to
+    ``(options, rows)`` errors.  Ties go to the earlier option, and a NaN
+    error never wins, as with a strict ``<`` scan.  A tile holds the rows
+    whose stack fits :data:`SEARCH_TILE_ELEMENTS`, and at least one."""
+    rows = max(1, SEARCH_TILE_ELEMENTS // (len(options) * max(1, groups.shape[-1])))
+    best = np.empty(len(groups), dtype=np.intp)
+    for start in range(0, len(groups), rows):
+        tile = groups[start:start + rows]
+        stack = np.broadcast_to(tile, (len(options),) + tile.shape)
+        errs = error(reconstruction(stack, options[:, None]) - tile)
+        best[start:start + len(tile)] = np.argmin(np.where(np.isnan(errs), np.inf, errs), axis=0)
+    return best
+
+
 def select_weight_coefficient(w_group, x_calib, candidates: CandidateSet):
     """Pick the candidate minimizing the output MSE of each weight group.
 
     ``w_group`` is one group ``(G,)`` (giving an int) or groups ``(n, G)``
     sharing the calibration activations ``x_calib`` (samples, G).  The error
-    of candidate a is ``||x_calib @ (reconstruction(w, a) - w)||**2``; ties
+    of candidate a is ``||x_calib @ (reconstruction(w, a) - w)||**2``, every
+    option of a tile of groups scored at once (:func:`_best_options`); ties
     break toward the earlier option, i.e. the smaller coefficient.
     """
     w_group = np.asarray(w_group, dtype=np.float64)
@@ -92,26 +111,11 @@ def select_weight_coefficient(w_group, x_calib, candidates: CandidateSet):
         # every error would be NaN, and the tie pick the first option
         raise ValueError("calibration data contains non-finite values")
     options = np.asarray(candidates.options)
-    groups = w_group.reshape(-1, w_group.shape[-1])
-    best = np.empty(len(groups), dtype=np.intp)
-    for start in range(0, len(groups), SEARCH_TILE_ROWS):
-        tile = groups[start:start + SEARCH_TILE_ROWS]
-        # every option of every group in one (options, rows, G) stack
-        stack = np.broadcast_to(tile, (len(options),) + tile.shape)
-        delta = reconstruction(stack, options[:, None]) - tile
-        # a stack of matrix-vector products runs one gemv per group, the
-        # same BLAS call (and rounding) as x_calib @ delta for one group
-        errs = np.sum(np.matmul(x_calib, delta[..., None])[..., 0] ** 2, axis=-1)
-        # a NaN error never wins, as with a strict < scan
-        best[start:start + len(tile)] = np.argmin(np.where(np.isnan(errs), np.inf, errs), axis=0)
+    # a stack of matrix-vector products runs one gemv per group, the same
+    # BLAS call (and rounding) as x_calib @ delta for one group
+    best = _best_options(w_group.reshape(-1, w_group.shape[-1]), options, lambda delta: np.sum(
+        np.matmul(x_calib, delta[..., None])[..., 0] ** 2, axis=-1))
     return _scalar_or_array(options[best].reshape(w_group.shape[:-1]))
-
-
-def weight_space_error(values, a):
-    """Reconstruction MSE of groups ``(..., G)``, used to label calibration data."""
-    values = np.asarray(values, dtype=np.float64)
-    delta = reconstruction(values, a) - values
-    return _scalar_or_array(np.mean(delta ** 2, axis=-1))
 
 
 # Sums are formed of groups whose max|x| lies in this range, where neither a
@@ -327,14 +331,28 @@ def table_from_probe_means(coefficients, probe_means) -> VarianceTable:
     return VarianceTable(entries)
 
 
+def calibration_groups(rows, group_size: int) -> np.ndarray:
+    """The groups along the last axis of ``rows`` that calibrate a variance
+    table, in row-major order: the full groups ``(n, G)``, or the short rows
+    ``(n, axis_len)`` when no group is full."""
+    rows = np.asarray(rows)
+    group_size = as_integer(group_size, "group size", 1, MAX_GROUP_SIZE)
+    n_full = rows.shape[-1] // group_size
+    if not n_full:
+        return rows.reshape(-1, rows.shape[-1])
+    return rows[..., :n_full * group_size].reshape(-1, group_size)
+
+
 def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...],
                          min_groups: int = MIN_CALIBRATION_GROUPS) -> VarianceTable:
     """Calibrate a variance table from sample groups.
 
-    Each calibration group is labeled with its error-minimizing coefficient
-    drawn from the candidates plus the midpoint probes between them; the
-    mean normalized variance per probe becomes the boundary between the
-    adjacent candidates.  Requires at least ``min_groups`` groups.
+    Each calibration group is labeled with the coefficient of least
+    reconstruction MSE among the candidates plus the midpoint probes
+    between them, all of them scored at once per tile of groups
+    (:func:`_best_options`); the mean normalized variance per probe becomes
+    the boundary between the adjacent candidates.  Requires at least
+    ``min_groups`` groups.
     """
     coefficients = (candidates if isinstance(candidates, CandidateSet)
                     else CandidateSet(tuple(candidates), include_int=False)).coefficients
@@ -348,9 +366,9 @@ def build_variance_table(calib_groups, candidates: CandidateSet | tuple[int, ...
         return VarianceTable(((coefficients[0], 0.0, 1.0),))
 
     probes = midpoint_probes(coefficients)
-    search_space = tuple(sorted(set(coefficients) | set(probes)))
-    errs = np.array([weight_space_error(groups, a) for a in search_space])
-    labels = np.asarray(search_space)[np.argmin(errs, axis=0)]
+    search_space = np.asarray(sorted(set(coefficients) | set(probes)))
+    labels = search_space[_best_options(groups, search_space,
+                                        lambda delta: np.mean(delta ** 2, axis=-1))]
     variances = normalized_variance(groups)
     means = [float(np.mean(variances[labels == p])) if np.any(labels == p) else None
              for p in probes]

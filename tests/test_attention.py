@@ -11,8 +11,7 @@ from mant import attention
 from mant.attention import (
     AttentionPolicies,
     _attention_rows,
-    _scores_fused,
-    _weighted_values_fused,
+    _fused,
     calibration_tables,
     run_toy_attention,
     synthesize_stream,
@@ -203,9 +202,10 @@ class TestFusedProducts:
         return out
 
     def assert_products(self, cache, rng, rows, upto):
-        """Both fused products of random INT8 rows against the cache's tokens
-        [0, upto) equal, bit for bit, the per-group fold over the stores'
-        int16 levels and the window's INT8 rows.  The codes past the rows'
+        """Both fused products (:func:`_fused` of the key and of the value
+        operands) of random INT8 rows against the cache's tokens [0, upto)
+        equal, bit for bit, the per-group fold over the stores' int16
+        levels and the window's INT8 rows.  The codes past the rows'
         length are random too: the products must leave them out, and leave
         the caller's arrays as they were."""
         def codes(length):
@@ -217,9 +217,9 @@ class TestFusedProducts:
         q_codes, q_scales = codes(cache.head_dim)
         p_codes, p_scales = codes(upto)
         before = q_codes.tobytes() + p_codes.tobytes()
-        for got, want in ((_scores_fused(q_codes, q_scales, cache, upto),
+        for got, want in ((_fused(q_codes, q_scales, *cache.key_operands(upto), cache.head_dim),
                            self.reference_scores(cache, q_codes, q_scales, upto)),
-                          (_weighted_values_fused(p_codes, p_scales, cache, upto),
+                          (_fused(p_codes, p_scales, *cache.value_operands(upto), upto),
                            self.reference_values(cache, p_codes, p_scales, upto))):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert q_codes.tobytes() + p_codes.tobytes() == before

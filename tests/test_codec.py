@@ -23,13 +23,13 @@ from mant.codec import (
     quantize_activation_tensor,
     quantize_weight_group,
     quantize_weight_tensor,
-    split_runs,
     to_groups,
     unpack_codes,
 )
 from mant.container import write_quantized
 from mant.kvcache import KvCache, ProcessWindow
-from mant.selection import VarianceTable, quantize_by_variance, table_from_probe_means
+from mant.selection import (VarianceTable, calibration_groups, quantize_by_variance,
+                            table_from_probe_means)
 from oracles import encode_nibbles
 
 # every entry point that takes a group size, called with group size g
@@ -37,7 +37,7 @@ GROUP_SIZE_CALLS = {
     "weight": lambda g: quantize_weight_tensor(np.ones((40, 2)), 40, 0, g),
     "activation": lambda g: quantize_activation_tensor(np.ones((40, 2)), 0, g),
     "group_lengths": lambda g: group_lengths(40, g),
-    "split_runs": lambda g: split_runs(np.ones((2, 40)), g),
+    "calibration_groups": lambda g: calibration_groups(np.ones((2, 40)), g),
     "to_groups": lambda g: to_groups(np.ones((2, 40)), g),
     "attention": lambda g: run_toy_attention(8, 1, 1, 8, AttentionPolicies(group_size=g)),
     "kvcache": lambda g: KvCache(1, 8, *[table_from_probe_means((0, 40), [0.1])] * 2, g),

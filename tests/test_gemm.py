@@ -266,6 +266,19 @@ class TestOperands:
         wq.levels = wq.levels.copy()   # a rebound levels object builds anew
         assert weight_operand(wq) is not operand
 
+    def test_multiplied_levels_refuse_in_place_writes(self):
+        # an in-place write once left the kept operand, and every later product, stale
+        rng = np.random.default_rng(18)
+        xq, wq = random_operands(rng, 3, 130, 4)
+        assert wq.levels.flags.writeable   # quantizing leaves the levels writable
+        gemm(xq, wq)
+        with pytest.raises(ValueError, match="read-only"):
+            wq.levels[...] = 0
+        zeroed = dataclasses.replace(wq, levels=np.zeros_like(wq.levels))
+        assert not gemm(xq, zeroed).any()
+        assert np.array_equal(gemm(xq, zeroed), dequantized_gemm(xq, zeroed))
+        assert gemm(xq, wq).tobytes() == gemm(xq, dataclasses.replace(wq)).tobytes()
+
     def test_reading_or_quantizing_builds_no_operand(self, tmp_path, monkeypatch):
         gemm_module = importlib.import_module("mant.gemm")   # the package's `gemm` is the function
         rng = np.random.default_rng(17)

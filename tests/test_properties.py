@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mant import selection
 from mant.attention import _attention_rows
 from mant.codec import (
     INT4_COEFF,
@@ -738,6 +739,20 @@ def test_batched_variance_table_matches_loop(group_size, n, seed):
     # a transposed view: the table must not depend on memory order
     table = build_variance_table(np.ascontiguousarray(groups.T).T, candidates)
     assert table == ref_table(groups, candidates)
+
+
+@pytest.mark.parametrize("group_size", [1, 7, 64])
+def test_variance_table_matches_loop_across_tiles(group_size, monkeypatch):
+    # the 9 options of 5 candidates in a budget of 12 rows' stacks: tiles of 12 rows
+    rows = 12
+    monkeypatch.setattr(selection, "SEARCH_TILE_ELEMENTS", rows * 9 * group_size)
+    candidates = (0, 17, 40, 90, 120)
+    rng = np.random.default_rng(group_size)
+    for n in (rows - 1, rows, rows + 1, 3 * rows):
+        groups = rng.standard_normal((n, group_size)) * 10.0 ** rng.uniform(-8, 6, (n, 1))
+        groups[:, :group_size // 3] *= rng.uniform(0.0, 3.0, (n, 1))
+        assert build_variance_table(groups, candidates, min_groups=1) == \
+            ref_table(groups, candidates)
 
 
 @SETTINGS

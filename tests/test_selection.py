@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from mant import selection
 from mant.codec import INT4_COEFF
 from mant.grid import build_grid
 from mant.kvcache import KvCache
 from mant.selection import (
-    SEARCH_TILE_ROWS,
     CalibrationConfig,
     CandidateSet,
     VarianceTable,
     build_variance_table,
+    calibration_groups,
     midpoint_probes,
     normalized_variance,
     reconstruction,
@@ -21,7 +22,6 @@ from mant.selection import (
     select_weight_coefficient,
     table_from_probe_means,
     variance_from_sums,
-    weight_space_error,
 )
 
 
@@ -58,7 +58,7 @@ class TestSelectWeightCoefficient:
         raw = rng.standard_normal(64)
         on_grid = reconstruction(raw, 0)
         assert select_weight_coefficient(on_grid, x, CandidateSet()) == 0
-        assert weight_space_error(on_grid, 0) == 0.0
+        assert np.array_equal(reconstruction(on_grid, 0), on_grid)
 
     def test_optimality_against_independent_evaluation(self):
         rng = np.random.default_rng(1)
@@ -88,6 +88,13 @@ class TestSelectWeightCoefficient:
         assert 20 <= np.median(mant_picks) <= 60
         extremes = sum(1 for p in picks if p in (0, 120, INT4_COEFF))
         assert extremes / len(picks) < 0.2
+
+    def test_nan_error_never_wins(self):
+        # at 1e300 every product of a nonzero error overflows to +-inf and sums
+        # to NaN; only a=17, whose grid holds the group, scores 0
+        w = reconstruction(np.random.default_rng(5).standard_normal(64) * 1e10, 17)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert select_weight_coefficient(w, np.full((1, 64), 1e300), CandidateSet()) == 17
 
     def test_calibration_shape_check(self):
         with pytest.raises(ValueError):
@@ -138,24 +145,72 @@ def mixed_groups(rng, n, length):
     return np.array([kinds[i % len(kinds)]() * 10.0 ** rng.uniform(-2, 2) for i in range(n)])
 
 
+def tiles_of(monkeypatch, budget):
+    """Set the search's element budget to ``budget`` and record the rows of
+    each tile that :func:`selection._best_options` reconstructs."""
+    monkeypatch.setattr(selection, "SEARCH_TILE_ELEMENTS", budget)
+    tiles, rebuild = [], selection.reconstruction
+
+    def recording(stack, a):
+        tiles.append(stack.shape[1])
+        return rebuild(stack, a)
+    monkeypatch.setattr(selection, "reconstruction", recording)
+    return tiles
+
+
+def tile_split(n, rows):
+    return [rows] * (n // rows) + [n % rows] * bool(n % rows)
+
+
 class TestStackedSearch:
     @pytest.mark.parametrize("length", [64, 1, 32, 48])
     @pytest.mark.parametrize("candidates", [CandidateSet(), CandidateSet(include_int=False),
                                             CandidateSet((10, 40, 90)),
                                             CandidateSet((0, 17, 120), include_int=False)],
                              ids=["default", "no-int", "subset-int", "subset-no-int"])
-    def test_matches_per_option_scan(self, length, candidates):
+    def test_matches_per_option_scan(self, length, candidates, monkeypatch):
+        # a budget one element short of 25 rows' stacks makes tiles of 24 rows
+        stack = len(candidates.options) * length
+        tiles = tiles_of(monkeypatch, 25 * stack - 1)
+        rows = 24
         rng = np.random.default_rng(length)
         x_calib = rng.standard_normal((16, length)) * np.exp(rng.uniform(-1.6, 1.6, length))
-        for n in (1, SEARCH_TILE_ROWS - 1, SEARCH_TILE_ROWS, SEARCH_TILE_ROWS + 1,
-                  3 * SEARCH_TILE_ROWS):
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows):
             w = mixed_groups(rng, n, length)
+            tiles.clear()
             picks = select_weight_coefficient(w, x_calib, candidates)
+            assert tiles == tile_split(n, rows)
             assert picks.shape == (n,)
             np.testing.assert_array_equal(picks, per_option_scan(w, x_calib, candidates))
         w = mixed_groups(rng, 1, length)[0]
         assert select_weight_coefficient(w, x_calib, candidates) == \
             per_option_scan(w, x_calib, candidates)
+
+    def test_budget_below_one_row_takes_one_row_per_tile(self, monkeypatch):
+        tiles = tiles_of(monkeypatch, 1)
+        rng = np.random.default_rng(7)
+        w, x_calib = mixed_groups(rng, 5, 16), rng.standard_normal((8, 16))
+        picks = select_weight_coefficient(w, x_calib, CandidateSet())
+        assert tiles == [1] * 5
+        np.testing.assert_array_equal(picks, per_option_scan(w, x_calib, CandidateSet()))
+
+
+class TestCalibrationGroups:
+    def test_full_groups_in_row_major_order(self):
+        rows = np.arange(2 * 40.0).reshape(2, 40)
+        groups = calibration_groups(rows, 16)
+        assert groups.shape == (4, 16)
+        np.testing.assert_array_equal(groups, np.concatenate([rows[:, :16], rows[:, 16:32]],
+                                                             axis=1).reshape(4, 16))
+        keys = np.arange(3 * 2 * 10.0).reshape(3, 2, 10)   # (token, head, channel)
+        np.testing.assert_array_equal(calibration_groups(keys, 4),
+                                      keys[..., :8].reshape(12, 4))
+
+    def test_short_rows_when_no_group_is_full(self):
+        rows = np.arange(2 * 40.0).reshape(2, 40)
+        np.testing.assert_array_equal(calibration_groups(rows, 64), rows)
+        np.testing.assert_array_equal(calibration_groups(rows.reshape(2, 2, 20), 64),
+                                      rows.reshape(4, 20))
 
 
 class TestNormalizedVariance:
